@@ -13,7 +13,7 @@ let tenant_ok t =
        (function 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '.' | '-' -> true | _ -> false)
        t
 
-let check_tenant t = if not (tenant_ok t) then invalid_arg ("Proto: invalid tenant id " ^ t)
+let checked t = if tenant_ok t then t else invalid_arg ("Proto: invalid tenant id " ^ t)
 
 type req =
   | Hello of int
@@ -37,37 +37,11 @@ type req =
   | Dhealth
   | Trace_dump of { last : int }
 
-let verb_of_req = function
-  | Hello _ -> "hello"
-  | Ping -> "ping"
-  | Shutdown -> "shutdown"
-  | Open _ -> "open"
-  | Add_path _ -> "add_path"
-  | Remove_path _ -> "remove_path"
-  | Add_arc _ -> "add_arc"
-  | Submit _ -> "submit"
-  | Report _ -> "report"
-  | Pi _ -> "pi"
-  | Color_of _ -> "color_of"
-  | Stats _ -> "stats"
-  | Health _ -> "health"
-  | Snapshot _ -> "snapshot"
-  | Evict _ -> "evict"
-  | Dstats -> "dstats"
-  | Dhealth -> "dhealth"
-  | Trace_dump _ -> "tracedump"
-
 type report = { n_wavelengths : int; pi : int; optimal : bool; method_name : string }
 
 type health = {
-  healthy : bool;
-  add_p50 : int;
-  add_p99 : int;
-  remove_p50 : int;
-  remove_p99 : int;
-  warm_hit_recent : float;
-  warm_hit_lifetime : float;
-  fallback_streak : int;
+  healthy : bool; add_p50 : int; add_p99 : int; remove_p50 : int; remove_p99 : int;
+  warm_hit_recent : float; warm_hit_lifetime : float; fallback_streak : int;
 }
 
 type outcome = O_path of int | O_removed of int | O_arc of int
@@ -76,32 +50,17 @@ type outcome = O_path of int | O_removed of int | O_arc of int
    shard's histograms, plus the daemon-wide exemplar ([l_ex_trace = 0]
    when no traced sample was seen). *)
 type lat_rollup = {
-  l_count : int;
-  l_p50 : int;
-  l_p90 : int;
-  l_p99 : int;
-  l_p999 : int;
-  l_max : int;
-  l_ex_ns : int;
-  l_ex_trace : int;
+  l_count : int; l_p50 : int; l_p90 : int; l_p99 : int; l_p999 : int; l_max : int;
+  l_ex_ns : int; l_ex_trace : int;
 }
 
 type tenant_row = {
-  r_tenant : string;
-  r_shard : int;
-  r_paths : int;
-  r_pi : int;
-  r_ops : int;
-  r_add_p50 : int;
-  r_add_p99 : int;
-  r_healthy : bool;
+  r_tenant : string; r_shard : int; r_paths : int; r_pi : int; r_ops : int; r_add_p50 : int;
+  r_add_p99 : int; r_healthy : bool;
 }
 
 type dstats = {
-  d_shards : int;
-  d_sessions : int;
-  d_add : lat_rollup;
-  d_remove : lat_rollup;
+  d_shards : int; d_sessions : int; d_add : lat_rollup; d_remove : lat_rollup;
   d_tenants : tenant_row list;
 }
 
@@ -130,1111 +89,604 @@ type resp =
 type reply = (resp, Error.t) result
 
 let report_of_solver (r : Solver.report) =
-  {
-    n_wavelengths = r.Solver.n_wavelengths;
-    pi = r.Solver.pi;
-    optimal = r.Solver.optimal;
-    method_name = Solver.method_name r.Solver.method_used;
-  }
+  { n_wavelengths = r.Solver.n_wavelengths; pi = r.Solver.pi; optimal = r.Solver.optimal;
+    method_name = Solver.method_name r.Solver.method_used }
 
 let health_of_engine (h : Engine.health) =
-  {
-    healthy = h.Engine.healthy;
-    add_p50 = h.Engine.add_latency.Wl_obs.Hdr.p50;
-    add_p99 = h.Engine.add_latency.Wl_obs.Hdr.p99;
-    remove_p50 = h.Engine.remove_latency.Wl_obs.Hdr.p50;
-    remove_p99 = h.Engine.remove_latency.Wl_obs.Hdr.p99;
-    warm_hit_recent = h.Engine.warm_hit_recent;
-    warm_hit_lifetime = h.Engine.warm_hit_lifetime;
-    fallback_streak = h.Engine.fallback_streak;
-  }
+  let add = h.Engine.add_latency and remove = h.Engine.remove_latency in
+  { healthy = h.Engine.healthy; add_p50 = add.Wl_obs.Hdr.p50; add_p99 = add.Wl_obs.Hdr.p99;
+    remove_p50 = remove.Wl_obs.Hdr.p50; remove_p99 = remove.Wl_obs.Hdr.p99;
+    warm_hit_recent = h.Engine.warm_hit_recent; warm_hit_lifetime = h.Engine.warm_hit_lifetime;
+    fallback_streak = h.Engine.fallback_streak }
 
 let outcome_of_engine = function
   | Engine.Path_added id -> O_path id
   | Engine.Path_removed id -> O_removed id
   | Engine.Arc_added a -> O_arc a
 
+(* --- message description ------------------------------------------------------ *)
+
+(* A message is a tag plus an ordered field list; a field type says how one
+   value is laid out in each encoding.  In text a field is space-separated
+   tokens on the head line ([Rows] and [Body] also add lines after it); in
+   JSON it is a named member, [Rows] members last.  A field named [""]
+   splices its object's members into the enclosing JSON object. *)
+module F = struct
+  type _ ty =
+    | Int : int ty
+    | Hex : int ty  (** hex token in text *)
+    | Bool : bool ty
+    | Float : float ty  (** exact: [%.17g] in text *)
+    | Word : string ty  (** one token, unchecked *)
+    | Tenant : string ty  (** {!tenant_ok}-checked both ways *)
+    | Msg : string ty  (** free text: the raw rest of the head line *)
+    | Ints : int list ty  (** inline: the rest of the head line *)
+    | Tenants : string list ty  (** count, then the ids *)
+    | Rec : 'r case -> 'r ty  (** nested record; its tag is unused *)
+    | Rows : string * 'a ty -> 'a list ty  (** count in the head, one tagged line each *)
+    | Body : 'a body -> 'a ty  (** verbatim text body / embedded JSON value *)
+    | Union : 'm union -> 'm ty
+    | Err : Error.t ty  (** wire code, then the [errors] union *)
+
+  and _ t = [] : unit t | ( :: ) : (string * 'a ty) * 'b t -> ('a * 'b) t
+
+  and 'm case =
+    | Case : { tag : string; fields : 'a t; inj : 'a -> 'm; proj : 'm -> 'a option } -> 'm case
+
+  (* [key = Some k]: JSON carries the tag as member [k] beside the fields.
+     [key = None]: JSON carries no tag; its first field's name tells the
+     case (see [keyed]). *)
+  and 'm union = { key : string option; cases : 'm case list }
+
+  and 'a body = {
+    to_text : 'a -> string; of_text : string -> ('a, Error.t) result;
+    to_json : 'a -> Jsonx.t; of_json : Jsonx.t -> ('a, Error.t) result;
+  }
+end
+
+let case tag fields inj proj = F.Case { tag; fields; inj; proj }
+
+let one tag name ty inj proj =
+  case tag F.[ (name, ty) ] (fun (x, ()) -> inj x) (fun m -> Option.map (fun x -> (x, ())) (proj m))
+
+let keyed tag ty inj proj = one tag tag ty inj proj
+let const tag v = case tag F.[] (fun () -> v) (fun m -> if m == v then Some () else None)
+let record fields inj proj = F.Rec (case "" fields inj (fun r -> Some (proj r)))
+let tag_of (F.Case c) = c.tag
 let proto_error msg = Error.Parse { line = 0; msg }
 
-(* --- structured errors on the wire ----------------------------------------- *)
+(* Instances and op scripts embed their own text and JSON formats. *)
+let reparse s = match Jsonx.parse s with Ok j -> j | Error m -> invalid_arg ("Proto: JSON: " ^ m)
+let to_json_ops ops = Option.get (Jsonx.member "ops" (reparse (Script.to_json ops)))
+let wl_ops j = Jsonx.[ "format", Str "wl-ops"; "version", Int Script.current_version; "ops", j ]
+let of_json_ops j = Script.of_json (Jsonx.to_string (Jsonx.Obj (wl_ops j)))
+let of_json_instance j = Serial.of_json (Jsonx.to_string j)
+let to_json_instance i = reparse (Serial.to_json i)
+let body to_text of_text to_json of_json = F.Body { to_text; of_text; to_json; of_json }
+let instance = body Serial.to_string Serial.of_string to_json_instance of_json_instance
+let ops = body Script.to_string Script.of_string to_json_ops of_json_ops
 
-(* One line, message field last so it may contain spaces; newlines and
-   backslashes escape so the line stays a line. *)
+let doc_of_json = function Jsonx.Str d -> Ok d | _ -> Error (proto_error "doc: not a string")
+let doc = body Fun.id Result.ok (fun d -> Jsonx.Str d) doc_of_json
+
+(* --- the message table ---------------------------------------------------------- *)
+
+(* "err CODE CTOR ARGS..." — the wire code leads so code-only clients can
+   dispatch without knowing the constructor grammar; a message goes last so
+   it may contain spaces. *)
+let errors =
+  let msg tag inj proj = one tag "msg" F.Msg inj proj in
+  { F.key = Some "ctor";
+    cases = [
+        case "parse" F.[ ("line", Int); ("msg", Msg) ]
+          (fun (line, (msg, ())) -> Error.Parse { line; msg })
+          (function Error.Parse { line; msg } -> Some (line, (msg, ())) | _ -> None);
+        msg "invalid_path" (fun m -> Error.Invalid_path m)
+          (function Error.Invalid_path m -> Some m | _ -> None);
+        msg "cyclic" (fun m -> Error.Cyclic m) (function Error.Cyclic m -> Some m | _ -> None);
+        case "bad_index" F.[ ("index", Int); ("what", Msg) ]
+          (fun (index, (what, ())) -> Error.Bad_index { what; index })
+          (function Error.Bad_index { what; index } -> Some (index, (what, ())) | _ -> None);
+        msg "invalid_op" (fun m -> Error.Invalid_op m)
+          (function Error.Invalid_op m -> Some m | _ -> None);
+        msg "precondition" (fun m -> Error.Precondition m)
+          (function Error.Precondition m -> Some m | _ -> None);
+        one "unsupported_version" "version" F.Int (fun v -> Error.Unsupported_version v)
+          (function Error.Unsupported_version v -> Some v | _ -> None);
+        msg "io" (fun m -> Error.Io m) (function Error.Io m -> Some m | _ -> None);
+      ] }
+
+let err_case () = keyed "err" F.Err (fun e -> Error e) (function Error e -> Some e | Ok _ -> None)
+
+let report_f =
+  record
+    F.[ ("w", Int); ("pi", Int); ("optimal", Bool); ("method", Word) ]
+    (fun (n_wavelengths, (pi, (optimal, (method_name, ())))) ->
+      { n_wavelengths; pi; optimal; method_name })
+    (fun r -> (r.n_wavelengths, (r.pi, (r.optimal, (r.method_name, ())))))
+
+let stats_f =
+  record
+    F.[ ("ops", Int); ("warm_hits", Int); ("fresh_colors", Int); ("repairs", Int);
+        ("repair_flips", Int); ("shrink_recolors", Int); ("warm_removes", Int);
+        ("fallbacks", Int); ("full_solves", Int); ("rejected", Int) ]
+    (fun (ops, (warm_hits, (fresh_colors, (repairs, (repair_flips, (shrink_recolors,
+         (warm_removes, (fallbacks, (full_solves, (rejected, ())))))))))) ->
+      { Engine.ops; warm_hits; fresh_colors; repairs; repair_flips; shrink_recolors;
+        warm_removes; fallbacks; full_solves; rejected })
+    (fun (s : Engine.stats) -> (s.ops, (s.warm_hits, (s.fresh_colors, (s.repairs, (s.repair_flips,
+       (s.shrink_recolors, (s.warm_removes, (s.fallbacks, (s.full_solves, (s.rejected, ())))))))))))
+
+let health_f =
+  record
+    F.[ ("healthy", Bool); ("add_p50", Int); ("add_p99", Int); ("remove_p50", Int);
+        ("remove_p99", Int); ("warm_hit_recent", Float); ("warm_hit_lifetime", Float);
+        ("fallback_streak", Int) ]
+    (fun (healthy, (add_p50, (add_p99, (remove_p50, (remove_p99, (warm_hit_recent,
+         (warm_hit_lifetime, (fallback_streak, ())))))))) ->
+      { healthy; add_p50; add_p99; remove_p50; remove_p99; warm_hit_recent; warm_hit_lifetime;
+        fallback_streak })
+    (fun h -> (h.healthy, (h.add_p50, (h.add_p99, (h.remove_p50, (h.remove_p99,
+       (h.warm_hit_recent, (h.warm_hit_lifetime, (h.fallback_streak, ())))))))))
+
+let rollup_f =
+  record
+    F.[ ("count", Int); ("p50", Int); ("p90", Int); ("p99", Int); ("p999", Int); ("max", Int);
+        ("ex_ns", Int); ("ex_trace", Hex) ]
+    (fun (l_count, (l_p50, (l_p90, (l_p99, (l_p999, (l_max, (l_ex_ns, (l_ex_trace, ())))))))) ->
+      { l_count; l_p50; l_p90; l_p99; l_p999; l_max; l_ex_ns; l_ex_trace })
+    (fun r -> (r.l_count, (r.l_p50, (r.l_p90, (r.l_p99, (r.l_p999, (r.l_max, (r.l_ex_ns,
+       (r.l_ex_trace, ())))))))))
+
+let tenant_row_f =
+  record
+    F.[ ("tenant", Tenant); ("shard", Int); ("paths", Int); ("pi", Int); ("ops", Int);
+        ("add_p50", Int); ("add_p99", Int); ("healthy", Bool) ]
+    (fun (r_tenant, (r_shard, (r_paths, (r_pi, (r_ops, (r_add_p50, (r_add_p99,
+         (r_healthy, ())))))))) ->
+      { r_tenant; r_shard; r_paths; r_pi; r_ops; r_add_p50; r_add_p99; r_healthy })
+    (fun r -> (r.r_tenant, (r.r_shard, (r.r_paths, (r.r_pi, (r.r_ops, (r.r_add_p50, (r.r_add_p99,
+       (r.r_healthy, ())))))))))
+
+(* A single op's reply and its line in a batch share one token. *)
+let id_reply tag inj proj = one tag "id" F.Int inj proj
+let r_path = id_reply "path" (fun id -> R_path id) (function R_path id -> Some id | _ -> None)
+let r_removed =
+  id_reply "removed" (fun i -> R_removed i) (function R_removed i -> Some i | _ -> None)
+let r_arc = id_reply "arc" (fun id -> R_arc id) (function R_arc id -> Some id | _ -> None)
+
+let outcomes =
+  let line r inj proj = keyed (tag_of r) F.Int (fun id -> Ok (inj id)) proj in
+  let path = line r_path (fun i -> O_path i) (function Ok (O_path i) -> Some i | _ -> None) in
+  let removed =
+    line r_removed (fun i -> O_removed i) (function Ok (O_removed i) -> Some i | _ -> None)
+  in
+  let arc = line r_arc (fun i -> O_arc i) (function Ok (O_arc i) -> Some i | _ -> None) in
+  { F.key = None; cases = [ path; removed; arc; err_case () ] }
+
+let tenant = ("tenant", F.Tenant)
+let on_tenant tag inj proj = one tag "tenant" F.Tenant inj proj
+
+(* One row per verb: the request, then its success reply.  A reply tag of
+   [""] reuses the request's verb. *)
+let verbs =
+  [
+    ( one "hello" "version" F.Int (fun v -> Hello v) (function Hello v -> Some v | _ -> None),
+      one "" "version" F.Int (fun v -> R_hello v) (function R_hello v -> Some v | _ -> None) );
+    (const "ping" Ping, const "pong" R_pong);
+    (const "shutdown" Shutdown, const "bye" R_bye);
+    ( case "open" F.[ tenant; ("instance", instance) ]
+        (fun (tenant, (instance, ())) -> Open { tenant; instance })
+        (function Open { tenant; instance } -> Some (tenant, (instance, ())) | _ -> None),
+      one "" "" report_f (fun r -> R_open r) (function R_open r -> Some r | _ -> None) );
+    ( case "add_path" F.[ tenant; ("vertices", Ints) ]
+        (fun (tenant, (vertices, ())) -> Add_path { tenant; vertices })
+        (function Add_path { tenant; vertices } -> Some (tenant, (vertices, ())) | _ -> None),
+      r_path );
+    ( case "remove_path" F.[ tenant; ("id", Int) ]
+        (fun (tenant, (id, ())) -> Remove_path { tenant; id })
+        (function Remove_path { tenant; id } -> Some (tenant, (id, ())) | _ -> None),
+      r_removed );
+    ( case "add_arc" F.[ tenant; ("from", Int); ("to", Int) ]
+        (fun (tenant, (tail, (head, ()))) -> Add_arc { tenant; tail; head })
+        (function Add_arc { tenant; tail; head } -> Some (tenant, (tail, (head, ()))) | _ -> None),
+      r_arc );
+    ( case "submit" F.[ tenant; ("ops", ops) ]
+        (fun (tenant, (ops, ())) -> Submit { tenant; ops })
+        (function Submit { tenant; ops } -> Some (tenant, (ops, ())) | _ -> None),
+      case "outcomes" F.[ ("outcomes", Rows ("outcome", Union outcomes)); ("", report_f) ]
+        (fun (os, (after, ())) -> R_outcomes { outcomes = Array.of_list os; after })
+        (function
+          | R_outcomes { outcomes; after } -> Some (Array.to_list outcomes, (after, ()))
+          | _ -> None) );
+    ( on_tenant "report" (fun tenant -> Report { tenant })
+        (function Report { tenant } -> Some tenant | _ -> None),
+      one "" "" report_f (fun r -> R_report r) (function R_report r -> Some r | _ -> None) );
+    ( on_tenant "pi" (fun tenant -> Pi { tenant })
+        (function Pi { tenant } -> Some tenant | _ -> None),
+      one "" "pi" F.Int (fun pi -> R_pi pi) (function R_pi pi -> Some pi | _ -> None) );
+    ( case "color_of" F.[ tenant; ("id", Int) ]
+        (fun (tenant, (id, ())) -> Color_of { tenant; id })
+        (function Color_of { tenant; id } -> Some (tenant, (id, ())) | _ -> None),
+      one "color" "color" F.Int (fun c -> R_color c) (function R_color c -> Some c | _ -> None) );
+    ( on_tenant "stats" (fun tenant -> Stats { tenant })
+        (function Stats { tenant } -> Some tenant | _ -> None),
+      one "" "" stats_f (fun s -> R_stats s) (function R_stats s -> Some s | _ -> None) );
+    ( on_tenant "health" (fun tenant -> Health { tenant })
+        (function Health { tenant } -> Some tenant | _ -> None),
+      one "" "" health_f (fun h -> R_health h) (function R_health h -> Some h | _ -> None) );
+    ( on_tenant "snapshot" (fun tenant -> Snapshot { tenant })
+        (function Snapshot { tenant } -> Some tenant | _ -> None),
+      one "" "instance" instance (fun i -> R_snapshot i)
+        (function R_snapshot i -> Some i | _ -> None) );
+    ( on_tenant "evict" (fun tenant -> Evict { tenant })
+        (function Evict { tenant } -> Some tenant | _ -> None),
+      const "evicted" R_evicted );
+    ( const "dstats" Dstats,
+      case ""
+        F.[ ("shards", Int); ("sessions", Int); ("tenants", Rows ("tenant", tenant_row_f));
+            ("add", rollup_f); ("remove", rollup_f) ]
+        (fun (d_shards, (d_sessions, (d_tenants, (d_add, (d_remove, ()))))) ->
+          R_dstats { d_shards; d_sessions; d_add; d_remove; d_tenants })
+        (function
+          | R_dstats d ->
+            Some (d.d_shards, (d.d_sessions, (d.d_tenants, (d.d_add, (d.d_remove, ())))))
+          | _ -> None) );
+    ( const "dhealth" Dhealth,
+      case "" F.[ ("healthy", Bool); ("sessions", Int); ("unhealthy", Tenants) ]
+        (fun (dh_healthy, (dh_sessions, (dh_unhealthy, ()))) ->
+          R_dhealth { dh_healthy; dh_sessions; dh_unhealthy })
+        (function
+          | R_dhealth h -> Some (h.dh_healthy, (h.dh_sessions, (h.dh_unhealthy, ())))
+          | _ -> None) );
+    ( one "tracedump" "last" F.Int (fun last -> Trace_dump { last })
+        (function Trace_dump { last } -> Some last | _ -> None),
+      one "trace" "doc" doc (fun d -> R_trace d) (function R_trace d -> Some d | _ -> None) );
+  ]
+
+let by_verb cases = { F.key = Some "verb"; cases }
+let requests = by_verb (List.map fst verbs)
+
+let replies =
+  let resp (F.Case q, F.Case r) = if r.tag = "" then F.Case { r with tag = q.tag } else F.Case r in
+  let resps = by_verb (List.map resp verbs) in
+  let ok = keyed "ok" (F.Union resps) Result.ok (function Ok r -> Some r | Error _ -> None) in
+  { F.key = None; cases = [ err_case (); ok ] }
+
+(* [visit_case cases v k] applies [k] to the tag, field list and field
+   values of the case [v] belongs to. *)
+type 'r visitor = { visit : 'a. string -> 'a F.t -> 'a -> 'r }
+
+let rec visit_case : type m r. m F.case list -> m -> r visitor -> r =
+ fun cases v k ->
+  match cases with
+  | [] -> invalid_arg "Proto: value outside the message table"
+  | F.Case c :: rest -> (
+    match c.proj v with Some x -> k.visit c.tag c.fields x | None -> visit_case rest v k)
+
+exception Unknown of string * string
+
+let rec find_case what tag = function
+  | [] -> raise (Unknown (what, tag))
+  | (F.Case c as k) :: rest -> if String.equal c.tag tag then k else find_case what tag rest
+
+let verb_of_req r = visit_case requests.F.cases r { visit = (fun tag _ _ -> tag) }
+
+(* A tenant-scoped request carries its tenant as the first field. *)
+let tenant_of_req r =
+  let first (type a) _ (fs : a F.t) (x : a) : string option =
+    match (fs, x) with F.((_, Tenant) :: _), (t, _) -> Some t | _ -> None
+  in
+  visit_case requests.F.cases r { visit = first }
+
+(* --- text interpreter ------------------------------------------------------------ *)
+
+(* Newlines and backslashes escape so a message stays on its line. *)
 let escape_nl s =
-  if String.for_all (fun c -> c <> '\n' && c <> '\\') s then s
-  else begin
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (function
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  end
+  let esc i = match s.[i] with '\n' -> "\\n" | '\\' -> "\\\\" | c -> String.make 1 c in
+  if not (String.exists (fun c -> c = '\n' || c = '\\') s) then s
+  else String.concat "" (List.init (String.length s) esc)
 
 let unescape_nl s =
   if not (String.contains s '\\') then s
   else begin
-    let b = Buffer.create (String.length s) in
-    let n = String.length s in
-    let rec go i =
-      if i < n then
-        if s.[i] = '\\' && i + 1 < n then begin
-          (match s.[i + 1] with
-          | 'n' -> Buffer.add_char b '\n'
-          | c -> Buffer.add_char b c);
-          go (i + 2)
-        end
-        else begin
-          Buffer.add_char b s.[i];
-          go (i + 1)
-        end
-    in
-    go 0;
+    let b = Buffer.create (String.length s) and esc = ref false in
+    String.iter
+      (fun c ->
+        if !esc then Buffer.add_char b (if c = 'n' then '\n' else c)
+        else if c <> '\\' then Buffer.add_char b c;
+        esc := (not !esc) && c = '\\')
+      s;
+    if !esc then Buffer.add_char b '\\';
     Buffer.contents b
   end
 
-let error_ctor = function
-  | Error.Parse _ -> "parse"
-  | Error.Invalid_path _ -> "invalid_path"
-  | Error.Cyclic _ -> "cyclic"
-  | Error.Bad_index _ -> "bad_index"
-  | Error.Invalid_op _ -> "invalid_op"
-  | Error.Precondition _ -> "precondition"
-  | Error.Unsupported_version _ -> "unsupported_version"
-  | Error.Io _ -> "io"
+exception Bad of Error.t
 
-(* "err CODE CTOR ARGS..." — the wire code leads so code-only clients can
-   dispatch without knowing the constructor grammar. *)
-let error_to_line e =
-  let code = Error.to_code e in
-  match e with
-  | Error.Parse { line; msg } -> Printf.sprintf "err %d parse %d %s" code line (escape_nl msg)
-  | Error.Invalid_path msg -> Printf.sprintf "err %d invalid_path %s" code (escape_nl msg)
-  | Error.Cyclic msg -> Printf.sprintf "err %d cyclic %s" code (escape_nl msg)
-  | Error.Bad_index { what; index } ->
-    Printf.sprintf "err %d bad_index %d %s" code index (escape_nl what)
-  | Error.Invalid_op msg -> Printf.sprintf "err %d invalid_op %s" code (escape_nl msg)
-  | Error.Precondition msg -> Printf.sprintf "err %d precondition %s" code (escape_nl msg)
-  | Error.Unsupported_version v -> Printf.sprintf "err %d unsupported_version %d" code v
-  | Error.Io msg -> Printf.sprintf "err %d io %s" code (escape_nl msg)
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad (proto_error msg))) fmt
+let ok_or_raise = function Ok v -> v | Error e -> raise (Bad e)
 
-(* Tokens after "err": CODE CTOR then constructor args, message last. *)
-let error_of_tokens toks =
-  let rest_from parts n =
-    (* re-join everything from token [n] with single spaces *)
-    unescape_nl (String.concat " " (List.filteri (fun i _ -> i >= n) parts))
-  in
-  match toks with
-  | code :: ctor :: args -> (
-    match (int_of_string_opt code, ctor) with
-    | None, _ -> Error (proto_error "error frame: bad code")
-    | Some code, _ -> (
-      let msg_from n = rest_from args n in
-      match (ctor, args) with
-      | "parse", line :: _ -> (
-        match int_of_string_opt line with
-        | Some l -> Ok (Error.Parse { line = l; msg = msg_from 1 })
-        | None -> Error (proto_error "error frame: bad parse line"))
-      | "invalid_path", _ -> Ok (Error.Invalid_path (msg_from 0))
-      | "cyclic", _ -> Ok (Error.Cyclic (msg_from 0))
-      | "bad_index", index :: _ -> (
-        match int_of_string_opt index with
-        | Some i -> Ok (Error.Bad_index { what = msg_from 1; index = i })
-        | None -> Error (proto_error "error frame: bad index"))
-      | "invalid_op", _ -> Ok (Error.Invalid_op (msg_from 0))
-      | "precondition", _ -> Ok (Error.Precondition (msg_from 0))
-      | "unsupported_version", [ v ] -> (
-        match int_of_string_opt v with
-        | Some v -> Ok (Error.Unsupported_version v)
-        | None -> Error (proto_error "error frame: bad version"))
-      | "io", _ -> Ok (Error.Io (msg_from 0))
-      | _ -> (
-        (* unknown constructor from a future revision: degrade through the
-           shared code table rather than failing the whole reply *)
-        match Error.of_code code (msg_from 0) with
-        | Some e -> Ok e
-        | None -> Error (proto_error ("error frame: unknown constructor " ^ ctor)))))
-  | _ -> Error (proto_error "error frame: missing code")
+let tok h s = Buffer.add_char h ' '; Buffer.add_string h s
 
-let error_to_json e =
-  let base =
-    match e with
-    | Error.Parse { line; msg } -> [ ("line", Jsonx.Int line); ("msg", Jsonx.Str msg) ]
-    | Error.Invalid_path msg
-    | Error.Cyclic msg
-    | Error.Invalid_op msg
-    | Error.Precondition msg
-    | Error.Io msg -> [ ("msg", Jsonx.Str msg) ]
-    | Error.Bad_index { what; index } ->
-      [ ("index", Jsonx.Int index); ("what", Jsonx.Str what) ]
-    | Error.Unsupported_version v -> [ ("version", Jsonx.Int v) ]
-  in
-  Jsonx.Obj
-    (("code", Jsonx.Int (Error.to_code e)) :: ("ctor", Jsonx.Str (error_ctor e)) :: base)
+(* [h] collects the head line, [b] the lines after it. *)
+let rec put : type a. Buffer.t -> Buffer.t -> a F.ty -> a -> unit =
+ fun h b ty v ->
+  match ty with
+  | F.Int -> tok h (string_of_int v)
+  | F.Hex -> tok h (Printf.sprintf "%x" v)
+  | F.Bool -> tok h (string_of_bool v)
+  | F.Float -> tok h (Printf.sprintf "%.17g" v)
+  | F.Word -> tok h v
+  | F.Tenant -> tok h (checked v)
+  | F.Msg -> tok h (escape_nl v)
+  | F.Ints -> List.iter (fun i -> tok h (string_of_int i)) v
+  | F.Tenants ->
+    put h b F.Int (List.length v);
+    List.iter (put h b F.Tenant) v
+  | F.Rec (F.Case c) -> Option.iter (put_fields h b c.fields) (c.proj v)
+  | F.Rows (tag, elt) ->
+    put h b F.Int (List.length v);
+    List.iter (fun x -> Buffer.add_string b tag; put b b elt x; Buffer.add_char b '\n') v
+  | F.Body body -> Buffer.add_string b (body.F.to_text v)
+  | F.Union u -> put_union h b u v
+  | F.Err ->
+    put h b F.Int (Error.to_code v);
+    put_union h b errors v
 
-let error_of_json j =
-  let str k = Option.bind (Jsonx.member k j) Jsonx.to_str in
-  let int k = Option.bind (Jsonx.member k j) Jsonx.to_int in
-  let msg () = Option.value (str "msg") ~default:"" in
-  match (int "code", str "ctor") with
-  | Some code, Some ctor -> (
-    match ctor with
-    | "parse" ->
-      Ok (Error.Parse { line = Option.value (int "line") ~default:0; msg = msg () })
-    | "invalid_path" -> Ok (Error.Invalid_path (msg ()))
-    | "cyclic" -> Ok (Error.Cyclic (msg ()))
-    | "bad_index" ->
-      Ok
-        (Error.Bad_index
-           {
-             what = Option.value (str "what") ~default:"";
-             index = Option.value (int "index") ~default:(-1);
-           })
-    | "invalid_op" -> Ok (Error.Invalid_op (msg ()))
-    | "precondition" -> Ok (Error.Precondition (msg ()))
-    | "unsupported_version" ->
-      Ok (Error.Unsupported_version (Option.value (int "version") ~default:(-1)))
-    | "io" -> Ok (Error.Io (msg ()))
-    | _ -> (
-      match Error.of_code code (msg ()) with
-      | Some e -> Ok e
-      | None -> Error (proto_error ("error frame: unknown constructor " ^ ctor))))
-  | _ -> Error (proto_error "error frame: missing code or ctor")
+and put_fields : type a. Buffer.t -> Buffer.t -> a F.t -> a -> unit =
+ fun h b fs v ->
+  match (fs, v) with
+  | F.[], () -> ()
+  | F.((_, ty) :: rest), (x, xs) ->
+    put h b ty x;
+    put_fields h b rest xs
 
-(* --- text encoding --------------------------------------------------------- *)
-
-let hdr = Printf.sprintf "wlrpc %d" version
+and put_union : type m. Buffer.t -> Buffer.t -> m F.union -> m -> unit =
+ fun h b u v -> visit_case u.F.cases v { visit = (fun tag fs x -> tok h tag; put_fields h b fs x) }
 
 (* The optional trace context rides as a [ctx=TRACE:SPAN] token directly
    after the version, before the verb — absent for untraced peers, so
    every pre-context frame remains byte-identical. *)
-let hdr_with ctx =
-  if Ctx.is_none ctx then hdr
-  else Printf.sprintf "wlrpc %d ctx=%s" version (Ctx.to_string ctx)
+let encode_text u ~ctx v =
+  let h = Buffer.create 64 and b = Buffer.create 16 in
+  Buffer.add_string h "wlrpc ";
+  Buffer.add_string h (string_of_int version);
+  if not (Ctx.is_none ctx) then tok h ("ctx=" ^ Ctx.to_string ctx);
+  put_union h b u v;
+  Buffer.add_char h '\n';
+  Buffer.add_buffer h b;
+  Buffer.contents h
 
-let encode_request_text ?(ctx = Ctx.none) req =
-  let hdr = hdr_with ctx in
-  match req with
-  | Hello v -> Printf.sprintf "%s hello %d\n" hdr v
-  | Ping -> hdr ^ " ping\n"
-  | Shutdown -> hdr ^ " shutdown\n"
-  | Open { tenant; instance } ->
-    check_tenant tenant;
-    Printf.sprintf "%s open %s\n%s" hdr tenant (Serial.to_string instance)
-  | Add_path { tenant; vertices } ->
-    check_tenant tenant;
-    Printf.sprintf "%s add_path %s%s\n" hdr tenant
-      (String.concat "" (List.map (Printf.sprintf " %d") vertices))
-  | Remove_path { tenant; id } ->
-    check_tenant tenant;
-    Printf.sprintf "%s remove_path %s %d\n" hdr tenant id
-  | Add_arc { tenant; tail; head } ->
-    check_tenant tenant;
-    Printf.sprintf "%s add_arc %s %d %d\n" hdr tenant tail head
-  | Submit { tenant; ops } ->
-    check_tenant tenant;
-    Printf.sprintf "%s submit %s\n%s" hdr tenant (Script.to_string ops)
-  | Report { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s report %s\n" hdr tenant
-  | Pi { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s pi %s\n" hdr tenant
-  | Color_of { tenant; id } ->
-    check_tenant tenant;
-    Printf.sprintf "%s color_of %s %d\n" hdr tenant id
-  | Stats { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s stats %s\n" hdr tenant
-  | Health { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s health %s\n" hdr tenant
-  | Snapshot { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s snapshot %s\n" hdr tenant
-  | Evict { tenant } ->
-    check_tenant tenant;
-    Printf.sprintf "%s evict %s\n" hdr tenant
-  | Dstats -> hdr ^ " dstats\n"
-  | Dhealth -> hdr ^ " dhealth\n"
-  | Trace_dump { last } -> Printf.sprintf "%s tracedump %d\n" hdr last
+(* A cursor over one line of [s], [pos] to [stop]; [body] is the next
+   unread byte after the head line, shared with the cursors of row lines. *)
+type cur = { s : string; mutable pos : int; stop : int; body : int ref }
 
-let report_tokens r =
-  Printf.sprintf "%d %d %b %s" r.n_wavelengths r.pi r.optimal r.method_name
+let token_opt c =
+  while c.pos < c.stop && c.s.[c.pos] = ' ' do c.pos <- c.pos + 1 done;
+  let start = c.pos in
+  while c.pos < c.stop && c.s.[c.pos] <> ' ' do c.pos <- c.pos + 1 done;
+  String.sub c.s start (c.pos - start)
 
-let stats_tokens (s : Engine.stats) =
-  Printf.sprintf "%d %d %d %d %d %d %d %d %d %d" s.Engine.ops s.Engine.warm_hits
-    s.Engine.fresh_colors s.Engine.repairs s.Engine.repair_flips s.Engine.shrink_recolors
-    s.Engine.warm_removes s.Engine.fallbacks s.Engine.full_solves s.Engine.rejected
+let token c name = match token_opt c with "" -> bad "%s: missing" name | t -> t
+let at_end c = token_opt c = ""
+let parsed name conv t = match conv t with Some v -> v | None -> bad "%s: bad value %S" name t
+let tenant_of name t = if tenant_ok t then t else bad "%s: invalid tenant id %S" name t
 
-let rollup_tokens r =
-  Printf.sprintf "%d %d %d %d %d %d %d %x" r.l_count r.l_p50 r.l_p90 r.l_p99
-    r.l_p999 r.l_max r.l_ex_ns r.l_ex_trace
+(* The raw rest of the line after one separating space. *)
+let rest c name =
+  if c.pos >= c.stop || c.s.[c.pos] <> ' ' then bad "%s: missing" name;
+  let r = String.sub c.s (c.pos + 1) (c.stop - c.pos - 1) in
+  c.pos <- c.stop;
+  r
 
-let rollup_of_tokens name = function
-  | [ c; p50; p90; p99; p999; mx; ex; tr ] -> (
-    match
-      ( int_of_string_opt c, int_of_string_opt p50, int_of_string_opt p90,
-        int_of_string_opt p99, int_of_string_opt p999, int_of_string_opt mx,
-        int_of_string_opt ex, int_of_string_opt ("0x" ^ tr) )
-    with
-    | ( Some l_count, Some l_p50, Some l_p90, Some l_p99, Some l_p999,
-        Some l_max, Some l_ex_ns, Some l_ex_trace ) ->
-      Ok { l_count; l_p50; l_p90; l_p99; l_p999; l_max; l_ex_ns; l_ex_trace }
-    | _ -> Error (proto_error ("bad " ^ name ^ " rollup tokens")))
-  | _ -> Error (proto_error ("bad " ^ name ^ " rollup shape"))
+let get_int c name = parsed name int_of_string_opt (token c name)
+let rec times n f acc = if n <= 0 then List.rev acc else times (n - 1) f (f () :: acc)
 
-let outcome_line = function
-  | Ok (O_path id) -> Printf.sprintf "outcome path %d" id
-  | Ok (O_removed id) -> Printf.sprintf "outcome removed %d" id
-  | Ok (O_arc id) -> Printf.sprintf "outcome arc %d" id
-  | Error e -> "outcome " ^ error_to_line e
+let count c name = match get_int c name with n when n < 0 -> bad "%s: negative count" name | n -> n
 
-let encode_reply_text ?(ctx = Ctx.none) reply =
-  let hdr = hdr_with ctx in
-  match reply with
-  | Error e -> Printf.sprintf "%s %s\n" hdr (error_to_line e)
-  | Ok r -> (
-    match r with
-    | R_hello v -> Printf.sprintf "%s ok hello %d\n" hdr v
-    | R_pong -> hdr ^ " ok pong\n"
-    | R_bye -> hdr ^ " ok bye\n"
-    | R_open rep -> Printf.sprintf "%s ok open %s\n" hdr (report_tokens rep)
-    | R_path id -> Printf.sprintf "%s ok path %d\n" hdr id
-    | R_removed id -> Printf.sprintf "%s ok removed %d\n" hdr id
-    | R_arc id -> Printf.sprintf "%s ok arc %d\n" hdr id
-    | R_report rep -> Printf.sprintf "%s ok report %s\n" hdr (report_tokens rep)
-    | R_pi pi -> Printf.sprintf "%s ok pi %d\n" hdr pi
-    | R_color c -> Printf.sprintf "%s ok color %d\n" hdr c
-    | R_stats s -> Printf.sprintf "%s ok stats %s\n" hdr (stats_tokens s)
-    | R_health h ->
-      Printf.sprintf "%s ok health %b %d %d %d %d %.17g %.17g %d\n" hdr h.healthy h.add_p50
-        h.add_p99 h.remove_p50 h.remove_p99 h.warm_hit_recent h.warm_hit_lifetime
-        h.fallback_streak
-    | R_outcomes { outcomes; after } ->
-      let b = Buffer.create 256 in
-      Buffer.add_string b
-        (Printf.sprintf "%s ok outcomes %d %s\n" hdr (Array.length outcomes)
-           (report_tokens after));
-      Array.iter
-        (fun o ->
-          Buffer.add_string b (outcome_line o);
-          Buffer.add_char b '\n')
-        outcomes;
-      Buffer.contents b
-    | R_snapshot inst -> Printf.sprintf "%s ok snapshot\n%s" hdr (Serial.to_string inst)
-    | R_evicted -> hdr ^ " ok evicted\n"
-    | R_dstats d ->
-      let b = Buffer.create 256 in
-      Buffer.add_string b
-        (Printf.sprintf "%s ok dstats %d %d %d %s %s\n" hdr d.d_shards
-           d.d_sessions
-           (List.length d.d_tenants)
-           (rollup_tokens d.d_add) (rollup_tokens d.d_remove));
-      List.iter
-        (fun r ->
-          Buffer.add_string b
-            (Printf.sprintf "tenant %s %d %d %d %d %d %d %b\n" r.r_tenant
-               r.r_shard r.r_paths r.r_pi r.r_ops r.r_add_p50 r.r_add_p99
-               r.r_healthy))
-        d.d_tenants;
-      Buffer.contents b
-    | R_dhealth h ->
-      Printf.sprintf "%s ok dhealth %b %d %d%s\n" hdr h.dh_healthy h.dh_sessions
-        (List.length h.dh_unhealthy)
-        (String.concat "" (List.map (fun t -> " " ^ t) h.dh_unhealthy))
-    | R_trace doc -> Printf.sprintf "%s ok trace\n%s" hdr doc)
+(* The next non-empty line after the head, as a cursor. *)
+let rec next_line c name =
+  let i = !(c.body) and len = String.length c.s in
+  if i >= len then bad "%s: missing line" name;
+  let stop = Option.value (String.index_from_opt c.s i '\n') ~default:len in
+  c.body := min len (stop + 1);
+  if stop = i then next_line c name else { c with pos = i; stop }
 
-(* --- text decoding --------------------------------------------------------- *)
+(* An unknown constructor from a future revision degrades through the
+   shared code table rather than failing the whole reply. *)
+let unknown_error code ctor msg =
+  match Error.of_code code msg with Some e -> e | None -> bad "unknown error constructor %s" ctor
 
-let split_head payload =
-  match String.index_opt payload '\n' with
-  | None -> (payload, "")
-  | Some i ->
-    (String.sub payload 0 i, String.sub payload (i + 1) (String.length payload - i - 1))
+let rec get : type a. cur -> string -> a F.ty -> a =
+ fun c name ty ->
+  match ty with
+  | F.Int -> get_int c name
+  | F.Hex -> parsed name (fun t -> int_of_string_opt ("0x" ^ t)) (token c name)
+  | F.Bool -> parsed name bool_of_string_opt (token c name)
+  | F.Float -> parsed name float_of_string_opt (token c name)
+  | F.Word -> token c name
+  | F.Tenant -> tenant_of name (token c name)
+  | F.Msg -> unescape_nl (rest c name)
+  | F.Ints ->
+    let rec go acc =
+      match token_opt c with "" -> List.rev acc | t -> go (parsed name int_of_string_opt t :: acc)
+    in
+    go []
+  | F.Tenants -> times (count c name) (fun () -> get c name F.Tenant) []
+  | F.Rec (F.Case r) -> r.inj (get_fields c r.fields)
+  | F.Rows (tag, elt) ->
+    times (count c name)
+      (fun () ->
+        let l = next_line c name in
+        if token_opt l <> tag then bad "%s: expected a %s line" name tag;
+        let x = get l name elt in
+        if not (at_end l) then bad "%s: trailing tokens" name;
+        x)
+      []
+  | F.Body body ->
+    let i = !(c.body) in
+    c.body := String.length c.s;
+    ok_or_raise (body.F.of_text (String.sub c.s i (String.length c.s - i)))
+  | F.Union u -> get_union c name u
+  | F.Err -> (
+    let code = get_int c "error code" in
+    try get_union c "error constructor" errors
+    with Unknown (_, ctor) ->
+      unknown_error code ctor (if c.pos >= c.stop then "" else unescape_nl (rest c "msg")))
 
-let tokens line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+and get_fields : type a. cur -> a F.t -> a =
+ fun c fs ->
+  match fs with
+  | F.[] -> ()
+  | F.((name, ty) :: rest) ->
+    let x = get c name ty in
+    (x, get_fields c rest)
 
-let int_tok name s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (proto_error (Printf.sprintf "%s: expected an integer, got %S" name s))
+and get_union : type m. cur -> string -> m F.union -> m =
+ fun c name u ->
+  match find_case name (token c name) u.F.cases with F.Case k -> k.inj (get_fields c k.fields)
 
-let with_tenant t k =
-  if tenant_ok t then k t else Error (proto_error (Printf.sprintf "invalid tenant id %S" t))
+let ctx_of v = match Ctx.of_string v with Some c -> c | None -> bad "malformed ctx %S" v
+let check_version v = if v <> version then raise (Bad (Error.Unsupported_version v))
 
-(* The optional [ctx=] token sits between version and verb.  A malformed
-   id or a duplicate ctx token anywhere on the head line is a protocol
-   error — never an exception (the wlrpc_frame oracle mutates exactly
-   these shapes). *)
-let is_ctx_tok t = String.length t >= 4 && String.sub t 0 4 = "ctx="
+let guard f =
+  match f () with
+  | v -> Ok v
+  | exception Bad e -> Error e
+  | exception Unknown (what, tag) -> Error (proto_error (Printf.sprintf "unknown %s %S" what tag))
+  | exception e -> Error (proto_error ("decode raised " ^ Printexc.to_string e))
 
-let extract_ctx rest =
-  match rest with
-  | c :: rest' when is_ctx_tok c -> (
-    if List.exists is_ctx_tok rest' then Error (proto_error "duplicate ctx field")
-    else
-      let v = String.sub c 4 (String.length c - 4) in
-      match Ctx.of_string v with
-      | Some ctx -> Ok (ctx, rest')
-      | None -> Error (proto_error (Printf.sprintf "malformed ctx %S" v)))
-  | _ ->
-    if List.exists is_ctx_tok rest then
-      Error (proto_error "ctx field not directly after version")
-    else Ok (Ctx.none, rest)
+let decode_text u what payload =
+  let len = String.length payload in
+  let stop = Option.value (String.index_opt payload '\n') ~default:len in
+  let c = { s = payload; pos = 0; stop; body = ref (min len (stop + 1)) } in
+  guard @@ fun () ->
+  if token_opt c <> "wlrpc" then bad "%s does not start with a wlrpc header" what;
+  check_version (get c "wlrpc version" F.Int);
+  (* The optional [ctx=] token sits between version and verb; anywhere
+     else it is an unknown verb or a trailing token. *)
+  let mark = c.pos and t = token_opt c in
+  let traced = String.starts_with ~prefix:"ctx=" t in
+  if not traced then c.pos <- mark;
+  let ctx = if traced then ctx_of (String.sub t 4 (String.length t - 4)) else Ctx.none in
+  let v = get_union c what u in
+  if not (at_end c) then bad "%s: trailing tokens" what;
+  for i = !(c.body) to len - 1 do
+    if payload.[i] <> '\n' then bad "%s: trailing lines" what
+  done;
+  (v, ctx)
 
-let decode_request_text payload =
-  let head, body = split_head payload in
-  match tokens head with
-  | "wlrpc" :: v :: rest -> (
-    match int_of_string_opt v with
-    | None -> Error (proto_error "bad wlrpc header")
-    | Some v when v <> version -> Error (Error.Unsupported_version v)
-    | Some _ ->
-      Result.bind (extract_ctx rest) @@ fun (ctx, rest) ->
-      Result.map (fun req -> (req, ctx))
-      @@ (
-      match rest with
-      | [ "hello"; v ] -> Result.map (fun v -> Hello v) (int_tok "hello" v)
-      | [ "ping" ] -> Ok Ping
-      | [ "shutdown" ] -> Ok Shutdown
-      | [ "open"; t ] ->
-        with_tenant t (fun tenant ->
-            Result.map (fun instance -> Open { tenant; instance }) (Serial.of_string body))
-      | "add_path" :: t :: vs ->
-        with_tenant t (fun tenant ->
-            let rec ints acc = function
-              | [] -> Ok (List.rev acc)
-              | v :: rest -> Result.bind (int_tok "add_path vertex" v) (fun v -> ints (v :: acc) rest)
-            in
-            Result.map (fun vertices -> Add_path { tenant; vertices }) (ints [] vs))
-      | [ "remove_path"; t; id ] ->
-        with_tenant t (fun tenant ->
-            Result.map (fun id -> Remove_path { tenant; id }) (int_tok "remove_path id" id))
-      | [ "add_arc"; t; u; v ] ->
-        with_tenant t (fun tenant ->
-            Result.bind (int_tok "add_arc tail" u) (fun tail ->
-                Result.map (fun head -> Add_arc { tenant; tail; head }) (int_tok "add_arc head" v)))
-      | [ "submit"; t ] ->
-        with_tenant t (fun tenant ->
-            Result.map (fun ops -> Submit { tenant; ops }) (Script.of_string body))
-      | [ "report"; t ] -> with_tenant t (fun tenant -> Ok (Report { tenant }))
-      | [ "pi"; t ] -> with_tenant t (fun tenant -> Ok (Pi { tenant }))
-      | [ "color_of"; t; id ] ->
-        with_tenant t (fun tenant ->
-            Result.map (fun id -> Color_of { tenant; id }) (int_tok "color_of id" id))
-      | [ "stats"; t ] -> with_tenant t (fun tenant -> Ok (Stats { tenant }))
-      | [ "health"; t ] -> with_tenant t (fun tenant -> Ok (Health { tenant }))
-      | [ "snapshot"; t ] -> with_tenant t (fun tenant -> Ok (Snapshot { tenant }))
-      | [ "evict"; t ] -> with_tenant t (fun tenant -> Ok (Evict { tenant }))
-      | [ "dstats" ] -> Ok Dstats
-      | [ "dhealth" ] -> Ok Dhealth
-      | [ "tracedump"; last ] ->
-        Result.map (fun last -> Trace_dump { last }) (int_tok "tracedump last" last)
-      | verb :: _ -> Error (proto_error ("unknown request verb " ^ verb))
-      | [] -> Error (proto_error "empty request")))
-  | _ -> Error (proto_error "request does not start with a wlrpc header")
+(* --- JSON interpreter ------------------------------------------------------------- *)
 
-let report_of_tokens = function
-  | [ w; pi; opt; m ] -> (
-    match (int_of_string_opt w, int_of_string_opt pi, bool_of_string_opt opt) with
-    | Some n_wavelengths, Some pi, Some optimal ->
-      Ok { n_wavelengths; pi; optimal; method_name = m }
-    | _ -> Error (proto_error "bad report tokens"))
-  | _ -> Error (proto_error "bad report shape")
+let rec jv : type a. a F.ty -> a -> Jsonx.t =
+ fun ty v ->
+  match ty with
+  | F.Int -> Jsonx.Int v
+  | F.Hex -> Jsonx.Int v
+  | F.Bool -> Jsonx.Bool v
+  | F.Float -> Jsonx.Float v
+  | F.Word -> Jsonx.Str v
+  | F.Msg -> Jsonx.Str v
+  | F.Tenant -> Jsonx.Str (checked v)
+  | F.Ints -> Jsonx.Arr (List.map (fun i -> Jsonx.Int i) v)
+  | F.Tenants -> Jsonx.Arr (List.map (jv F.Tenant) v)
+  | F.Rec (F.Case c) -> Jsonx.Obj (jfields c.fields (Option.get (c.proj v)))
+  | F.Rows (_, elt) -> Jsonx.Arr (List.map (jv elt) v)
+  | F.Body body -> body.F.to_json v
+  | F.Union u -> Jsonx.Obj (junion u v)
+  | F.Err -> Jsonx.Obj (("code", Jsonx.Int (Error.to_code v)) :: junion errors v)
 
-let decode_reply_text payload =
-  let head, body = split_head payload in
-  match tokens head with
-  | "wlrpc" :: v :: rest -> (
-    match int_of_string_opt v with
-    | None -> Error (proto_error "bad wlrpc header")
-    | Some v when v <> version -> Error (Error.Unsupported_version v)
-    | Some _ ->
-      Result.bind (extract_ctx rest) @@ fun (ctx, rest) ->
-      Result.map (fun rep -> (rep, ctx))
-      @@ (
-      match rest with
-      | "err" :: toks -> Result.map (fun e -> (Error e : reply)) (error_of_tokens toks)
-      | [ "ok"; "hello"; v ] -> Result.map (fun v -> Ok (R_hello v)) (int_tok "hello" v)
-      | [ "ok"; "pong" ] -> Ok (Ok R_pong)
-      | [ "ok"; "bye" ] -> Ok (Ok R_bye)
-      | "ok" :: "open" :: toks -> Result.map (fun r -> Ok (R_open r)) (report_of_tokens toks)
-      | [ "ok"; "path"; id ] -> Result.map (fun id -> Ok (R_path id)) (int_tok "path" id)
-      | [ "ok"; "removed"; id ] ->
-        Result.map (fun id -> Ok (R_removed id)) (int_tok "removed" id)
-      | [ "ok"; "arc"; id ] -> Result.map (fun id -> Ok (R_arc id)) (int_tok "arc" id)
-      | "ok" :: "report" :: toks ->
-        Result.map (fun r -> Ok (R_report r)) (report_of_tokens toks)
-      | [ "ok"; "pi"; pi ] -> Result.map (fun pi -> Ok (R_pi pi)) (int_tok "pi" pi)
-      | [ "ok"; "color"; c ] -> Result.map (fun c -> Ok (R_color c)) (int_tok "color" c)
-      | "ok" :: "stats" :: toks -> (
-        match List.map int_of_string_opt toks with
-        | [
-         Some ops; Some warm_hits; Some fresh_colors; Some repairs; Some repair_flips;
-         Some shrink_recolors; Some warm_removes; Some fallbacks; Some full_solves;
-         Some rejected;
-        ] ->
-          Ok
-            (Ok
-               (R_stats
-                  {
-                    Engine.ops; warm_hits; fresh_colors; repairs; repair_flips;
-                    shrink_recolors; warm_removes; fallbacks; full_solves; rejected;
-                  }))
-        | _ -> Error (proto_error "bad stats tokens"))
-      | [ "ok"; "health"; h; a50; a99; r50; r99; whr; whl; streak ] -> (
-        match
-          ( bool_of_string_opt h, int_of_string_opt a50, int_of_string_opt a99,
-            int_of_string_opt r50, int_of_string_opt r99, float_of_string_opt whr,
-            float_of_string_opt whl, int_of_string_opt streak )
-        with
-        | ( Some healthy, Some add_p50, Some add_p99, Some remove_p50, Some remove_p99,
-            Some warm_hit_recent, Some warm_hit_lifetime, Some fallback_streak ) ->
-          Ok
-            (Ok
-               (R_health
-                  {
-                    healthy; add_p50; add_p99; remove_p50; remove_p99; warm_hit_recent;
-                    warm_hit_lifetime; fallback_streak;
-                  }))
-        | _ -> Error (proto_error "bad health tokens"))
-      | "ok" :: "outcomes" :: n :: toks ->
-        Result.bind (int_tok "outcomes count" n) (fun n ->
-            Result.bind (report_of_tokens toks) (fun after ->
-                let lines =
-                  String.split_on_char '\n' body |> List.filter (fun l -> l <> "")
-                in
-                if List.length lines <> n then
-                  Error (proto_error "outcome count does not match body")
-                else
-                  let rec go acc = function
-                    | [] -> Ok (List.rev acc)
-                    | line :: rest -> (
-                      match tokens line with
-                      | [ "outcome"; "path"; id ] ->
-                        Result.bind (int_tok "outcome path" id) (fun id ->
-                            go (Ok (O_path id) :: acc) rest)
-                      | [ "outcome"; "removed"; id ] ->
-                        Result.bind (int_tok "outcome removed" id) (fun id ->
-                            go (Ok (O_removed id) :: acc) rest)
-                      | [ "outcome"; "arc"; id ] ->
-                        Result.bind (int_tok "outcome arc" id) (fun id ->
-                            go (Ok (O_arc id) :: acc) rest)
-                      | "outcome" :: "err" :: toks ->
-                        Result.bind (error_of_tokens toks) (fun e ->
-                            go (Error e :: acc) rest)
-                      | _ -> Error (proto_error "bad outcome line"))
-                  in
-                  Result.map
-                    (fun outcomes ->
-                      (Ok (R_outcomes { outcomes = Array.of_list outcomes; after }) : reply))
-                    (go [] lines)))
-      | [ "ok"; "snapshot" ] ->
-        Result.map (fun inst -> (Ok (R_snapshot inst) : reply)) (Serial.of_string body)
-      | [ "ok"; "evicted" ] -> Ok (Ok R_evicted)
-      | "ok" :: "dstats" :: shards :: sessions :: ntenants :: toks ->
-        Result.bind (int_tok "dstats shards" shards) (fun d_shards ->
-            Result.bind (int_tok "dstats sessions" sessions) (fun d_sessions ->
-                Result.bind (int_tok "dstats tenants" ntenants) (fun n ->
-                    if List.length toks <> 16 then
-                      Error (proto_error "bad dstats rollup shape")
-                    else
-                      let add_toks = List.filteri (fun i _ -> i < 8) toks in
-                      let rem_toks = List.filteri (fun i _ -> i >= 8) toks in
-                      Result.bind (rollup_of_tokens "add" add_toks) (fun d_add ->
-                          Result.bind (rollup_of_tokens "remove" rem_toks)
-                            (fun d_remove ->
-                              let lines =
-                                String.split_on_char '\n' body
-                                |> List.filter (fun l -> l <> "")
-                              in
-                              if List.length lines <> n then
-                                Error
-                                  (proto_error "tenant count does not match body")
-                              else
-                                let row line =
-                                  match tokens line with
-                                  | [ "tenant"; t; sh; paths; pi; ops; p50; p99; hb ]
-                                    -> (
-                                    match
-                                      ( tenant_ok t, int_of_string_opt sh,
-                                        int_of_string_opt paths,
-                                        int_of_string_opt pi,
-                                        int_of_string_opt ops,
-                                        int_of_string_opt p50,
-                                        int_of_string_opt p99,
-                                        bool_of_string_opt hb )
-                                    with
-                                    | ( true, Some r_shard, Some r_paths,
-                                        Some r_pi, Some r_ops, Some r_add_p50,
-                                        Some r_add_p99, Some r_healthy ) ->
-                                      Ok
-                                        {
-                                          r_tenant = t; r_shard; r_paths; r_pi;
-                                          r_ops; r_add_p50; r_add_p99; r_healthy;
-                                        }
-                                    | _ -> Error (proto_error "bad tenant row"))
-                                  | _ -> Error (proto_error "bad tenant line")
-                                in
-                                let rec go acc = function
-                                  | [] -> Ok (List.rev acc)
-                                  | l :: rest ->
-                                    Result.bind (row l) (fun r -> go (r :: acc) rest)
-                                in
-                                Result.map
-                                  (fun d_tenants ->
-                                    (Ok
-                                       (R_dstats
-                                          {
-                                            d_shards; d_sessions; d_add; d_remove;
-                                            d_tenants;
-                                          })
-                                      : reply))
-                                  (go [] lines))))))
-      | "ok" :: "dhealth" :: hb :: sessions :: n :: names ->
-        Result.bind (int_tok "dhealth sessions" sessions) (fun dh_sessions ->
-            Result.bind (int_tok "dhealth count" n) (fun n ->
-                match bool_of_string_opt hb with
-                | None -> Error (proto_error "bad dhealth flag")
-                | Some dh_healthy ->
-                  if List.length names <> n || not (List.for_all tenant_ok names)
-                  then Error (proto_error "bad dhealth tenant list")
-                  else
-                    Ok
-                      (Ok (R_dhealth { dh_healthy; dh_sessions; dh_unhealthy = names })
-                        : reply)))
-      | [ "ok"; "trace" ] -> Ok (Ok (R_trace body))
-      | _ -> Error (proto_error "unknown reply shape")))
-  | _ -> Error (proto_error "reply does not start with a wlrpc header")
+(* JSON members of a field list, [Rows] members after the others. *)
+and jfields : type a. a F.t -> a -> (string * Jsonx.t) list =
+ fun fs v -> jmembers ~rows:false fs v (jmembers ~rows:true fs v [])
 
-(* --- JSON mirror ----------------------------------------------------------- *)
+and jmembers : type a. rows:bool -> a F.t -> a -> (string * Jsonx.t) list -> _ =
+ fun ~rows fs v tail ->
+  match (fs, v) with
+  | F.[], () -> tail
+  | F.((k, ty) :: rest), (x, xs) -> (
+    let tail = jmembers ~rows rest xs tail in
+    match ty with
+    | F.Rows _ -> if rows then (k, jv ty x) :: tail else tail
+    | _ when rows -> tail
+    | _ -> ( match jv ty x with Jsonx.Obj kvs when k = "" -> kvs @ tail | j -> (k, j) :: tail))
 
-let instance_to_jsonx inst =
-  match Jsonx.parse (Serial.to_json inst) with
-  | Ok j -> j
-  | Error msg -> invalid_arg ("Proto: instance JSON did not re-parse: " ^ msg)
+and junion : type m. m F.union -> m -> (string * Jsonx.t) list =
+ fun u v ->
+  let tagged t fs = match u.F.key with Some k -> (k, Jsonx.Str t) :: fs | None -> fs in
+  visit_case u.F.cases v { visit = (fun tag fs x -> tagged tag (jfields fs x)) }
 
-let instance_of_jsonx j = Serial.of_json (Jsonx.to_string j)
+let member o name = match Jsonx.member name o with Some j -> j | None -> bad "%s: missing" name
 
-let ops_to_jsonx ops =
-  match Jsonx.parse (Script.to_json ops) with
-  | Ok j -> Option.value (Jsonx.member "ops" j) ~default:(Jsonx.Arr [])
-  | Error msg -> invalid_arg ("Proto: ops JSON did not re-parse: " ^ msg)
+let rec jget : type a. string -> a F.ty -> Jsonx.t -> a =
+ fun name ty j ->
+  match (ty, j) with
+  | F.Int, Jsonx.Int i -> i
+  | F.Hex, Jsonx.Int i -> i
+  | F.Bool, Jsonx.Bool b -> b
+  | F.Float, Jsonx.Float f -> f
+  | F.Float, Jsonx.Int i -> float_of_int i
+  | F.Word, Jsonx.Str s -> s
+  | F.Msg, Jsonx.Str s -> s
+  | F.Tenant, Jsonx.Str t -> tenant_of name t
+  | F.Ints, Jsonx.Arr xs -> List.map (jget name F.Int) xs
+  | F.Tenants, Jsonx.Arr xs -> List.map (jget name F.Tenant) xs
+  | F.Rec (F.Case r), Jsonx.Obj _ -> r.inj (jget_fields j r.fields)
+  | F.Rows (_, elt), Jsonx.Arr xs -> List.map (jget name elt) xs
+  | F.Body body, j -> ok_or_raise (body.F.of_json j)
+  | F.Union u, Jsonx.Obj _ -> jget_union name u j
+  | F.Err, Jsonx.Obj _ -> (
+    let code = jget "code" F.Int (member j "code") in
+    try jget_union "error constructor" errors j
+    with Unknown (_, ctor) ->
+      unknown_error code ctor (match Jsonx.member "msg" j with Some (Jsonx.Str m) -> m | _ -> ""))
+  | _ -> bad "%s: ill-typed" name
 
-let ops_of_jsonx j =
-  Script.of_json
-    (Jsonx.to_string
-       (Jsonx.Obj
-          [
-            ("format", Jsonx.Str "wl-ops");
-            ("version", Jsonx.Int Script.current_version);
-            ("ops", j);
-          ]))
+and jget_fields : type a. Jsonx.t -> a F.t -> a =
+ fun o fs ->
+  match fs with
+  | F.[] -> ()
+  | F.((name, ty) :: rest) ->
+    let x = jget name ty (if name = "" then o else member o name) in
+    (x, jget_fields o rest)
 
-let ctx_json_field ctx fields =
-  if Ctx.is_none ctx then fields
-  else ("ctx", Jsonx.Str (Ctx.to_string ctx)) :: fields
+and jget_union : type m. string -> m F.union -> Jsonx.t -> m =
+ fun name u o ->
+  match u.F.key with
+  | Some k -> (
+    match find_case name (jget k F.Word (member o k)) u.F.cases with
+    | F.Case c -> c.inj (jget_fields o c.fields))
+  | None -> (
+    let present (F.Case c) =
+      match c.fields with F.((k, _) :: _) -> Option.is_some (Jsonx.member k o) | F.[] -> false
+    in
+    match List.find_opt present u.F.cases with
+    | Some (F.Case c) -> c.inj (jget_fields o c.fields)
+    | None -> bad "%s: no known member" name)
 
-let req_json ?(ctx = Ctx.none) fields =
-  Jsonx.to_string
-    (Jsonx.Obj (("wlrpc", Jsonx.Int version) :: ctx_json_field ctx fields))
+let encode_json u ~ctx v =
+  let ctx = if Ctx.is_none ctx then [] else [ ("ctx", Jsonx.Str (Ctx.to_string ctx)) ] in
+  Jsonx.to_string (Jsonx.Obj (("wlrpc", Jsonx.Int version) :: (ctx @ junion u v)))
 
-let encode_request_json ?(ctx = Ctx.none) req =
-  let req_json fields = req_json ~ctx fields in
-  match req with
-  | Hello v -> req_json [ ("verb", Jsonx.Str "hello"); ("version", Jsonx.Int v) ]
-  | Ping -> req_json [ ("verb", Jsonx.Str "ping") ]
-  | Shutdown -> req_json [ ("verb", Jsonx.Str "shutdown") ]
-  | Open { tenant; instance } ->
-    check_tenant tenant;
-    req_json
-      [
-        ("verb", Jsonx.Str "open"); ("tenant", Jsonx.Str tenant);
-        ("instance", instance_to_jsonx instance);
-      ]
-  | Add_path { tenant; vertices } ->
-    check_tenant tenant;
-    req_json
-      [
-        ("verb", Jsonx.Str "add_path"); ("tenant", Jsonx.Str tenant);
-        ("vertices", Jsonx.Arr (List.map (fun v -> Jsonx.Int v) vertices));
-      ]
-  | Remove_path { tenant; id } ->
-    check_tenant tenant;
-    req_json
-      [ ("verb", Jsonx.Str "remove_path"); ("tenant", Jsonx.Str tenant); ("id", Jsonx.Int id) ]
-  | Add_arc { tenant; tail; head } ->
-    check_tenant tenant;
-    req_json
-      [
-        ("verb", Jsonx.Str "add_arc"); ("tenant", Jsonx.Str tenant);
-        ("from", Jsonx.Int tail); ("to", Jsonx.Int head);
-      ]
-  | Submit { tenant; ops } ->
-    check_tenant tenant;
-    req_json
-      [ ("verb", Jsonx.Str "submit"); ("tenant", Jsonx.Str tenant); ("ops", ops_to_jsonx ops) ]
-  | Report { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "report"); ("tenant", Jsonx.Str tenant) ]
-  | Pi { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "pi"); ("tenant", Jsonx.Str tenant) ]
-  | Color_of { tenant; id } ->
-    check_tenant tenant;
-    req_json
-      [ ("verb", Jsonx.Str "color_of"); ("tenant", Jsonx.Str tenant); ("id", Jsonx.Int id) ]
-  | Stats { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "stats"); ("tenant", Jsonx.Str tenant) ]
-  | Health { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "health"); ("tenant", Jsonx.Str tenant) ]
-  | Snapshot { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "snapshot"); ("tenant", Jsonx.Str tenant) ]
-  | Evict { tenant } ->
-    check_tenant tenant;
-    req_json [ ("verb", Jsonx.Str "evict"); ("tenant", Jsonx.Str tenant) ]
-  | Dstats -> req_json [ ("verb", Jsonx.Str "dstats") ]
-  | Dhealth -> req_json [ ("verb", Jsonx.Str "dhealth") ]
-  | Trace_dump { last } ->
-    req_json [ ("verb", Jsonx.Str "tracedump"); ("last", Jsonx.Int last) ]
-
-let report_json r =
-  [
-    ("w", Jsonx.Int r.n_wavelengths); ("pi", Jsonx.Int r.pi);
-    ("optimal", Jsonx.Bool r.optimal); ("method", Jsonx.Str r.method_name);
-  ]
-
-let rollup_json r =
-  Jsonx.Obj
-    [
-      ("count", Jsonx.Int r.l_count); ("p50", Jsonx.Int r.l_p50);
-      ("p90", Jsonx.Int r.l_p90); ("p99", Jsonx.Int r.l_p99);
-      ("p999", Jsonx.Int r.l_p999); ("max", Jsonx.Int r.l_max);
-      ("ex_ns", Jsonx.Int r.l_ex_ns); ("ex_trace", Jsonx.Int r.l_ex_trace);
-    ]
-
-let rollup_of_json name j =
-  let int k = Option.bind (Jsonx.member k j) Jsonx.to_int in
-  match
-    ( int "count", int "p50", int "p90", int "p99", int "p999", int "max",
-      int "ex_ns", int "ex_trace" )
-  with
-  | ( Some l_count, Some l_p50, Some l_p90, Some l_p99, Some l_p999, Some l_max,
-      Some l_ex_ns, Some l_ex_trace ) ->
-    Ok { l_count; l_p50; l_p90; l_p99; l_p999; l_max; l_ex_ns; l_ex_trace }
-  | _ -> Error (proto_error ("bad " ^ name ^ " rollup fields"))
-
-let encode_reply_json ?(ctx = Ctx.none) (reply : reply) =
-  let obj fields =
-    Jsonx.to_string
-      (Jsonx.Obj (("wlrpc", Jsonx.Int version) :: ctx_json_field ctx fields))
-  in
-  match reply with
-  | Error e -> obj [ ("err", error_to_json e) ]
-  | Ok r ->
-    let ok fields verb = obj [ ("ok", Jsonx.Obj (("verb", Jsonx.Str verb) :: fields)) ] in
-    (match r with
-    | R_hello v -> ok [ ("version", Jsonx.Int v) ] "hello"
-    | R_pong -> ok [] "pong"
-    | R_bye -> ok [] "bye"
-    | R_open rep -> ok (report_json rep) "open"
-    | R_path id -> ok [ ("id", Jsonx.Int id) ] "path"
-    | R_removed id -> ok [ ("id", Jsonx.Int id) ] "removed"
-    | R_arc id -> ok [ ("id", Jsonx.Int id) ] "arc"
-    | R_report rep -> ok (report_json rep) "report"
-    | R_pi pi -> ok [ ("pi", Jsonx.Int pi) ] "pi"
-    | R_color c -> ok [ ("color", Jsonx.Int c) ] "color"
-    | R_stats s ->
-      ok
-        [
-          ("ops", Jsonx.Int s.Engine.ops); ("warm_hits", Jsonx.Int s.Engine.warm_hits);
-          ("fresh_colors", Jsonx.Int s.Engine.fresh_colors);
-          ("repairs", Jsonx.Int s.Engine.repairs);
-          ("repair_flips", Jsonx.Int s.Engine.repair_flips);
-          ("shrink_recolors", Jsonx.Int s.Engine.shrink_recolors);
-          ("warm_removes", Jsonx.Int s.Engine.warm_removes);
-          ("fallbacks", Jsonx.Int s.Engine.fallbacks);
-          ("full_solves", Jsonx.Int s.Engine.full_solves);
-          ("rejected", Jsonx.Int s.Engine.rejected);
-        ]
-        "stats"
-    | R_health h ->
-      ok
-        [
-          ("healthy", Jsonx.Bool h.healthy); ("add_p50", Jsonx.Int h.add_p50);
-          ("add_p99", Jsonx.Int h.add_p99); ("remove_p50", Jsonx.Int h.remove_p50);
-          ("remove_p99", Jsonx.Int h.remove_p99);
-          ("warm_hit_recent", Jsonx.Float h.warm_hit_recent);
-          ("warm_hit_lifetime", Jsonx.Float h.warm_hit_lifetime);
-          ("fallback_streak", Jsonx.Int h.fallback_streak);
-        ]
-        "health"
-    | R_outcomes { outcomes; after } ->
-      ok
-        (report_json after
-        @ [
-            ( "outcomes",
-              Jsonx.Arr
-                (Array.to_list
-                   (Array.map
-                      (function
-                        | Ok (O_path id) -> Jsonx.Obj [ ("path", Jsonx.Int id) ]
-                        | Ok (O_removed id) -> Jsonx.Obj [ ("removed", Jsonx.Int id) ]
-                        | Ok (O_arc id) -> Jsonx.Obj [ ("arc", Jsonx.Int id) ]
-                        | Error e -> Jsonx.Obj [ ("err", error_to_json e) ])
-                      outcomes)) );
-          ])
-        "outcomes"
-    | R_snapshot inst -> ok [ ("instance", instance_to_jsonx inst) ] "snapshot"
-    | R_evicted -> ok [] "evicted"
-    | R_dstats d ->
-      ok
-        [
-          ("shards", Jsonx.Int d.d_shards); ("sessions", Jsonx.Int d.d_sessions);
-          ("add", rollup_json d.d_add); ("remove", rollup_json d.d_remove);
-          ( "tenants",
-            Jsonx.Arr
-              (List.map
-                 (fun r ->
-                   Jsonx.Obj
-                     [
-                       ("tenant", Jsonx.Str r.r_tenant);
-                       ("shard", Jsonx.Int r.r_shard);
-                       ("paths", Jsonx.Int r.r_paths); ("pi", Jsonx.Int r.r_pi);
-                       ("ops", Jsonx.Int r.r_ops);
-                       ("add_p50", Jsonx.Int r.r_add_p50);
-                       ("add_p99", Jsonx.Int r.r_add_p99);
-                       ("healthy", Jsonx.Bool r.r_healthy);
-                     ])
-                 d.d_tenants) );
-        ]
-        "dstats"
-    | R_dhealth h ->
-      ok
-        [
-          ("healthy", Jsonx.Bool h.dh_healthy);
-          ("sessions", Jsonx.Int h.dh_sessions);
-          ( "unhealthy",
-            Jsonx.Arr (List.map (fun t -> Jsonx.Str t) h.dh_unhealthy) );
-        ]
-        "dhealth"
-    | R_trace doc -> ok [ ("doc", Jsonx.Str doc) ] "trace")
-
-let json_version j =
-  match Option.bind (Jsonx.member "wlrpc" j) Jsonx.to_int with
-  | None -> Error (proto_error "missing wlrpc version")
-  | Some v when v <> version -> Error (Error.Unsupported_version v)
-  | Some _ -> Ok ()
-
-let json_ctx j =
-  match Jsonx.member "ctx" j with
-  | None -> Ok Ctx.none
-  | Some (Jsonx.Str s) -> (
-    match Ctx.of_string s with
-    | Some c -> Ok c
-    | None -> Error (proto_error (Printf.sprintf "malformed ctx %S" s)))
-  | Some _ -> Error (proto_error "malformed ctx field")
-
-let decode_request_json payload =
+let decode_json u what payload =
   match Jsonx.parse payload with
-  | Error msg -> Error (proto_error ("request JSON: " ^ msg))
+  | Error msg -> Error (proto_error (what ^ " JSON: " ^ msg))
   | Ok j ->
-    Result.bind (json_version j) (fun () ->
-        Result.bind (json_ctx j) @@ fun ctx ->
-        Result.map (fun req -> (req, ctx))
-        @@
-        let str k = Option.bind (Jsonx.member k j) Jsonx.to_str in
-        let int k = Option.bind (Jsonx.member k j) Jsonx.to_int in
-        let tenant k =
-          match str "tenant" with
-          | Some t when tenant_ok t -> k t
-          | Some t -> Error (proto_error (Printf.sprintf "invalid tenant id %S" t))
-          | None -> Error (proto_error "missing tenant")
-        in
-        match str "verb" with
-        | None -> Error (proto_error "missing request verb")
-        | Some "hello" -> (
-          match int "version" with
-          | Some v -> Ok (Hello v)
-          | None -> Error (proto_error "hello: missing version"))
-        | Some "ping" -> Ok Ping
-        | Some "shutdown" -> Ok Shutdown
-        | Some "open" ->
-          tenant (fun tenant ->
-              match Jsonx.member "instance" j with
-              | None -> Error (proto_error "open: missing instance")
-              | Some inst ->
-                Result.map (fun instance -> Open { tenant; instance }) (instance_of_jsonx inst))
-        | Some "add_path" ->
-          tenant (fun tenant ->
-              match Option.bind (Jsonx.member "vertices" j) Jsonx.to_list with
-              | None -> Error (proto_error "add_path: missing vertices")
-              | Some vs -> (
-                let ints = List.map Jsonx.to_int vs in
-                if List.exists Option.is_none ints then
-                  Error (proto_error "add_path: non-integer vertex")
-                else Ok (Add_path { tenant; vertices = List.filter_map Fun.id ints })))
-        | Some "remove_path" ->
-          tenant (fun tenant ->
-              match int "id" with
-              | Some id -> Ok (Remove_path { tenant; id })
-              | None -> Error (proto_error "remove_path: missing id"))
-        | Some "add_arc" ->
-          tenant (fun tenant ->
-              match (int "from", int "to") with
-              | Some tail, Some head -> Ok (Add_arc { tenant; tail; head })
-              | _ -> Error (proto_error "add_arc: missing endpoints"))
-        | Some "submit" ->
-          tenant (fun tenant ->
-              match Jsonx.member "ops" j with
-              | None -> Error (proto_error "submit: missing ops")
-              | Some ops -> Result.map (fun ops -> Submit { tenant; ops }) (ops_of_jsonx ops))
-        | Some "report" -> tenant (fun tenant -> Ok (Report { tenant }))
-        | Some "pi" -> tenant (fun tenant -> Ok (Pi { tenant }))
-        | Some "color_of" ->
-          tenant (fun tenant ->
-              match int "id" with
-              | Some id -> Ok (Color_of { tenant; id })
-              | None -> Error (proto_error "color_of: missing id"))
-        | Some "stats" -> tenant (fun tenant -> Ok (Stats { tenant }))
-        | Some "health" -> tenant (fun tenant -> Ok (Health { tenant }))
-        | Some "snapshot" -> tenant (fun tenant -> Ok (Snapshot { tenant }))
-        | Some "evict" -> tenant (fun tenant -> Ok (Evict { tenant }))
-        | Some "dstats" -> Ok Dstats
-        | Some "dhealth" -> Ok Dhealth
-        | Some "tracedump" -> (
-          match int "last" with
-          | Some last -> Ok (Trace_dump { last })
-          | None -> Error (proto_error "tracedump: missing last"))
-        | Some verb -> Error (proto_error ("unknown request verb " ^ verb)))
+    guard @@ fun () ->
+    check_version (jget "wlrpc" F.Int (member j "wlrpc"));
+    let ctx = Option.fold ~none:Ctx.none ~some:(fun c -> ctx_of (jget "ctx" F.Word c)) in
+    (jget_union what u j, ctx (Jsonx.member "ctx" j))
 
-let report_of_json j =
-  let int k = Option.bind (Jsonx.member k j) Jsonx.to_int in
-  let b = Option.bind (Jsonx.member "optimal" j) Jsonx.to_bool in
-  let m = Option.bind (Jsonx.member "method" j) Jsonx.to_str in
-  match (int "w", int "pi", b, m) with
-  | Some n_wavelengths, Some pi, Some optimal, Some method_name ->
-    Ok { n_wavelengths; pi; optimal; method_name }
-  | _ -> Error (proto_error "bad report fields")
-
-let to_float j =
-  match j with Jsonx.Float f -> Some f | Jsonx.Int i -> Some (float_of_int i) | _ -> None
-
-let decode_reply_json payload =
-  match Jsonx.parse payload with
-  | Error msg -> Error (proto_error ("reply JSON: " ^ msg))
-  | Ok j ->
-    Result.bind (json_version j) (fun () ->
-        Result.bind (json_ctx j) @@ fun ctx ->
-        Result.map (fun rep -> (rep, ctx))
-        @@
-        match (Jsonx.member "err" j, Jsonx.member "ok" j) with
-        | Some e, _ -> Result.map (fun e -> (Error e : reply)) (error_of_json e)
-        | None, Some ok -> (
-          let str k = Option.bind (Jsonx.member k ok) Jsonx.to_str in
-          let int k = Option.bind (Jsonx.member k ok) Jsonx.to_int in
-          match str "verb" with
-          | None -> Error (proto_error "missing reply verb")
-          | Some "hello" -> (
-            match int "version" with
-            | Some v -> Ok (Ok (R_hello v))
-            | None -> Error (proto_error "hello: missing version"))
-          | Some "pong" -> Ok (Ok R_pong)
-          | Some "bye" -> Ok (Ok R_bye)
-          | Some "open" -> Result.map (fun r -> Ok (R_open r)) (report_of_json ok)
-          | Some "path" -> (
-            match int "id" with
-            | Some id -> Ok (Ok (R_path id))
-            | None -> Error (proto_error "path: missing id"))
-          | Some "removed" -> (
-            match int "id" with
-            | Some id -> Ok (Ok (R_removed id))
-            | None -> Error (proto_error "removed: missing id"))
-          | Some "arc" -> (
-            match int "id" with
-            | Some id -> Ok (Ok (R_arc id))
-            | None -> Error (proto_error "arc: missing id"))
-          | Some "report" -> Result.map (fun r -> Ok (R_report r)) (report_of_json ok)
-          | Some "pi" -> (
-            match int "pi" with
-            | Some pi -> Ok (Ok (R_pi pi))
-            | None -> Error (proto_error "pi: missing value"))
-          | Some "color" -> (
-            match int "color" with
-            | Some c -> Ok (Ok (R_color c))
-            | None -> Error (proto_error "color: missing value"))
-          | Some "stats" -> (
-            let f k = int k in
-            match
-              ( f "ops", f "warm_hits", f "fresh_colors", f "repairs", f "repair_flips",
-                f "shrink_recolors", f "warm_removes", f "fallbacks", f "full_solves",
-                f "rejected" )
-            with
-            | ( Some ops, Some warm_hits, Some fresh_colors, Some repairs, Some repair_flips,
-                Some shrink_recolors, Some warm_removes, Some fallbacks, Some full_solves,
-                Some rejected ) ->
-              Ok
-                (Ok
-                   (R_stats
-                      {
-                        Engine.ops; warm_hits; fresh_colors; repairs; repair_flips;
-                        shrink_recolors; warm_removes; fallbacks; full_solves; rejected;
-                      }))
-            | _ -> Error (proto_error "stats: missing fields"))
-          | Some "health" -> (
-            let fl k = Option.bind (Jsonx.member k ok) to_float in
-            match
-              ( Option.bind (Jsonx.member "healthy" ok) Jsonx.to_bool, int "add_p50",
-                int "add_p99", int "remove_p50", int "remove_p99", fl "warm_hit_recent",
-                fl "warm_hit_lifetime", int "fallback_streak" )
-            with
-            | ( Some healthy, Some add_p50, Some add_p99, Some remove_p50, Some remove_p99,
-                Some warm_hit_recent, Some warm_hit_lifetime, Some fallback_streak ) ->
-              Ok
-                (Ok
-                   (R_health
-                      {
-                        healthy; add_p50; add_p99; remove_p50; remove_p99; warm_hit_recent;
-                        warm_hit_lifetime; fallback_streak;
-                      }))
-            | _ -> Error (proto_error "health: missing fields"))
-          | Some "outcomes" ->
-            Result.bind (report_of_json ok) (fun after ->
-                match Option.bind (Jsonx.member "outcomes" ok) Jsonx.to_list with
-                | None -> Error (proto_error "outcomes: missing list")
-                | Some os ->
-                  let rec go acc = function
-                    | [] -> Ok (List.rev acc)
-                    | o :: rest -> (
-                      match
-                        ( Option.bind (Jsonx.member "path" o) Jsonx.to_int,
-                          Option.bind (Jsonx.member "removed" o) Jsonx.to_int,
-                          Option.bind (Jsonx.member "arc" o) Jsonx.to_int,
-                          Jsonx.member "err" o )
-                      with
-                      | Some id, _, _, _ -> go (Ok (O_path id) :: acc) rest
-                      | _, Some id, _, _ -> go (Ok (O_removed id) :: acc) rest
-                      | _, _, Some id, _ -> go (Ok (O_arc id) :: acc) rest
-                      | _, _, _, Some e ->
-                        Result.bind (error_of_json e) (fun e -> go (Error e :: acc) rest)
-                      | _ -> Error (proto_error "outcomes: bad element"))
-                  in
-                  Result.map
-                    (fun outcomes ->
-                      (Ok (R_outcomes { outcomes = Array.of_list outcomes; after }) : reply))
-                    (go [] os))
-          | Some "snapshot" -> (
-            match Jsonx.member "instance" ok with
-            | None -> Error (proto_error "snapshot: missing instance")
-            | Some inst ->
-              Result.map (fun i -> (Ok (R_snapshot i) : reply)) (instance_of_jsonx inst))
-          | Some "evicted" -> Ok (Ok R_evicted)
-          | Some "dstats" ->
-            Result.bind
-              (match Jsonx.member "add" ok with
-              | Some a -> rollup_of_json "add" a
-              | None -> Error (proto_error "dstats: missing add rollup"))
-              (fun d_add ->
-                Result.bind
-                  (match Jsonx.member "remove" ok with
-                  | Some r -> rollup_of_json "remove" r
-                  | None -> Error (proto_error "dstats: missing remove rollup"))
-                  (fun d_remove ->
-                    match
-                      ( int "shards", int "sessions",
-                        Option.bind (Jsonx.member "tenants" ok) Jsonx.to_list )
-                    with
-                    | Some d_shards, Some d_sessions, Some rows ->
-                      let row r =
-                        let ri k = Option.bind (Jsonx.member k r) Jsonx.to_int in
-                        match
-                          ( Option.bind (Jsonx.member "tenant" r) Jsonx.to_str,
-                            ri "shard", ri "paths", ri "pi", ri "ops",
-                            ri "add_p50", ri "add_p99",
-                            Option.bind (Jsonx.member "healthy" r) Jsonx.to_bool )
-                        with
-                        | ( Some t, Some r_shard, Some r_paths, Some r_pi,
-                            Some r_ops, Some r_add_p50, Some r_add_p99,
-                            Some r_healthy )
-                          when tenant_ok t ->
-                          Ok
-                            {
-                              r_tenant = t; r_shard; r_paths; r_pi; r_ops;
-                              r_add_p50; r_add_p99; r_healthy;
-                            }
-                        | _ -> Error (proto_error "dstats: bad tenant row")
-                      in
-                      let rec go acc = function
-                        | [] -> Ok (List.rev acc)
-                        | r :: rest ->
-                          Result.bind (row r) (fun r -> go (r :: acc) rest)
-                      in
-                      Result.map
-                        (fun d_tenants ->
-                          (Ok
-                             (R_dstats
-                                {
-                                  d_shards; d_sessions; d_add; d_remove; d_tenants;
-                                })
-                            : reply))
-                        (go [] rows)
-                    | _ -> Error (proto_error "dstats: missing fields")))
-          | Some "dhealth" -> (
-            match
-              ( Option.bind (Jsonx.member "healthy" ok) Jsonx.to_bool,
-                int "sessions",
-                Option.bind (Jsonx.member "unhealthy" ok) Jsonx.to_list )
-            with
-            | Some dh_healthy, Some dh_sessions, Some names ->
-              let strs = List.map Jsonx.to_str names in
-              if List.exists Option.is_none strs then
-                Error (proto_error "dhealth: bad tenant list")
-              else
-                Ok
-                  (Ok
-                     (R_dhealth
-                        {
-                          dh_healthy; dh_sessions;
-                          dh_unhealthy = List.filter_map Fun.id strs;
-                        }))
-            | _ -> Error (proto_error "dhealth: missing fields"))
-          | Some "trace" -> (
-            match str "doc" with
-            | Some doc -> Ok (Ok (R_trace doc))
-            | None -> Error (proto_error "trace: missing doc"))
-          | Some verb -> Error (proto_error ("unknown reply verb " ^ verb)))
-        | None, None -> Error (proto_error "reply carries neither ok nor err"))
-
-(* --- sniffing entry points ------------------------------------------------- *)
+(* --- sniffing entry points -------------------------------------------------------- *)
 
 let is_json payload = String.length payload > 0 && payload.[0] = '{'
+let encode u ~json ~ctx v = if json then encode_json u ~ctx v else encode_text u ~ctx v
 
-let encode_request ?(json = false) ?(ctx = Ctx.none) req =
-  if json then encode_request_json ~ctx req else encode_request_text ~ctx req
+let decode u what p = if is_json p then decode_json u what p else decode_text u what p
 
-let decode_request_ctx payload =
-  if is_json payload then decode_request_json payload
-  else
-    match decode_request_text payload with
-    | exception _ -> Error (proto_error "request decode raised")
-    | r -> r
-
+let encode_request ?(json = false) ?(ctx = Ctx.none) req = encode requests ~json ~ctx req
+let decode_request_ctx payload = decode requests "request" payload
 let decode_request payload = Result.map fst (decode_request_ctx payload)
-
-let encode_reply ?(json = false) ?(ctx = Ctx.none) reply =
-  if json then encode_reply_json ~ctx reply else encode_reply_text ~ctx reply
-
-let decode_reply_ctx payload =
-  if is_json payload then decode_reply_json payload
-  else
-    match decode_reply_text payload with
-    | exception _ -> Error (proto_error "reply decode raised")
-    | r -> r
-
+let encode_reply ?(json = false) ?(ctx = Ctx.none) reply = encode replies ~json ~ctx reply
+let decode_reply_ctx payload = decode replies "reply" payload
 let decode_reply payload = Result.map fst (decode_reply_ctx payload)

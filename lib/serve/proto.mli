@@ -59,6 +59,11 @@ type req =
 val verb_of_req : req -> string
 (** The wire verb token — the label a client span carries. *)
 
+val tenant_of_req : req -> string option
+(** The tenant a request is scoped to — its [Tenant] field in the message
+    table; [None] for the tenant-less verbs ([Hello], [Ping], [Shutdown],
+    [Dstats], [Dhealth], [Trace_dump]). *)
+
 type report = {
   n_wavelengths : int;
   pi : int;
@@ -160,6 +165,10 @@ val outcome_of_engine : Engine.op_outcome -> outcome
     pre-context protocol and old peers interoperate unchanged.  On
     decode, an absent field yields [Ctx.none]; a malformed or duplicated
     field is a protocol error, never an exception. *)
+
+val is_json : string -> bool
+(** The sniff rule: a payload is the JSON mirror iff its first byte is
+    [{].  A server replies in the encoding the request used. *)
 
 val encode_request : ?json:bool -> ?ctx:Wl_obs.Ctx.t -> req -> string
 val decode_request : string -> (req, Error.t) result

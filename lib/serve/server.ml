@@ -41,8 +41,6 @@ type t = {
   mutable accept_thread : Thread.t option;
 }
 
-let payload_is_json p = String.length p > 0 && p.[0] = '{'
-
 (* A client Shutdown must stop the whole server, not just answer R_bye;
    sniff it before dispatch so the reply still goes out first. *)
 let conn_loop t fd =
@@ -52,7 +50,7 @@ let conn_loop t fd =
     | Error e ->
       (try ignore (Wire.write fd (Proto.encode_reply (Error e))) with _ -> ())
     | Ok (Some payload) -> (
-      let json = payload_is_json payload in
+      let json = Proto.is_json payload in
       let decoded = Proto.decode_request_ctx payload in
       (* The trace context decoded off the frame rides into the shard
          (spans, exemplars) and is echoed on the reply. *)

@@ -155,13 +155,22 @@ let wire_outcomes (b : Engine.batch) =
       after = Proto.report_of_solver b.Engine.batch_report;
     }
 
-let handle_one t sh (req : Proto.req) : Proto.reply =
+(* Tenant-less requests: answered on the caller's thread, never queued.
+   [Shutdown] replies [R_bye]; initiating the drain is the caller's job. *)
+let answer_inline t (req : Proto.req) : Proto.reply =
   match req with
   | Proto.Hello v ->
     if v = Proto.version then Ok (Proto.R_hello Proto.version)
     else Error (Error.Unsupported_version v)
   | Proto.Ping -> Ok Proto.R_pong
+  | Proto.Dstats -> dstats t
+  | Proto.Dhealth -> dhealth t
+  | Proto.Trace_dump { last } -> trace_dump t ~last
   | Proto.Shutdown -> Ok Proto.R_bye
+  | _ -> Error (Error.Invalid_op ("no tenant in a " ^ Proto.verb_of_req req ^ " request"))
+
+let handle_one t sh (req : Proto.req) : Proto.reply =
+  match req with
   | Proto.Open { tenant; instance } ->
     let s = Engine.create ~flight_capacity:t.flight_capacity instance in
     Flight.set_label (Engine.flight s) tenant;
@@ -205,9 +214,9 @@ let handle_one t sh (req : Proto.req) : Proto.reply =
         Mutex.unlock sh.roster_m;
         Atomic.decr sh.n_sessions;
         Ok Proto.R_evicted)
-  | Proto.Dstats -> dstats t
-  | Proto.Dhealth -> dhealth t
-  | Proto.Trace_dump { last } -> trace_dump t ~last
+  | Proto.Hello _ | Proto.Ping | Proto.Shutdown | Proto.Dstats | Proto.Dhealth
+  | Proto.Trace_dump _ ->
+    answer_inline t req
 
 (* --- trace-context plumbing ------------------------------------------------ *)
 
@@ -249,14 +258,6 @@ let job_ops (req : Proto.req) =
   | Proto.Remove_path { id; _ } -> Some [ Engine.Remove_path id ]
   | Proto.Add_arc { tail; head; _ } -> Some [ Engine.Add_arc (tail, head) ]
   | Proto.Submit { ops; _ } -> Some ops
-  | _ -> None
-
-let req_tenant (req : Proto.req) =
-  match req with
-  | Proto.Add_path { tenant; _ }
-  | Proto.Remove_path { tenant; _ }
-  | Proto.Add_arc { tenant; _ }
-  | Proto.Submit { tenant; _ } -> Some tenant
   | _ -> None
 
 let is_submit = function Proto.Submit _ -> true | _ -> false
@@ -304,7 +305,7 @@ let collect_runs sh wave =
   let rec go = function
     | [] -> []
     | job :: rest as jobs -> (
-      match (job_ops job.req, req_tenant job.req) with
+      match (job_ops job.req, Proto.tenant_of_req job.req) with
       | Some ops, Some tenant -> (
         match Hashtbl.find_opt sh.sessions tenant with
         | None ->
@@ -326,7 +327,7 @@ let collect_runs sh wave =
 
 let mutation_prefix wave =
   match wave with
-  | job :: _ -> job_ops job.req <> None && req_tenant job.req <> None
+  | job :: _ -> job_ops job.req <> None
   | [] -> false
 
 (* The first traced context in a run labels the whole engine batch: a
@@ -509,34 +510,9 @@ let call_threaded t sh ~ctx req =
     Option.get job.reply
   end
 
-let owning_tenant : Proto.req -> string option = function
-  | Proto.Hello _ | Proto.Ping | Proto.Shutdown -> None
-  | Proto.Open { tenant; _ }
-  | Proto.Add_path { tenant; _ }
-  | Proto.Remove_path { tenant; _ }
-  | Proto.Add_arc { tenant; _ }
-  | Proto.Submit { tenant; _ }
-  | Proto.Report { tenant }
-  | Proto.Pi { tenant }
-  | Proto.Color_of { tenant; _ }
-  | Proto.Stats { tenant }
-  | Proto.Health { tenant }
-  | Proto.Snapshot { tenant }
-  | Proto.Evict { tenant } -> Some tenant
-  | Proto.Dstats | Proto.Dhealth | Proto.Trace_dump _ -> None
-
 let call ?(ctx = Ctx.none) t (req : Proto.req) =
-  match owning_tenant req with
-  | None -> (
-    match req with
-    | Proto.Hello v ->
-      if v = Proto.version then Ok (Proto.R_hello Proto.version)
-      else Error (Error.Unsupported_version v)
-    | Proto.Ping -> Ok Proto.R_pong
-    | Proto.Dstats -> dstats t
-    | Proto.Dhealth -> dhealth t
-    | Proto.Trace_dump { last } -> trace_dump t ~last
-    | _ -> Ok Proto.R_bye)
+  match Proto.tenant_of_req req with
+  | None -> answer_inline t req
   | Some tenant ->
     let sh = t.shards.(shard_of_tenant ~shards:(Array.length t.shards) tenant) in
     if t.threaded then call_threaded t sh ~ctx req else call_sync t sh ~ctx req
