@@ -596,10 +596,13 @@ let reply_equal (a : Proto.reply) (b : Proto.reply) =
   | a, b -> a = b
 
 (* Every [Error.t] constructor, with payloads that stress the escaping
-   (embedded newline and backslash survive the line-oriented text form). *)
+   (embedded newline and backslash survive the line-oriented text form)
+   and the message field (doubled, leading and trailing spaces, empty). *)
 let every_error =
   [
     Error.Parse { line = 3; msg = "unexpected token \\ and\nan embedded newline" };
+    Error.Parse { line = 0; msg = "" };
+    Error.Invalid_op "  two  spaces and trailing ";
     Error.Invalid_path "not a dipath";
     Error.Cyclic "back arc 4 -> 1";
     Error.Bad_index { what = "path"; index = 41 };
@@ -653,8 +656,8 @@ let wlrpc_frame =
     let eng = Engine.create inst in
     let b = Engine.submit eng s.Subject.ops in
     let rep = Proto.report_of_solver b.Engine.batch_report in
-    (* Dyadic rates so float round-trip exactness is never in question;
-       the latency fields are plain ints. *)
+    (* One dyadic rate and one that needs all 17 digits: both encodings
+       carry floats exactly. *)
     let health =
       {
         Proto.healthy = true;
@@ -663,7 +666,7 @@ let wlrpc_frame =
         remove_p50 = 5;
         remove_p99 = 97;
         warm_hit_recent = 0.5;
-        warm_hit_lifetime = 0.25;
+        warm_hit_lifetime = 1. /. 3.;
         fallback_streak = 1;
       }
     in
@@ -886,6 +889,30 @@ let wlrpc_frame =
           | None -> via "decode_request" Proto.decode_request)
         cases
     in
+    (* Known constructors and verbs with a missing or ill-typed field, and
+       an invalid tenant in a tenant list: protocol errors in both
+       encodings, never a default value. *)
+    let malformed_replies () =
+      let cases =
+        [
+          ("bad_index without index", "wlrpc 1 err 68 bad_index\n");
+          ("bad_index with a word index", "wlrpc 1 err 68 bad_index x path\n");
+          ( "json bad_index without index",
+            "{\"wlrpc\": 1, \"err\": {\"code\": 68, \"ctor\": \"bad_index\", \"what\": \"path\"}}" );
+          ("dhealth invalid tenant", "wlrpc 1 ok dhealth false 1 1 a/b\n");
+          ( "json dhealth invalid tenant",
+            "{\"wlrpc\": 1, \"ok\": {\"verb\": \"dhealth\", \"healthy\": false, \
+             \"sessions\": 1, \"unhealthy\": [\"bad tenant\"]}}" );
+        ]
+      in
+      first
+        (fun (name, payload) ->
+          match Proto.decode_reply_ctx payload with
+          | exception e -> fail "malformed %s: decode raised %s" name (Printexc.to_string e)
+          | Error _ -> None
+          | Ok _ -> fail "malformed %s: decode accepted the frame" name)
+        cases
+    in
     let base =
       Wire.frame
         (Proto.encode_request (Proto.Open { tenant = t; instance = inst }))
@@ -961,6 +988,7 @@ let wlrpc_frame =
              encodings);
          ctx_round_trip;
          ctx_corruptions;
+         malformed_replies;
          (fun () ->
            first (fun (name, buf) -> expect_frame_error name buf) corruptions);
          flipped_payload;
@@ -973,7 +1001,7 @@ let wlrpc_frame =
     doc =
       "wlrpc/1 codec round trips (both encodings, every error constructor, \
        trace-context field) and totality on truncated/oversized/garbage \
-       frames and mutated ctx tokens";
+       frames, mutated ctx tokens and replies missing a field";
     generate;
     check;
   }

@@ -237,9 +237,14 @@ let to_string ?(pretty = false) v =
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+      (* Short when that is exact, all digits otherwise: every finite
+         float parses back to itself, and still as a float. *)
+      let short = Printf.sprintf "%.12g" f in
+      let exact = float_of_string_opt short = Some f in
+      Buffer.add_string buf
+        (if Float.is_integer f && (Float.abs f < 1e15 || not exact) then Printf.sprintf "%.1f" f
+         else if exact then short
+         else Printf.sprintf "%.17g" f)
     | Str s -> escape_into buf s
     | Arr [] -> Buffer.add_string buf "[]"
     | Arr xs ->

@@ -21,7 +21,9 @@ val parse : string -> (t, string) result
 
 val to_string : ?pretty:bool -> t -> string
 (** Compact by default; [~pretty:true] indents objects and arrays by two
-    spaces. *)
+    spaces.  A finite [Float] prints with [%.12g] when that parses back to
+    the same float and with all its digits otherwise ([%.17g], or [%.1f]
+    for an integral value), so it round-trips exactly, as a [Float]. *)
 
 (** {1 Accessors} — all total, [None] on shape mismatch. *)
 

@@ -78,6 +78,8 @@ let every_error =
     Error.Precondition "tenant id";
     Error.Unsupported_version 3;
     Error.Io "broken pipe";
+    Error.Io "  two  spaces and trailing ";
+    Error.Invalid_op "";
   ]
 
 let test_error_frames () =
@@ -96,6 +98,44 @@ let test_error_frames () =
             Alcotest.failf "error frame did not decode: %s" (Error.to_string e'))
         [ false; true ])
     every_error
+
+(* Both encodings decode by one rule: message fields keep their spaces,
+   floats are exact, a known constructor or verb missing a field is a
+   protocol error, tenant lists are checked, and only an unknown
+   constructor degrades through the shared code table. *)
+let test_decode_rules () =
+  let h =
+    {
+      Proto.healthy = false; add_p50 = 1; add_p99 = 2; remove_p50 = 3; remove_p99 = 4;
+      warm_hit_recent = 1. /. 3.; warm_hit_lifetime = 0.1; fallback_streak = 5;
+    }
+  in
+  List.iter
+    (fun json ->
+      match Proto.decode_reply (Proto.encode_reply ~json (Ok (Proto.R_health h))) with
+      | Ok (Ok (Proto.R_health h')) -> check "health rates exact" true (h = h')
+      | _ -> Alcotest.fail "health reply did not round-trip")
+    [ false; true ];
+  let rejected what payload =
+    check (what ^ " rejected") true (Result.is_error (Proto.decode_reply payload))
+  in
+  rejected "text bad_index without index" "wlrpc 1 err 68 bad_index\n";
+  rejected "json bad_index without index"
+    {|{"wlrpc": 1, "err": {"code": 68, "ctor": "bad_index", "what": "path"}}|};
+  rejected "text dhealth bad tenant" "wlrpc 1 ok dhealth false 1 1 a/b\n";
+  rejected "json dhealth bad tenant"
+    {|{"wlrpc": 1, "ok": {"verb": "dhealth", "healthy": false, "sessions": 1, "unhealthy": ["bad tenant"]}}|};
+  rejected "text trailing token" "wlrpc 1 ok path 3 4\n";
+  rejected "text short outcome body" "wlrpc 1 ok outcomes 2 1 1 true theorem-1\noutcome path 0\n";
+  List.iter
+    (fun payload ->
+      match Proto.decode_reply payload with
+      | Ok (Error e) -> check_int "unknown constructor keeps its code" 69 (Error.to_code e)
+      | _ -> Alcotest.failf "unknown constructor did not degrade: %s" payload)
+    [
+      "wlrpc 1 err 69 from_the_future dead handle\n";
+      {|{"wlrpc": 1, "err": {"code": 69, "ctor": "from_the_future", "msg": "dead handle"}}|};
+    ]
 
 let test_request_roundtrip () =
   let inst = line3 () in
@@ -403,6 +443,7 @@ let suite =
         Alcotest.test_case "wire framing" `Quick test_wire;
         Alcotest.test_case "tenant ids" `Quick test_tenants;
         Alcotest.test_case "error frames" `Quick test_error_frames;
+        Alcotest.test_case "one decode rule" `Quick test_decode_rules;
         Alcotest.test_case "request round trips" `Quick test_request_roundtrip;
         Alcotest.test_case "addresses" `Quick test_addresses;
         Alcotest.test_case "loopback client" `Quick test_loopback;

@@ -223,6 +223,28 @@ let test_saturating () =
   check "clamp negative" true (to_int (of_int (-5)) = 0);
   check "compare" true (compare one zero > 0)
 
+(* --- Jsonx --- *)
+
+(* Every finite float prints to a lexeme that parses back to the same
+   float, still as a [Float]: the JSON mirrors carry health rates and
+   bench figures without rounding. *)
+let jsonx_float_round_trip =
+  let module Jsonx = Wl_json.Jsonx in
+  qtest ~count:2000 "jsonx: finite floats round-trip exactly" QCheck2.Gen.float (fun f ->
+      (not (Float.is_finite f))
+      ||
+      match Jsonx.parse (Jsonx.to_string (Jsonx.Float f)) with
+      | Ok (Jsonx.Float g) -> Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float f)
+      | _ -> false)
+
+let test_jsonx_float_digits () =
+  let module Jsonx = Wl_json.Jsonx in
+  let show f = Jsonx.to_string (Jsonx.Float f) in
+  Alcotest.(check string) "short when exact" "0.25" (show 0.25);
+  Alcotest.(check string) "integral" "3.0" (show 3.0);
+  Alcotest.(check string) "1/3 exact" "0.33333333333333331" (show (1. /. 3.));
+  Alcotest.(check string) "big integral exact" "12345678901234568.0" (show 12345678901234567.)
+
 (* --- Parallel --- *)
 
 let parallel_matches_sequential =
@@ -295,6 +317,8 @@ let suite =
         Alcotest.test_case "cycle type" `Quick test_cycle_type;
         Alcotest.test_case "of_two_bijections" `Quick test_of_two_bijections;
         Alcotest.test_case "saturating arithmetic" `Quick test_saturating;
+        jsonx_float_round_trip;
+        Alcotest.test_case "jsonx float digits" `Quick test_jsonx_float_digits;
         parallel_matches_sequential;
         Alcotest.test_case "parallel operations" `Quick test_parallel_ops;
         Alcotest.test_case "vec" `Quick test_vec;
