@@ -288,177 +288,32 @@ let pp_summary ppf evs =
     rows;
   Format.fprintf ppf "@]"
 
-(* --- Chrome-trace validation ---------------------------------------------
+(* --- Chrome-trace validation --------------------------------------------- *)
 
-   A minimal JSON parser — just enough to check the trace-event schema
-   without an external dependency.  Numbers are parsed as floats, objects
-   as assoc lists; that is all the validator needs. *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () <> c then fail (Printf.sprintf "expected %c" c);
-    advance ()
-  in
-  let literal word v =
-    String.iter (fun c -> expect c) word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          if !pos + 4 >= n then fail "bad \\u escape";
-          (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-          | None -> fail "bad \\u escape"
-          | Some code ->
-            pos := !pos + 4;
-            (* Validation only: any code point becomes '?'. *)
-            Buffer.add_char buf (if code < 128 then Char.chr code else '?'))
-        | _ -> fail "bad escape");
-        advance ();
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while num_char (peek ()) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then begin
-        advance ();
-        Jobj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | '}' ->
-            advance ();
-            Jobj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then begin
-        advance ();
-        Jarr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            elements (v :: acc)
-          | ']' ->
-            advance ();
-            Jarr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-      end
-    | '"' -> Jstr (parse_string ())
-    | 't' -> literal "true" (Jbool true)
-    | 'f' -> literal "false" (Jbool false)
-    | 'n' -> literal "null" Jnull
-    | c when c = '-' || (c >= '0' && c <= '9') -> Jnum (parse_number ())
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
+(* [ts] and [dur] may print as integers or as floats. *)
 let validate_chrome s =
-  match parse_json s with
-  | exception Bad msg -> Error ("invalid JSON: " ^ msg)
-  | Jobj fields -> (
-    match List.assoc_opt "traceEvents" fields with
+  let module J = Wl_json.Jsonx in
+  let num k ev =
+    match J.member k ev with
+    | Some (J.Int i) -> Some (float_of_int i)
+    | Some (J.Float f) -> Some f
+    | _ -> None
+  in
+  match J.parse s with
+  | Error msg -> Error ("invalid JSON: " ^ msg)
+  | Ok (J.Obj _ as top) -> (
+    match J.member "traceEvents" top with
     | None -> Error "missing traceEvents"
-    | Some (Jarr evs) -> (
+    | Some (J.Arr evs) -> (
       let check i = function
-        | Jobj f -> (
-          let str k =
-            match List.assoc_opt k f with Some (Jstr s) -> Some s | _ -> None
-          in
-          let num k =
-            match List.assoc_opt k f with Some (Jnum x) -> Some x | _ -> None
-          in
-          match (str "name", str "ph", num "ts") with
+        | J.Obj _ as ev -> (
+          let str k = Option.bind (J.member k ev) J.to_str in
+          match (str "name", str "ph", num "ts" ev) with
           | None, _, _ -> Some (Printf.sprintf "event %d: missing name" i)
           | _, None, _ -> Some (Printf.sprintf "event %d: missing ph" i)
           | _, _, None -> Some (Printf.sprintf "event %d: missing ts" i)
           | _, Some "X", _ -> (
-            match num "dur" with
+            match num "dur" ev with
             | Some d when d >= 0. -> None
             | _ -> Some (Printf.sprintf "event %d: X without dur >= 0" i))
           | _ -> None)
@@ -471,4 +326,4 @@ let validate_chrome s =
       in
       go 0 evs)
     | Some _ -> Error "traceEvents is not an array")
-  | _ -> Error "top level is not an object"
+  | Ok _ -> Error "top level is not an object"
