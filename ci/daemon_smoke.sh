@@ -39,6 +39,11 @@ done
 "$WL" trace pull "unix:$SOCK" --last 16 -o pulled.trace.json
 "$WL" trace-check pulled.trace.json
 
+# Untraced churn over the JSON codec, so both encodings cross a real
+# socket.  It reuses tenants t00000..t00063, so the dump count below
+# still holds.
+"$STRESS" --daemon "unix:$SOCK" --sessions 64 --client-threads 4 --ops 8 --json
+
 kill -TERM "$WLD_PID"
 wait "$WLD_PID"
 

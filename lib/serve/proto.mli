@@ -1,13 +1,17 @@
 (** Typed [wlrpc/1] messages and their two codecs.
 
     Every request/reply crossing a {!Wire} frame is one of these values.
-    Payloads exist in two interchangeable encodings, sniffed apart by the
-    first byte exactly like {!Wl_core.Serial} does for instance files:
+    The implementation declares each request verb, reply verb and
+    {!Wl_core.Error.t} constructor once, in a message table: a tag plus
+    an ordered, typed field list.  Both codecs are interpreters of that
+    table, so the two encodings cannot drift apart.  Payloads exist in
+    two interchangeable encodings, sniffed apart by the first byte
+    ({!is_json}) exactly like {!Wl_core.Serial} does for instance files:
 
     {ul
     {- the {e text} form — line-oriented, [wlrpc 1 VERB ...] header, with
-       instance and op-script bodies embedded verbatim in the existing
-       Serial v2 / wlops text formats;}
+       instance, op-script and trace bodies embedded verbatim in their
+       own text formats;}
     {- the {e JSON mirror} — one object per frame
        ([{"wlrpc":1,"verb":...}]), for debugging with ordinary tooling
        ([socat | jq]); servers accept both at all times, replying in the
@@ -18,7 +22,8 @@
     the constructor's own payload fields, so an error round-trips the wire
     without losing its line number, index or version — and a client
     exiting with the frame's code behaves exactly like the CLI hitting
-    the same error locally. *)
+    the same error locally.  An unknown constructor (from a later
+    revision) degrades through {!Wl_core.Error.of_code}. *)
 
 open Wl_core
 module Engine = Wl_engine.Engine
@@ -156,7 +161,12 @@ val outcome_of_engine : Engine.op_outcome -> outcome
 
     Encoders are total on well-formed values (invalid tenant ids raise
     [Invalid_argument] — they are unrepresentable on the wire); decoders
-    are total on arbitrary bytes and never raise.
+    are total on arbitrary bytes and never raise.  Both decoders follow
+    one rule: a known verb or constructor with a missing or ill-typed
+    field, an invalid tenant id anywhere, or trailing tokens or lines are
+    a protocol error ([Error.Parse]); a text message field is the raw
+    rest of its line, so its spacing survives; floats are exact in both
+    encodings.
 
     [ctx] is the optional distributed trace context: the text form
     carries it as a [ctx=TRACE:SPAN] token between version and verb, the
