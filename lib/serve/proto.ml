@@ -351,7 +351,7 @@ let replies =
   let resp (F.Case q, F.Case r) = if r.tag = "" then F.Case { r with tag = q.tag } else F.Case r in
   let resps = by_verb (List.map resp verbs) in
   let ok = keyed "ok" (F.Union resps) Result.ok (function Ok r -> Some r | Error _ -> None) in
-  { F.key = None; cases = [ err_case (); ok ] }
+  { F.key = None; cases = [ ok; err_case () ] }
 
 (* [visit_case cases v k] applies [k] to the tag, field list and field
    values of the case [v] belongs to. *)
@@ -407,33 +407,36 @@ let bad fmt = Printf.ksprintf (fun msg -> raise (Bad (proto_error msg))) fmt
 let ok_or_raise = function Ok v -> v | Error e -> raise (Bad e)
 
 let tok h s = Buffer.add_char h ' '; Buffer.add_string h s
+let rec digits h n = if n >= 10 then digits h (n / 10); Buffer.add_char h "0123456789".[n mod 10]
+let put_int h n = if n < 0 then tok h (string_of_int n) else (Buffer.add_char h ' '; digits h n)
 
-(* [h] collects the head line, [b] the lines after it. *)
-let rec put : type a. Buffer.t -> Buffer.t -> a F.ty -> a -> unit =
+(* [h] collects the head line, [b] the writers of the lines after it. *)
+let rec put : type a. Buffer.t -> (Buffer.t -> unit) list ref -> a F.ty -> a -> unit =
  fun h b ty v ->
   match ty with
-  | F.Int -> tok h (string_of_int v)
+  | F.Int -> put_int h v
   | F.Hex -> tok h (Printf.sprintf "%x" v)
   | F.Bool -> tok h (string_of_bool v)
   | F.Float -> tok h (Printf.sprintf "%.17g" v)
   | F.Word -> tok h v
   | F.Tenant -> tok h (checked v)
   | F.Msg -> tok h (escape_nl v)
-  | F.Ints -> List.iter (fun i -> tok h (string_of_int i)) v
+  | F.Ints -> List.iter (put_int h) v
   | F.Tenants ->
     put h b F.Int (List.length v);
     List.iter (put h b F.Tenant) v
   | F.Rec (F.Case c) -> Option.iter (put_fields h b c.fields) (c.proj v)
   | F.Rows (tag, elt) ->
     put h b F.Int (List.length v);
-    List.iter (fun x -> Buffer.add_string b tag; put b b elt x; Buffer.add_char b '\n') v
-  | F.Body body -> Buffer.add_string b (body.F.to_text v)
+    let row o x = Buffer.add_string o tag; put o b elt x; Buffer.add_char o '\n' in
+    b := (fun o -> List.iter (row o) v) :: !b
+  | F.Body body -> b := (fun o -> Buffer.add_string o (body.F.to_text v)) :: !b
   | F.Union u -> put_union h b u v
   | F.Err ->
     put h b F.Int (Error.to_code v);
     put_union h b errors v
 
-and put_fields : type a. Buffer.t -> Buffer.t -> a F.t -> a -> unit =
+and put_fields : type a. Buffer.t -> (Buffer.t -> unit) list ref -> a F.t -> a -> unit =
  fun h b fs v ->
   match (fs, v) with
   | F.[], () -> ()
@@ -441,20 +444,21 @@ and put_fields : type a. Buffer.t -> Buffer.t -> a F.t -> a -> unit =
     put h b ty x;
     put_fields h b rest xs
 
-and put_union : type m. Buffer.t -> Buffer.t -> m F.union -> m -> unit =
+and put_union : type m. Buffer.t -> (Buffer.t -> unit) list ref -> m F.union -> m -> unit =
  fun h b u v -> visit_case u.F.cases v { visit = (fun tag fs x -> tok h tag; put_fields h b fs x) }
+
+let hdr = "wlrpc " ^ string_of_int version
 
 (* The optional trace context rides as a [ctx=TRACE:SPAN] token directly
    after the version, before the verb — absent for untraced peers, so
    every pre-context frame remains byte-identical. *)
 let encode_text u ~ctx v =
-  let h = Buffer.create 64 and b = Buffer.create 16 in
-  Buffer.add_string h "wlrpc ";
-  Buffer.add_string h (string_of_int version);
+  let h = Buffer.create 64 and b = ref [] in
+  Buffer.add_string h hdr;
   if not (Ctx.is_none ctx) then tok h ("ctx=" ^ Ctx.to_string ctx);
   put_union h b u v;
   Buffer.add_char h '\n';
-  Buffer.add_buffer h b;
+  List.iter (fun w -> w h) (List.rev !b);
   Buffer.contents h
 
 (* A cursor over one line of [s], [pos] to [stop]; [body] is the next
@@ -609,7 +613,8 @@ and jmembers : type a. rows:bool -> a F.t -> a -> (string * Jsonx.t) list -> _ =
     match ty with
     | F.Rows _ -> if rows then (k, jv ty x) :: tail else tail
     | _ when rows -> tail
-    | _ -> ( match jv ty x with Jsonx.Obj kvs when k = "" -> kvs @ tail | j -> (k, j) :: tail))
+    | F.Rec (F.Case r) when k = "" -> jmembers ~rows r.fields (Option.get (r.proj x)) tail
+    | _ -> (k, jv ty x) :: tail)
 
 and junion : type m. m F.union -> m -> (string * Jsonx.t) list =
  fun u v ->
@@ -656,13 +661,14 @@ and jget_union : type m. string -> m F.union -> Jsonx.t -> m =
   | Some k -> (
     match find_case name (jget k F.Word (member o k)) u.F.cases with
     | F.Case c -> c.inj (jget_fields o c.fields))
-  | None -> (
-    let present (F.Case c) =
-      match c.fields with F.((k, _) :: _) -> Option.is_some (Jsonx.member k o) | F.[] -> false
+  | None ->
+    let rec keyed : m F.case list -> m = function
+      | [] -> bad "%s: no known member" name
+      | F.Case { fields = F.[ (k, ty) ]; inj; _ } :: rest -> (
+        match Jsonx.member k o with Some j -> inj (jget k ty j, ()) | None -> keyed rest)
+      | _ :: rest -> keyed rest
     in
-    match List.find_opt present u.F.cases with
-    | Some (F.Case c) -> c.inj (jget_fields o c.fields)
-    | None -> bad "%s: no known member" name)
+    keyed u.F.cases
 
 let encode_json u ~ctx v =
   let ctx = if Ctx.is_none ctx then [] else [ ("ctx", Jsonx.Str (Ctx.to_string ctx)) ] in
