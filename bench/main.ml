@@ -1,18 +1,14 @@
-(* Benchmark and reproduction harness.
+(* Reproduction harness.
 
    The paper is a theory paper: its "evaluation" consists of the worked
    constructions of Figures 1, 3, 5, 9 and the quantitative claims of
    Theorems 1, 2, 6, 7.  This harness regenerates every one of them
    (tables E1-E12; the experiment ids match DESIGN.md), printing the
-   paper's number next to the measured one, and then runs Bechamel
-   micro-benchmarks on the algorithms (P1-P4).
+   paper's number next to the measured one.  A row that disagrees prints
+   MISMATCH and makes the run exit 1.  Performance lives in `wl bench`.
 
-   Run with: dune exec bench/main.exe            (everything)
-             dune exec bench/main.exe -- tables  (reproduction tables only)
-             dune exec bench/main.exe -- perf    (perf benches only)
-             dune exec bench/main.exe -- perf --json [--domains D]
-               (flat-core vs seed-baseline timings + parallel sweep
-                trajectory, written to BENCH_core.json) *)
+   Run with: dune exec bench/main.exe            (same as tables)
+             dune exec bench/main.exe -- tables *)
 
 open Wl_core
 module Figures = Wl_netgen.Figures
@@ -23,7 +19,14 @@ module Prng = Wl_util.Prng
 let section id title =
   Printf.printf "\n== %s: %s ==\n" id title
 
-let verdict ok = if ok then "ok" else "MISMATCH"
+let mismatches = ref 0
+
+let verdict ok =
+  if ok then "ok"
+  else begin
+    incr mismatches;
+    "MISMATCH"
+  end
 
 (* --- E1: Figure 1 — unbounded w at load 2 ------------------------------- *)
 
@@ -468,342 +471,6 @@ let e12 () =
      arcs: per-arc cliques), and on these gap examples a single\n\
      well-placed converter already closes the pi-vs-w gap.\n"
 
-(* --- Perf benches (P1-P4) ------------------------------------------------- *)
-
-open Bechamel
-open Toolkit
-
-let make_thm1_bench n =
-  let rng = Prng.create 1 in
-  let dag = Generators.gnp_no_internal_cycle rng n (8.0 /. float_of_int n) in
-  let inst = Path_gen.random_instance rng dag (3 * n / 4) in
-  Test.make
-    ~name:(Printf.sprintf "thm1/color/n=%d" n)
-    (Staged.stage (fun () -> ignore (Theorem1.color inst)))
-
-let make_thm6_bench k =
-  let inst =
-    let rng = Prng.create 2 in
-    let dag = Generators.upp_one_internal_cycle rng ~extra_vertices:30 () in
-    Wl_core.Instance.make dag
-      (Path_gen.random_family rng dag k
-      |> List.sort_uniq (fun p q -> Wl_digraph.Dipath.compare p q))
-  in
-  Test.make
-    ~name:(Printf.sprintf "thm6/color/k=%d" k)
-    (Staged.stage (fun () -> ignore (Theorem6.color ~check:false inst)))
-
-let make_coloring_benches () =
-  let inst =
-    let rng = Prng.create 3 in
-    let dag = Generators.gnp_dag rng 40 0.15 in
-    Path_gen.random_instance rng dag 60
-  in
-  let cg = Conflict_of.build inst in
-  [
-    Test.make ~name:"coloring/dsatur/60-paths"
-      (Staged.stage (fun () -> ignore (Wl_conflict.Coloring.dsatur cg)));
-    Test.make ~name:"coloring/welsh-powell/60-paths"
-      (Staged.stage (fun () -> ignore (Wl_conflict.Coloring.greedy_desc_degree cg)));
-    Test.make ~name:"coloring/conflict-build/60-paths"
-      (Staged.stage (fun () -> ignore (Conflict_of.build inst)));
-  ]
-
-let make_detection_benches n =
-  let rng = Prng.create 4 in
-  let dag = Generators.gnp_dag rng n (6.0 /. float_of_int n) in
-  [
-    Test.make
-      ~name:(Printf.sprintf "detect/internal-cycle/n=%d" n)
-      (Staged.stage (fun () ->
-           ignore (Wl_dag.Internal_cycle.count_independent dag)));
-    Test.make
-      ~name:(Printf.sprintf "detect/upp/n=%d" n)
-      (Staged.stage (fun () -> ignore (Wl_dag.Upp.is_upp dag)));
-  ]
-
-let make_misc_benches () =
-  let rng = Prng.create 6 in
-  let dag = Generators.upp_internal_cycles rng ~cycles:3 () in
-  let multi_inst =
-    Wl_core.Instance.make dag (dedup (Path_gen.random_family rng dag 20))
-  in
-  let groom_inst =
-    let dag = Generators.gnp_no_internal_cycle rng 40 0.15 in
-    Path_gen.random_instance rng dag 60
-  in
-  let groom_w = max 1 (Load.pi groom_inst / 2) in
-  let text = Serial.to_string groom_inst in
-  [
-    Test.make ~name:"thm6-multi/color/C=3"
-      (Staged.stage (fun () -> ignore (Theorem6_multi.color ~check:false multi_inst)));
-    Test.make ~name:"grooming/greedy/60-paths"
-      (Staged.stage (fun () -> ignore (Grooming.greedy groom_inst ~w:groom_w)));
-    Test.make ~name:"serial/parse/60-paths"
-      (Staged.stage (fun () -> ignore (Serial.of_string text)));
-    Test.make ~name:"baseline/first-fit/60-paths"
-      (Staged.stage (fun () -> ignore (Baselines.first_fit groom_inst)));
-  ]
-
-let run_perf () =
-  print_newline ();
-  print_endline "== P1-P4: performance micro-benchmarks (Bechamel, OLS ns/run) ==";
-  let tests =
-    List.map make_thm1_bench [ 100; 200; 400; 800 ]
-    @ List.map make_thm6_bench [ 10; 20; 40 ]
-    @ make_coloring_benches ()
-    @ List.concat_map make_detection_benches [ 100; 400 ]
-    @ make_misc_benches ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~stabilize:false ~quota:(Time.second 0.3) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ t ] -> Printf.printf "%-34s %12.0f ns/run\n" name t
-          | _ -> Printf.printf "%-34s %12s\n" name "n/a")
-        results)
-    tests;
-  print_newline ()
-
-(* --- JSON perf engine ------------------------------------------------------
-
-   Times the rewritten flat-core hot paths against the seed implementations
-   (bench/legacy.ml) in the same run, on shared instances, and appends a
-   domain-parallel sweep trajectory; the result is machine-readable
-   (BENCH_core.json) so the perf history of the repo can be tracked from CI.
-   Instance construction fans out over domains via Parallel.map_array; the
-   timed sections themselves run sequentially so numbers stay clean. *)
-
-module Metrics = Wl_obs.Metrics
-module Store = Wl_obs.Store
-module Jsonx = Wl_json.Jsonx
-
-(* Counter snapshot of one un-timed run of [f]: reset, enable, run, read.
-   Timed sections always run with metrics off so ns/op stays clean; the
-   snapshot run is separate and costs one extra execution. *)
-let counters_of_run f =
-  Metrics.reset ();
-  Metrics.set_enabled true;
-  ignore (f ());
-  Metrics.set_enabled false;
-  let snap = Metrics.snapshot () in
-  Metrics.reset ();
-  List.map (fun (name, inst) -> (name, Store.json_of_instrument inst)) snap
-
-let make_nic_instance (n, k) =
-  let rng = Prng.create (20260704 + n) in
-  let dag = Generators.gnp_no_internal_cycle rng n (8.0 /. float_of_int n) in
-  Path_gen.random_instance rng dag k
-
-let make_dense_ugraph (n, pct) =
-  let rng = Prng.create (77 + n) in
-  let g = Wl_conflict.Ugraph.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Prng.int rng 100 < pct then Wl_conflict.Ugraph.add_edge g u v
-    done
-  done;
-  g
-
-let run_perf_json ~domains () =
-  Printf.printf "== perf --json: flat-core vs seed baselines (%d domains) ==\n%!"
-    domains;
-  let thm1_sizes = [| (400, 320); (1600, 1280) |] in
-  let dense_sizes = [| (300, 50); (800, 50) |] in
-  (* Domain-parallel setup: every instance/graph is built concurrently. *)
-  let thm1_insts = Wl_util.Parallel.map_array ~domains make_nic_instance thm1_sizes in
-  let dense_graphs = Wl_util.Parallel.map_array ~domains make_dense_ugraph dense_sizes in
-  let conflict_inst =
-    let rng = Prng.create 3 in
-    let dag = Generators.gnp_dag rng 60 0.12 in
-    Path_gen.random_instance rng dag 150
-  in
-  let points = ref [] in
-  let record ?(extras = []) name params f baseline =
-    let sample = Wl_bench.Runner.measure (fun () -> ignore (f ())) in
-    let baseline_ns =
-      Option.map
-        (fun b ->
-          (Wl_bench.Runner.measure (fun () -> ignore (b ()))).Store.median_ns)
-        baseline
-    in
-    let counters = counters_of_run f in
-    Printf.printf "  %-32s %12.0f ns/op (± %.0f MAD)" name
-      sample.Store.median_ns sample.Store.mad_ns;
-    (match baseline_ns with
-    | Some b ->
-      Printf.printf "   baseline %12.0f ns/op   speedup %6.2fx" b
-        (b /. sample.Store.median_ns)
-    | None -> ());
-    print_newline ();
-    points :=
-      { Store.name; params; extras; sample; baseline_ns; counters }
-      :: !points
-  in
-  Array.iteri
-    (fun i (n, k) ->
-      let inst = thm1_insts.(i) in
-      record
-        (Printf.sprintf "thm1/color/n=%d" n)
-        [ ("n", n); ("paths", k) ]
-        (fun () -> Theorem1.color inst)
-        (Some (fun () -> Legacy.theorem1_color inst)))
-    thm1_sizes;
-  Array.iteri
-    (fun i (n, pct) ->
-      let g = dense_graphs.(i) in
-      record
-        (Printf.sprintf "coloring/dsatur/dense-n=%d" n)
-        [ ("n", n); ("edge_pct", pct); ("edges", Wl_conflict.Ugraph.n_edges g) ]
-        (fun () -> Wl_conflict.Coloring.dsatur g)
-        (Some (fun () -> Legacy.dsatur g)))
-    dense_sizes;
-  record "conflict/build/150-paths"
-    [ ("n", 60); ("paths", 150) ]
-    (fun () -> Conflict_of.build conflict_inst)
-    (Some (fun () -> Legacy.conflict_build conflict_inst));
-  record "load/pi/n=1600"
-    [ ("n", 1600); ("paths", 1280) ]
-    (fun () -> Load.pi thm1_insts.(1))
-    None;
-  (* Engine: one warm incremental mutation (add a path, query, remove it)
-     on a live session over the n=1600 instance, against re-solving the
-     grown instance from scratch — the dynamic-instance acceptance bench.
-     The add/remove pair keeps the session state periodic so every timed
-     iteration does the same work. *)
-  let module Engine = Wl_engine.Engine in
-  let inst1600 = thm1_insts.(1) in
-  let bench_verts =
-    Wl_digraph.Dipath.vertices (List.hd (Wl_core.Instance.paths_list inst1600))
-  in
-  let session1600 = Engine.create inst1600 in
-  ignore (Engine.report session1600);
-  let engine_step () =
-    match Engine.add_path session1600 bench_verts with
-    | Error e -> failwith (Error.to_string e)
-    | Ok pid ->
-      let r = Engine.report session1600 in
-      (match Engine.remove_path session1600 pid with
-      | Ok () -> ()
-      | Error e -> failwith (Error.to_string e));
-      r
-  in
-  let grown1600 =
-    Wl_core.Instance.of_vertex_seqs
-      (Wl_core.Instance.graph inst1600)
-      (List.map Wl_digraph.Dipath.vertices (Wl_core.Instance.paths_list inst1600)
-      @ [ bench_verts ])
-    |> Error.get_exn
-  in
-  (* Steady-state warm hit rate, measured over a prewarm burst (the
-     add/remove cycle is periodic, so these steps are representative). *)
-  let pre = Engine.stats session1600 in
-  for _ = 1 to 8 do
-    ignore (engine_step ())
-  done;
-  let post = Engine.stats session1600 in
-  let steady_rate =
-    Engine.hit_rate
-      {
-        post with
-        Engine.ops = post.Engine.ops - pre.Engine.ops;
-        warm_hits = post.Engine.warm_hits - pre.Engine.warm_hits;
-        fresh_colors = post.Engine.fresh_colors - pre.Engine.fresh_colors;
-        repairs = post.Engine.repairs - pre.Engine.repairs;
-        warm_removes = post.Engine.warm_removes - pre.Engine.warm_removes;
-      }
-  in
-  record "engine/add_path/n=1600"
-    [ ("n", 1600); ("paths", 1280) ]
-    ~extras:[ ("warm_hit_rate", steady_rate) ]
-    engine_step
-    (Some (fun () -> Solver.solve grown1600));
-  let engine_stats = Engine.stats session1600 in
-  Printf.printf
-    "  engine session: %d ops, warm hit rate %.3f, %d repairs, %d fallbacks, %d full solves\n"
-    engine_stats.Engine.ops
-    (Engine.hit_rate engine_stats)
-    engine_stats.Engine.repairs engine_stats.Engine.fallbacks
-    engine_stats.Engine.full_solves;
-  (* Parallel sweep trajectory: instances/s of the thm1 validation sweep at
-     increasing domain counts, through the dynamic-chunking engine. *)
-  (* Per-point parallel.../sweep... counters ride along so the trajectory
-     explains itself: seq_fallbacks/domains_clamped show when the engine
-     refused to spawn, domain_busy_ns shows who actually worked.  Metrics
-     stay on during the timed run — one atomic load per update, noise
-     well under the seed-to-seed variance. *)
-  let sweep_seeds = 400 in
-  let trajectory =
-    List.map
-      (fun d ->
-        Metrics.reset ();
-        Metrics.set_enabled true;
-        let t0 = Unix.gettimeofday () in
-        let failures = Wl_validate.Sweeps.run ~domains:d ~seeds:sweep_seeds
-            (List.assoc "thm1" Wl_validate.Sweeps.all)
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        Metrics.set_enabled false;
-        let prefixed p name =
-          String.length name >= String.length p
-          && String.sub name 0 (String.length p) = p
-        in
-        let counters =
-          List.filter
-            (fun (name, _) -> prefixed "parallel." name || prefixed "sweep." name)
-            (Metrics.snapshot ())
-        in
-        Metrics.reset ();
-        Printf.printf "  sweep/thm1 domains=%d %6d seeds %8.2fs %8.0f/s %s\n%!" d
-          sweep_seeds dt
-          (float_of_int sweep_seeds /. dt)
-          (if failures = [] then "ok" else "FAILURES");
-        (d, dt, failures = [], counters))
-      (List.sort_uniq compare [ 1; 2; domains ])
-  in
-  let sweep_json =
-    Jsonx.Arr
-      (List.map
-         (fun (d, dt, ok, counters) ->
-           Jsonx.Obj
-             [
-               ("sweep", Jsonx.Str "thm1");
-               ("domains", Jsonx.Int d);
-               ("seeds", Jsonx.Int sweep_seeds);
-               ("seconds", Jsonx.Float dt);
-               ("ok", Jsonx.Bool ok);
-               ( "counters",
-                 Jsonx.Obj
-                   (List.map
-                      (fun (n, i) -> (n, Store.json_of_instrument i))
-                      counters) );
-             ])
-         trajectory)
-  in
-  let entry =
-    Store.make
-      ~note:"bench/main.exe -- perf --json"
-      ~extra:[ ("sweep_trajectory", sweep_json) ]
-      ~domains (List.rev !points)
-  in
-  Store.write_file "BENCH_core.json" entry;
-  Printf.printf
-    "wrote BENCH_core.json (schema %s, rev %s, %d benches, %d trajectory \
-     points)\n"
-    Store.schema entry.Store.rev
-    (List.length entry.Store.points)
-    (List.length trajectory)
-
 let run_tables () =
   e1 ();
   e2 ();
@@ -819,30 +486,14 @@ let run_tables () =
   e12 ()
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let mode =
-    match List.find_opt (fun a -> not (String.length a > 0 && a.[0] = '-')) args with
-    | Some m -> m
-    | None -> "all"
-  in
-  let json = List.mem "--json" args in
-  let domains =
-    let rec find = function
-      | "--domains" :: v :: _ -> (
-        match int_of_string_opt v with
-        | Some d -> d
-        | None ->
-          prerr_endline ("bench: --domains expects an integer, got " ^ v);
-          exit 2)
-      | _ :: rest -> find rest
-      | [] -> Wl_util.Parallel.default_domains ()
-    in
-    find args
-  in
-  (match mode with
-  | "tables" -> run_tables ()
-  | "perf" -> if json then run_perf_json ~domains () else run_perf ()
-  | _ ->
+  match List.tl (Array.to_list Sys.argv) with
+  | [] | [ "tables" ] ->
     run_tables ();
-    run_perf ());
-  print_endline "bench: done"
+    print_endline "bench: done";
+    if !mismatches > 0 then begin
+      Printf.eprintf "bench: %d MISMATCH rows\n" !mismatches;
+      exit 1
+    end
+  | _ ->
+    prerr_endline "usage: main.exe [tables]";
+    exit 2

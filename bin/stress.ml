@@ -14,10 +14,8 @@
      --daemon ADDR  replay an add/remove churn against a running `wl wld`
                     daemon instead of running sweeps; with
                     [--sessions N] [--client-threads T] [--ops K] [--seed S]
-                    [--json] [--trace] [--record TRAJECTORY.jsonl]
-                    [--metrics-out PATH]
-                    publishes p50/p99 op latency and the warm-hit rate, and
-                    --record appends them as the serve/churn bench arm;
+                    [--json] [--trace] [--metrics-out PATH]
+                    publishes p50/p99 op latency and the warm-hit rate;
                     --trace attaches a deterministic trace context to every
                     request, so the daemon's flight rings and HDR exemplars
                     latch trace ids (pull them with `wl trace pull ADDR`)
@@ -47,9 +45,7 @@ module Prng = Wl_util.Prng
    Replays a Traffic-style add/remove churn against a running wld daemon:
    [sessions] tenants multiplexed over [threads] client connections, each
    tenant an independent engine session server-side.  Publishes p50/p99 op
-   latency and the warm-hit rate, and with --record appends them as a
-   serve/* arm to the bench trajectory (the PR 5 dashboard picks the arm
-   up from there). *)
+   latency and the warm-hit rate. *)
 
 let daemon_fail fmt = Printf.ksprintf (fun m -> prerr_endline ("stress: " ^ m); exit 74) fmt
 
@@ -63,7 +59,6 @@ type daemon_result = {
   p50_ns : int;
   p99_ns : int;
   warm_hit_rate : float;
-  latencies_ns : float list;
 }
 
 let run_daemon ~addr ~sessions ~threads ~ops ~seed ~json =
@@ -80,7 +75,6 @@ let run_daemon ~addr ~sessions ~threads ~ops ~seed ~json =
   let base = Wl_core.Instance.make dag [] in
   let tenant k = Printf.sprintf "t%05d" k in
   let hdrs = Array.init threads (fun _ -> Hdr.create ()) in
-  let lats = Array.make threads [] in
   let warm = Array.make threads 0 and accepted = Array.make threads 0 in
   let errors = Array.make threads 0 in
   let worker i () =
@@ -103,7 +97,6 @@ let run_daemon ~addr ~sessions ~threads ~ops ~seed ~json =
       let r = f () in
       let dt = Wl_obs.Clock.now_ns () - t0 in
       Hdr.record hdrs.(i) dt;
-      lats.(i) <- float_of_int dt :: lats.(i);
       r
     in
     (* round-robin over this thread's tenants so the whole population stays
@@ -156,32 +149,9 @@ let run_daemon ~addr ~sessions ~threads ~ops ~seed ~json =
     warm_hit_rate =
       (if accepted_total = 0 then 1.0
        else float_of_int warm_total /. float_of_int accepted_total);
-    latencies_ns = Array.fold_left (fun acc l -> List.rev_append l acc) [] lats;
   }
 
-let record_daemon_arm ~path ~sessions ~threads ~ops r =
-  let module Store = Wl_obs.Store in
-  let point =
-    {
-      Store.name = "serve/churn";
-      params =
-        [ ("sessions", sessions); ("client_threads", threads); ("ops_per_session", ops) ];
-      extras =
-        [
-          ("p50_ns", float_of_int r.p50_ns);
-          ("p99_ns", float_of_int r.p99_ns);
-          ("warm_hit_rate", r.warm_hit_rate);
-          ("ops_per_s", float_of_int r.total_ops /. r.wall_s);
-        ];
-      sample = Store.summarize r.latencies_ns;
-      baseline_ns = None;
-      counters = [];
-    }
-  in
-  Store.append path (Store.make ~note:"serve churn" ~domains:threads [ point ]);
-  Printf.printf "stress: recorded serve/churn arm to %s\n%!" path
-
-let daemon_mode ~addr ~sessions ~threads ~ops ~seed ~json ~trace ~record ~metrics_out =
+let daemon_mode ~addr ~sessions ~threads ~ops ~seed ~json ~trace ~metrics_out =
   Printf.printf
     "stress: daemon churn against %s: %d sessions, %d client threads, %d ops/session%s\n%!"
     addr sessions threads ops
@@ -200,7 +170,6 @@ let daemon_mode ~addr ~sessions ~threads ~ops ~seed ~json ~trace ~record ~metric
     (Printf.sprintf "%dns" r.p50_ns)
     (Printf.sprintf "%dns" r.p99_ns)
     (100. *. r.warm_hit_rate);
-  Option.iter (fun path -> record_daemon_arm ~path ~sessions ~threads ~ops r) record;
   (match metrics_out with
   | None -> ()
   | Some path ->
@@ -284,7 +253,7 @@ let () =
   let chosen = ref [] in
   let daemon = ref None in
   let sessions = ref 1000 and client_threads = ref 8 and ops = ref 32 in
-  let seed = ref 1 and json = ref false and record = ref None in
+  let seed = ref 1 and json = ref false in
   let trace = ref false in
   let rec parse = function
     | [] -> ()
@@ -327,9 +296,6 @@ let () =
     | "--trace" :: rest ->
       trace := true;
       parse rest
-    | "--record" :: v :: rest ->
-      record := Some v;
-      parse rest
     | "all" :: rest -> parse rest
     | name :: rest ->
       (match List.assoc_opt name Sweeps.all with
@@ -343,8 +309,7 @@ let () =
   (match !daemon with
   | Some addr ->
     daemon_mode ~addr ~sessions:!sessions ~threads:!client_threads ~ops:!ops
-      ~seed:!seed ~json:!json ~trace:!trace ~record:!record
-      ~metrics_out:!metrics_out
+      ~seed:!seed ~json:!json ~trace:!trace ~metrics_out:!metrics_out
   | None -> ());
   let to_run = if !chosen = [] then Sweeps.all else List.rev !chosen in
   match !replay_seed with

@@ -892,8 +892,8 @@ let report_cmd =
       & opt string "BENCH_trajectory.jsonl"
       & info [ "trajectory" ] ~docv:"FILE"
           ~doc:
-            "Trajectory to render (JSONL from wl bench --record, or a \
-             BENCH_core.json-style file).")
+            "Trajectory to render (JSONL from wl bench --record, or one \
+             standalone entry object).")
   in
   let html_out =
     Arg.(

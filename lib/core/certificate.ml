@@ -94,8 +94,3 @@ let audit inst (r : Solver.report) =
       c.Classify.n_internal_cycles cycles;
   if c.Classify.is_upp <> upp then fail "classification UPP flag wrong";
   List.rev !issues
-
-let audit_exn inst r =
-  match audit inst r with
-  | [] -> ()
-  | issues -> failwith ("Certificate.audit: " ^ String.concat "; " issues)

@@ -23,12 +23,6 @@ val of_array : Wl_dag.Dag.t -> Dipath.t array -> t
 val of_digraph : Digraph.t -> Dipath.t list -> (t, Error.t) result
 (** Checks acyclicity first; [Error (Cyclic _)] on a directed cycle. *)
 
-val of_digraph_exn : Digraph.t -> Dipath.t list -> t
-(** Raises {!Error.Error}.
-    @deprecated Use {!of_digraph} — one result-typed form per operation is
-    the API rule since the service split (see the table in {!module:Wl});
-    this twin remains only for legacy callers and will go in the next
-    major version. *)
 
 val of_vertex_seqs :
   Digraph.t -> Digraph.vertex list list -> (t, Error.t) result

@@ -140,8 +140,6 @@ let of_string text =
   in
   go 1 lines
 
-let of_string_exn text = Error.get_exn (of_string text)
-
 (* --- JSON mirror ----------------------------------------------------------- *)
 
 let to_json ?pretty inst =

@@ -39,12 +39,6 @@ val of_string : string -> (Instance.t, Error.t) result
     beyond {!current_version}, [Cyclic] when the arcs close a directed cycle,
     [Invalid_path] when a [path] line is not a dipath of the graph. *)
 
-val of_string_exn : string -> Instance.t
-(** Raises {!Error.Error}.
-    @deprecated Use {!of_string} — one result-typed form per operation is
-    the API rule since the service split (see the table in {!module:Wl});
-    this twin remains only for legacy callers and will go in the next
-    major version. *)
 
 val to_json : ?pretty:bool -> Instance.t -> string
 (** Renders the JSON mirror (always the current version). *)

@@ -13,11 +13,10 @@ val of_digraph : Digraph.t -> (t, string) result
     graph is not acyclic. *)
 
 val of_digraph_exn : Digraph.t -> t
-(** Raises [Invalid_argument] on a cyclic graph.
-    @deprecated Use {!of_digraph} — one result-typed form per operation is
-    the API rule since the service split (see the table in {!module:Wl});
-    this twin remains only for legacy callers and will go in the next
-    major version. *)
+(** For graphs acyclic by construction (generators, figures, acyclicity
+    already checked); raises [Invalid_argument] on a cyclic graph.  This
+    library sits below [Wl_core.Error], so untrusted input goes through
+    {!of_digraph} or [Wl_core.Instance.of_digraph]. *)
 
 val graph : t -> Digraph.t
 (** The underlying digraph. Callers must not mutate it (adding arcs would

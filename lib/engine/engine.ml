@@ -8,7 +8,6 @@ module Clock = Wl_obs.Clock
 module Hdr = Wl_obs.Hdr
 module Flight = Wl_obs.Flight
 module Ctx = Wl_obs.Ctx
-module Parallel = Wl_util.Parallel
 
 (* Global engine counters (no-ops until [Metrics.set_enabled]); the
    per-session [stats] record is always live, so the warm-start hit rate can
@@ -1159,41 +1158,6 @@ let submit s ops =
       ~args:[ ("ops", Trace.Int (List.length ops)) ]
       "engine.submit" run
   else run ()
-
-let submit_many ?domains ?max_in_flight jobs =
-  let n = Array.length jobs in
-  let distinct =
-    let seen = Hashtbl.create n in (* alloc-ok *)
-    Array.for_all
-      (fun (s, _) ->
-        if Hashtbl.mem seen s.sid then false
-        else begin
-          Hashtbl.add seen s.sid ();
-          true
-        end)
-      jobs
-  in
-  if not distinct then
-    (* The same session twice in one wave would race against itself; degrade
-       to deterministic sequential submission. *)
-    Array.map (fun (s, ops) -> submit s ops) jobs
-  else begin
-    let wave =
-      match max_in_flight with
-      | Some w when w > 0 -> w
-      | _ -> 4 * Parallel.default_domains ()
-    in
-    let out = Array.make n None in (* alloc-ok *)
-    let i = ref 0 in
-    while !i < n do
-      let hi = min n (!i + wave) in
-      let slice = Array.sub jobs !i (hi - !i) in
-      let results = Parallel.map_array ?domains (fun (s, ops) -> submit s ops) slice in
-      Array.iteri (fun k r -> out.(!i + k) <- Some r) results;
-      i := hi
-    done;
-    Array.map Option.get out
-  end
 
 (* --- invariant audit (for tests) ------------------------------------------- *)
 

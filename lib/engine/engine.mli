@@ -176,16 +176,6 @@ val submit : session -> op list -> batch
     never solved, so a dirty streak inside the batch costs one solve at the
     end, not one per op. *)
 
-val submit_many :
-  ?domains:int ->
-  ?max_in_flight:int ->
-  (session * op list) array ->
-  batch array
-(** Independent sessions solve in parallel over {!Wl_util.Parallel} domains,
-    processed in waves of [max_in_flight] (default [4 * default_domains ()])
-    as backpressure.  If the same session appears twice the whole call
-    degrades to deterministic sequential submission. *)
-
 (** {1 Snapshot / rollback} *)
 
 type snapshot

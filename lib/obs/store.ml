@@ -4,10 +4,10 @@
    every point summarizes repeated measurements as median + MAD +
    coefficient of variation, so the regression detector downstream can
    distinguish a real shift from machine noise.  The reader also accepts
-   the older /1-/2 single-measurement shape (BENCH_core.json style, both
-   as a standalone pretty-printed object and as JSONL lines), mapping
-   ns_per_op to a one-run sample, so pre-observatory points replay into
-   the same history. *)
+   the older /1-/2 single-measurement shape (both as a standalone
+   pretty-printed object and as JSONL lines), mapping ns_per_op to a
+   one-run sample, so pre-observatory points replay into the same
+   history. *)
 
 module Jsonx = Wl_json.Jsonx
 
@@ -274,12 +274,6 @@ let append path e =
   output_char oc '\n';
   close_out oc
 
-let write_file path e =
-  let oc = open_out path in
-  output_string oc (Jsonx.to_string ~pretty:true (to_json e));
-  output_char oc '\n';
-  close_out oc
-
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
@@ -288,9 +282,8 @@ let load path =
     if contents = "" then Ok []
     else
       (* A whole-file parse succeeds for a standalone (possibly
-         pretty-printed) object — the BENCH_core.json shape; a JSONL
-         trajectory fails it with trailing garbage and is parsed line by
-         line instead. *)
+         pretty-printed) object; a JSONL trajectory fails it with
+         trailing garbage and is parsed line by line instead. *)
       match Jsonx.parse contents with
       | Ok j -> Result.map (fun e -> [ e ]) (of_json j)
       | Error _ ->

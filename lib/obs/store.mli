@@ -8,10 +8,9 @@
     gate can widen its tolerance exactly when the machine is noisy.
 
     The on-disk format is schema [wavelength-bench-core/3]: one JSON
-    object per line ([BENCH_trajectory.jsonl]), or a standalone
-    pretty-printed object ([BENCH_core.json]).  {!load} reads both, and
-    also accepts the pre-observatory [/1]-[/2] shape (single
-    [ns_per_op] measurement, no spread), mapping it to a one-run
+    object per line ([BENCH_trajectory.jsonl]).  {!load} also reads a
+    standalone object, and accepts the pre-observatory [/1]-[/2] shape
+    (single [ns_per_op] measurement, no spread), mapping it to a one-run
     sample so old baselines replay into the same history. *)
 
 type sample = {
@@ -82,10 +81,6 @@ val of_json : Wl_json.Jsonx.t -> (entry, string) result
 val append : string -> entry -> unit
 (** Append one JSONL line to the trajectory at this path, creating the
     file if needed. *)
-
-val write_file : string -> entry -> unit
-(** Write a standalone pretty-printed entry (the [BENCH_core.json]
-    shape), truncating. *)
 
 val load : string -> (entry list, string) result
 (** Read a trajectory.  Accepts a JSONL file (one entry per line, in

@@ -234,9 +234,17 @@ let with_ctx ctx f =
     Fun.protect ~finally:(fun () -> Ctx.set prev) f
   end
 
+let traced ctx = (not (Ctx.is_none ctx)) && Trace.enabled ()
+
+let queue_wait ctx ~t0_us ~t1_us =
+  with_ctx ctx (fun () -> Trace.span_between "serve.queue_wait" ~t0_us ~t1_us)
+
+(* The one dispatch path: the threaded worker answers each queued job
+   through it and [call_sync] each call, so both modes run the same engine
+   calls and a mutation solves lazily, as on a bare session. *)
 let handle_traced t sh ~ctx req =
   with_ctx ctx (fun () ->
-      if Ctx.is_none ctx || not (Trace.enabled ()) then handle_one t sh req
+      if not (traced ctx) then handle_one t sh req
       else
         Trace.with_span "serve.batch"
           ~args:[ ("shard", Trace.Int sh.sid); ("jobs", Trace.Int 1) ]
@@ -245,177 +253,33 @@ let handle_traced t sh ~ctx req =
               ~args:[ ("verb", Trace.Str (Proto.verb_of_req req)) ]
               (fun () -> handle_one t sh req)))
 
-(* --- wave batching --------------------------------------------------------- *)
+(* --- worker loop ----------------------------------------------------------- *)
 
-(* A tenant's slice of one submit_many wave: jobs in order, each owed
-   [nops] outcomes; at most one trailing Submit job (it consumes the
-   batch report, so nothing of that tenant's may run after it). *)
-type run = { tenant : string; session : Engine.session; mutable jobs : (job * int) list }
-
-let job_ops (req : Proto.req) =
-  match req with
-  | Proto.Add_path { vertices; _ } -> Some [ Engine.Add_path vertices ]
-  | Proto.Remove_path { id; _ } -> Some [ Engine.Remove_path id ]
-  | Proto.Add_arc { tail; head; _ } -> Some [ Engine.Add_arc (tail, head) ]
-  | Proto.Submit { ops; _ } -> Some ops
-  | _ -> None
-
-let is_submit = function Proto.Submit _ -> true | _ -> false
-
-let finish job reply =
+let run_job t sh job =
+  if traced job.ctx then queue_wait job.ctx ~t0_us:job.enq_us ~t1_us:(Clock.now_us ());
+  let reply = handle_traced t sh ~ctx:job.ctx job.req in
   Mutex.lock job.job_m;
   job.reply <- Some reply;
   Condition.signal job.job_c;
   Mutex.unlock job.job_m
 
-let single_reply (req : Proto.req) (o : (Engine.op_outcome, Error.t) result) : Proto.reply =
-  match (req, o) with
-  | Proto.Add_path _, Ok (Engine.Path_added id) -> Ok (Proto.R_path id)
-  | Proto.Remove_path { id; _ }, Ok (Engine.Path_removed _) -> Ok (Proto.R_removed id)
-  | Proto.Add_arc _, Ok (Engine.Arc_added a) -> Ok (Proto.R_arc a)
-  | _, Error e -> Error e
-  | _, Ok _ -> Error (Error.Invalid_op "batch outcome shape mismatch")
-
-let distribute run (b : Engine.batch) =
-  let off = ref 0 in
-  List.iter
-    (fun (job, nops) ->
-      let slice = Array.sub b.Engine.outcomes !off nops in
-      off := !off + nops;
-      match job.req with
-      | Proto.Submit _ ->
-        finish job
-          (Ok
-             (Proto.R_outcomes
-                {
-                  outcomes = Array.map (Result.map Proto.outcome_of_engine) slice;
-                  after = Proto.report_of_solver b.Engine.batch_report;
-                }))
-      | req -> finish job (single_reply req slice.(0)))
-    run.jobs
-
-(* Collect the longest prefix of [wave] in which every tenant contributes
-   one submit_many entry; returns the runs (wave order) and the rest. *)
-let collect_runs sh wave =
-  let runs = ref [] in
-  let find tenant = List.find_opt (fun r -> r.tenant = tenant) !runs in
-  let closed r =
-    match r.jobs with (j, _) :: _ -> is_submit j.req | [] -> false
-  in
-  let rec go = function
-    | [] -> []
-    | job :: rest as jobs -> (
-      match (job_ops job.req, Proto.tenant_of_req job.req) with
-      | Some ops, Some tenant -> (
-        match Hashtbl.find_opt sh.sessions tenant with
-        | None ->
-          finish job (Error (no_session tenant));
-          go rest
-        | Some session -> (
-          match find tenant with
-          | Some r when closed r -> jobs (* report barrier: next wave *)
-          | Some r ->
-            r.jobs <- (job, List.length ops) :: r.jobs;
-            go rest
-          | None ->
-            runs := { tenant; session; jobs = [ (job, List.length ops) ] } :: !runs;
-            go rest))
-      | _ -> jobs (* query or admin: barrier *))
-  in
-  let rest = go wave in
-  (List.rev_map (fun r -> r.jobs <- List.rev r.jobs; r) !runs, rest)
-
-let mutation_prefix wave =
-  match wave with
-  | job :: _ -> job_ops job.req <> None
-  | [] -> false
-
-(* The first traced context in a run labels the whole engine batch: a
-   wave mixes jobs from many clients, and one submit serves them all. *)
-let run_ctx run =
-  List.fold_left (fun acc (j, _) -> if Ctx.is_none acc then j.ctx else acc) Ctx.none run.jobs
-
-let rec process t sh wave =
-  match wave with
-  | [] -> ()
-  | job :: rest when not (mutation_prefix wave) ->
-    finish job (handle_traced t sh ~ctx:job.ctx job.req);
-    process t sh rest
-  | _ ->
-    let runs, rest = collect_runs sh wave in
-    (match runs with
-    | [] -> ()
-    | [ run ] ->
-      (* one tenant: plain submit, no domain fan-out *)
-      let ops = List.concat_map (fun (j, _) -> Option.get (job_ops j.req)) run.jobs in
-      let ctx = run_ctx run in
-      let b =
-        with_ctx ctx (fun () ->
-            if Ctx.is_none ctx || not (Trace.enabled ()) then Engine.submit run.session ops
-            else
-              Trace.with_span "serve.batch"
-                ~args:
-                  [
-                    ("shard", Trace.Int sh.sid);
-                    ("tenant", Trace.Str run.tenant);
-                    ("jobs", Trace.Int (List.length run.jobs));
-                  ]
-                (fun () ->
-                  Trace.with_span "serve.engine"
-                    ~args:[ ("ops", Trace.Int (List.length ops)) ]
-                    (fun () -> Engine.submit run.session ops)))
-      in
-      distribute run b
-    | runs ->
-      let entries =
-        Array.of_list
-          (List.map
-             (fun r ->
-               (r.session, List.concat_map (fun (j, _) -> Option.get (job_ops j.req)) r.jobs))
-             runs)
-      in
-      (* submit_many fans runs out over domains; ambient context is
-         per-domain, so engine-side latching only follows the single-run
-         path — here the batch span alone carries the trace. *)
-      let ctx =
-        List.fold_left (fun acc r -> if Ctx.is_none acc then run_ctx r else acc) Ctx.none runs
-      in
-      let batches =
-        with_ctx ctx (fun () ->
-            if Ctx.is_none ctx || not (Trace.enabled ()) then Engine.submit_many entries
-            else
-              Trace.with_span "serve.batch"
-                ~args:[ ("shard", Trace.Int sh.sid); ("runs", Trace.Int (List.length runs)) ]
-                (fun () -> Engine.submit_many entries))
-      in
-      List.iteri (fun i r -> distribute r batches.(i)) runs);
-    process t sh rest
-
-(* --- worker loop ----------------------------------------------------------- *)
-
+(* Take the whole queue at once and answer it in order; the queue bound
+   is the backpressure. *)
 let worker_loop t sh =
   let rec loop () =
     Mutex.lock sh.m;
     while sh.queue = [] && not sh.stopping do
       Condition.wait sh.nonempty sh.m
     done;
-    let wave = List.rev sh.queue in
+    let jobs = List.rev sh.queue in
     sh.queue <- [];
     sh.queue_len <- 0;
     Condition.broadcast sh.nonfull;
     Mutex.unlock sh.m;
-    (if Trace.enabled () then
-       let t1_us = Clock.now_us () in
-       List.iter
-         (fun job ->
-           if not (Ctx.is_none job.ctx) then
-             with_ctx job.ctx (fun () ->
-                 Trace.span_between "serve.queue_wait" ~t0_us:job.enq_us ~t1_us))
-         wave);
-    match wave with
+    match jobs with
     | [] -> () (* stopping and flushed *)
-    | wave ->
-      process t sh wave;
+    | jobs ->
+      List.iter (run_job t sh) jobs;
       loop ()
   in
   loop ()
@@ -471,10 +335,9 @@ let call_sync t sh ~ctx req =
       else begin
         (* Synchronous dispatch never queues — a zero-width queue-wait
            span keeps the traced span set identical across modes. *)
-        (if (not (Ctx.is_none ctx)) && Trace.enabled () then
-           with_ctx ctx (fun () ->
-               let now = Clock.now_us () in
-               Trace.span_between "serve.queue_wait" ~t0_us:now ~t1_us:now));
+        (if traced ctx then
+           let now = Clock.now_us () in
+           queue_wait ctx ~t0_us:now ~t1_us:now);
         handle_traced t sh ~ctx req
       end)
 

@@ -6,18 +6,21 @@
     without any per-session locking.
 
     In {e threaded} mode (the daemon) each worker is its own domain
-    draining a bounded job queue.  A worker takes the whole queue as one
-    {e wave} and feeds the leading run of mutations — grouped per tenant,
-    order preserved — through {!Wl_engine.Engine.submit_many}, so
-    concurrent tenants solve in parallel and a dirty streak costs one
-    solve per tenant per wave.  The queue bound is the backpressure:
+    draining a bounded job queue: it takes the whole queue at once and
+    answers the jobs in order.  The queue bound is the backpressure:
     {!call} blocks when the worker is [max_queue] jobs behind.
 
     In {e synchronous} mode (the in-process loopback client, the fuzz
     oracles) there are no domains: {!call} executes the request inline
-    under the shard's lock.  Same dispatch code, deterministic stats —
-    which is what makes a loopback client comparable op-for-op with a
-    bare engine session. *)
+    under the shard's lock.
+
+    Both modes answer every request through one function, which makes
+    the same engine calls a bare session would: a mutation goes
+    straight to {!Wl_engine.Engine.add_path} (or [remove_path],
+    [add_arc]) and solves lazily, a [Submit] goes through
+    {!Wl_engine.Engine.submit}.  So a client in either mode counts the
+    same {!Wl_engine.Engine.stats} as a bare session given the same
+    calls. *)
 
 module Engine = Wl_engine.Engine
 

@@ -7,7 +7,7 @@ let default_domains () = min 8 (Domain.recommended_domain_count ())
 (* Observability: one map-level counter set plus per-domain busy/chunk
    figures, so a trace of a slow sweep shows where the wall-clock went —
    in particular whether extra domains did useful work or just paid the
-   spawn + minor-GC-barrier tax (the BENCH_core.json 2-domain anomaly). *)
+   spawn + minor-GC-barrier tax. *)
 let m_maps = Metrics.counter "parallel.maps"
 let m_items = Metrics.counter "parallel.items"
 let m_chunks = Metrics.counter "parallel.chunks"

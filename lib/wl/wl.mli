@@ -17,21 +17,17 @@
     serialization and session layers has exactly one blessed form, and it
     returns [('a, Wl_core.Error.t) result] — the same structured error
     that crosses the [wlrpc/1] wire and maps onto the CLI's sysexits codes
-    ({!Error.to_code}).  The historical [_exn] twins are deprecated:
+    ({!Error.to_code}).
 
-    {t
-    | Deprecated                  | Use instead              | Notes |
-    |------------------------------|--------------------------|-------|
-    | [Serial.of_string_exn]       | {!Serial.of_string}      | structured [Parse]/[Cyclic]/[Invalid_path] errors |
-    | [Instance.of_digraph_exn]    | {!Instance.of_digraph}   | [Error (Cyclic _)] instead of a raise |
-    | [Dag.of_digraph_exn]         | {!Dag.of_digraph}        | cycle witness in the [Error] payload |
-    | [Certificate.audit_exn]      | {!Certificate.audit}     | match on the issue list |
-    }
-
-    Two [_exn] twins are kept on purpose — {!Engine.add_dipath_exn} and
-    {!Engine.remove_path_exn} — because their warm steady state performs
-    zero minor allocation and a result cell would break that; they are the
-    documented hot-path exceptions, not a pattern to extend.
+    Three [_exn] forms are kept on purpose, and they are the documented
+    exceptions, not a pattern to extend:
+    {ul
+    {- {!Engine.add_dipath_exn} and {!Engine.remove_path_exn}: their warm
+       steady state performs zero minor allocation, and a result cell
+       would break that;}
+    {- {!Dag.of_digraph_exn}: the DAG layer sits below {!Error}, and its
+       library callers build graphs that are acyclic by construction;
+       untrusted graphs go through {!Instance.of_digraph}.}}
 
     {2 The service way in}
 

@@ -45,12 +45,7 @@ let test_detects_tampering () =
   let tampered_count = { r with Solver.n_wavelengths = r.Solver.n_wavelengths + 1 } in
   check "count detected" true (Certificate.audit inst tampered_count <> []);
   let tampered_method = { r with Solver.method_used = Solver.Theorem_1 } in
-  check "method misuse detected" true (Certificate.audit inst tampered_method <> []);
-  Alcotest.check_raises "audit_exn raises"
-    (Failure
-       (match Certificate.audit inst tampered_pi with
-       | issues -> "Certificate.audit: " ^ String.concat "; " issues))
-    (fun () -> Certificate.audit_exn inst tampered_pi)
+  check "method misuse detected" true (Certificate.audit inst tampered_method <> [])
 
 let suite =
   [

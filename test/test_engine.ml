@@ -296,42 +296,6 @@ let random_ops rng g ~n_initial ~count =
         incr next;
         Engine.Add_path (go v0 [ v0 ] 0))
 
-let test_submit_many_matches_sequential () =
-  let mk seed =
-    let inst = random_nic_instance ~n:12 ~k:6 seed in
-    let s = warmed inst in
-    let rng = Prng.create (seed + 1000) in
-    let ops =
-      random_ops rng (Instance.graph inst) ~n_initial:(Instance.n_paths inst)
-        ~count:8
-    in
-    (s, ops)
-  in
-  let jobs_par = Array.init 6 (fun i -> mk (100 + i)) in
-  let jobs_seq = Array.init 6 (fun i -> mk (100 + i)) in
-  let par = Engine.submit_many ~max_in_flight:3 jobs_par in
-  let seq = Array.map (fun (s, ops) -> Engine.submit s ops) jobs_seq in
-  check_int "batches" (Array.length seq) (Array.length par);
-  Array.iteri
-    (fun i bp ->
-      let bs = seq.(i) in
-      check "outcomes agree" true (bp.Engine.outcomes = bs.Engine.outcomes);
-      check_int "wavelengths agree" bs.Engine.batch_report.Solver.n_wavelengths
-        bp.Engine.batch_report.Solver.n_wavelengths;
-      check "parallel session equivalent" true (equivalent (fst jobs_par.(i))))
-    par
-
-let test_duplicate_sessions_degrade () =
-  let inst = instance_of_arcs 6 base_arcs [ [ 0; 1 ] ] in
-  let s = warmed inst in
-  let jobs =
-    [| (s, [ Engine.Add_path [ 1; 2 ] ]); (s, [ Engine.Add_path [ 2; 3 ] ]) |]
-  in
-  let out = Engine.submit_many jobs in
-  check_int "both ran" 2 (Array.length out);
-  check_int "three live paths" 3 (Engine.n_live_paths s);
-  check "equivalent" true (equivalent s)
-
 (* --- the equivalence property over random op sequences ----------------------- *)
 
 let equivalence_prop ?repair_budget seed =
@@ -429,10 +393,6 @@ let suite =
         Alcotest.test_case "snapshot rollback" `Quick test_snapshot_rollback;
         Alcotest.test_case "foreign snapshot" `Quick test_foreign_snapshot_rejected;
         Alcotest.test_case "submit batch" `Quick test_submit_batch;
-        Alcotest.test_case "submit_many parallel" `Quick
-          test_submit_many_matches_sequential;
-        Alcotest.test_case "submit_many duplicates" `Quick
-          test_duplicate_sessions_degrade;
         equivalence_random;
         equivalence_no_budget;
         Alcotest.test_case "script roundtrip" `Quick test_script_roundtrip;

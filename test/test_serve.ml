@@ -255,6 +255,50 @@ let test_loopback_json_and_batch () =
   check_int "after pi" b.Client.after.Proto.pi 1;
   Client.close c
 
+(* --- one dispatch path ------------------------------------------------------- *)
+
+let test_threaded_dispatch_matches_engine () =
+  (* Figure 3's DAG has an internal cycle, so the warm path is off and a
+     session solves once per dirty streak, when a report is read.  Both
+     shard modes must count the solves a bare session counts, call for
+     call. *)
+  let fig3 = Wl_netgen.Figures.fig3 () in
+  let base = Instance.make (Instance.dag fig3) [] in
+  let round =
+    List.map (fun p -> `Add (Wl_digraph.Dipath.vertices p)) (Instance.paths_list fig3)
+    @ [ `Report ]
+  in
+  let bare = Engine.create base in
+  ignore (Engine.report bare) (* an Open replies with a report *);
+  let clients =
+    [ ("threaded", Client.local ~threaded:true ~shards:2 ()); ("sync", Client.local ()) ]
+  in
+  let sessions =
+    List.map
+      (fun (mode, c) -> (mode, ok_exn "open" (Client.open_session c ~tenant:"fig3" base)))
+      clients
+  in
+  List.iteri
+    (fun k call ->
+      (match call with
+      | `Add vs -> ignore (ok_exn "engine add" (Engine.add_path bare vs))
+      | `Report -> ignore (Engine.report bare)
+      | `Remove id -> ok_exn "engine remove" (Engine.remove_path bare id));
+      List.iter
+        (fun (mode, s) ->
+          (match call with
+          | `Add vs -> ignore (ok_exn "add" (Client.add_path s vs))
+          | `Report -> ignore (ok_exn "report" (Client.report s))
+          | `Remove id -> ok_exn "remove" (Client.remove_path s id));
+          check
+            (Printf.sprintf "call %d: %s stats = bare engine" k mode)
+            true
+            (ok_exn "stats" (Client.stats s) = Engine.stats bare))
+        sessions)
+    (round @ round @ [ `Remove 0 ]);
+  check_int "one solve per dirty streak" 3 (Engine.stats bare).Engine.full_solves;
+  List.iter (fun (_, c) -> Client.close c) clients
+
 (* --- trace context on the wire ----------------------------------------------- *)
 
 module Ctx = Wl_obs.Ctx
@@ -448,6 +492,8 @@ let suite =
         Alcotest.test_case "addresses" `Quick test_addresses;
         Alcotest.test_case "loopback client" `Quick test_loopback;
         Alcotest.test_case "json loopback batch" `Quick test_loopback_json_and_batch;
+        Alcotest.test_case "threaded dispatch = engine" `Quick
+          test_threaded_dispatch_matches_engine;
         Alcotest.test_case "ctx on the wire" `Quick test_ctx_on_the_wire;
         Alcotest.test_case "daemon introspection" `Quick test_introspection;
         Alcotest.test_case "traced call span tree" `Quick
