@@ -854,7 +854,7 @@ let bench_cmd =
 
 (* --- report --- *)
 
-let report trajectory html_out check last window threshold =
+let report trajectory last window threshold =
   let history = load_history trajectory in
   if history = [] then begin
     Printf.eprintf
@@ -868,22 +868,7 @@ let report trajectory html_out check last window threshold =
     | _ -> history
   in
   Format.printf "%a@." (Report.pp_terminal ~window ~threshold_pct:threshold)
-    history;
-  let html = Report.html ~window ~threshold_pct:threshold history in
-  (match html_out with
-  | Some out ->
-    let oc = open_out out in
-    output_string oc html;
-    close_out oc;
-    Printf.printf "wrote %s (%d bytes, %d entries)\n" out (String.length html)
-      (List.length history)
-  | None -> ());
-  if check then
-    match Report.check_html ~history html with
-    | Ok n -> Printf.printf "report ok: all %d bench names present\n" n
-    | Error msg ->
-      Printf.eprintf "wl: report check failed: %s\n" msg;
-      exit 1
+    history
 
 let report_cmd =
   let trajectory =
@@ -894,23 +879,6 @@ let report_cmd =
           ~doc:
             "Trajectory to render (JSONL from wl bench --record, or one \
              standalone entry object).")
-  in
-  let html_out =
-    Arg.(
-      value
-      & opt (some string) None ~vopt:(Some "BENCH_report.html")
-      & info [ "html" ] ~docv:"FILE"
-          ~doc:
-            "Also write the self-contained HTML dashboard (defaults to \
-             BENCH_report.html when $(docv) is omitted).")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Verify the generated HTML is well-formed and mentions every \
-             bench in the trajectory; exits 1 otherwise.")
   in
   let last =
     Arg.(
@@ -931,11 +899,9 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Render the bench trajectory: a terminal dashboard (trend \
-          sparklines, baseline deltas, counter movements, GC by span) and \
-          optionally the single-file HTML report.")
-    Term.(
-      const report $ trajectory $ html_out $ check $ last $ window $ threshold)
+         "Render the bench trajectory as a terminal dashboard: trend \
+          sparklines, baseline deltas, counter movements and GC by span.")
+    Term.(const report $ trajectory $ last $ window $ threshold)
 
 (* --- trace-check --- *)
 

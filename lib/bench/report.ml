@@ -1,12 +1,7 @@
-(* Rendering the bench trajectory: a terminal dashboard and a
-   dependency-free single-file HTML report.
-
-   Both read the same Store history (last entry = current run) and the
-   same gate comparison, so what CI prints and what the dashboard shows
-   can never disagree.  The HTML page embeds the trajectory as inline
-   JSON and renders small-multiple SVG line charts with plain DOM
-   scripting — no external scripts or styles, so the file can be
-   archived as a build artifact and opened anywhere. *)
+(* Rendering the bench trajectory as a terminal dashboard.  It reads the
+   Store history (last entry = current run) and runs the same gate
+   comparison as `wl bench --gate`, so the report and the gate cannot
+   disagree. *)
 
 module Jsonx = Wl_json.Jsonx
 module Store = Wl_obs.Store
@@ -224,484 +219,3 @@ let pp_terminal ?(window = 5) ?(threshold_pct = 10.) ppf history =
             r.gr_minor_w r.gr_minor_gcs r.gr_major_gcs)
         rows);
     Format.fprintf ppf "@]"
-
-(* --- HTML ----------------------------------------------------------------- *)
-
-(* Inline JSON inside a <script> must not contain "</" (a "</script>"
-   inside a string would end the block early). *)
-let escape_script s =
-  let buf = Buffer.create (String.length s) in
-  String.iteri
-    (fun i c ->
-      if c = '/' && i > 0 && s.[i - 1] = '<' then Buffer.add_string buf "\\/"
-      else Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let style =
-  {|
-:root {
-  --surface: #fcfcfb;
-  --surface-raised: #f4f4f2;
-  --text: #0b0b0b;
-  --text-secondary: #52514e;
-  --grid: #e4e3df;
-  --series: #2a78d6;
-  --good: #008300;
-  --serious: #e34948;
-}
-@media (prefers-color-scheme: dark) {
-  :root {
-    --surface: #1a1a19;
-    --surface-raised: #242422;
-    --text: #ffffff;
-    --text-secondary: #c3c2b7;
-    --grid: #33332f;
-    --series: #3987e5;
-    --good: #31b331;
-    --serious: #e66767;
-  }
-}
-:root[data-theme="light"] {
-  --surface: #fcfcfb;
-  --surface-raised: #f4f4f2;
-  --text: #0b0b0b;
-  --text-secondary: #52514e;
-  --grid: #e4e3df;
-  --series: #2a78d6;
-  --good: #008300;
-  --serious: #e34948;
-}
-:root[data-theme="dark"] {
-  --surface: #1a1a19;
-  --surface-raised: #242422;
-  --text: #ffffff;
-  --text-secondary: #c3c2b7;
-  --grid: #33332f;
-  --series: #3987e5;
-  --good: #31b331;
-  --serious: #e66767;
-}
-* { box-sizing: border-box; }
-body {
-  margin: 0; padding: 24px;
-  background: var(--surface); color: var(--text);
-  font: 14px/1.5 system-ui, -apple-system, "Segoe UI", sans-serif;
-}
-header { display: flex; align-items: baseline; gap: 16px; flex-wrap: wrap; }
-h1 { font-size: 18px; margin: 0; }
-.meta { color: var(--text-secondary); font-size: 13px; }
-button.toggle {
-  margin-left: auto; border: 1px solid var(--grid); background: var(--surface-raised);
-  color: var(--text); border-radius: 6px; padding: 4px 10px; cursor: pointer;
-}
-.banner { margin: 16px 0; font-size: 14px; }
-.banner .bad { color: var(--serious); font-weight: 600; }
-.banner .good { color: var(--good); }
-#charts, #alloc-charts { display: grid; grid-template-columns: repeat(auto-fill, minmax(480px, 1fr)); gap: 20px; }
-figure { margin: 0; background: var(--surface-raised); border-radius: 8px; padding: 12px 14px; }
-figcaption { font-size: 13px; margin-bottom: 4px; display: flex; gap: 10px; align-items: baseline; }
-figcaption .name { font-weight: 600; }
-figcaption .delta { color: var(--text-secondary); font-size: 12px; }
-figcaption .delta.bad { color: var(--serious); }
-figcaption .delta.good { color: var(--good); }
-svg { display: block; width: 100%; height: auto; }
-svg text { fill: var(--text-secondary); font-size: 10px; }
-.gridline { stroke: var(--grid); stroke-width: 1; }
-.axis { stroke: var(--grid); }
-.band { fill: var(--series); opacity: 0.14; }
-.line { fill: none; stroke: var(--series); stroke-width: 2; }
-.dot { fill: var(--series); }
-.hoverdot { fill: var(--series); stroke: var(--surface-raised); stroke-width: 2; display: none; }
-.crosshair { stroke: var(--grid); stroke-width: 1; display: none; }
-.tooltip {
-  position: fixed; pointer-events: none; display: none; z-index: 10;
-  background: var(--surface-raised); border: 1px solid var(--grid); border-radius: 6px;
-  padding: 6px 9px; font-size: 12px; color: var(--text); box-shadow: 0 2px 8px rgba(0,0,0,0.18);
-}
-.tooltip .k { color: var(--text-secondary); }
-table { border-collapse: collapse; margin-top: 24px; font-size: 13px; }
-th, td { text-align: right; padding: 4px 12px; border-bottom: 1px solid var(--grid); }
-th { color: var(--text-secondary); font-weight: 500; }
-th:first-child, td:first-child { text-align: left; }
-td.v-regression { color: var(--serious); font-weight: 600; }
-td.v-improvement { color: var(--good); }
-td.v-stable, td.v-new { color: var(--text-secondary); }
-details { margin-top: 20px; color: var(--text-secondary); }
-h2 { font-size: 15px; margin: 28px 0 4px; }
-|}
-
-let script =
-  {|
-(function () {
-  var fmt = function (ns) {
-    var a = Math.abs(ns);
-    if (a >= 1e9) return (ns / 1e9).toFixed(2) + ' s';
-    if (a >= 1e6) return (ns / 1e6).toFixed(2) + ' ms';
-    if (a >= 1e3) return (ns / 1e3).toFixed(2) + ' µs';
-    return Math.round(ns) + ' ns';
-  };
-  var entries = DATA.entries || [];
-  var gate = {};
-  (DATA.gate || []).forEach(function (g) { gate[g.bench] = g; });
-  var names = [];
-  entries.forEach(function (e) {
-    (e.benches || []).forEach(function (b) {
-      if (names.indexOf(b.name) < 0) names.push(b.name);
-    });
-  });
-
-  var tip = document.createElement('div');
-  tip.className = 'tooltip';
-  document.body.appendChild(tip);
-
-  var charts = document.getElementById('charts');
-  names.forEach(function (name) {
-    var pts = [];
-    entries.forEach(function (e) {
-      (e.benches || []).forEach(function (b) {
-        if (b.name === name)
-          pts.push({ rev: e.rev, ts: e.timestamp, med: b.median_ns,
-                     mad: b.mad_ns || 0, cv: b.cv || 0, runs: b.runs || 1 });
-      });
-    });
-    if (!pts.length) return;
-    var W = 480, H = 170, L = 58, R = 12, T = 14, B = 26;
-    var lo = Infinity, hi = -Infinity;
-    pts.forEach(function (p) {
-      lo = Math.min(lo, p.med - p.mad);
-      hi = Math.max(hi, p.med + p.mad);
-    });
-    if (hi <= lo) { hi = lo + Math.max(1, lo * 0.1); }
-    var pad = (hi - lo) * 0.08;
-    lo -= pad; hi += pad;
-    if (lo < 0) lo = 0;
-    var x = function (i) {
-      return pts.length === 1 ? (L + W - R) / 2
-        : L + (W - L - R) * i / (pts.length - 1);
-    };
-    var y = function (v) { return T + (H - T - B) * (1 - (v - lo) / (hi - lo)); };
-
-    var s = '<svg viewBox="0 0 ' + W + ' ' + H + '" role="img" aria-label="' +
-            name + ' trend">';
-    var ticks = 4;
-    for (var t = 0; t <= ticks; t++) {
-      var v = lo + (hi - lo) * t / ticks;
-      s += '<line class="gridline" x1="' + L + '" x2="' + (W - R) +
-           '" y1="' + y(v) + '" y2="' + y(v) + '"></line>';
-      s += '<text x="' + (L - 6) + '" y="' + (y(v) + 3) +
-           '" text-anchor="end">' + fmt(v) + '</text>';
-    }
-    s += '<line class="axis" x1="' + L + '" x2="' + L + '" y1="' + T +
-         '" y2="' + (H - B) + '"></line>';
-    if (pts.length > 1) {
-      var band = '';
-      pts.forEach(function (p, i) { band += x(i) + ',' + y(p.med + p.mad) + ' '; });
-      for (var i = pts.length - 1; i >= 0; i--)
-        band += x(i) + ',' + y(Math.max(lo, pts[i].med - pts[i].mad)) + ' ';
-      s += '<polygon class="band" points="' + band + '"></polygon>';
-      var line = '';
-      pts.forEach(function (p, i) {
-        line += (i ? 'L' : 'M') + x(i) + ' ' + y(p.med);
-      });
-      s += '<path class="line" d="' + line + '"></path>';
-    }
-    pts.forEach(function (p, i) {
-      s += '<circle class="dot" r="2.5" cx="' + x(i) + '" cy="' + y(p.med) +
-           '"></circle>';
-    });
-    var last = pts[pts.length - 1];
-    s += '<text x="' + Math.min(x(pts.length - 1) + 5, W - R - 40) + '" y="' +
-         (y(last.med) - 6) + '">' + fmt(last.med) + '</text>';
-    s += '<text x="' + L + '" y="' + (H - 8) + '">' + pts[0].rev + '</text>';
-    if (pts.length > 1)
-      s += '<text x="' + (W - R) + '" y="' + (H - 8) +
-           '" text-anchor="end">' + last.rev + '</text>';
-    s += '<line class="crosshair" y1="' + T + '" y2="' + (H - B) +
-         '"></line><circle class="hoverdot" r="4"></circle>';
-    s += '<rect class="hit" x="' + L + '" y="' + T + '" width="' +
-         (W - L - R) + '" height="' + (H - T - B) +
-         '" fill="transparent"></rect></svg>';
-
-    var fig = document.createElement('figure');
-    var g = gate[name];
-    var cap = '<figcaption><span class="name">' + name + '</span>';
-    if (g && g.verdict !== 'new') {
-      var cls = g.verdict === 'REGRESSION' ? 'bad'
-        : g.verdict === 'improvement' ? 'good' : '';
-      var glyph = g.verdict === 'REGRESSION' ? '▲ '
-        : g.verdict === 'improvement' ? '▼ ' : '';
-      cap += '<span class="delta ' + cls + '">' + glyph +
-             (g.delta_pct >= 0 ? '+' : '') + g.delta_pct.toFixed(1) +
-             '% vs baseline ' + fmt(g.baseline_med_ns) + '</span>';
-    }
-    cap += '</figcaption>';
-    fig.innerHTML = cap + s;
-    charts.appendChild(fig);
-
-    var svg = fig.querySelector('svg');
-    var hit = fig.querySelector('.hit');
-    var cross = fig.querySelector('.crosshair');
-    var hdot = fig.querySelector('.hoverdot');
-    hit.addEventListener('mousemove', function (ev) {
-      var r = svg.getBoundingClientRect();
-      var mx = (ev.clientX - r.left) * W / r.width;
-      var best = 0, bd = Infinity;
-      pts.forEach(function (p, i) {
-        var d = Math.abs(x(i) - mx);
-        if (d < bd) { bd = d; best = i; }
-      });
-      var p = pts[best];
-      cross.setAttribute('x1', x(best));
-      cross.setAttribute('x2', x(best));
-      cross.style.display = 'block';
-      hdot.setAttribute('cx', x(best));
-      hdot.setAttribute('cy', y(p.med));
-      hdot.style.display = 'block';
-      tip.style.display = 'block';
-      tip.style.left = (ev.clientX + 14) + 'px';
-      tip.style.top = (ev.clientY + 10) + 'px';
-      tip.innerHTML = '<div><span class="k">' + p.rev + '</span> ' +
-        (p.ts || '') + '</div><div>median ' + fmt(p.med) +
-        ' <span class="k">± ' + fmt(p.mad) + ' MAD, ' + p.runs +
-        ' runs</span></div>';
-    });
-    hit.addEventListener('mouseleave', function () {
-      cross.style.display = 'none';
-      hdot.style.display = 'none';
-      tip.style.display = 'none';
-    });
-  });
-
-  // Steady-state allocation small multiples: one chart per bench that
-  // carries the inlined "gc.minor_w" extra (minor words per op from the
-  // allocation pass), with a words formatter instead of the ns one.
-  var fmtW = function (w) {
-    var a = Math.abs(w);
-    if (a >= 1e6) return (w / 1e6).toFixed(2) + ' Mw';
-    if (a >= 1e3) return (w / 1e3).toFixed(1) + ' kw';
-    return Math.round(w) + ' w';
-  };
-  var acharts = document.getElementById('alloc-charts');
-  if (acharts) names.forEach(function (name) {
-    var pts = [];
-    entries.forEach(function (e) {
-      (e.benches || []).forEach(function (b) {
-        if (b.name === name && typeof b['gc.minor_w'] === 'number')
-          pts.push({ rev: e.rev, w: b['gc.minor_w'] });
-      });
-    });
-    if (!pts.length) return;
-    var W = 480, H = 120, L = 58, R = 12, T = 12, B = 22;
-    var lo = Infinity, hi = -Infinity;
-    pts.forEach(function (p) { lo = Math.min(lo, p.w); hi = Math.max(hi, p.w); });
-    if (hi <= lo) hi = lo + Math.max(1, lo * 0.1);
-    var pad = (hi - lo) * 0.08;
-    lo = Math.max(0, lo - pad); hi += pad;
-    var x = function (i) {
-      return pts.length === 1 ? (L + W - R) / 2
-        : L + (W - L - R) * i / (pts.length - 1);
-    };
-    var y = function (v) { return T + (H - T - B) * (1 - (v - lo) / (hi - lo)); };
-    var s = '<svg viewBox="0 0 ' + W + ' ' + H + '" role="img" aria-label="' +
-            name + ' allocation trend">';
-    for (var t = 0; t <= 2; t++) {
-      var v = lo + (hi - lo) * t / 2;
-      s += '<line class="gridline" x1="' + L + '" x2="' + (W - R) +
-           '" y1="' + y(v) + '" y2="' + y(v) + '"></line>';
-      s += '<text x="' + (L - 6) + '" y="' + (y(v) + 3) +
-           '" text-anchor="end">' + fmtW(v) + '</text>';
-    }
-    s += '<line class="axis" x1="' + L + '" x2="' + L + '" y1="' + T +
-         '" y2="' + (H - B) + '"></line>';
-    if (pts.length > 1) {
-      var line = '';
-      pts.forEach(function (p, i) { line += (i ? 'L' : 'M') + x(i) + ' ' + y(p.w); });
-      s += '<path class="line" d="' + line + '"></path>';
-    }
-    pts.forEach(function (p, i) {
-      s += '<circle class="dot" r="2.5" cx="' + x(i) + '" cy="' + y(p.w) +
-           '"></circle>';
-    });
-    var last = pts[pts.length - 1];
-    s += '<text x="' + Math.min(x(pts.length - 1) + 5, W - R - 40) + '" y="' +
-         (y(last.w) - 6) + '">' + fmtW(last.w) + '</text>';
-    s += '<text x="' + L + '" y="' + (H - 6) + '">' + pts[0].rev + '</text>';
-    if (pts.length > 1)
-      s += '<text x="' + (W - R) + '" y="' + (H - 6) +
-           '" text-anchor="end">' + last.rev + '</text>';
-    s += '</svg>';
-    var fig = document.createElement('figure');
-    fig.innerHTML = '<figcaption><span class="name">' + name +
-      '</span><span class="delta">steady-state minor words/op</span>' +
-      '</figcaption>' + s;
-    acharts.appendChild(fig);
-  });
-  if (acharts && !acharts.childElementCount) {
-    acharts.style.display = 'none';
-    var ah = document.getElementById('alloc-h2');
-    if (ah) ah.style.display = 'none';
-  }
-
-  var tbody = document.getElementById('summary-body');
-  if (entries.length) {
-    var cur = entries[entries.length - 1];
-    (cur.benches || []).forEach(function (b) {
-      var g = gate[b.name];
-      var tr = document.createElement('tr');
-      var verdict = g ? g.verdict : '';
-      var slug = verdict === 'REGRESSION' ? 'regression'
-        : verdict === 'improvement' ? 'improvement'
-        : verdict === 'new' ? 'new' : 'stable';
-      var glyph = slug === 'regression' ? '▲ '
-        : slug === 'improvement' ? '▼ '
-        : slug === 'new' ? '∘ ' : '';
-      tr.innerHTML = '<td>' + b.name + '</td><td>' + fmt(b.median_ns) +
-        '</td><td>' + fmt(b.mad_ns || 0) + '</td><td>' +
-        ((b.cv || 0) * 100).toFixed(1) + '%</td><td>' + (b.runs || 1) +
-        '</td><td>' + (g && verdict !== 'new'
-          ? (g.delta_pct >= 0 ? '+' : '') + g.delta_pct.toFixed(1) + '%'
-          : '-') +
-        '</td><td class="v-' + slug + '">' + glyph + (verdict || '-') + '</td>';
-      tbody.appendChild(tr);
-    });
-  }
-
-  document.getElementById('theme-toggle').addEventListener('click', function () {
-    var root = document.documentElement;
-    var dark = root.dataset.theme
-      ? root.dataset.theme === 'dark'
-      : window.matchMedia('(prefers-color-scheme: dark)').matches;
-    root.dataset.theme = dark ? 'light' : 'dark';
-  });
-})();
-|}
-
-let html ?(window = 5) ?(threshold_pct = 10.) history =
-  let current, prev_entries =
-    match List.rev history with
-    | [] -> (None, [])
-    | c :: p -> (Some c, List.rev p)
-  in
-  let gate =
-    Option.map
-      (fun c -> Store.compare ~window ~threshold_pct ~history:prev_entries c)
-      current
-  in
-  let payload =
-    Jsonx.Obj
-      [
-        ("entries", Jsonx.Arr (List.map Store.to_json history));
-        ( "gate",
-          match gate with
-          | None -> Jsonx.Null
-          | Some cmp ->
-            Jsonx.Arr
-              (List.map
-                 (fun v ->
-                   Jsonx.Obj
-                     [
-                       ("bench", Jsonx.Str v.Store.bench);
-                       ( "verdict",
-                         Jsonx.Str
-                           (Format.asprintf "%a" Store.pp_verdict
-                              v.Store.verdict) );
-                       ("delta_pct", Jsonx.Float v.Store.delta_pct);
-                       ("baseline_med_ns", Jsonx.Float v.Store.baseline_med_ns);
-                       ("current_ns", Jsonx.Float v.Store.current_ns);
-                     ])
-                 cmp.Store.verdicts) );
-      ]
-  in
-  let buf = Buffer.create 32768 in
-  let add = Buffer.add_string buf in
-  add "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n";
-  add
-    "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n";
-  add "<title>wavelength bench report</title>\n<style>";
-  add style;
-  add "</style>\n</head>\n<body>\n<header><h1>wavelength bench report</h1>";
-  (match current with
-  | Some c ->
-    add
-      (Printf.sprintf
-         "<span class=\"meta\">%s @ %s | %d entries | domains=%d | ocaml \
-          %s</span>"
-         c.Store.rev c.Store.timestamp (List.length history) c.Store.domains
-         c.Store.ocaml_version)
-  | None -> add "<span class=\"meta\">(empty trajectory)</span>");
-  add
-    "<button class=\"toggle\" id=\"theme-toggle\" type=\"button\">light/dark</button></header>\n";
-  (match gate with
-  | Some cmp ->
-    add "<p class=\"banner\">gate: ";
-    if cmp.Store.regressions > 0 then
-      add
-        (Printf.sprintf "<span class=\"bad\">▲ %d regression(s)</span>, "
-           cmp.Store.regressions)
-    else add "no regressions, ";
-    if cmp.Store.improvements > 0 then
-      add
-        (Printf.sprintf "<span class=\"good\">▼ %d improvement(s)</span>, "
-           cmp.Store.improvements);
-    add
-      (Printf.sprintf "%d stable, %d new.</p>\n" cmp.Store.stable
-         cmp.Store.new_benches)
-  | None -> ());
-  add "<div id=\"charts\"></div>\n";
-  add
-    "<h2 id=\"alloc-h2\">Steady-state allocation (gc.minor_w)</h2>\n\
-     <div id=\"alloc-charts\"></div>\n";
-  add
-    "<h2>Current run</h2>\n\
-     <table>\n\
-     <thead><tr><th>bench</th><th>median</th><th>MAD</th><th>CV</th><th>runs</th><th>delta</th><th>verdict</th></tr></thead>\n\
-     <tbody id=\"summary-body\"></tbody>\n\
-     </table>\n";
-  (* The verdict vocabulary rendered above, spelled out once for the
-     reader (and so the page carries the glyph legend, not color alone). *)
-  (match gate with
-  | Some cmp when cmp.Store.verdicts <> [] ->
-    add "<details><summary>How to read this</summary><p>";
-    add
-      "Each chart is one bench: the line is the median ns/op per recorded \
-       commit, the shaded band is ± one MAD. ▲ marks a regression beyond \
-       max(threshold, 3×MAD of the baseline window), ▼ an improvement \
-       beyond it, ∘ a bench with no history yet.";
-    add "</p></details>\n"
-  | _ -> ());
-  add "<script>\nconst DATA = ";
-  add (escape_script (Jsonx.to_string payload));
-  add ";\n";
-  add (escape_script script);
-  add "</script>\n</body>\n</html>\n";
-  Buffer.contents buf
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  if nn = 0 then true
-  else begin
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  end
-
-let check_html ~history html =
-  if
-    String.length html < 15
-    || String.sub html 0 15 <> "<!DOCTYPE html>"
-  then Error "report does not start with <!DOCTYPE html>"
-  else if not (contains html "</html>") then
-    Error "report is truncated: no closing </html>"
-  else begin
-    let names =
-      List.concat_map
-        (fun e -> List.map (fun p -> p.Store.name) e.Store.points)
-        history
-      |> List.sort_uniq String.compare
-    in
-    match List.filter (fun n -> not (contains html n)) names with
-    | [] -> Ok (List.length names)
-    | missing ->
-      Error
-        ("report is missing bench(es): " ^ String.concat ", " missing)
-  end

@@ -1,9 +1,8 @@
-(** Rendering the bench trajectory: terminal dashboard and single-file
-    HTML report.
+(** Rendering the bench trajectory as a terminal dashboard.
 
-    Both views read the same {!Wl_obs.Store} history (last entry =
-    current run) and run the same gate comparison, so what CI prints and
-    what the dashboard shows cannot disagree. *)
+    The view reads the {!Wl_obs.Store} history (last entry = current run)
+    and runs the same gate comparison as [wl bench --gate], so the report
+    and the gate cannot disagree. *)
 
 val human_ns : float -> string
 (** ["812 ns"], ["1.24 µs"], ["3.10 ms"], ["2.05 s"]. *)
@@ -23,18 +22,3 @@ val pp_terminal :
     movements vs the previous entry, and the GC-by-span summary of the
     current run.  [window]/[threshold_pct] are the gate parameters
     (defaults 5 / 10%%). *)
-
-val html :
-  ?window:int -> ?threshold_pct:float -> Wl_obs.Store.entry list -> string
-(** Self-contained HTML dashboard: the trajectory embedded as inline
-    JSON plus small-multiple SVG line charts (median line, ± MAD band,
-    hover tooltip), a gate banner, and a summary table — no external
-    scripts, fonts, or styles, so the file works offline and as a CI
-    artifact.  Light/dark follow the system preference, with a manual
-    toggle. *)
-
-val check_html : history:Wl_obs.Store.entry list -> string -> (int, string) result
-(** Well-formedness check used by tests and [wl report --check]: the
-    document must start with an HTML doctype, be fully closed, and
-    mention every bench name occurring anywhere in [history].  Returns
-    the number of bench names verified. *)

@@ -241,37 +241,6 @@ let test_legacy_v2_reader () =
       check "command preserved in extra" true
         (List.mem_assoc "command" e.Store.extra))
 
-(* --- dashboard well-formedness --------------------------------------------- *)
-
-let test_html_report_check () =
-  let history =
-    [
-      entry ~rev:"aaa111" [ point "thm1/color/n=120" 100.; point "load/pi/n=120" 50. ];
-      entry ~rev:"bbb222" [ point "thm1/color/n=120" 104.; point "load/pi/n=120" 49. ];
-    ]
-  in
-  let html = Report.html history in
-  (match Report.check_html ~history html with
-  | Ok n -> check_int "both benches rendered" 2 n
-  | Error m -> Alcotest.failf "well-formed report rejected: %s" m);
-  (* A truncated document must fail the check. *)
-  let broken = String.sub html 0 (String.length html / 2) in
-  (match Report.check_html ~history broken with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated report accepted");
-  (* Inline data may not terminate the script tag early. *)
-  check "</ escaped in embedded JSON" true
-    (not
-       (let tag = "</scr" in
-        let n = String.length html and m = String.length tag in
-        let rec scan i hits =
-          if i + m > n then hits
-          else if String.sub html i m = tag then scan (i + 1) (hits + 1)
-          else scan (i + 1) hits
-        in
-        (* exactly one real closing tag *)
-        scan 0 0 <> 1))
-
 let test_terminal_report_renders () =
   let history =
     [
@@ -313,8 +282,6 @@ let suite =
         Alcotest.test_case "load: missing file and garbage lines" `Quick
           test_load_missing_and_garbage;
         Alcotest.test_case "/2 legacy reader" `Quick test_legacy_v2_reader;
-        Alcotest.test_case "HTML report renders and checks" `Quick
-          test_html_report_check;
         Alcotest.test_case "terminal report renders" `Quick
           test_terminal_report_renders;
       ] );
