@@ -697,7 +697,7 @@ let load_history trajectory =
   else []
 
 let bench gate record trajectory runs quick threshold window note handicaps
-    alloc_handicaps domains =
+    alloc_handicaps =
   let handicaps =
     List.map
       (fun h -> or_die (parse_handicap ~flag:"handicap" ~unit:"NS" h))
@@ -719,7 +719,7 @@ let bench gate record trajectory runs quick threshold window note handicaps
            (List.map fst handicaps @ List.map fst alloc_handicaps)
        ^ ")");
   let entry =
-    Runner.run_suite ~quick ~runs ~handicaps ~alloc_handicaps ?note ?domains
+    Runner.run_suite ~quick ~runs ~handicaps ~alloc_handicaps ?note
       ~on_point:(fun p ->
         Printf.printf "  %-34s %12s  ± %-10s cv %4.1f%%\n%!" p.Store.name
           (Report.human_ns p.Store.sample.Store.median_ns)
@@ -834,12 +834,6 @@ let bench_cmd =
              named arm — an allocation regression for testing the \
              gc.minor_w gate end-to-end.")
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"D" ~doc:"Domain count recorded with the entry.")
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
@@ -850,7 +844,7 @@ let bench_cmd =
           either kind of regression exits 1.")
     Term.(
       const bench $ gate $ record $ trajectory $ runs $ quick $ threshold
-      $ window $ note $ handicap $ alloc_handicap $ domains)
+      $ window $ note $ handicap $ alloc_handicap)
 
 (* --- report --- *)
 

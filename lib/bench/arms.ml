@@ -17,7 +17,6 @@ type arm = {
   name : string;
   params : (string * int) list;
   run : unit -> unit;
-  baseline : (unit -> unit) option;
   extras : unit -> (string * float) list;
 }
 
@@ -45,7 +44,6 @@ let thm1_arm n =
     name = Printf.sprintf "thm1/color/n=%d" n;
     params = [ ("n", n); ("paths", k) ];
     run = (fun () -> ignore (Theorem1.color inst));
-    baseline = None;
     extras = no_extras;
   }
 
@@ -57,40 +55,6 @@ let dsatur_arm n =
     params =
       [ ("n", n); ("edge_pct", pct); ("edges", Wl_conflict.Ugraph.n_edges g) ];
     run = (fun () -> ignore (Wl_conflict.Coloring.dsatur g));
-    baseline = None;
-    extras = no_extras;
-  }
-
-(* [comps] disjoint dense blocks of [block] vertices each: enough
-   per-component work that the parallel mapper's probe goes wide, with
-   sequential DSATUR on the same graph as the reference arm.  The two
-   produce identical per-vertex colorings (see Coloring.dsatur_par), so
-   the speedup is pure scheduling. *)
-let dsatur_par_arm comps block =
-  let pct = 50 in
-  let n = comps * block in
-  let rng = Prng.create (1200 + n) in
-  let g = Wl_conflict.Ugraph.create n in
-  for c = 0 to comps - 1 do
-    let base = c * block in
-    for u = 0 to block - 1 do
-      for v = u + 1 to block - 1 do
-        if Prng.int rng 100 < pct then
-          Wl_conflict.Ugraph.add_edge g (base + u) (base + v)
-      done
-    done
-  done;
-  {
-    name = Printf.sprintf "coloring/dsatur-par/dense-n=%d" n;
-    params =
-      [
-        ("n", n);
-        ("components", comps);
-        ("edge_pct", pct);
-        ("edges", Wl_conflict.Ugraph.n_edges g);
-      ];
-    run = (fun () -> ignore (Wl_conflict.Coloring.dsatur_par g));
-    baseline = Some (fun () -> ignore (Wl_conflict.Coloring.dsatur g));
     extras = no_extras;
   }
 
@@ -105,7 +69,6 @@ let conflict_arm k =
     name = Printf.sprintf "conflict/build/%d-paths" k;
     params = [ ("n", n); ("paths", k) ];
     run = (fun () -> ignore (Conflict_of.build inst));
-    baseline = None;
     extras = no_extras;
   }
 
@@ -115,7 +78,6 @@ let load_arm n =
     name = Printf.sprintf "load/pi/n=%d" n;
     params = [ ("n", n); ("paths", 3 * n / 4) ];
     run = (fun () -> ignore (Load.pi inst));
-    baseline = None;
     extras = no_extras;
   }
 
@@ -142,7 +104,6 @@ let engine_arm n =
     name = Printf.sprintf "engine/add_path/n=%d" n;
     params = [ ("n", n); ("paths", k) ];
     run = step;
-    baseline = None;
     extras =
       (fun () ->
         [ ("warm_hit_rate", Engine.hit_rate (Engine.stats session)) ]);
@@ -168,7 +129,6 @@ let route_arm n =
         match Routing.select ~k:4 dag requests with
         | Ok sel -> last := Some sel
         | Error _ -> ());
-    baseline = None;
     extras =
       (fun () ->
         match !last with
@@ -186,7 +146,6 @@ let suite ?(quick = false) () =
     [
       thm1_arm 120;
       dsatur_arm 120;
-      dsatur_par_arm 4 60;
       conflict_arm 60;
       load_arm 120;
       engine_arm 120;
@@ -196,7 +155,6 @@ let suite ?(quick = false) () =
     [
       thm1_arm 400;
       dsatur_arm 300;
-      dsatur_par_arm 4 200;
       conflict_arm 150;
       load_arm 400;
       engine_arm 400;

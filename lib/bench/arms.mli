@@ -9,15 +9,13 @@ type arm = {
   name : string;  (** bench id, e.g. ["thm1/color/n=400"] *)
   params : (string * int) list;  (** recorded in the trajectory point *)
   run : unit -> unit;  (** one operation — the timed unit *)
-  baseline : (unit -> unit) option;  (** optional reference arm *)
   extras : unit -> (string * float) list;
       (** derived figures read after the runs (e.g. the engine session's
           warm-hit rate) *)
 }
 
 val suite : ?quick:bool -> unit -> arm list
-(** The standard arms: Theorem 1 coloring, dense DSATUR (sequential and
-    component-parallel with the sequential run as the baseline arm),
+(** The standard arms: Theorem 1 coloring, dense DSATUR,
     conflict-graph construction, load computation, a warm engine
     add/query/remove cycle through the prebuilt-dipath hot entries, and
     the full routing stage ([route/n=...]: {!Wl_core.Routing.select} over

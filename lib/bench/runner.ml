@@ -81,21 +81,18 @@ let observe (arm : Arms.arm) =
 let measure_arm ?runs (arm : Arms.arm) =
   let sample = measure ?runs arm.Arms.run in
   let alloc_w = measure_alloc arm.Arms.run in
-  let baseline_ns =
-    Option.map (fun b -> (measure ?runs b).Store.median_ns) arm.Arms.baseline
-  in
   let counters, extras = observe arm in
   {
     Store.name = arm.Arms.name;
     params = arm.Arms.params;
     extras = extras @ [ (Store.alloc_key, alloc_w) ];
     sample;
-    baseline_ns;
+    baseline_ns = None;
     counters;
   }
 
 let run_suite ?(quick = false) ?runs ?(handicaps = []) ?(alloc_handicaps = [])
-    ?note ?(domains = 0) ?(on_point = fun (_ : Store.point) -> ()) () =
+    ?note ?(on_point = fun (_ : Store.point) -> ()) () =
   let arms = Arms.suite ~quick () in
   let arms =
     List.fold_left
@@ -107,9 +104,6 @@ let run_suite ?(quick = false) ?runs ?(handicaps = []) ?(alloc_handicaps = [])
       (fun arms (name, words) -> Arms.with_alloc_handicap ~words name arms)
       arms alloc_handicaps
   in
-  let domains =
-    if domains > 0 then domains else Wl_util.Parallel.default_domains ()
-  in
   let points =
     List.map
       (fun arm ->
@@ -118,4 +112,4 @@ let run_suite ?(quick = false) ?runs ?(handicaps = []) ?(alloc_handicaps = [])
         p)
       arms
   in
-  Store.make ?note ~domains points
+  Store.make ?note ~domains:(Wl_util.Parallel.default_domains ()) points

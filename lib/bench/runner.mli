@@ -25,8 +25,7 @@ val observe : Arms.arm -> (string * Wl_json.Jsonx.t) list * (string * float) lis
     plus the arm's extras.  Resets Metrics/Prof around itself. *)
 
 val measure_arm : ?runs:int -> Arms.arm -> Wl_obs.Store.point
-(** {!measure} + {!observe} + the optional baseline, as a trajectory
-    point. *)
+(** {!measure} + {!measure_alloc} + {!observe}, as a trajectory point. *)
 
 val run_suite :
   ?quick:bool ->
@@ -34,7 +33,6 @@ val run_suite :
   ?handicaps:(string * int) list ->
   ?alloc_handicaps:(string * int) list ->
   ?note:string ->
-  ?domains:int ->
   ?on_point:(Wl_obs.Store.point -> unit) ->
   unit ->
   Wl_obs.Store.entry
@@ -42,5 +40,5 @@ val run_suite :
     current environment.  [handicaps] injects busy-wait regressions and
     [alloc_handicaps] synthetic per-op allocations (see
     {!Arms.with_handicap}/{!Arms.with_alloc_handicap}); [on_point] fires
-    after each arm for progress reporting; [domains] defaults to
-    [Wl_util.Parallel.default_domains ()]. *)
+    after each arm for progress reporting.  The entry records
+    [Wl_util.Parallel.default_domains ()] as its domain count. *)

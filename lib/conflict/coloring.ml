@@ -1,7 +1,5 @@
 module Bitset = Wl_util.Bitset
 module Arena = Wl_util.Arena
-module Union_find = Wl_util.Union_find
-module Parallel = Wl_util.Parallel
 module Metrics = Wl_obs.Metrics
 module Trace = Wl_obs.Trace
 
@@ -14,8 +12,6 @@ let c_pops = Metrics.counter "dsatur.bucket_pops"
 let c_lazy = Metrics.counter "dsatur.lazy_deletions"
 let c_words = Metrics.counter "dsatur.first_absent_words"
 let h_colors = Metrics.histogram "dsatur.colors"
-let c_par_runs = Metrics.counter "dsatur.par_runs"
-let c_par_comps = Metrics.counter "dsatur.par_components"
 
 type t = int array
 
@@ -241,102 +237,8 @@ let dsatur g =
   Metrics.observe h_colors (n_colors coloring);
   coloring
 
-(* Component-parallel DSATUR.  Saturation never crosses a component
-   boundary, so sequential DSATUR on a disconnected graph colors each
-   connected component exactly as a standalone run would: the global
-   max-saturation pick restricted to one component follows that
-   component's own pick order (an argmax landing in a component is the
-   argmax over it, and the degree/lowest-index tie-breaks are preserved
-   because the local numbering below keeps ascending global order).
-   Splitting on components and coloring them on separate domains is
-   therefore {e behavior-preserving per vertex} — the property test pins
-   it — and wavelengths merge with no palette offset, again exactly as
-   the sequential run reuses colors across components.
-
-   [Parallel.map_array] brings PR 2's probe logic with it: the first
-   component is timed sequentially and the whole map falls back to
-   sequential when the projected total is under its 2 ms threshold, so
-   small inputs never pay domain-spawn overhead.  Single-component
-   graphs skip the decomposition entirely. *)
-let dsatur_par_impl ?domains g =
-  let n = Ugraph.n_vertices g in
-  if n = 0 then [||]
-  else if
-    (* With a domain budget of one the split work is pure loss, so take
-       the sequential path before even running union-find.  An explicit
-       [domains] request above 1 is honored even on a single-core
-       machine (the mapper clamps internally) — that keeps the
-       split/merge path exercisable by tests anywhere. *)
-    (match domains with Some d -> d | None -> Parallel.default_domains ())
-    <= 1
-  then dsatur_impl g
-  else begin
-    let uf = Union_find.create n in
-    Ugraph.iter_edges (fun u v -> ignore (Union_find.union uf u v)) g;
-    let ncomp = Union_find.count uf in
-    Metrics.add c_par_comps ncomp;
-    if ncomp <= 1 then dsatur_impl g
-    else begin
-      (* Group vertices by component, local numbering ascending in the
-         global order (the tie-break-preserving remap). *)
-      let comp_of = Array.make n 0 in (* alloc-ok *)
-      let comp_idx = Array.make n (-1) in (* alloc-ok *)
-      let sizes = Array.make ncomp 0 in (* alloc-ok *)
-      let next = ref 0 in
-      for v = 0 to n - 1 do
-        let r = Union_find.find uf v in
-        if comp_idx.(r) < 0 then begin
-          comp_idx.(r) <- !next;
-          incr next
-        end;
-        let c = comp_idx.(r) in
-        comp_of.(v) <- c;
-        sizes.(c) <- sizes.(c) + 1
-      done;
-      let local = Array.make n 0 in (* alloc-ok *)
-      let cursor = Array.make ncomp 0 in (* alloc-ok *)
-      let verts = Array.init ncomp (fun c -> Array.make sizes.(c) 0) in (* alloc-ok *)
-      for v = 0 to n - 1 do
-        let c = comp_of.(v) in
-        let i = cursor.(c) in
-        local.(v) <- i;
-        verts.(c).(i) <- v;
-        cursor.(c) <- i + 1
-      done;
-      let subs = Array.init ncomp (fun c -> Ugraph.create sizes.(c)) in (* alloc-ok *)
-      (* iter_edges emits each edge once (u < v) from a valid graph, so
-         the unchecked insert is safe and skips the per-edge membership
-         probe — the split's dominant cost on dense graphs. *)
-      Ugraph.iter_edges
-        (fun u v -> Ugraph.unsafe_add_edge subs.(comp_of.(u)) local.(u) local.(v))
-        g;
-      let colorings = Parallel.map_array ?domains dsatur_impl subs in
-      let out = Array.make n (-1) in (* alloc-ok *)
-      for c = 0 to ncomp - 1 do
-        let vs = verts.(c) and col = colorings.(c) in
-        for i = 0 to Array.length vs - 1 do
-          out.(vs.(i)) <- col.(i)
-        done
-      done;
-      out
-    end
-  end
-
-let dsatur_par ?domains g =
-  Metrics.incr c_par_runs;
-  let coloring =
-    if Trace.enabled () then
-      Trace.with_span
-        ~args:[ ("vertices", Trace.Int (Ugraph.n_vertices g)) ]
-        "dsatur.par"
-        (fun () -> dsatur_par_impl ?domains g)
-    else dsatur_par_impl ?domains g
-  in
-  Metrics.observe h_colors (n_colors coloring);
-  coloring
-
-let best_heuristic ?domains g =
-  let a = greedy_desc_degree g and b = dsatur_par ?domains g in
+let best_heuristic g =
+  let a = greedy_desc_degree g and b = dsatur g in
   if n_colors a <= n_colors b then a else b
 
 let pp ppf coloring =

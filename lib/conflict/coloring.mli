@@ -33,18 +33,7 @@ val dsatur : Ugraph.t -> t
     buffers are retained, sized by the largest graph the domain has
     colored. *)
 
-val dsatur_par : ?domains:int -> Ugraph.t -> t
-(** Component-parallel DSATUR: splits the graph into connected
-    components (union-find), colors them across domains with
-    {!Wl_util.Parallel.map_array}, and merges — producing the {e same
-    per-vertex coloring} as {!dsatur} (saturation never crosses a
-    component boundary, and the component-local numbering preserves
-    every tie-break).  Falls back to plain sequential DSATUR for
-    single-component graphs and, via the mapper's probe, whenever the
-    projected total work is under its ~2 ms threshold.  [domains]
-    defaults to {!Wl_util.Parallel.default_domains}. *)
-
-val best_heuristic : ?domains:int -> Ugraph.t -> t
-(** The better of {!greedy_desc_degree} and {!dsatur_par}. *)
+val best_heuristic : Ugraph.t -> t
+(** The better of {!greedy_desc_degree} and {!dsatur}. *)
 
 val pp : Format.formatter -> t -> unit

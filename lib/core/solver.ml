@@ -65,7 +65,7 @@ let finish classification pi lower source assignment method_used =
     optimal = n_wavelengths = lower;
   }
 
-let solve_impl ?(exact_limit = 24) ?domains inst =
+let solve_impl ?(exact_limit = 24) inst =
   let classification = Classify.classify (Instance.dag inst) in
   let pi = Load.pi inst in
   let small = Instance.n_paths inst <= exact_limit in
@@ -99,7 +99,7 @@ let solve_impl ?(exact_limit = 24) ?domains inst =
        conflict graphs, so keep the better of the two. *)
     let assignment = Theorem6_multi.color ~check:false inst in
     let cg = Conflict_of.build inst in
-    let heuristic = Coloring.best_heuristic ?domains cg in
+    let heuristic = Coloring.best_heuristic cg in
     if
       Assignment.n_wavelengths (Assignment.normalize heuristic)
       < Assignment.n_wavelengths (Assignment.normalize assignment)
@@ -121,7 +121,7 @@ let solve_impl ?(exact_limit = 24) ?domains inst =
   end
   else begin
     let cg = Conflict_of.build inst in
-    let coloring = Coloring.best_heuristic ?domains cg in
+    let coloring = Coloring.best_heuristic cg in
     let clique = List.length (Wl_conflict.Clique.greedy_clique cg) in
     let lower = max pi clique in
     let source = if clique > pi then From_clique else From_load in
@@ -139,7 +139,7 @@ let record_solve report dt_ns =
     Metrics.observe_ns h dt_ns
   | None -> ()
 
-let solve ?exact_limit ?domains inst =
+let solve ?exact_limit inst =
   let observed = Metrics.enabled () in
   let t0 = if observed then Clock.now_ns () else 0 in
   let report =
@@ -147,18 +147,18 @@ let solve ?exact_limit ?domains inst =
       Trace.with_span
         ~args:[ ("paths", Trace.Int (Instance.n_paths inst)) ]
         "solver.solve"
-        (fun () -> solve_impl ?exact_limit ?domains inst)
-    else solve_impl ?exact_limit ?domains inst
+        (fun () -> solve_impl ?exact_limit inst)
+    else solve_impl ?exact_limit inst
   in
   if observed then record_solve report (Clock.now_ns () - t0);
   report
 
-let solve_result ?exact_limit ?domains inst =
+let solve_result ?exact_limit inst =
   match exact_limit with
   | Some l when l < 0 ->
     Error (Error.Precondition "Solver.solve: exact_limit must be non-negative")
   | _ -> (
-    match solve ?exact_limit ?domains inst with
+    match solve ?exact_limit inst with
     | report -> Ok report
     | exception Invalid_argument msg -> Error (Error.Precondition msg))
 

@@ -36,16 +36,12 @@ type report = {
   optimal : bool;  (** [n_wavelengths = lower_bound] *)
 }
 
-val solve : ?exact_limit:int -> ?domains:int -> Instance.t -> report
+val solve : ?exact_limit:int -> Instance.t -> report
 (** [exact_limit] (default 24) caps the family size for which the exact
     coloring / exact clique solvers are invoked on the fallback paths.
-    [domains] is forwarded to the component-parallel coloring heuristic
-    ({!Wl_conflict.Coloring.dsatur_par}) on the large-instance fallback
-    paths; it does not change any result, only how the work is spread.
     The returned assignment is always valid ({!Assignment.is_valid}). *)
 
-val solve_result :
-  ?exact_limit:int -> ?domains:int -> Instance.t -> (report, Error.t) result
+val solve_result : ?exact_limit:int -> Instance.t -> (report, Error.t) result
 (** Exception-free {!solve}: a negative [exact_limit] or any precondition
     violation surfaces as [Error (Precondition _)]. *)
 

@@ -283,47 +283,3 @@ let pp_summary ppf () =
       rows;
     Format.fprintf ppf "@]"
   end
-
-(* --- Parallel.map_array utilization ----------------------------------- *)
-
-type parallel_rollup = {
-  maps : int;
-  workers_spawned : int;
-  wall_ns : int;
-  busy_ns : int;
-  utilization : float;
-}
-
-let parallel_rollup () =
-  match
-    ( Metrics.find_histogram "parallel.map_wall_ns",
-      Metrics.find_histogram "parallel.domain_busy_ns" )
-  with
-  | Some wall, Some busy when wall.Metrics.count > 0 ->
-    let maps = wall.Metrics.count in
-    let workers =
-      Option.value ~default:0 (Metrics.find_counter "parallel.workers_spawned")
-    in
-    (* The calling domain works alongside the spawned ones, so each map
-       has (workers/maps + 1) domains live on average. *)
-    let avg_domains = float_of_int (workers + maps) /. float_of_int maps in
-    (* Clamp to [0, 1]: clock granularity can report zero-duration spans
-       (busy > 0 with wall = 0) and a 1-domain run books the caller's own
-       work as both wall and busy — either shows up as > 100% otherwise. *)
-    let utilization =
-      if wall.Metrics.sum = 0 then 0.
-      else
-        Float.min 1.
-          (Float.max 0.
-             (float_of_int busy.Metrics.sum
-             /. (float_of_int wall.Metrics.sum *. avg_domains)))
-    in
-    Some
-      {
-        maps;
-        workers_spawned = workers;
-        wall_ns = wall.Metrics.sum;
-        busy_ns = busy.Metrics.sum;
-        utilization;
-      }
-  | _ -> None

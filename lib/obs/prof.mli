@@ -69,24 +69,3 @@ val reset : unit -> unit
 val pp_summary : Format.formatter -> unit -> unit
 (** Table of {!snapshot}: span, calls, total/self ms, minor words,
     minor/major collections. *)
-
-(** {1 Parallel utilization}
-
-    Busy/idle rollup for {!Wl_util.Parallel.map_array}, computed from
-    the [parallel.*] metrics the mapper records. *)
-
-type parallel_rollup = {
-  maps : int;  (** map_array calls that actually went parallel *)
-  workers_spawned : int;
-  wall_ns : int;  (** summed wall-clock of the parallel sections *)
-  busy_ns : int;  (** summed per-domain busy time (caller included) *)
-  utilization : float;
-      (** [busy / (wall * avg live domains)], clamped to [\[0, 1\]]
-          (zero-duration spans and 1-domain runs would otherwise read as
-          over 100%) — 1.0 means every domain computed for the whole
-          parallel section; low values mean domains idled behind
-          stragglers or spawn overhead *)
-}
-
-val parallel_rollup : unit -> parallel_rollup option
-(** [None] until a map has gone parallel with Metrics enabled. *)

@@ -25,7 +25,9 @@ type point = {
   params : (string * int) list;  (** size parameters, inlined as ints *)
   extras : (string * float) list;  (** derived figures, e.g. a hit rate *)
   sample : sample;
-  baseline_ns : float option;  (** optional reference arm, e.g. serial *)
+  baseline_ns : float option;
+      (** same-run reference time; only entries recorded before the
+          reference arms were retired carry one *)
   counters : (string * Wl_json.Jsonx.t) list;
       (** engine/metrics counter embedding captured on an instrumented
           observation pass *)

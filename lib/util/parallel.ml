@@ -4,19 +4,15 @@ module Clock = Wl_obs.Clock
 
 let default_domains () = min 8 (Domain.recommended_domain_count ())
 
-(* Observability: one map-level counter set plus per-domain busy/chunk
-   figures, so a trace of a slow sweep shows where the wall-clock went —
-   in particular whether extra domains did useful work or just paid the
-   spawn + minor-GC-barrier tax. *)
+(* Observability: one map-level counter set (items, chunks, sequential
+   fallbacks, clamps, spawned workers), so a sweep's metrics show whether
+   it went parallel at all. *)
 let m_maps = Metrics.counter "parallel.maps"
 let m_items = Metrics.counter "parallel.items"
 let m_chunks = Metrics.counter "parallel.chunks"
 let m_seq_fallbacks = Metrics.counter "parallel.seq_fallbacks"
 let m_domains_clamped = Metrics.counter "parallel.domains_clamped"
 let m_workers = Metrics.counter "parallel.workers_spawned"
-let h_domain_busy = Metrics.histogram "parallel.domain_busy_ns"
-let h_probe_est = Metrics.histogram "parallel.probe_estimate_ns"
-let h_map_wall = Metrics.histogram "parallel.map_wall_ns"
 
 (* Below this projected total runtime, spawning extra domains costs more
    than it buys: each spawn is ~100µs+ of setup, and every minor GC then
@@ -62,17 +58,14 @@ let map_array ?domains f input =
     let probe = Array.init probe_len (fun i -> f input.(i)) in
     let elapsed = Clock.now_ns () - t0 in
     let estimate = elapsed * n / probe_len in
-    Metrics.observe h_probe_est estimate;
     if estimate < seq_threshold_ns then begin
       Metrics.incr m_seq_fallbacks;
       Metrics.incr m_chunks;
       Array.init n (fun i -> if i < probe_len then probe.(i) else f input.(i))
     end
     else begin
-      let wall0 = Clock.now_ns () in
       let next = Atomic.make probe_len in
       let worker () =
-        let busy0 = Clock.now_ns () in
         let chunks = ref 0 in
         let rec claim acc =
           let lo = Atomic.fetch_and_add next block in
@@ -86,7 +79,6 @@ let map_array ?domains f input =
         in
         let acc = claim [] in
         Metrics.add m_chunks !chunks;
-        Metrics.observe h_domain_busy (Clock.now_ns () - busy0);
         acc
       in
       let traced_worker () =
@@ -109,7 +101,6 @@ let map_array ?domains f input =
       List.iter
         (fun (lo, buf) -> Array.blit buf 0 out lo (Array.length buf))
         chunks;
-      Metrics.observe h_map_wall (Clock.now_ns () - wall0);
       out
     end
   end
@@ -122,12 +113,3 @@ let map_array ?domains f input =
   else map_array ?domains f input
 
 let init ?domains n f = map_array ?domains f (Array.init n Fun.id)
-
-let for_all ?domains p input =
-  Array.for_all Fun.id (map_array ?domains p input)
-
-let count ?domains p input =
-  Array.fold_left
-    (fun acc b -> if b then acc + 1 else acc)
-    0
-    (map_array ?domains p input)

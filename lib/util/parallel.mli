@@ -24,12 +24,9 @@
     result, only where it is computed.
 
     When {!Wl_obs.Metrics} is enabled, every map records
-    [parallel.maps]/[parallel.items]/[parallel.chunks], the fallback and
-    clamp counters ([parallel.seq_fallbacks], [parallel.domains_clamped],
-    [parallel.workers_spawned]), a per-domain busy-time histogram
-    ([parallel.domain_busy_ns]) and the wall-clock of each section that
-    actually went parallel ([parallel.map_wall_ns] — the pair feeds the
-    {!Wl_obs.Prof.parallel_rollup} busy/idle utilization figure); with
+    [parallel.maps]/[parallel.items]/[parallel.chunks] and the fallback
+    and clamp counters ([parallel.seq_fallbacks],
+    [parallel.domains_clamped], [parallel.workers_spawned]); with
     {!Wl_obs.Trace} enabled each worker domain emits a [parallel.worker]
     span on its own track. *)
 
@@ -42,9 +39,3 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init]. *)
-
-val for_all : ?domains:int -> ('a -> bool) -> 'a array -> bool
-(** Parallel conjunction (no early cancellation across domains). *)
-
-val count : ?domains:int -> ('a -> bool) -> 'a array -> int
-(** Number of elements satisfying the predicate. *)

@@ -101,11 +101,11 @@ module Client = Wl_serve.Client
 
 (** {1 Convenience} *)
 
-val solve : ?exact_limit:int -> ?domains:int -> Instance.t -> Solver.report
+val solve : ?exact_limit:int -> Instance.t -> Solver.report
 (** {!Solver.solve}. *)
 
 val solve_result :
-  ?exact_limit:int -> ?domains:int -> Instance.t -> (Solver.report, Error.t) result
+  ?exact_limit:int -> Instance.t -> (Solver.report, Error.t) result
 (** {!Solver.solve_result}. *)
 
 val connect : ?json:bool -> ?seed:int -> string -> (Client.t, Error.t) result

@@ -46,45 +46,6 @@ let colorings_valid =
       && Coloring.is_valid g (Coloring.greedy_desc_degree g)
       && Coloring.is_valid g (Coloring.dsatur g))
 
-(* The contract the parallel bench arm and engine rely on: dsatur_par is
-   the SAME per-vertex coloring as dsatur, not merely one of equal size
-   — at 1 domain (sequential fallback) and at several (real split). *)
-let dsatur_par_identical =
-  qtest "dsatur_par = dsatur per vertex (1 and 4 domains)"
-    QCheck2.Gen.(pair seed_gen (int_range 0 40))
-    (fun (seed, n) ->
-      let g = random_ugraph seed n 0.15 in
-      let reference = Coloring.dsatur g in
-      Coloring.dsatur_par ~domains:1 g = reference
-      && Coloring.dsatur_par ~domains:4 g = reference)
-
-(* Multi-component shape mirroring the bench arm: disjoint dense blocks,
-   where the merge order and component-local numbering must reproduce
-   the global sequential tie-breaks exactly. *)
-let test_dsatur_par_components () =
-  let block = 12 and comps = 5 in
-  let n = comps * block in
-  let g = Ugraph.create n in
-  let rng = Wl_util.Prng.create 42 in
-  for c = 0 to comps - 1 do
-    let base = c * block in
-    for u = 0 to block - 1 do
-      for v = u + 1 to block - 1 do
-        if Wl_util.Prng.int rng 100 < 50 then
-          Ugraph.add_edge g (base + u) (base + v)
-      done
-    done
-  done;
-  let reference = Coloring.dsatur g in
-  check "valid" true (Coloring.is_valid g reference);
-  List.iter
-    (fun domains ->
-      check
-        (Printf.sprintf "identical at %d domains" domains)
-        true
-        (Coloring.dsatur_par ~domains g = reference))
-    [ 1; 2; 4 ]
-
 let exact_matches_brute =
   qtest "exact chromatic = brute force (tiny graphs)"
     QCheck2.Gen.(pair seed_gen (int_range 1 7))
@@ -248,9 +209,6 @@ let suite =
         Alcotest.test_case "ugraph basics" `Quick test_ugraph_basics;
         Alcotest.test_case "complement" `Quick test_complement;
         colorings_valid;
-        dsatur_par_identical;
-        Alcotest.test_case "dsatur_par on disjoint blocks" `Quick
-          test_dsatur_par_components;
         exact_matches_brute;
         exact_below_heuristics;
         k_colorable_boundary;

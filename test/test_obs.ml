@@ -346,35 +346,6 @@ let test_solver_counters_and_provenance () =
   check "stats report appends counters" true
     (contains (render true) "counters:")
 
-(* --- parallel rollup --------------------------------------------------------- *)
-
-let test_parallel_rollup_clamped () =
-  (* Clock granularity can report zero-duration parallel sections (busy
-     observed, wall = 0) and a 1-domain run books the caller's work as
-     both wall and busy; either used to read as utilization > 100%.
-     Synthesize both shapes straight into the parallel.* metrics. *)
-  with_metrics (fun () ->
-      let wall = Metrics.histogram "parallel.map_wall_ns" in
-      let busy = Metrics.histogram "parallel.domain_busy_ns" in
-      let workers = Metrics.counter "parallel.workers_spawned" in
-      (* One map, one spawned worker, busy time far above wall * domains. *)
-      Metrics.observe wall 10;
-      Metrics.observe busy 10_000;
-      Metrics.add workers 1;
-      (match Prof.parallel_rollup () with
-      | None -> Alcotest.fail "rollup missing"
-      | Some r ->
-        check "utilization clamped to <= 1" true (r.Prof.utilization <= 1.);
-        check "utilization clamped to >= 0" true (r.Prof.utilization >= 0.));
-      (* Zero-duration sections: wall sum 0 must read 0%, not infinity. *)
-      Metrics.reset ();
-      Metrics.observe wall 0;
-      Metrics.observe busy 500;
-      match Prof.parallel_rollup () with
-      | None -> Alcotest.fail "rollup missing after reset"
-      | Some r ->
-        Alcotest.(check (float 0.)) "zero wall reads 0%" 0. r.Prof.utilization)
-
 (* --- openmetrics ------------------------------------------------------------- *)
 
 let test_openmetrics_render_validates () =
@@ -588,8 +559,6 @@ let suite =
           test_prof_aggregates_and_mirror;
         Alcotest.test_case "prof: self time excludes children" `Quick
           test_prof_self_time_excludes_children;
-        Alcotest.test_case "prof: parallel rollup clamped" `Quick
-          test_parallel_rollup_clamped;
         Alcotest.test_case "openmetrics render validates" `Quick
           test_openmetrics_render_validates;
         Alcotest.test_case "openmetrics validator rejects" `Quick

@@ -259,11 +259,6 @@ let test_parallel_ops () =
   let input = Array.init 100 Fun.id in
   check "init" true
     (Wl_util.Parallel.init ~domains:3 100 Fun.id = input);
-  check "for_all true" true
-    (Wl_util.Parallel.for_all ~domains:3 (fun x -> x < 100) input);
-  check "for_all false" false
-    (Wl_util.Parallel.for_all ~domains:3 (fun x -> x < 99) input);
-  check_int "count" 50 (Wl_util.Parallel.count ~domains:3 (fun x -> x mod 2 = 0) input);
   check "empty" true (Wl_util.Parallel.map_array ~domains:4 succ [||] = [||]);
   check "singleton" true (Wl_util.Parallel.map_array ~domains:4 succ [| 1 |] = [| 2 |]);
   check "degenerate domains" true
