@@ -1,9 +1,9 @@
 (* stress — large-scale randomized validation sweeps, in parallel.
 
-   Each sweep (see Wl_validate.Sweeps) re-validates one of the paper's
-   theorems over thousands of generated instances; failures print the
-   offending seed so they can be replayed.  Sweeps run chunk-parallel over
-   OCaml 5 domains.
+   Each sweep (one of Wl_check.Oracle.sweeps) re-validates one of the
+   paper's theorems over thousands of generated instances; failures print
+   the offending seed so they can be replayed.  Sweeps run through
+   Wl_check.Fuzz.run, chunk-parallel over OCaml 5 domains.
 
    Run with: dune exec bin/stress.exe -- [--seeds N] [--domains D]
                [--metrics] [--metrics-out PATH] [--replay SEED] [--shrink]
@@ -29,10 +29,15 @@
                   and print the span tree — for diagnosing a reported
                   failure, not just reproducing it (requires exactly one
                   SWEEP argument)
-   --shrink       when a sweep fails, minimize its first failure with the
-                  Wl_check shrinker and print the reduced .wl instance *)
+   --shrink       when a sweep fails, minimize its failures with the
+                  Wl_check shrinker (Fuzz.run's default budget; without
+                  the flag the budget is 0) and print the first one's
+                  reduced .wl instance *)
 
-module Sweeps = Wl_validate.Sweeps
+module Oracle = Wl_check.Oracle
+module Fuzz = Wl_check.Fuzz
+module Shrink = Wl_check.Shrink
+module Subject = Wl_check.Subject
 module Parallel = Wl_util.Parallel
 module Metrics = Wl_obs.Metrics
 module Trace = Wl_obs.Trace
@@ -184,66 +189,56 @@ let daemon_mode ~addr ~sessions ~threads ~ops ~seed ~json ~trace ~metrics_out =
       path);
   exit 0
 
-(* Minimize the first failing seed of a sweep and print the reduced
-   instance.  The sweep's property can stop applying as the shrinker
-   strips structure (guards return None off-class); in that case the
-   original seed is still the reproducer, just not a minimal one. *)
-let shrink_failure name seed =
-  match Sweeps.find_sweep name with
-  | None -> ()
-  | Some sweep -> (
-    let oracle = Wl_check.Oracle.of_sweep sweep in
-    let subject = oracle.Wl_check.Oracle.generate seed in
-    match
-      Wl_check.Shrink.minimize ~check:oracle.Wl_check.Oracle.check subject
-    with
-    | exception Invalid_argument _ ->
-      Printf.printf "  seed %d no longer fails under the oracle; not shrunk\n"
-        seed
-    | shrunk ->
-      let s = shrunk.Wl_check.Shrink.subject in
-      Printf.printf
-        "  seed %d shrunk to %d vertices / %d paths in %d attempts (%s)\n"
-        seed
-        (Wl_check.Subject.n_vertices s)
-        (Wl_check.Subject.n_paths s)
-        shrunk.Wl_check.Shrink.attempts shrunk.Wl_check.Shrink.reason;
-      print_string (Wl_check.Subject.wl_string s))
-
-let run_sweep ~seeds ~domains ~shrink name case =
+let run_sweep ~seeds ~domains ~shrink (oracle : Oracle.t) =
   let t0 = Unix.gettimeofday () in
-  let failures = Sweeps.run ~domains ~seeds case in
+  let summary =
+    Fuzz.run ~domains
+      ?shrink_attempts:(if shrink then None else Some 0)
+      ~seeds [ oracle ]
+  in
   let dt = Unix.gettimeofday () -. t0 in
-  Printf.printf "%-10s %6d instances %8.2fs %8.0f/s   %s\n%!" name seeds dt
-    (float_of_int seeds /. dt)
+  let failures = List.concat_map (fun r -> r.Fuzz.failures) summary.Fuzz.runs in
+  Printf.printf "%-10s %6d instances %8.2fs %8.0f/s   %s\n%!" oracle.Oracle.name
+    summary.Fuzz.total_seeds dt
+    (float_of_int summary.Fuzz.total_seeds /. dt)
     (match failures with
     | [] -> "all ok"
-    | (seed, reason) :: _ ->
+    | f :: _ ->
       Printf.sprintf "%d FAILURES (first: seed %d, %s)" (List.length failures)
-        seed reason);
+        f.Fuzz.seed f.Fuzz.reason);
   (match failures with
-  | (seed, _) :: _ when shrink -> shrink_failure name seed
+  | f :: _ when shrink ->
+    let shrunk = f.Fuzz.shrunk in
+    let s = shrunk.Shrink.subject in
+    Printf.printf
+      "  seed %d shrunk to %d vertices / %d paths in %d attempts (%s)\n"
+      f.Fuzz.seed (Subject.n_vertices s) (Subject.n_paths s)
+      shrunk.Shrink.attempts shrunk.Shrink.reason;
+    print_string (Subject.wl_string s)
   | _ -> ());
   failures = []
 
 (* Rerun a single seed of a single sweep with full observability: the
    span tree shows where the time went and which phases ran; the counter
-   table shows the solver internals.  Exit status mirrors the case. *)
-let replay ~seed name case =
-  Printf.printf "replaying sweep %s, seed %d\n%!" name seed;
+   table shows the solver internals.  Exit status mirrors the seed. *)
+let replay ~seed (oracle : Oracle.t) =
+  Printf.printf "replaying sweep %s, seed %d\n%!" oracle.Oracle.name seed;
   let sink = Trace.memory () in
   Trace.set_sink sink;
   Metrics.set_enabled true;
-  let result = try case seed with e -> Some (Printexc.to_string e) in
+  let summary = Fuzz.run ~seed0:seed ~seeds:1 ~shrink_attempts:0 [ oracle ] in
   Trace.clear ();
   Metrics.set_enabled false;
   let events = Trace.events sink in
   Format.printf "@[<v>span tree:@,%a@,@,span summary:@,%a@,@,counters:@,%a@]@."
     Trace.pp_tree events Trace.pp_summary events Metrics.pp_summary ();
-  (match result with
-  | None -> Printf.printf "seed %d: ok\n" seed
-  | Some reason -> Printf.printf "seed %d: FAILURE (%s)\n" seed reason);
-  result = None
+  match List.concat_map (fun r -> r.Fuzz.failures) summary.Fuzz.runs with
+  | [] ->
+    Printf.printf "seed %d: ok\n" seed;
+    true
+  | f :: _ ->
+    Printf.printf "seed %d: FAILURE (%s)\n" seed f.Fuzz.reason;
+    false
 
 let () =
   let seeds = ref 2000 and domains = ref (Parallel.default_domains ()) in
@@ -298,8 +293,8 @@ let () =
       parse rest
     | "all" :: rest -> parse rest
     | name :: rest ->
-      (match List.assoc_opt name Sweeps.all with
-      | Some case -> chosen := (name, case) :: !chosen
+      (match List.find_opt (fun o -> o.Oracle.name = name) Oracle.sweeps with
+      | Some oracle -> chosen := oracle :: !chosen
       | None ->
         prerr_endline ("stress: unknown sweep " ^ name);
         exit 2);
@@ -311,24 +306,24 @@ let () =
     daemon_mode ~addr ~sessions:!sessions ~threads:!client_threads ~ops:!ops
       ~seed:!seed ~json:!json ~trace:!trace ~metrics_out:!metrics_out
   | None -> ());
-  let to_run = if !chosen = [] then Sweeps.all else List.rev !chosen in
+  let to_run = if !chosen = [] then Oracle.sweeps else List.rev !chosen in
   match !replay_seed with
   | Some seed ->
-    let name, case =
+    let oracle =
       match to_run with
       | [ one ] -> one
       | _ ->
         prerr_endline "stress: --replay needs exactly one sweep name (e.g. --replay 42 thm1)";
         exit 2
     in
-    exit (if replay ~seed name case then 0 else 1)
+    exit (if replay ~seed oracle then 0 else 1)
   | None ->
     Printf.printf "stress: %d seeds per sweep, %d domains\n%!" !seeds !domains;
     if !metrics || !metrics_out <> None then Metrics.set_enabled true;
     let ok =
       List.for_all
-        (fun (name, case) ->
-          run_sweep ~seeds:!seeds ~domains:!domains ~shrink:!shrink name case)
+        (fun oracle ->
+          run_sweep ~seeds:!seeds ~domains:!domains ~shrink:!shrink oracle)
         to_run
     in
     if !metrics || !metrics_out <> None then begin

@@ -26,8 +26,10 @@ type summary = {
   total_failures : int;
 }
 
-(* Per-seed observability, mirroring Wl_validate.Sweeps.instrument but
-   under the [fuzz.] prefix; one atomic load per seed while disabled. *)
+(* Per-seed observability: a latency histogram and seed/failure counters
+   per oracle, a [fuzz.<name>] span per seed and an instant event carrying
+   the failing seed and reason.  One atomic load per seed while metrics
+   and tracing are off. *)
 let instrumented (oracle : Oracle.t) =
   let name = oracle.Oracle.name in
   let h_latency = Metrics.latency ("fuzz." ^ name ^ ".ns") in
@@ -95,7 +97,10 @@ let run ?domains ?(seed0 = 0) ?budget_s ?shrink_attempts ~seeds oracles =
     let failures = ref [] in
     let done_ = ref 0 in
     while !done_ < seeds && not (over_budget ()) do
-      let wave = min 128 (seeds - !done_) in
+      (* Waves only bound the budget; without one, a single pass spares a
+         probe and a domain spawn per 128 seeds. *)
+      let left = seeds - !done_ in
+      let wave = if budget_s = None then left else min 128 left in
       let base = seed0 + !done_ in
       let results =
         Wl_util.Parallel.init ?domains wave (fun i -> one (base + i))

@@ -1,7 +1,7 @@
 (** The fuzzing driver: run oracles over seed ranges, shrink what fails.
 
-    Seeds run domain-parallel ({!Wl_util.Parallel}) in waves; failures are
-    collected, sorted by seed, and minimized sequentially (shrinking is
+    Seeds run domain-parallel ({!Wl_util.Parallel}): in one pass, or in
+    waves of 128 under a time budget; failures are collected, sorted by seed, and minimized sequentially (shrinking is
     deterministic, so the resulting reproducers are too).  With
     {!Wl_obs.Metrics} enabled each oracle maintains
     [fuzz.<check>.seeds]/[.failures] counters and a per-seed latency

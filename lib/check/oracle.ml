@@ -6,7 +6,6 @@ module Generators = Wl_netgen.Generators
 module Path_gen = Wl_netgen.Path_gen
 module Prng = Wl_util.Prng
 module Classify = Wl_dag.Classify
-module Sweeps = Wl_validate.Sweeps
 module Client = Wl_serve.Client
 module Proto = Wl_serve.Proto
 module Wire = Wl_serve.Wire
@@ -1006,15 +1005,159 @@ let wlrpc_frame =
     check;
   }
 
-(* --- lifted sweeps and the self-test ---------------------------------------- *)
+(* --- theorem sweeps ----------------------------------------------------------- *)
 
-let of_sweep (sw : Sweeps.sweep) =
+(* Each sweep splits into a deterministic [generate] (seed to instance) and
+   a [property] checked on the generated instance.  Properties guard their
+   own applicability (returning [None] off-hypothesis) so that they stay
+   meaningful on arbitrary instances — the shrinker re-runs them on
+   mutilated copies of a failing instance, and an off-class copy must
+   read as "claim not violated", not as a spurious failure. *)
+
+let theorem1_generate seed =
+  let rng = Prng.create seed in
+  let dag = Generators.gnp_no_internal_cycle rng 30 0.12 in
+  Path_gen.random_instance rng dag 20
+
+let theorem1_property inst =
+  if Wl_dag.Internal_cycle.has_internal_cycle (Instance.dag inst) then None
+  else
+    match Theorem1.color_result inst with
+    | Error _ -> Some "unexpected case C"
+    | Ok a ->
+      if not (Assignment.is_valid inst a) then Some "invalid assignment"
+      else if Assignment.n_wavelengths (Assignment.normalize a) <> Load.pi inst
+      then Some "w <> pi"
+      else None
+
+(* Theorem 2 and case C are claims about the DAG alone; their instances
+   carry an empty family and the property rebuilds the gap family. *)
+let dag_only_generate seed =
+  let rng = Prng.create seed in
+  let dag = Generators.gnp_dag rng 16 0.3 in
+  Instance.make dag []
+
+let theorem2_property inst =
+  let dag = Instance.dag inst in
+  match Theorem2.build dag with
+  | None ->
+    if Wl_dag.Internal_cycle.has_internal_cycle dag then
+      Some "no family despite internal cycle"
+    else None
+  | Some inst ->
+    if Load.pi inst <> 2 then Some "pi <> 2"
+    else if Bounds.heuristic_upper inst < 3 then Some "w < 3?"
+    else if
+      not (Wl_conflict.Graph_props.is_cycle_graph (Conflict_of.build inst))
+    then Some "conflict graph not a cycle"
+    else None
+
+let theorem6_generate seed =
+  let rng = Prng.create seed in
+  let dag = Generators.upp_one_internal_cycle rng () in
+  Instance.make dag (dedup (Path_gen.random_family rng dag 16))
+
+let theorem6_property inst =
+  let c = Classify.classify (Instance.dag inst) in
+  if not (c.Classify.is_upp && c.Classify.n_internal_cycles = 1) then None
+  else
+    match Theorem6.color_with_stats ~check:false inst with
+    | exception e -> Some (Printexc.to_string e)
+    | a, stats ->
+      if not (Assignment.is_valid inst a) then Some "invalid assignment"
+      else if stats.Theorem6.n_colors > Theorem6.upper_bound stats.Theorem6.pi
+      then Some "bound exceeded"
+      else None
+
+let theorem6_multi_generate seed =
+  let rng = Prng.create seed in
+  let cycles = 1 + (seed mod 4) in
+  let dag = Generators.upp_internal_cycles rng ~cycles () in
+  Instance.make dag (dedup (Path_gen.random_family rng dag 16))
+
+let theorem6_multi_property inst =
+  let c = Classify.classify (Instance.dag inst) in
+  let cycles = c.Classify.n_internal_cycles in
+  if not (c.Classify.is_upp && cycles >= 1) then None
+  else
+    match Theorem6_multi.color ~check:false inst with
+    | exception e -> Some (Printexc.to_string e)
+    | a ->
+      if not (Assignment.is_valid inst a) then Some "invalid assignment"
+      else if
+        Assignment.n_wavelengths (Assignment.normalize a)
+        > Theorem6_multi.upper_bound ~n_internal_cycles:cycles (Load.pi inst)
+      then Some "iterated bound exceeded"
+      else None
+
+let case_c_property inst =
+  let dag = Instance.dag inst in
+  match Theorem2.build dag with
+  | None -> None
+  | Some inst -> (
+    match Theorem1.color_result inst with
+    | Ok _ -> Some "theorem 1 succeeded on a gap family"
+    | Error (chain, junction) -> (
+      match Theorem1.witness_internal_cycle inst ~chain ~junction with
+      | None -> Some "no witness extracted"
+      | Some walk ->
+        let can = Wl_dag.Internal_cycle.canonicalize dag walk in
+        if Wl_dag.Internal_cycle.verify_canonical dag can then None
+        else Some "witness failed verification"))
+
+let grooming_generate seed =
+  let rng = Prng.create seed in
+  let dag = Generators.gnp_no_internal_cycle rng 14 0.2 in
+  Path_gen.random_instance rng dag 10
+
+let grooming_property inst =
+  if Wl_dag.Internal_cycle.has_internal_cycle (Instance.dag inst) then None
+  else begin
+    let w = max 1 (Load.pi inst / 2) in
+    match Grooming.satisfy inst ~w with
+    | None -> Some "no selection"
+    | Some (sel, assignment) ->
+      if sel.Grooming.load > w then Some "selection over load"
+      else if Assignment.n_wavelengths assignment > w then Some "over w colors"
+      else None
+  end
+
+let sweep name doc generate property =
   {
-    name = sw.Sweeps.name;
-    doc = "validation sweep " ^ sw.Sweeps.name ^ " (see Wl_validate.Sweeps)";
-    generate = (fun seed -> Subject.make (sw.Sweeps.generate seed));
-    check = (fun s -> sw.Sweeps.property s.Subject.inst);
+    name;
+    doc;
+    generate = (fun seed -> Subject.make (generate seed));
+    check = (fun s -> property s.Subject.inst);
   }
+
+let sweeps =
+  [
+    sweep "thm1"
+      "Theorem 1 on random internal-cycle-free DAGs: a valid assignment \
+       with exactly pi colors"
+      theorem1_generate theorem1_property;
+    sweep "thm2"
+      "Theorem 2 on random DAGs: an internal cycle yields a family with \
+       pi = 2 and an odd-cycle conflict graph (w = 3)"
+      dag_only_generate theorem2_property;
+    sweep "thm6"
+      "Theorem 6 on random one-internal-cycle UPP-DAGs: valid and within \
+       ceil(4 pi / 3)"
+      theorem6_generate theorem6_property;
+    sweep "thm6multi"
+      "Iterated Theorem 6 on random UPP-DAGs with 1-4 internal cycles: \
+       valid and within the iterated bound"
+      theorem6_multi_generate theorem6_multi_property;
+    sweep "casec"
+      "Theorem 2 families drive the Theorem 1 cascade into case C, and the \
+       extracted internal-cycle witness verifies"
+      dag_only_generate case_c_property;
+    sweep "grooming"
+      "Grooming.satisfy on random internal-cycle-free DAGs stays within w"
+      grooming_generate grooming_property;
+  ]
+
+(* --- the self-test ---------------------------------------------------------- *)
 
 let selftest =
   let generate seed =
@@ -1048,7 +1191,7 @@ let all =
     client_vs_engine;
     wlrpc_frame;
   ]
-  @ List.map of_sweep Sweeps.sweeps
+  @ sweeps
 
 let find name = List.find_opt (fun o -> o.name = name) (all @ [ selftest ])
 

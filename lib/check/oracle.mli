@@ -24,8 +24,8 @@
        cycles, [K_{2,3}]-freeness of UPP conflict graphs (Corollary 5),
        the Theorem 6 ceiling, and a full {!Wl_core.Certificate} audit.}}
 
-    The validation sweeps of {!Wl_validate.Sweeps} are lifted into the
-    same shape by {!of_sweep}, so one fuzz/shrink pipeline serves both.
+    The per-theorem re-validations ({!sweeps}) are oracles of the same
+    shape, so one fuzz/shrink pipeline serves both.
 
     Checks guard their own applicability: a subject outside an oracle's
     structural class (which the shrinker produces on purpose) reads as a
@@ -67,9 +67,16 @@ val wlrpc_frame : t
     flipped payload bytes — decode to protocol errors, never exceptions
     or hangs. *)
 
-val of_sweep : Wl_validate.Sweeps.sweep -> t
-(** Lift a validation sweep (op script always empty, the property as the
-    check) so sweep failures shrink like native oracle failures. *)
+val sweeps : t list
+(** One randomized re-validation per theorem, in this order: [thm1]
+    (Theorem 1: valid, exactly [pi] colors), [thm2] (Theorem 2's family:
+    [pi = 2], odd-cycle conflict graph), [thm6] (within
+    [ceil(4 pi/3)]), [thm6multi] (the iterated bound), [casec] (case C
+    and a verified internal-cycle witness) and [grooming]
+    ([Grooming.satisfy] within [w]).  Subjects are instance-only.  The
+    [thm2]/[casec] claims are about the DAG alone: their instances carry
+    an empty family and the check rebuilds the Theorem 2 gap family.
+    [bin/stress] runs them through {!Fuzz.run} at scale. *)
 
 val selftest : t
 (** A deliberately false claim ("no instance has load [>= 2]") used to
@@ -77,8 +84,7 @@ val selftest : t
     Not part of {!all}; reachable by name. *)
 
 val all : t list
-(** The native oracles above followed by the lifted sweeps ([thm1],
-    [thm2], [thm6], [thm6multi], [casec], [grooming]).  Excludes
+(** The differential oracles above followed by {!sweeps}.  Excludes
     {!selftest}. *)
 
 val find : string -> t option

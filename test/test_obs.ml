@@ -12,7 +12,8 @@ module Prof = Wl_obs.Prof
 module Parallel = Wl_util.Parallel
 module Theorem1 = Wl_core.Theorem1
 module Solver = Wl_core.Solver
-module Sweeps = Wl_validate.Sweeps
+module Oracle = Wl_check.Oracle
+module Fuzz = Wl_check.Fuzz
 
 let with_metrics f =
   Metrics.reset ();
@@ -309,11 +310,11 @@ let test_disabled_obs_theorem1_deterministic_alloc () =
 
 let test_sweep_latency_histogram () =
   with_metrics (fun () ->
-      let case = List.assoc "thm1" Sweeps.all in
-      let failures = Sweeps.run ~seeds:10 case in
-      check "sweep clean" true (failures = []);
-      match Metrics.find_latency "sweep.thm1.ns" with
-      | None -> Alcotest.fail "sweep.thm1.ns not populated"
+      let thm1 = List.find (fun o -> o.Oracle.name = "thm1") Oracle.sweeps in
+      let summary = Fuzz.run ~seeds:10 [ thm1 ] in
+      check "sweep clean" true (summary.Fuzz.total_failures = 0);
+      match Metrics.find_latency "fuzz.thm1.ns" with
+      | None -> Alcotest.fail "fuzz.thm1.ns not populated"
       | Some s ->
         check_int "one latency sample per seed" 10 s.Wl_obs.Hdr.count;
         check "latencies positive" true (s.Wl_obs.Hdr.min > 0))
