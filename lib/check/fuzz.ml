@@ -1,7 +1,7 @@
 module Metrics = Wl_obs.Metrics
 module Trace = Wl_obs.Trace
 module Clock = Wl_obs.Clock
-module Jsonx = Wl_util.Jsonx
+module Jsonx = Wl_json.Jsonx
 
 type failure = {
   check : string;

@@ -1,6 +1,6 @@
 open Wl_digraph
 module Dag = Wl_dag.Dag
-module Jsonx = Wl_util.Jsonx
+module Jsonx = Wl_json.Jsonx
 
 (* Version 2 only adds the [wl 2] header line; the body grammar is shared.
    Version 1 (headerless) output is kept byte-identical to the historical

@@ -1,5 +1,5 @@
 open Wl_core
-module Jsonx = Wl_util.Jsonx
+module Jsonx = Wl_json.Jsonx
 
 type t = Engine.op list
 

@@ -219,15 +219,6 @@ let to_chrome evs =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let to_jsonl evs =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun ev ->
-      add_chrome_event buf ev;
-      Buffer.add_char buf '\n')
-    evs;
-  Buffer.contents buf
-
 let pp_args ppf args =
   if args <> [] then begin
     Format.fprintf ppf " (";

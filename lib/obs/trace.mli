@@ -13,8 +13,6 @@
     {ul
     {- Chrome trace-event JSON ({!to_chrome}) — load in Perfetto or
        chrome://tracing;}
-    {- JSONL ({!to_jsonl}) — one event object per line, for ad-hoc
-       scripting;}
     {- a human summary table ({!pp_summary}) or an indented span tree
        ({!pp_tree}) for terminal diagnosis.}} *)
 
@@ -103,8 +101,6 @@ val events : sink -> event list
 val to_chrome : event list -> string
 (** Chrome trace-event JSON: an object with a ["traceEvents"] array of
     complete (["ph":"X"]) and instant (["ph":"i"]) events. *)
-
-val to_jsonl : event list -> string
 
 val pp_tree : Format.formatter -> event list -> unit
 (** Indented per-domain span tree with durations — what

@@ -132,13 +132,7 @@ let test_chrome_roundtrip () =
   let json = Trace.to_chrome events in
   (match Trace.validate_chrome json with
   | Ok n -> check_int "all events survive the round-trip" (List.length events) n
-  | Error msg -> Alcotest.failf "generated trace rejected: %s" msg);
-  (* The JSONL rendering has one object per line. *)
-  let jsonl = Trace.to_jsonl events in
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' jsonl)
-  in
-  check_int "jsonl line per event" (List.length events) (List.length lines)
+  | Error msg -> Alcotest.failf "generated trace rejected: %s" msg)
 
 let test_chrome_rejects_malformed () =
   let rejected s = Result.is_error (Trace.validate_chrome s) in
