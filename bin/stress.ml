@@ -240,6 +240,15 @@ let replay ~seed (oracle : Oracle.t) =
     Printf.printf "seed %d: FAILURE (%s)\n" seed f.Fuzz.reason;
     false
 
+(* A malformed flag value is a usage error, reported like an unknown
+   sweep: one line on stderr and exit 2. *)
+let int_arg flag v =
+  match int_of_string_opt v with
+  | Some n -> n
+  | None ->
+    Printf.eprintf "stress: %s expects an integer, got %S\n" flag v;
+    exit 2
+
 let () =
   let seeds = ref 2000 and domains = ref (Parallel.default_domains ()) in
   let metrics = ref false and replay_seed = ref None in
@@ -253,10 +262,10 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--seeds" :: v :: rest ->
-      seeds := int_of_string v;
+      seeds := int_arg "--seeds" v;
       parse rest
     | "--domains" :: v :: rest ->
-      domains := int_of_string v;
+      domains := int_arg "--domains" v;
       parse rest
     | "--metrics" :: rest ->
       metrics := true;
@@ -265,7 +274,7 @@ let () =
       metrics_out := Some v;
       parse rest
     | "--replay" :: v :: rest ->
-      replay_seed := Some (int_of_string v);
+      replay_seed := Some (int_arg "--replay" v);
       parse rest
     | "--shrink" :: rest ->
       shrink := true;
@@ -274,16 +283,16 @@ let () =
       daemon := Some v;
       parse rest
     | "--sessions" :: v :: rest ->
-      sessions := int_of_string v;
+      sessions := int_arg "--sessions" v;
       parse rest
     | "--client-threads" :: v :: rest ->
-      client_threads := int_of_string v;
+      client_threads := int_arg "--client-threads" v;
       parse rest
     | "--ops" :: v :: rest ->
-      ops := int_of_string v;
+      ops := int_arg "--ops" v;
       parse rest
     | "--seed" :: v :: rest ->
-      seed := int_of_string v;
+      seed := int_arg "--seed" v;
       parse rest
     | "--json" :: rest ->
       json := true;
