@@ -189,6 +189,9 @@ let daemon_mode ~addr ~sessions ~threads ~ops ~seed ~json ~trace ~metrics_out =
       path);
   exit 0
 
+let failures_of (summary : Fuzz.summary) =
+  List.concat_map (fun r -> r.Fuzz.failures) summary.Fuzz.runs
+
 let run_sweep ~seeds ~domains ~shrink (oracle : Oracle.t) =
   let t0 = Unix.gettimeofday () in
   let summary =
@@ -197,7 +200,7 @@ let run_sweep ~seeds ~domains ~shrink (oracle : Oracle.t) =
       ~seeds [ oracle ]
   in
   let dt = Unix.gettimeofday () -. t0 in
-  let failures = List.concat_map (fun r -> r.Fuzz.failures) summary.Fuzz.runs in
+  let failures = failures_of summary in
   Printf.printf "%-10s %6d instances %8.2fs %8.0f/s   %s\n%!" oracle.Oracle.name
     summary.Fuzz.total_seeds dt
     (float_of_int summary.Fuzz.total_seeds /. dt)
@@ -232,7 +235,7 @@ let replay ~seed (oracle : Oracle.t) =
   let events = Trace.events sink in
   Format.printf "@[<v>span tree:@,%a@,@,span summary:@,%a@,@,counters:@,%a@]@."
     Trace.pp_tree events Trace.pp_summary events Metrics.pp_summary ();
-  match List.concat_map (fun r -> r.Fuzz.failures) summary.Fuzz.runs with
+  match failures_of summary with
   | [] ->
     Printf.printf "seed %d: ok\n" seed;
     true
