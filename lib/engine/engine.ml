@@ -352,12 +352,11 @@ let make_core g classification =
     scr = new_scr ();
   }
 
-let default_slo_target_ns = 1_000_000 (* 1 ms per op: generous for warm ops *)
-let default_slo_budget = 0.01
+let slo_target_ns = 1_000_000 (* 1 ms per op: generous for warm ops *)
+let slo_budget = 0.01
 
 let fresh_session ?(repair_budget = default_repair_budget)
-    ?(flight_capacity = 1024) ?(slo_target_ns = default_slo_target_ns)
-    ?(slo_budget = default_slo_budget) core =
+    ?(flight_capacity = 1024) core =
   let sid = Atomic.fetch_and_add next_sid 1 in
   {
     sid;
@@ -398,21 +397,19 @@ let new_slot c p =
   occ_insert c s;
   s
 
-let create ?repair_budget ?flight_capacity ?slo_target_ns ?slo_budget inst =
+let create ?repair_budget ?flight_capacity inst =
   let g = Digraph.copy (Instance.graph inst) in
   let classification = Classify.classify (Instance.dag inst) in
   let core = make_core g classification in
   List.iter (fun p -> ignore (new_slot core p)) (Instance.paths_list inst);
-  fresh_session ?repair_budget ?flight_capacity ?slo_target_ns ?slo_budget core
+  fresh_session ?repair_budget ?flight_capacity core
 
-let of_digraph ?repair_budget ?flight_capacity ?slo_target_ns ?slo_budget g =
+let of_digraph ?repair_budget ?flight_capacity g =
   match Dag.of_digraph (Digraph.copy g) with
   | Error msg -> Error (Error.Cyclic msg)
   | Ok dag ->
     let core = make_core (Dag.graph dag) (Classify.classify dag) in
-    Ok
-      (fresh_session ?repair_budget ?flight_capacity ?slo_target_ns ?slo_budget
-         core)
+    Ok (fresh_session ?repair_budget ?flight_capacity core)
 
 let id s = s.sid
 let n_live_paths s = !(s.core).n_live

@@ -45,8 +45,6 @@ type path_id = int
 val create :
   ?repair_budget:int ->
   ?flight_capacity:int ->
-  ?slo_target_ns:int ->
-  ?slo_budget:float ->
   Instance.t ->
   session
 (** Start a session from an existing instance (graph and paths are copied;
@@ -54,14 +52,12 @@ val create :
     of dipaths a single warm repair may recolor before falling back to a
     full re-solve (default 256; [0] disables warm repairs entirely).
     [flight_capacity] sizes the session's {!Wl_obs.Flight} ring (default
-    1024 ops); [slo_target_ns] (default 1 ms) and [slo_budget] (default
-    0.01) configure the per-op latency SLO reported by {!health}. *)
+    1024 ops).  The per-op latency SLO reported by {!health} has a 1 ms
+    target and a 1% budget. *)
 
 val of_digraph :
   ?repair_budget:int ->
   ?flight_capacity:int ->
-  ?slo_target_ns:int ->
-  ?slo_budget:float ->
   Digraph.t ->
   (session, Error.t) result
 (** Path-less session over a copy of the graph; [Error (Cyclic _)] when the
