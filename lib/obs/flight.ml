@@ -254,60 +254,44 @@ let of_jsonl s =
   in
   go 0 [] lines
 
-(* Chrome trace in exactly the event shape of {!Trace.add_chrome_event}
-   ("X" phase, cat "wl", pid 1), so one validator serves both.  Tenant
-   labels come from [Proto.tenant_ok]-validated names ([A-Za-z0-9_.-]),
-   which need no JSON escaping. *)
-let add_event buf ?(tenant = "") ~tid ~offset_ns e =
-  Printf.bprintf buf
-    "{\"name\": \"%s\", \"cat\": \"wl\", \"ph\": \"X\", \"pid\": 1, \
-     \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": {\"seq\": %d, \
-     \"outcome\": \"%s\", \"arcs\": %d, \"palette\": %d, \"pi\": %d"
-    (string_of_kind e.kind) tid
-    (float_of_int (e.t_ns + offset_ns) /. 1e3)
-    (float_of_int e.dur_ns /. 1e3)
-    e.seq
-    (string_of_outcome e.outcome)
-    e.arcs e.palette e.pi;
-  if e.trace <> 0 then Printf.bprintf buf ", \"trace\": \"%x\"" e.trace;
-  if tenant <> "" then Printf.bprintf buf ", \"tenant\": \"%s\"" tenant;
-  Buffer.add_string buf "}}"
-
-let to_chrome ?last t =
-  let buf = Buffer.create 4096 (* alloc-ok: cold dump rendering *) in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      add_event buf ~tenant:t.label ~tid:t.tid ~offset_ns:0 e)
-    (entries ?last t);
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
-
 (* One Chrome document over several rings — the TraceDump RPC's payload.
    Each ring keeps its own track ([tid] = session id) and its label as a
    ["tenant"] arg; per-ring relative stamps are rebased onto the
-   earliest origin so tracks align on a common axis. *)
+   earliest origin so tracks align on a common axis.  The events are
+   plain {!Trace.event}s, so the one trace renderer and validator serve
+   flight dumps and solver traces alike. *)
 let merged_chrome ?last rings =
-  let buf = Buffer.create 4096 (* alloc-ok: cold dump rendering *) in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
   let base =
     List.fold_left
       (fun acc t -> if t.origin >= 0 && t.origin < acc then t.origin else acc)
       max_int rings
   in
-  let first = ref true in
-  List.iter
-    (fun t ->
-      if t.origin >= 0 then
-        List.iter
-          (fun e ->
-            if !first then first := false else Buffer.add_string buf ",\n";
-            add_event buf ~tenant:t.label ~tid:t.tid ~offset_ns:(t.origin - base) e)
-          (entries ?last t))
-    rings;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  let event t e =
+    {
+      Trace.name = string_of_kind e.kind;
+      tid = t.tid;
+      ts_us = float_of_int (e.t_ns + t.origin - base) /. 1e3;
+      dur_us = float_of_int e.dur_ns /. 1e3;
+      depth = 0;
+      instant = false;
+      args =
+        [
+          ("seq", Trace.Int e.seq);
+          ("outcome", Trace.Str (string_of_outcome e.outcome));
+          ("arcs", Trace.Int e.arcs);
+          ("palette", Trace.Int e.palette);
+          ("pi", Trace.Int e.pi);
+        ]
+        @ (if e.trace <> 0 then [ ("trace", Trace.Str (Ctx.hex e.trace)) ] else [])
+        @ if t.label <> "" then [ ("tenant", Trace.Str t.label) ] else [];
+    }
+  in
+  Trace.to_chrome
+    (List.concat_map
+       (fun t -> if t.origin < 0 then [] else List.map (event t) (entries ?last t))
+       rings)
+
+let to_chrome ?last t = merged_chrome ?last [ t ]
 
 (* --- automatic dumps -------------------------------------------------------- *)
 

@@ -9,9 +9,10 @@
     and overwrites silently.
 
     Dumps render the recorded tail as JSONL (one op per line, replayable
-    via {!of_jsonl}) and as a Chrome/Perfetto trace in exactly the shape
-    {!Trace} emits, so [Trace.validate_chrome] and [wl trace-check]
-    accept flight dumps unchanged.  The engine calls {!trigger} when an
+    via {!of_jsonl}) and as a Chrome/Perfetto trace: each op becomes a
+    {!Trace.event} rendered by {!Trace.to_chrome}, so
+    [Trace.validate_chrome] and [wl trace-check] accept flight dumps
+    unchanged.  The engine calls {!trigger} when an
     audit fails or an op errors; an installed {!set_dump_handler} (e.g.
     [wl session --flight-dump]) then persists both renderings.  The
     per-recorder latch means a cascade of failures dumps once, not once
@@ -94,9 +95,9 @@ val of_jsonl : string -> (entry list, string) result
 (** Parse a {!to_jsonl} dump back (replay). *)
 
 val to_chrome : ?last:int -> t -> string
-(** A complete Chrome trace document ("X" events, cat ["wl"], [tid] =
-    session id, outcome/arcs/palette/pi — plus trace/tenant when set —
-    in [args]) — accepted by [Trace.validate_chrome]. *)
+(** [merged_chrome ?last [t]]: a complete Chrome trace document ("X"
+    events, cat ["wl"], [tid] = session id, seq/outcome/arcs/palette/pi
+    — plus trace/tenant when set — in [args]). *)
 
 val merged_chrome : ?last:int -> t list -> string
 (** One Chrome document over several rings (the TraceDump RPC payload):
