@@ -210,14 +210,18 @@ let run_sweep ~seeds ~domains ~shrink (oracle : Oracle.t) =
       Printf.sprintf "%d FAILURES (first: seed %d, %s)" (List.length failures)
         f.Fuzz.seed f.Fuzz.reason);
   (match failures with
-  | f :: _ when shrink ->
-    let shrunk = f.Fuzz.shrunk in
-    let s = shrunk.Shrink.subject in
-    Printf.printf
-      "  seed %d shrunk to %d vertices / %d paths in %d attempts (%s)\n"
-      f.Fuzz.seed (Subject.n_vertices s) (Subject.n_paths s)
-      shrunk.Shrink.attempts shrunk.Shrink.reason;
-    print_string (Subject.wl_string s)
+  | f :: _ when shrink -> (
+    match f.Fuzz.shrunk with
+    | None ->
+      Printf.printf "  seed %d not shrunk: no subject, or it passed alone\n"
+        f.Fuzz.seed
+    | Some shrunk ->
+      let s = shrunk.Shrink.subject in
+      Printf.printf
+        "  seed %d shrunk to %d vertices / %d paths in %d attempts (%s)\n"
+        f.Fuzz.seed (Subject.n_vertices s) (Subject.n_paths s)
+        shrunk.Shrink.attempts shrunk.Shrink.reason;
+      print_string (Subject.wl_string s))
   | _ -> ());
   failures = []
 

@@ -7,7 +7,9 @@ type failure = {
   check : string;
   seed : int;
   reason : string;
-  shrunk : Shrink.result;
+  shrunk : Shrink.result option;
+      (* None when the seed could not be shrunk: its generator raised, or
+         the subject passed when re-checked alone. *)
   flight : (string * string) option;
       (* engine oracle only: (jsonl, chrome) flight dump of the shrunk
          reproducer's failing session.  Excluded from to_json — dump
@@ -61,10 +63,17 @@ let instrumented (oracle : Oracle.t) =
 let h_shrink = Metrics.histogram "fuzz.shrink.attempts"
 
 let shrink_failure ?shrink_attempts (oracle : Oracle.t) (seed, reason) =
-  let subject = oracle.Oracle.generate seed in
+  (* Oracle.run reported the seed whatever raised; so does this.  A
+     generator that raises, or a subject that passes when re-checked
+     alone ([Shrink.minimize] then raises), leaves the failure without a
+     reproducer. *)
   let minimize () =
-    Shrink.minimize ?max_attempts:shrink_attempts ~check:oracle.Oracle.check
-      subject
+    match
+      Shrink.minimize ?max_attempts:shrink_attempts ~check:oracle.Oracle.check
+        (oracle.Oracle.generate seed)
+    with
+    | shrunk -> Some shrunk
+    | exception _ -> None
   in
   let shrunk =
     if Trace.enabled () then
@@ -73,15 +82,18 @@ let shrink_failure ?shrink_attempts (oracle : Oracle.t) (seed, reason) =
         "fuzz.shrink" minimize
     else minimize ()
   in
-  Metrics.observe h_shrink shrunk.Shrink.attempts;
   (* Re-check the shrunk subject sequentially so the flight side channel
      (engine oracle only) holds the dump of exactly this reproducer's
      session, not whichever parallel seed failed last. *)
-  ignore (Oracle.take_flight ());
   let flight =
-    match oracle.Oracle.check shrunk.Shrink.subject with
-    | _ -> Oracle.take_flight ()
-    | exception _ -> Oracle.take_flight ()
+    match shrunk with
+    | None -> None
+    | Some shrunk -> (
+      Metrics.observe h_shrink shrunk.Shrink.attempts;
+      ignore (Oracle.take_flight ());
+      match oracle.Oracle.check shrunk.Shrink.subject with
+      | _ -> Oracle.take_flight ()
+      | exception _ -> Oracle.take_flight ())
   in
   { check = oracle.Oracle.name; seed; reason; shrunk; flight }
 
@@ -130,24 +142,27 @@ let run ?domains ?(seed0 = 0) ?budget_s ?shrink_attempts ~seeds oracles =
   }
 
 let failure_json f =
-  let s = f.shrunk.Shrink.subject in
   Jsonx.Obj
     [
       ("seed", Jsonx.Int f.seed);
       ("reason", Jsonx.Str f.reason);
       ( "shrunk",
-        Jsonx.Obj
-          [
-            ("vertices", Jsonx.Int (Subject.n_vertices s));
-            ("paths", Jsonx.Int (Subject.n_paths s));
-            ("ops", Jsonx.Int (Subject.n_ops s));
-            ("reason", Jsonx.Str f.shrunk.Shrink.reason);
-            ("wl", Jsonx.Str (Subject.wl_string s));
-            ( "wlops",
-              match Subject.ops_string s with
-              | None -> Jsonx.Null
-              | Some text -> Jsonx.Str text );
-          ] );
+        match f.shrunk with
+        | None -> Jsonx.Null
+        | Some shrunk ->
+          let s = shrunk.Shrink.subject in
+          Jsonx.Obj
+            [
+              ("vertices", Jsonx.Int (Subject.n_vertices s));
+              ("paths", Jsonx.Int (Subject.n_paths s));
+              ("ops", Jsonx.Int (Subject.n_ops s));
+              ("reason", Jsonx.Str shrunk.Shrink.reason);
+              ("wl", Jsonx.Str (Subject.wl_string s));
+              ( "wlops",
+                match Subject.ops_string s with
+                | None -> Jsonx.Null
+                | Some text -> Jsonx.Str text );
+            ] );
     ]
 
 let to_json ?pretty summary =
@@ -183,24 +198,29 @@ let pp ppf summary =
             f.seed f.reason);
       List.iter
         (fun f ->
-          let s = f.shrunk.Shrink.subject in
-          Format.fprintf ppf
-            "  seed %d shrunk to %d vertices / %d paths / %d ops (%s)@."
-            f.seed (Subject.n_vertices s) (Subject.n_paths s) (Subject.n_ops s)
-            f.shrunk.Shrink.reason;
-          Format.fprintf ppf "  --- reproducer ---@.%s" (Subject.wl_string s);
-          (match Subject.ops_string s with
-          | None -> ()
-          | Some ops -> Format.fprintf ppf "  --- ops ---@.%s" ops);
-          match f.flight with
-          | None -> ()
-          | Some (jsonl, _) ->
+          match f.shrunk with
+          | None ->
             Format.fprintf ppf
-              "  --- flight: %d op(s) recorded (written by --corpus) ---@."
-              (List.length
-                 (List.filter
-                    (fun l -> String.trim l <> "")
-                    (String.split_on_char '\n' jsonl))))
+              "  seed %d not shrunk: no subject, or it passed alone@." f.seed
+          | Some shrunk -> (
+            let s = shrunk.Shrink.subject in
+            Format.fprintf ppf
+              "  seed %d shrunk to %d vertices / %d paths / %d ops (%s)@."
+              f.seed (Subject.n_vertices s) (Subject.n_paths s) (Subject.n_ops s)
+              shrunk.Shrink.reason;
+            Format.fprintf ppf "  --- reproducer ---@.%s" (Subject.wl_string s);
+            (match Subject.ops_string s with
+            | None -> ()
+            | Some ops -> Format.fprintf ppf "  --- ops ---@.%s" ops);
+            match f.flight with
+            | None -> ()
+            | Some (jsonl, _) ->
+              Format.fprintf ppf
+                "  --- flight: %d op(s) recorded (written by --corpus) ---@."
+                (List.length
+                   (List.filter
+                      (fun l -> String.trim l <> "")
+                      (String.split_on_char '\n' jsonl)))))
         r.failures)
     summary.runs;
   Format.fprintf ppf "total: %d seeds, %d failures@." summary.total_seeds
@@ -217,25 +237,28 @@ let write_corpus ~dir summary =
     (fun r ->
       List.concat_map
         (fun (f : failure) ->
-          let paths =
-            Corpus.add ~dir ~check:f.check
-              ~label:("s" ^ string_of_int f.seed)
-              f.shrunk.Shrink.subject
-          in
-          match f.flight with
-          | None -> paths
-          | Some (jsonl, chrome) ->
-            (* The black-box tail of the failing session rides along with
-               the reproducer: replayable JSONL plus a Chrome trace that
-               [wl trace-check] accepts. *)
-            let base =
-              Filename.concat dir
-                (Printf.sprintf "%s.s%d.flight" f.check f.seed)
+          match f.shrunk with
+          | None -> []
+          | Some shrunk ->
+            let paths =
+              Corpus.add ~dir ~check:f.check
+                ~label:("s" ^ string_of_int f.seed)
+                shrunk.Shrink.subject
             in
-            paths
-            @ [
-                write_file (base ^ ".jsonl") jsonl;
-                write_file (base ^ ".trace.json") chrome;
-              ])
+            match f.flight with
+            | None -> paths
+            | Some (jsonl, chrome) ->
+              (* The black-box tail of the failing session rides along with
+                 the reproducer: replayable JSONL plus a Chrome trace that
+                 [wl trace-check] accepts. *)
+              let base =
+                Filename.concat dir
+                  (Printf.sprintf "%s.s%d.flight" f.check f.seed)
+              in
+              paths
+              @ [
+                  write_file (base ^ ".jsonl") jsonl;
+                  write_file (base ^ ".trace.json") chrome;
+                ])
         r.failures)
     summary.runs

@@ -17,7 +17,12 @@ type failure = {
   check : string;
   seed : int;
   reason : string;  (** as first observed, before shrinking *)
-  shrunk : Shrink.result;
+  shrunk : Shrink.result option;
+      (** [None] when the seed cannot be shrunk: its generator raised
+          (the reason is then the exception text), or its subject passed
+          when re-checked alone.  Such a failure has no reproducer:
+          {!to_json} writes ["shrunk": null] and {!write_corpus} skips
+          it. *)
   flight : (string * string) option;
       (** engine-oracle failures carry the shrunk reproducer's flight
           dump as [(jsonl, chrome_trace)] — see {!Oracle.take_flight}.

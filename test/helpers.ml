@@ -8,6 +8,11 @@ module Dag = Wl_dag.Dag
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)

@@ -37,7 +37,7 @@ let test_fuzz_catches_and_shrinks () =
   check_int "all seeds fail" 3 summary.Fuzz.total_failures;
   List.iter
     (fun (f : Fuzz.failure) ->
-      let s = f.Fuzz.shrunk.Shrink.subject in
+      let s = (Option.get f.Fuzz.shrunk).Shrink.subject in
       check_int "minimal vertices" 2 (Subject.n_vertices s);
       check_int "minimal paths" 2 (Subject.n_paths s);
       check "still fails" true (Oracle.selftest.Oracle.check s <> None))

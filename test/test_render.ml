@@ -6,11 +6,6 @@ open Wl_core
 module Dot = Wl_digraph.Dot
 module Svg = Wl_digraph.Svg
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let count_occurrences s sub =
   let n = String.length s and m = String.length sub in
   let rec go i acc =

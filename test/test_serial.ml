@@ -70,11 +70,6 @@ let test_labels_json_roundtrip () =
   | Ok inst' ->
     check "labels preserved" true (Digraph.label (Instance.graph inst') 0 = "a1")
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let parse_error expected text =
   match Serial.of_string text with
   | Ok _ -> Alcotest.failf "expected parse error %S" expected

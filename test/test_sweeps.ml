@@ -56,6 +56,44 @@ let test_failure_reporting () =
     (List.length
        (failures_of (Fuzz.run ~seeds:3 ~shrink_attempts:0 [ raising ])))
 
+let test_unshrinkable_failures () =
+  (* A seed that cannot be re-generated, or that passes when re-checked
+     alone, is still a failure: it is reported without a reproducer
+     instead of killing the run. *)
+  let base = seeded_oracle "genboom" (fun _ -> None) in
+  let genboom =
+    {
+      base with
+      Oracle.generate =
+        (fun seed ->
+          if seed = 3 then failwith "generator boom" else base.Oracle.generate seed);
+    }
+  in
+  let summary = Fuzz.run ~seeds:5 [ genboom ] in
+  (match failures_of summary with
+  | [ f ] ->
+    check_int "failing seed" 3 f.Fuzz.seed;
+    Alcotest.(check string)
+      "exception text as reason" "Failure(\"generator boom\")" f.Fuzz.reason;
+    check "no reproducer" true (Option.is_none f.Fuzz.shrunk)
+  | fs -> Alcotest.failf "%d failures, expected one" (List.length fs));
+  check "json shrunk null" true
+    (contains (Fuzz.to_json summary) "\"shrunk\": null");
+  check "nothing written to the corpus" true
+    (Fuzz.write_corpus ~dir:"no-such-corpus-dir" summary = []);
+  (* A check that fails only on its first call: the sequential re-check
+     before shrinking passes. *)
+  let first = Atomic.make true in
+  let flaky =
+    seeded_oracle "flaky" (fun _ ->
+        if Atomic.exchange first false then Some "first call" else None)
+  in
+  match failures_of (Fuzz.run ~domains:1 ~seeds:1 [ flaky ]) with
+  | [ f ] ->
+    check "flaky reason kept" true (f.Fuzz.reason = "first call");
+    check "flaky not shrunk" true (Option.is_none f.Fuzz.shrunk)
+  | fs -> Alcotest.failf "%d flaky failures, expected one" (List.length fs)
+
 let test_failure_ordering () =
   (* Failures come back in ascending seed order whatever the domain
      count — "first failure" is part of the contract. *)
@@ -129,6 +167,8 @@ let suite =
     ( "sweeps",
       [
         Alcotest.test_case "failure reporting" `Quick test_failure_reporting;
+        Alcotest.test_case "unshrinkable failures reported" `Quick
+          test_unshrinkable_failures;
         Alcotest.test_case "failure ordering across domains" `Quick
           test_failure_ordering;
         Alcotest.test_case "instrumentation accounting" `Quick
