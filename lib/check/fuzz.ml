@@ -34,7 +34,7 @@ type summary = {
    and tracing are off. *)
 let instrumented (oracle : Oracle.t) =
   let name = oracle.Oracle.name in
-  let h_latency = Metrics.latency ("fuzz." ^ name ^ ".ns") in
+  let h_latency = Metrics.histogram ("fuzz." ^ name ^ ".ns") in
   let c_failures = Metrics.counter ("fuzz." ^ name ^ ".failures") in
   let c_seeds = Metrics.counter ("fuzz." ^ name ^ ".seeds") in
   let span_name = "fuzz." ^ name in
@@ -45,7 +45,7 @@ let instrumented (oracle : Oracle.t) =
         Metrics.incr c_seeds;
         let t0 = Clock.now_ns () in
         let result = Oracle.run oracle seed in
-        Metrics.observe_ns h_latency (Clock.now_ns () - t0);
+        Metrics.observe h_latency (Clock.now_ns () - t0);
         (match result with
         | Some (seed, reason) ->
           Metrics.incr c_failures;

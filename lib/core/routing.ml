@@ -15,7 +15,7 @@ let c_unroutable = Metrics.counter "routing.unroutable"
 let c_swaps = Metrics.counter "routing.swaps"
 let c_rounds = Metrics.counter "routing.rounds"
 let h_alternatives = Metrics.histogram "routing.alternatives"
-let l_select = Metrics.latency "routing.select.ns"
+let l_select = Metrics.histogram "routing.select.ns"
 
 let unroutable ?index (x, y) =
   let where =
@@ -513,7 +513,7 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
         Array.fold_left (fun acc a -> acc + Array.length a) 0 alts
       in
       let lb = lower_bound d requests in
-      Metrics.observe_ns l_select (Clock.now_ns () - t0);
+      Metrics.observe l_select (Clock.now_ns () - t0);
       Ok
         {
           requests = reqs;

@@ -44,7 +44,7 @@ let c_optimal = Metrics.counter "solver.optimal"
 
 let arm_instruments m =
   let name = method_name m in
-  (Metrics.counter ("solver.arm." ^ name), Metrics.latency ("solver.ns." ^ name))
+  (Metrics.counter ("solver.arm." ^ name), Metrics.histogram ("solver.ns." ^ name))
 
 let arms =
   List.map
@@ -136,7 +136,7 @@ let record_solve report dt_ns =
   match List.assoc_opt report.method_used arms with
   | Some (c, h) ->
     Metrics.incr c;
-    Metrics.observe_ns h dt_ns
+    Metrics.observe h dt_ns
   | None -> ()
 
 let solve ?exact_limit inst =

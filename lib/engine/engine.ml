@@ -20,8 +20,8 @@ let c_shrinks = Metrics.counter "engine.shrink_recolors"
 let c_fallbacks = Metrics.counter "engine.fallbacks"
 let c_full = Metrics.counter "engine.full_solves"
 let h_cascade = Metrics.histogram "engine.cascade_len"
-let l_add = Metrics.latency "engine.add_path.ns"
-let l_remove = Metrics.latency "engine.remove_path.ns"
+let l_add = Metrics.histogram "engine.add_path.ns"
+let l_remove = Metrics.histogram "engine.remove_path.ns"
 
 type path_id = int
 
@@ -806,7 +806,7 @@ let obs_op s kind lat gl t0 ~arcs =
   let tr = Ctx.current_trace () in
   Hdr.record_traced lat dur ~trace:tr;
   Hdr.Slo.record s.slo dur;
-  Metrics.observe_ns gl dur;
+  Metrics.observe gl dur;
   let ev = s.s_ev in
   let w =
     match ev with

@@ -1,4 +1,4 @@
-(* Striping: each instrument holds [stripes] atomic cells and a domain
+(* Striping: each counter holds [stripes] atomic cells and a domain
    updates cell [domain_id land (stripes - 1)].  Domain ids are assigned
    sequentially by the runtime, so concurrently live domains land on
    distinct stripes until more than [stripes] run at once — and even then
@@ -14,138 +14,52 @@ let on = Atomic.make false
 let set_enabled b = Atomic.set on b
 let enabled () = Atomic.get on
 
-type counter = { c_name : string; cells : int Atomic.t array }
+type counter = int Atomic.t array
 
-(* 63 power-of-two buckets cover every non-negative OCaml int. *)
-let n_buckets = 63
+(* Histograms delegate to an HDR histogram: exact quantiles from fixed
+   memory, recorded lock-free from any domain.  The enable gate lives
+   here; Hdr itself is always on. *)
+type histogram = Hdr.t
 
-type histogram = {
-  h_name : string;
-  counts : int Atomic.t array; (* n_buckets cells, shared across domains *)
-  sums : int Atomic.t array; (* striped *)
-  ns : int Atomic.t array; (* striped observation counts *)
-  mn : int Atomic.t;
-  mx : int Atomic.t;
-}
+type entry = C of counter | H of histogram
 
-(* Latency-class instruments delegate to an HDR histogram: exact
-   quantiles from fixed memory, recorded lock-free from any domain.  The
-   enable gate lives here; Hdr itself is always on. *)
-type latency = { l_name : string; hdr : Hdr.t }
-
-type entry = C of counter | H of histogram | L of latency
-
-let registry : (string, entry) Hashtbl.t = Hashtbl.create 64
+let registry : (string, entry) Hashtbl.t = Hashtbl.create 64 (* alloc-ok: once *)
 let registry_lock = Mutex.create ()
-let atomic_cells n = Array.init n (fun _ -> Atomic.make 0)
+let atomic_cells n = Array.init n (fun _ -> Atomic.make 0) (* alloc-ok: creation *)
 
+(* Find-or-create under the registry lock; [unwrap] rejects a name
+   registered as the other kind. *)
 let register name mk unwrap =
   Mutex.protect registry_lock (fun () ->
       match Hashtbl.find_opt registry name with
       | Some e -> unwrap e
       | None ->
-        let v = mk () in
-        v)
+        let e = mk () in
+        Hashtbl.add registry name e;
+        unwrap e)
 
 let counter name =
   register name
-    (fun () ->
-      let c = { c_name = name; cells = atomic_cells stripes } in
-      Hashtbl.add registry name (C c);
-      c)
+    (fun () -> C (atomic_cells stripes))
     (function
       | C c -> c
-      | _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter"))
+      | H _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter"))
 
 let histogram name =
   register name
-    (fun () ->
-      let h =
-        {
-          h_name = name;
-          counts = atomic_cells n_buckets;
-          sums = atomic_cells stripes;
-          ns = atomic_cells stripes;
-          mn = Atomic.make max_int;
-          mx = Atomic.make min_int;
-        }
-      in
-      Hashtbl.add registry name (H h);
-      h)
+    (fun () -> H (Hdr.create ()))
     (function
       | H h -> h
-      | _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram"))
-
-let latency name =
-  register name
-    (fun () ->
-      let l = { l_name = name; hdr = Hdr.create () } in
-      Hashtbl.add registry name (L l);
-      l)
-    (function
-      | L l -> l
-      | _ -> invalid_arg ("Metrics.latency: " ^ name ^ " is not a latency"))
-
-let observe_ns l v = if Atomic.get on then Hdr.record l.hdr v
+      | C _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram"))
 
 let add c v =
-  if Atomic.get on then
-    ignore (Atomic.fetch_and_add c.cells.(stripe ()) v : int)
+  if Atomic.get on then ignore (Atomic.fetch_and_add c.(stripe ()) v : int)
 
 let incr c = add c 1
+let value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c
+let observe h v = if Atomic.get on then Hdr.record h v
 
-let sum_cells cells = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 cells
-let value c = sum_cells c.cells
-
-(* Index of the power-of-two bucket: smallest b with v <= 2^b. *)
-let bucket_of v =
-  if v <= 1 then 0
-  else begin
-    let rec go b top = if v <= top then b else go (b + 1) (top * 2) in
-    go 1 2
-  end
-
-let rec cas_extreme cell better v =
-  let cur = Atomic.get cell in
-  if better v cur && not (Atomic.compare_and_set cell cur v) then
-    cas_extreme cell better v
-
-let observe h v =
-  if Atomic.get on then begin
-    let s = stripe () in
-    ignore (Atomic.fetch_and_add h.counts.(bucket_of v) 1 : int);
-    ignore (Atomic.fetch_and_add h.sums.(s) v : int);
-    ignore (Atomic.fetch_and_add h.ns.(s) 1 : int);
-    cas_extreme h.mn ( < ) v;
-    cas_extreme h.mx ( > ) v
-  end
-
-type hist_snapshot = {
-  count : int;
-  sum : int;
-  min : int;
-  max : int;
-  buckets : (int * int) list;
-}
-
-type instrument =
-  | Counter of int
-  | Histogram of hist_snapshot
-  | Latency of Hdr.snapshot
-
-let snapshot_hist h =
-  let buckets = ref [] in
-  for b = n_buckets - 1 downto 0 do
-    let c = Atomic.get h.counts.(b) in
-    if c > 0 then buckets := ((if b >= 62 then max_int else 1 lsl b), c) :: !buckets
-  done;
-  {
-    count = sum_cells h.ns;
-    sum = sum_cells h.sums;
-    min = Atomic.get h.mn;
-    max = Atomic.get h.mx;
-    buckets = !buckets;
-  }
+type instrument = Counter of int | Histogram of Hdr.snapshot
 
 let snapshot () =
   let all =
@@ -158,12 +72,7 @@ let snapshot () =
       | C c ->
         let v = value c in
         if v = 0 then None else Some (name, Counter v)
-      | H h ->
-        let s = snapshot_hist h in
-        if s.count = 0 then None else Some (name, Histogram s)
-      | L l ->
-        let s = Hdr.snapshot l.hdr in
-        if s.Hdr.count = 0 then None else Some (name, Latency s))
+      | H h -> if Hdr.count h = 0 then None else Some (name, Histogram (Hdr.snapshot h)))
     all
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
@@ -176,24 +85,15 @@ let find_counter name =
 let find_histogram name =
   Mutex.protect registry_lock (fun () ->
       match Hashtbl.find_opt registry name with
-      | Some (H h) -> Some (snapshot_hist h)
-      | _ -> None)
-
-let find_latency name =
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some (L l) -> Some (Hdr.snapshot l.hdr)
+      | Some (H h) -> Some (Hdr.snapshot h)
       | _ -> None)
 
 (* One scalar per instrument for before/after comparison: counters by
-   value, histograms and latencies by observation count. *)
-let scalar_of = function
-  | Counter v -> v
-  | Histogram s -> s.count
-  | Latency s -> s.Hdr.count
+   value, histograms by observation count. *)
+let scalar_of = function Counter v -> v | Histogram s -> s.Hdr.count
 
 let diff before after =
-  let tbl = Hashtbl.create 32 in
+  let tbl = Hashtbl.create 32 (* alloc-ok: cold comparison *) in
   List.iter (fun (name, inst) -> Hashtbl.replace tbl name (scalar_of inst, 0)) before;
   List.iter
     (fun (name, inst) ->
@@ -210,14 +110,8 @@ let reset () =
       Hashtbl.iter
         (fun _ e ->
           match e with
-          | C c -> Array.iter (fun a -> Atomic.set a 0) c.cells
-          | H h ->
-            Array.iter (fun a -> Atomic.set a 0) h.counts;
-            Array.iter (fun a -> Atomic.set a 0) h.sums;
-            Array.iter (fun a -> Atomic.set a 0) h.ns;
-            Atomic.set h.mn max_int;
-            Atomic.set h.mx min_int
-          | L l -> Hdr.reset l.hdr)
+          | C c -> Array.iter (fun a -> Atomic.set a 0) c
+          | H h -> Hdr.reset h)
         registry)
 
 let pp_summary ppf () =
@@ -231,11 +125,9 @@ let pp_summary ppf () =
         match inst with
         | Counter v -> Format.fprintf ppf "%-32s %12d" name v
         | Histogram s ->
-          Format.fprintf ppf "%-32s %12d  sum %-10d min %-8d mean %-10.1f max %d"
-            name s.count s.sum s.min
-            (float_of_int s.sum /. float_of_int (Stdlib.max 1 s.count))
-            s.max
-        | Latency s -> Format.fprintf ppf "%-32s %a" name Hdr.pp_ns s)
+          Format.fprintf ppf
+            "%-32s %12d  sum %-10d min %-8d p50 %-8d p99 %-8d max %d" name
+            s.Hdr.count s.Hdr.sum s.Hdr.min s.Hdr.p50 s.Hdr.p99 s.Hdr.max)
       entries;
     Format.fprintf ppf "@]"
   end

@@ -1,20 +1,22 @@
 (** Domain-safe counters and histograms for solver internals.
 
     Instruments are created once at module-init time (creation takes a
-    registry lock) and then updated lock-free from any domain: updates go
-    to per-domain-striped [Atomic.t] cells, so concurrent sweeps over
+    registry lock) and then updated lock-free from any domain.  Counters
+    go to per-domain-striped [Atomic.t] cells, so concurrent sweeps over
     {!Wl_util.Parallel} never contend on a single cache line, and reads
-    sum the stripes.
+    sum the stripes.  Histograms are {!Hdr} histograms: one kind serves
+    nanosecond latencies and small magnitudes (cascade lengths, color
+    counts) alike, exact below 64 and within ~3% above.
 
     The whole subsystem is gated on one flag: while disabled (the default)
     every update is a single atomic load and a branch — no allocation, no
     store — so instruments can sit inside the Theorem 1 insertion loop
-    without showing up in a profile.  Enable with {!set_enabled} around the
-    region you want measured, then {!snapshot} or {!pp_summary}. *)
+    without showing up in a profile.  Updates allocate nothing while
+    enabled either.  Enable with {!set_enabled} around the region you want
+    measured, then {!snapshot} or {!pp_summary}. *)
 
 type counter
 type histogram
-type latency
 
 val set_enabled : bool -> unit
 (** Enable/disable all updates.  Call before spawning worker domains so
@@ -30,36 +32,15 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 val histogram : string -> histogram
-(** Find-or-create.  Buckets are powers of two: observation [v] lands in
-    bucket [ceil(log2 (max v 1))], so one histogram covers counts of 1 and
-    latencies of 10^9 ns alike. *)
+(** Find-or-create an {!Hdr} histogram with exact p50/p90/p99/p999 from
+    fixed memory.  A name ending in [.ns] records nanosecond durations;
+    the others record plain magnitudes. *)
 
 val observe : histogram -> int -> unit
-(** Record one observation.  Negative values are clamped into the first
-    bucket but still counted in [sum]/[min]/[max]. *)
+(** Record one observation (negative values clamp to 0).  Gated like
+    every update; lock-free and allocation-free when enabled. *)
 
-val latency : string -> latency
-(** Find-or-create a latency-class instrument: an {!Hdr} histogram with
-    exact p50/p90/p99/p999 from fixed memory.  Use for nanosecond
-    durations; plain {!histogram} remains for magnitude-class counts. *)
-
-val observe_ns : latency -> int -> unit
-(** Record one duration.  Gated like every update; lock-free and
-    allocation-free when enabled. *)
-
-type hist_snapshot = {
-  count : int;
-  sum : int;
-  min : int;  (** [max_int] when empty *)
-  max : int;  (** [min_int] when empty *)
-  buckets : (int * int) list;
-      (** [(upper_bound, count)] for each non-empty bucket, ascending *)
-}
-
-type instrument =
-  | Counter of int
-  | Histogram of hist_snapshot
-  | Latency of Hdr.snapshot
+type instrument = Counter of int | Histogram of Hdr.snapshot
 
 val snapshot : unit -> (string * instrument) list
 (** Every registered instrument with a non-zero value/count, sorted by
@@ -82,12 +63,12 @@ val diff :
 val find_counter : string -> int option
 (** Current value of a registered counter, [None] if absent. *)
 
-val find_histogram : string -> hist_snapshot option
-val find_latency : string -> Hdr.snapshot option
+val find_histogram : string -> Hdr.snapshot option
 
 val reset : unit -> unit
 (** Zero every instrument (registration survives). *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Human-readable table of {!snapshot}: counters as [name value],
-    histograms as [name count/sum/min/mean/max]. *)
+    histograms as [name count sum min p50 p99 max], all plain integers
+    (a latency's [.ns] suffix names its unit). *)

@@ -73,19 +73,6 @@ let add_gauge buf name help v =
   add_family buf ~name ~help ~typ:"gauge" (fun buf ->
       Printf.bprintf buf "%s %.6g\n" name v)
 
-let add_histogram buf name help (s : Metrics.hist_snapshot) =
-  add_family buf ~name ~help ~typ:"histogram" (fun buf ->
-      let cum = ref 0 in
-      List.iter
-        (fun (ub, c) ->
-          cum := !cum + c;
-          if ub = max_int then ()
-          else Printf.bprintf buf "%s_bucket{le=\"%d\"} %d\n" name ub !cum)
-        s.buckets;
-      Printf.bprintf buf "%s_bucket{le=\"+Inf\"} %d\n" name s.count;
-      Printf.bprintf buf "%s_sum %d\n" name s.sum;
-      Printf.bprintf buf "%s_count %d\n" name s.count)
-
 let add_summary ?exemplar buf name help (s : Hdr.snapshot) =
   add_family buf ~name ~help ~typ:"summary" (fun buf ->
       Printf.bprintf buf "%s{quantile=\"0.5\"} %d\n" name s.Hdr.p50;
@@ -121,12 +108,12 @@ let add_labeled_gauge buf name help rows =
 let render ?(gauges = []) ?(labeled = []) ?(latencies = []) ?(exemplars = [])
     snapshot =
   let items =
-    List.map
-      (fun (raw, inst) -> (sanitize raw, raw, `Inst inst))
-      snapshot
+    List.map (fun (raw, inst) -> (sanitize raw, raw, `Inst inst)) snapshot
     @ List.map (fun (raw, v) -> (sanitize raw, raw, `Gauge v)) gauges
     @ List.map (fun (raw, rows) -> (sanitize raw, raw, `Labeled rows)) labeled
-    @ List.map (fun (raw, s) -> (sanitize raw, raw, `Hdr s)) latencies
+    @ List.map
+        (fun (raw, s) -> (sanitize raw, raw, `Inst (Metrics.Histogram s)))
+        latencies
   in
   let items =
     List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) items
@@ -137,11 +124,9 @@ let render ?(gauges = []) ?(labeled = []) ?(latencies = []) ?(exemplars = [])
       let exemplar = List.assoc_opt raw exemplars in
       match v with
       | `Inst (Metrics.Counter c) -> add_counter buf name raw c
-      | `Inst (Metrics.Histogram s) -> add_histogram buf name raw s
-      | `Inst (Metrics.Latency s) -> add_summary ?exemplar buf name raw s
+      | `Inst (Metrics.Histogram s) -> add_summary ?exemplar buf name raw s
       | `Gauge g -> add_gauge buf name raw g
-      | `Labeled rows -> add_labeled_gauge buf name raw rows
-      | `Hdr s -> add_summary ?exemplar buf name raw s)
+      | `Labeled rows -> add_labeled_gauge buf name raw rows)
     items;
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf

@@ -8,17 +8,19 @@
       ([solver.ns.thm1] → [wl_solver_ns_thm1]), the original name kept in
       the [# HELP] line;
     - counters become [counter] families ([_total] sample);
-    - power-of-two {!Metrics.histogram}s become [histogram] families with
-      cumulative [le] buckets;
-    - latency instruments and HDR snapshots become [summary] families
-      with [quantile] labels (0.5/0.9/0.99/0.999, values in ns);
+    - histograms and HDR snapshots become [summary] families with
+      [quantile] labels (0.5/0.9/0.99/0.999) plus [_sum] and [_count],
+      values in the instrument's unit (ns for a [.ns] name);
     - gauges are emitted verbatim;
     - the document ends with [# EOF].
 
-    {!validate} is a dependency-free parser for the same dialect, strict
-    enough to catch shape mistakes (samples without a [# TYPE], suffixes
-    illegal for the declared type, garbage after [# EOF]) — it backs
-    [wl metrics-check] and the CI smoke over [wl stress --metrics-out]. *)
+    {!render} never emits a [histogram] family.  {!validate} is a
+    dependency-free parser for the OpenMetrics dialect, [histogram]
+    families included, since it also checks documents from other
+    exporters.  It is strict enough to catch shape mistakes (samples
+    without a [# TYPE], suffixes illegal for the declared type, garbage
+    after [# EOF]) — it backs [wl metrics-check] and the CI smoke over
+    [wl stress --metrics-out]. *)
 
 val render :
   ?gauges:(string * float) list ->

@@ -97,15 +97,7 @@ let make ?rev ?timestamp ?(note = "") ?(extra = []) ~domains points =
 
 let json_of_instrument = function
   | Metrics.Counter v -> Jsonx.Int v
-  | Metrics.Histogram h ->
-    Jsonx.Obj
-      [
-        ("count", Jsonx.Int h.Metrics.count);
-        ("sum", Jsonx.Int h.Metrics.sum);
-        ("min", Jsonx.Int h.Metrics.min);
-        ("max", Jsonx.Int h.Metrics.max);
-      ]
-  | Metrics.Latency s ->
+  | Metrics.Histogram s ->
     Jsonx.Obj
       [
         ("count", Jsonx.Int s.Hdr.count);

@@ -74,8 +74,9 @@ val make :
     {!git_rev}/{!timestamp_now}. *)
 
 val json_of_instrument : Metrics.instrument -> Wl_json.Jsonx.t
-(** Counter as a bare int; histogram as [{count; sum; min; max}] — the
-    shape used in point counter embeddings. *)
+(** Counter as a bare int; histogram as
+    [{count; sum; min; max; p50; p90; p99; p999}] — the shape used in
+    point counter embeddings. *)
 
 val to_json : entry -> Wl_json.Jsonx.t
 val of_json : Wl_json.Jsonx.t -> (entry, string) result

@@ -6,6 +6,7 @@
 
 open Helpers
 module Metrics = Wl_obs.Metrics
+module Hdr = Wl_obs.Hdr
 module Trace = Wl_obs.Trace
 module Clock = Wl_obs.Clock
 module Prof = Wl_obs.Prof
@@ -95,21 +96,16 @@ let test_counters_under_map_array () =
 let test_histogram_snapshot () =
   with_metrics (fun () ->
       let h = Metrics.histogram "test.obs.hist" in
-      List.iter (Metrics.observe h) [ 1; 3; 3; 100; 1000 ];
+      List.iter (Metrics.observe h) [ 1; 3; 3; 7; 60 ];
       match Metrics.find_histogram "test.obs.hist" with
       | None -> Alcotest.fail "histogram not registered"
       | Some s ->
-        check_int "count" 5 s.Metrics.count;
-        check_int "sum" 1107 s.Metrics.sum;
-        check_int "min" 1 s.Metrics.min;
-        check_int "max" 1000 s.Metrics.max;
-        check_int "bucket counts total to count" 5
-          (List.fold_left (fun acc (_, c) -> acc + c) 0 s.Metrics.buckets);
-        let rec ascending = function
-          | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
-          | _ -> true
-        in
-        check "buckets ascending" true (ascending s.Metrics.buckets))
+        check_int "count" 5 s.Hdr.count;
+        check_int "sum" 74 s.Hdr.sum;
+        check_int "min" 1 s.Hdr.min;
+        check_int "max" 60 s.Hdr.max;
+        (* Values below 64 get a bucket each, so quantiles are exact. *)
+        check_int "p50" 3 s.Hdr.p50)
 
 let test_disabled_updates_ignored () =
   Metrics.reset ();
@@ -288,6 +284,25 @@ let test_disabled_counter_no_alloc () =
      per-iteration would show up as >= 200k words. *)
   check "disabled incr allocates nothing" true (words < 256.)
 
+let test_enabled_updates_no_alloc () =
+  (* The enabled path is lock-free int arithmetic too: a striped
+     fetch-and-add per counter update, HDR cell/total/sum adds and CAS
+     min/max per observation. *)
+  with_metrics (fun () ->
+      let c = Metrics.counter "test.obs.noalloc.on" in
+      let h = Metrics.histogram "test.obs.noalloc.hist" in
+      Metrics.incr c;
+      Metrics.observe h 1;
+      let words =
+        minor_words_of (fun () ->
+            for i = 1 to 100_000 do
+              Metrics.incr c;
+              Metrics.observe h i
+            done)
+      in
+      check_int "every update counted" 100_001 (Metrics.value c);
+      check "enabled incr + observe allocate nothing" true (words < 256.))
+
 let test_disabled_obs_theorem1_deterministic_alloc () =
   (* With the null sink and metrics off, instrumentation must not change
      Theorem 1's allocation behaviour: two identical runs allocate
@@ -307,11 +322,11 @@ let test_sweep_latency_histogram () =
       let thm1 = List.find (fun o -> o.Oracle.name = "thm1") Oracle.sweeps in
       let summary = Fuzz.run ~seeds:10 [ thm1 ] in
       check "sweep clean" true (summary.Fuzz.total_failures = 0);
-      match Metrics.find_latency "fuzz.thm1.ns" with
+      match Metrics.find_histogram "fuzz.thm1.ns" with
       | None -> Alcotest.fail "fuzz.thm1.ns not populated"
       | Some s ->
-        check_int "one latency sample per seed" 10 s.Wl_obs.Hdr.count;
-        check "latencies positive" true (s.Wl_obs.Hdr.min > 0))
+        check_int "one latency sample per seed" 10 s.Hdr.count;
+        check "latencies positive" true (s.Hdr.min > 0))
 
 let test_solver_counters_and_provenance () =
   let inst = random_nic_instance ~n:24 ~k:16 3 in
@@ -329,11 +344,6 @@ let test_solver_counters_and_provenance () =
   let render stats =
     Format.asprintf "%a" (Solver.pp_report ~stats) report
   in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
-    at 0
-  in
   check "default report has no provenance" false
     (contains (render false) "(from ");
   check "stats report names the bound source" true
@@ -347,22 +357,26 @@ let test_openmetrics_render_validates () =
   with_metrics (fun () ->
       let c = Metrics.counter "om.test.solves" in
       let h = Metrics.histogram "om.test.flips" in
-      let l = Metrics.latency "om.test.ns" in
+      let l = Metrics.histogram "om.test.ns" in
       Metrics.add c 3;
       List.iter (Metrics.observe h) [ 1; 2; 500 ];
-      List.iter (Metrics.observe_ns l) [ 100; 2000; 90_000 ];
+      List.iter (Metrics.observe l) [ 100; 2000; 90_000 ];
       let doc =
         Wl_obs.Openmetrics.render
           ~gauges:[ ("om.test.sessions", 2.) ]
-          ~latencies:[ ("om.test.extra.ns", Wl_obs.Hdr.snapshot (Wl_obs.Hdr.create ())) ]
+          ~latencies:[ ("om.test.extra.ns", Hdr.snapshot (Hdr.create ())) ]
           (Metrics.snapshot ())
       in
-      match Wl_obs.Openmetrics.validate doc with
+      (match Wl_obs.Openmetrics.validate doc with
       | Error e -> Alcotest.fail ("rendered exposition rejected: " ^ e)
       | Ok st ->
-        (* counter + histogram + latency + gauge + standalone latency *)
+        (* counter + two histograms + gauge + standalone latency *)
         check "families" true (st.Wl_obs.Openmetrics.families >= 5);
-        check "samples" true (st.Wl_obs.Openmetrics.samples > 10))
+        check "samples" true (st.Wl_obs.Openmetrics.samples > 10));
+      (* Every distribution renders as a summary: one output format. *)
+      check "flips is a summary" true
+        (contains doc "# TYPE wl_om_test_flips summary\n");
+      check "no histogram family" false (contains doc " histogram\n"))
 
 let test_openmetrics_validator_rejects () =
   let reject doc why =
@@ -461,11 +475,6 @@ let test_openmetrics_exemplar_syntax () =
       ~exemplars:[ ("engine.session.add.ns", Option.get (Wl_obs.Hdr.exemplar h)) ]
       []
   in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
-    at 0
-  in
   check "exemplar trace id rendered in hex" true
     (contains doc (Printf.sprintf "trace_id=\"%s\"" (Wl_obs.Ctx.hex 0xdeadbee)));
   check "exemplar syntax present" true (contains doc " # {trace_id=\"");
@@ -540,6 +549,8 @@ let suite =
           test_chrome_rejects_malformed;
         Alcotest.test_case "disabled counter allocates nothing" `Quick
           test_disabled_counter_no_alloc;
+        Alcotest.test_case "enabled updates allocate nothing" `Quick
+          test_enabled_updates_no_alloc;
         Alcotest.test_case "theorem1 alloc unchanged when off" `Quick
           test_disabled_obs_theorem1_deterministic_alloc;
         Alcotest.test_case "sweep latency histogram" `Quick

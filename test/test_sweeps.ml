@@ -136,7 +136,7 @@ let test_instrumentation () =
   check_int "failures returned" 4 (List.length failures);
   check_int "seeds counter" 10 (counter "seeds");
   check_int "failures counter" (List.length failures) (counter "failures");
-  (match Metrics.find_latency "fuzz.testcase.ns" with
+  (match Metrics.find_histogram "fuzz.testcase.ns" with
   | None -> Alcotest.fail "latency summary missing"
   | Some h -> check_int "latency observations" 10 h.Wl_obs.Hdr.count);
   let events = Trace.events sink in
