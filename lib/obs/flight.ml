@@ -287,9 +287,7 @@ let merged_chrome ?last rings =
     }
   in
   Trace.to_chrome
-    (List.concat_map
-       (fun t -> if t.origin < 0 then [] else List.map (event t) (entries ?last t))
-       rings)
+    (List.concat_map (fun t -> List.map (event t) (entries ?last t)) rings)
 
 let to_chrome ?last t = merged_chrome ?last [ t ]
 
