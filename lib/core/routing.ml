@@ -36,145 +36,248 @@ let check_request n _i (x, y) =
 let collect_routes route requests =
   let rec go i acc = function
     | [] -> Ok (List.rev acc)
-    | ((x, y) as r) :: rest -> (
-      match route i r with
+    | r :: rest -> (
+      match route r with
       | Some p -> go (i + 1) (p :: acc) rest
       | None ->
         Metrics.incr c_unroutable;
-        Error (unroutable ~index:i (x, y)))
+        Error (unroutable ~index:i r))
   in
   go 0 [] requests
 
-(* --- hop-count-shortest, deterministic -------------------------------------
-
-   Distance-to-destination by reverse BFS over the allowed subgraph, then a
-   greedy forward walk always taking the smallest-numbered next vertex that
-   stays on a shortest path: among all minimum-hop dipaths this constructs
-   the lexicographically smallest vertex sequence, independent of
-   adjacency-list insertion order.  The restricted variants ([banned_v],
-   [banned_a]) are the spur routine of Yen's algorithm below. *)
-
-let rev_dist g ~banned_v ~banned_a dst =
-  let n = Digraph.n_vertices g in
-  let dist = Array.make n (-1) in
-  dist.(dst) <- 0;
-  let queue = Queue.create () in
-  Queue.add dst queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    List.iter
-      (fun a ->
-        if not banned_a.(a) then begin
-          let u = Digraph.arc_src g a in
-          if (not banned_v.(u)) && dist.(u) < 0 then begin
-            dist.(u) <- dist.(v) + 1;
-            Queue.add u queue
-          end
-        end)
-      (Digraph.in_arcs g v)
-  done;
-  dist
-
-let lex_walk g ~banned_v ~banned_a dist src dst =
-  let rec go v acc =
-    if v = dst then List.rev (v :: acc)
-    else begin
-      let best = ref (-1) in
-      List.iter
-        (fun a ->
-          if not banned_a.(a) then begin
-            let w = Digraph.arc_dst g a in
-            if
-              (not banned_v.(w))
-              && dist.(w) >= 0
-              && dist.(w) = dist.(v) - 1
-              && (!best < 0 || w < !best)
-            then best := w
-          end)
-        (Digraph.out_arcs g v);
-      go !best (v :: acc)
-    end
+(* Depth-first from [start] along [next] (Digraph.pred or Digraph.succ),
+   entering the vertices [enter] accepts (and marks).  Returns every vertex
+   entered, [start] included. *)
+let collect next enter start =
+  let rec go seen = function
+    | [] -> seen
+    | v :: todo ->
+      go (v :: seen)
+        (List.fold_left (fun todo u -> if enter u then u :: todo else todo) todo (next v))
   in
-  go src []
+  go [] [ start ]
 
-let restricted_shortest g ~banned_v ~banned_a src dst =
-  if src = dst then None
+(* --- k-shortest dipaths: one reverse-topological sweep ---------------------
+
+   The order is (hop count, lexicographic vertex sequence).  Two dipaths
+   v.Q and v.Q' out of one vertex compare as their tails Q and Q' do, so
+   v's k best dipaths to dst are v prepended to the first k of its
+   successors' k best lists, merged: heads from different successors w, w'
+   compare by (hops, w).  Sweeping the vertices of src-dst dipaths in
+   reverse topological order builds every list, each entry sharing its
+   tail.  Marks are stamped per call, so one scratch serves many calls. *)
+
+type entry = { v : Digraph.vertex; hops : int; tail : entry }
+
+let rec nil = { v = -1; hops = -1; tail = nil }
+
+type sweep = {
+  dag : Dag.t;
+  anc : int array;  (* = stamp: an ancestor of dst no earlier than src *)
+  reg : int array;  (* = stamp: also reached from src *)
+  best : entry list array;  (* k best dipaths to dst; [] between calls *)
+  mutable stamp : int;
+}
+
+let sweep_scratch d =
+  let n = Dag.n_vertices d in
+  { dag = d; anc = Array.make n 0; reg = Array.make n 0; best = Array.make n []; stamp = 0 }
+
+(* Callers ask for one request at a time, so a spare scratch, taken
+   atomically and kept for the last DAG, spares them O(n) arrays per call. *)
+let spare = Atomic.make None
+
+(* The vertices on some src-dst dipath, i.e. the ancestors of dst that src
+   reaches, last in topological order first. *)
+let region s src dst =
+  s.stamp <- s.stamp + 1;
+  let e = s.stamp and g = Dag.graph s.dag and pos = Dag.topo_position s.dag in
+  s.anc.(dst) <- e;
+  ignore
+    (collect (Digraph.pred g)
+       (fun u -> s.anc.(u) <> e && pos u >= pos src && (s.anc.(u) <- e; true))
+       dst);
+  if s.anc.(src) <> e then []
   else begin
-    let dist = rev_dist g ~banned_v ~banned_a dst in
-    if dist.(src) < 0 then None
-    else Some (Array.of_list (lex_walk g ~banned_v ~banned_a dist src dst))
+    s.reg.(src) <- e;
+    collect (Digraph.succ g)
+      (fun w -> s.anc.(w) = e && s.reg.(w) <> e && (s.reg.(w) <- e; true))
+      src
+    |> List.sort (fun u v -> Int.compare (pos v) (pos u))
   end
+
+(* The first k of two sorted lists of tails out of disjoint sets of
+   successors, whose heads therefore compare by (hops, first vertex). *)
+let rec merge k a b =
+  match (a, b) with
+  | _ when k = 0 -> []
+  | [], l | l, [] -> List.filteri (fun i _ -> i < k) l
+  | t :: a', t' :: b' ->
+    if t.hops < t'.hops || (t.hops = t'.hops && t.v < t'.v) then t :: merge (k - 1) a' b
+    else t' :: merge (k - 1) a b'
+
+let k_shortest ?(k = 8) d src dst =
+  if k <= 0 || src = dst then []
+  else begin
+    let s =
+      match Atomic.exchange spare None with
+      | Some s when s.dag == d -> s
+      | _ -> sweep_scratch d
+    in
+    let g = Dag.graph d in
+    let best v =
+      if v = dst then [ { v; hops = 0; tail = nil } ]
+      else
+        List.fold_left
+          (fun acc w -> if s.reg.(w) = s.stamp then merge k acc s.best.(w) else acc)
+          [] (Digraph.succ g v)
+        |> List.map (fun t -> { v; hops = t.hops + 1; tail = t })
+    in
+    let vertices = region s src dst in
+    List.iter (fun v -> s.best.(v) <- best v) vertices;
+    let rec walk e acc = if e == nil then List.rev acc else walk e.tail (e.v :: acc) in
+    let paths = List.map (fun e -> Dipath.make g (walk e [])) s.best.(src) in
+    List.iter (fun v -> s.best.(v) <- []) vertices;
+    Atomic.set spare (Some s);
+    paths
+  end
+
+let compare_route p q =
+  let c = compare (Dipath.n_arcs p) (Dipath.n_arcs q) in
+  if c <> 0 then c else compare (Dipath.vertices p) (Dipath.vertices q)
 
 let shortest_dipath d src dst =
-  let g = Dag.graph d in
-  let banned_v = Array.make (Digraph.n_vertices g) false in
-  let banned_a = Array.make (max 1 (Digraph.n_arcs g)) false in
-  match restricted_shortest g ~banned_v ~banned_a src dst with
-  | None -> None
-  | Some verts -> Some (Dipath.make g (Array.to_list verts))
+  match k_shortest ~k:1 d src dst with p :: _ -> Some p | [] -> None
 
 let route_unique d requests =
-  collect_routes (fun _ (x, y) -> Upp.unique_dipath d x y) requests
+  collect_routes (fun (x, y) -> Upp.unique_dipath d x y) requests
 
 let route_shortest d requests =
-  collect_routes (fun _ (x, y) -> shortest_dipath d x y) requests
+  collect_routes (fun (x, y) -> shortest_dipath d x y) requests
 
-(* --- lexicographic (bottleneck load, hop count) Dijkstra --------------------
+(* --- the seed: lexicographic (bottleneck load, hop count) Dijkstra ----------
 
    Both components are monotone under arc relaxation, so the label-setting
-   argument applies.  The linear-scan extraction always settles the
-   lowest-numbered vertex among equal labels, making the result a
-   deterministic function of the graph and the load vector. *)
+   argument applies.  A binary heap of (bottleneck, hops, vertex) triples
+   with lazy deletion pops the least triple, so among equal labels it
+   settles the lowest-numbered vertex, and relaxation keeps the first of
+   equal labels: the route is a deterministic function of the graph and
+   the load vector.  Labels are stamped per search, so one scratch serves
+   every request of a [select]. *)
 
-let bottleneck_path d load src dst =
+type seed = {
+  g : Digraph.t;
+  bott : int array;  (* a vertex's label (bottleneck, hops) and parent *)
+  hop : int array;
+  parent : int array;
+  reached : int array;  (* = at: the label is set in this search *)
+  mutable at : int;
+  hb : int array;  (* heap entry i is the triple (hb.(i), hh.(i), hv.(i)); *)
+  hh : int array;  (* a search pushes at most once per arc, plus its source *)
+  hv : int array;
+  mutable size : int;
+}
+
+let seed_scratch d =
   let g = Dag.graph d in
-  let n = Digraph.n_vertices g in
-  let inf = (max_int, max_int) in
-  let dist = Array.make n inf in
-  let parent = Array.make n (-1) in
-  let settled = Array.make n false in
-  dist.(src) <- (0, 0);
-  let rec loop () =
-    let best = ref (-1) in
-    for v = 0 to n - 1 do
-      if (not settled.(v)) && dist.(v) < inf
-         && (!best = -1 || dist.(v) < dist.(!best))
-      then best := v
-    done;
-    if !best >= 0 then begin
-      let v = !best in
-      settled.(v) <- true;
-      if v <> dst then begin
-        List.iter
-          (fun a ->
-            let w = Digraph.arc_dst g a in
-            let bott, hops = dist.(v) in
-            let cand = (max bott load.(a), hops + 1) in
-            if cand < dist.(w) then begin
-              dist.(w) <- cand;
-              parent.(w) <- v
-            end)
-          (Digraph.out_arcs g v);
-        loop ()
-      end
-    end
-  in
-  loop ();
-  if src = dst || dist.(dst) = inf then None
-  else begin
-    let rec build v acc = if v = src then v :: acc else build parent.(v) (v :: acc) in
-    Some (Dipath.make g (build dst []))
+  let n = Digraph.n_vertices g and cap = Digraph.n_arcs g + 1 in
+  let ints k = Array.make k 0 in
+  { g; bott = ints n; hop = ints n; parent = ints n; reached = ints n; at = 0;
+    hb = ints cap; hh = ints cap; hv = ints cap; size = 0 }
+
+let less s i j =
+  s.hb.(i) < s.hb.(j)
+  || s.hb.(i) = s.hb.(j)
+     && (s.hh.(i) < s.hh.(j) || (s.hh.(i) = s.hh.(j) && s.hv.(i) < s.hv.(j)))
+
+let swap a i j =
+  let t = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- t
+
+let swap3 s i j =
+  swap s.hb i j;
+  swap s.hh i j;
+  swap s.hv i j
+
+let rec sift_up s i =
+  let p = (i - 1) / 2 in
+  if i > 0 && less s i p then begin
+    swap3 s i p;
+    sift_up s p
   end
 
+let rec sift_down s i =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < s.size && less s (l + 1) l then l + 1 else l in
+  if c < s.size && less s c i then begin
+    swap3 s i c;
+    sift_down s c
+  end
+
+let push s b h v =
+  s.hb.(s.size) <- b;
+  s.hh.(s.size) <- h;
+  s.hv.(s.size) <- v;
+  s.size <- s.size + 1;
+  sift_up s (s.size - 1)
+
+let relax s load v a =
+  let w = Digraph.arc_dst s.g a in
+  let b = if load.(a) > s.bott.(v) then load.(a) else s.bott.(v) in
+  let h = s.hop.(v) + 1 in
+  if s.reached.(w) <> s.at || b < s.bott.(w) || (b = s.bott.(w) && h < s.hop.(w))
+  then begin
+    s.reached.(w) <- s.at;
+    s.bott.(w) <- b;
+    s.hop.(w) <- h;
+    s.parent.(w) <- v;
+    push s b h w
+  end
+
+(* Pop until dst settles.  Labels only fall, so an entry that no longer
+   matches its vertex's label is stale, and the matching one pops once. *)
+let rec settle s load dst =
+  if s.size > 0 then begin
+    let b = s.hb.(0) and h = s.hh.(0) and v = s.hv.(0) in
+    s.size <- s.size - 1;
+    swap3 s 0 s.size;
+    sift_down s 0;
+    if b <> s.bott.(v) || h <> s.hop.(v) then settle s load dst
+    else if v <> dst then begin
+      List.iter (relax s load v) (Digraph.out_arcs s.g v);
+      settle s load dst
+    end
+  end
+
+let seed_path s load src dst =
+  if src = dst then None
+  else begin
+    s.at <- s.at + 1;
+    s.size <- 0;
+    s.reached.(src) <- s.at;
+    s.bott.(src) <- 0;
+    s.hop.(src) <- 0;
+    push s 0 0 src;
+    settle s load dst;
+    if s.reached.(dst) <> s.at then None
+    else begin
+      let rec build v acc = if v = src then v :: acc else build s.parent.(v) (v :: acc) in
+      Some (Dipath.make s.g (build dst []))
+    end
+  end
+
+let bottleneck_path d load src dst = seed_path (seed_scratch d) load src dst
+
 let min_load_router d =
-  let g = Dag.graph d in
-  let n = Digraph.n_vertices g in
-  let load = Array.make (max 1 (Digraph.n_arcs g)) 0 in
+  let n = Dag.n_vertices d in
+  let s = seed_scratch d in
+  let load = Array.make (max 1 (Dag.n_arcs d)) 0 in
   fun (x, y) ->
     match check_request n 0 (x, y) with
     | Error e -> Error e
     | Ok () -> (
-      match bottleneck_path d load x y with
+      match seed_path s load x y with
       | None ->
         Metrics.incr c_unroutable;
         Error (unroutable (x, y))
@@ -194,95 +297,6 @@ let route_min_load d requests =
   in
   go 0 [] requests
 
-(* --- k-shortest dipaths (Yen) ----------------------------------------------
-
-   Yen's algorithm over the (hop count, lexicographic vertex sequence)
-   total order: the accepted list comes out sorted by that order,
-   duplicate-free, and — because every dipath in a DAG is loopless —
-   complete whenever [k] reaches the number of src-dst dipaths.  Candidate
-   bookkeeping is plain lists of int arrays; [k] is small by design. *)
-
-let compare_vseq (a : int array) (b : int array) =
-  let c = compare (Array.length a) (Array.length b) in
-  if c <> 0 then c else compare a b
-
-let compare_route p q =
-  let c = compare (Dipath.n_arcs p) (Dipath.n_arcs q) in
-  if c <> 0 then c else compare (Dipath.vertices p) (Dipath.vertices q)
-
-let prefix_eq (a : int array) (b : int array) len =
-  let rec go i = i >= len || (a.(i) = b.(i) && go (i + 1)) in
-  Array.length a >= len && Array.length b >= len && go 0
-
-let k_shortest ?(k = 8) d src dst =
-  let g = Dag.graph d in
-  if k <= 0 || src = dst then []
-  else begin
-    let n = Digraph.n_vertices g in
-    let m = Digraph.n_arcs g in
-    let banned_v = Array.make n false in
-    let banned_a = Array.make (max 1 m) false in
-    let reset () =
-      Array.fill banned_v 0 n false;
-      Array.fill banned_a 0 (max 1 m) false
-    in
-    match restricted_shortest g ~banned_v ~banned_a src dst with
-    | None -> []
-    | Some p0 ->
-      let accepted = ref [ p0 ] in
-      let n_accepted = ref 1 in
-      let candidates = ref [] in
-      let seen c l = List.exists (fun x -> compare_vseq x c = 0) l in
-      let spur_from last =
-        let len = Array.length last in
-        for j = 0 to len - 2 do
-          reset ();
-          for t = 0 to j - 1 do
-            banned_v.(last.(t)) <- true
-          done;
-          List.iter
-            (fun p ->
-              if Array.length p > j + 1 && prefix_eq p last (j + 1) then
-                match Digraph.find_arc g p.(j) p.(j + 1) with
-                | Some a -> banned_a.(a) <- true
-                | None -> ())
-            !accepted;
-          match restricted_shortest g ~banned_v ~banned_a last.(j) dst with
-          | None -> ()
-          | Some tail ->
-            let c = Array.append (Array.sub last 0 j) tail in
-            if not (seen c !candidates || seen c !accepted) then
-              candidates := c :: !candidates
-        done
-      in
-      let pop_min () =
-        match !candidates with
-        | [] -> None
-        | first :: rest ->
-          let best =
-            List.fold_left
-              (fun acc c -> if compare_vseq c acc < 0 then c else acc)
-              first rest
-          in
-          candidates :=
-            List.filter (fun c -> compare_vseq c best <> 0) !candidates;
-          Some best
-      in
-      let rec grow last =
-        if !n_accepted < k then begin
-          spur_from last;
-          match pop_min () with
-          | None -> ()
-          | Some best ->
-            accepted := best :: !accepted;
-            incr n_accepted;
-            grow best
-        end
-      in
-      grow p0;
-      List.rev_map (fun verts -> Dipath.make g (Array.to_list verts)) !accepted
-  end
-
 (* --- routing-aware lower bound ---------------------------------------------
 
    The computable side of the global packing number (Lo-Zhang-Wong-Fu):
@@ -294,8 +308,10 @@ let k_shortest ?(k = 8) d src dst =
    An arc (u, v) is forced for request (x, y) when every x-y dipath uses
    it, i.e. #paths(x, u) * #paths(v, y) = #paths(x, y): in a DAG a path
    into u and a path out of v cannot intersect, so the product counts
-   exactly the dipaths through the arc.  Counts saturate; a saturated
-   total conservatively reads as "nothing forced", which only weakens the
+   exactly the dipaths through the arc.  A forced arc lies on every x-y
+   dipath, so only the arcs of one hop-shortest dipath need the test, and
+   its length is the volume term.  Counts saturate; a saturated total
+   conservatively reads as "nothing forced", which only weakens the
    bound, never invalidates it. *)
 
 let lower_bound d requests =
@@ -306,73 +322,91 @@ let lower_bound d requests =
   else
     Trace.with_span "routing.bound" @@ fun () ->
     let in_range (x, y) = x >= 0 && x < n && y >= 0 && y < n && x <> y in
-    let dist_cache = Hashtbl.create 8 in
-    let dist_from x =
-      match Hashtbl.find_opt dist_cache x with
-      | Some dist -> dist
+    let by_topo u v = Int.compare (Dag.topo_position d u) (Dag.topo_position d v) in
+    (* Requests are taken grouped by source.  For the current source x,
+       [reach.(v) = x] marks what x reaches, [parent] holds BFS parent arcs
+       and [fwd] #paths(x, v), swept over those vertices. *)
+    let reach = Array.make n (-1) and parent = Array.make n (-1) in
+    let fwd = Array.make n Saturating.zero in
+    let from x =
+      let visit next a =
+        let w = Digraph.arc_dst g a in
+        if reach.(w) = x then next
+        else begin
+          reach.(w) <- x;
+          parent.(w) <- a;
+          fwd.(w) <- Saturating.zero;
+          w :: next
+        end
+      in
+      let rec bfs seen = function
+        | [] -> seen
+        | level ->
+          bfs (List.rev_append level seen)
+            (List.fold_left
+               (fun next u -> List.fold_left visit next (Digraph.out_arcs g u))
+               [] level)
+      in
+      reach.(x) <- x;
+      fwd.(x) <- Saturating.one;
+      List.sort by_topo (bfs [] [ x ])
+      |> List.iter (fun u ->
+             List.iter
+               (fun w -> fwd.(w) <- Saturating.add fwd.(w) fwd.(u))
+               (Digraph.succ g u))
+    in
+    (* #paths(v, y), swept once per destination over y's ancestors, which
+       [mark.(v) = y] marks. *)
+    let mark = Array.make n (-1) in
+    let into_cache = Hashtbl.create 8 in
+    let into y =
+      match Hashtbl.find_opt into_cache y with
+      | Some paths -> paths
       | None ->
-        let dist = Traversal.bfs_dist g x in
-        Hashtbl.add dist_cache x dist;
-        dist
+        let paths = Array.make n Saturating.zero in
+        paths.(y) <- Saturating.one;
+        collect (Digraph.pred g) (fun u -> mark.(u) <> y && (mark.(u) <- y; true)) y
+        |> List.sort (fun u v -> by_topo v u)
+        |> List.iter (fun v ->
+               List.iter
+                 (fun w -> paths.(v) <- Saturating.add paths.(v) paths.(w))
+                 (Digraph.succ g v));
+        Hashtbl.add into_cache y paths;
+        paths
     in
-    let total_hops =
-      List.fold_left
-        (fun acc ((x, y) as r) ->
-          if in_range r then
-            let dxy = (dist_from x).(y) in
-            if dxy > 0 then acc + dxy else acc
-          else acc)
-        0 requests
-    in
-    let volume = (total_hops + m - 1) / m in
+    let total_hops = ref 0 in
     let forced = Array.make m 0 in
-    let fwd_cache = Hashtbl.create 8 in
-    let fwd x =
-      match Hashtbl.find_opt fwd_cache x with
-      | Some f -> f
-      | None ->
-        let f = Dag.count_dipaths_from d x in
-        Hashtbl.add fwd_cache x f;
-        f
-    in
-    let order = Dag.topological_order d in
-    let rev_cache = Hashtbl.create 8 in
-    let rev y =
-      match Hashtbl.find_opt rev_cache y with
-      | Some gc -> gc
-      | None ->
-        let gc = Array.make n Saturating.zero in
-        gc.(y) <- Saturating.one;
-        for i = n - 1 downto 0 do
-          let v = order.(i) in
-          if v <> y then
-            List.iter
-              (fun a ->
-                let w = Digraph.arc_dst g a in
-                gc.(v) <- Saturating.add gc.(v) gc.(w))
-              (Digraph.out_arcs g v)
-        done;
-        Hashtbl.add rev_cache y gc;
-        gc
-    in
-    List.iter
-      (fun ((x, y) as r) ->
-        if in_range r then begin
-          let f = fwd x in
-          let total = f.(y) in
-          if Saturating.to_int total > 0 && not (Saturating.is_saturated total)
-          then begin
-            let gc = rev y in
-            Digraph.iter_arcs
-              (fun a u v ->
-                if Saturating.equal (Saturating.mul f.(u) gc.(v)) total then
-                  forced.(a) <- forced.(a) + 1)
-              g
-          end
-        end)
-      requests;
-    let forced_max = Array.fold_left max 0 forced in
-    max volume forced_max
+    List.filter in_range requests
+    |> List.sort (fun (x, _) (x', _) -> Int.compare x x')
+    |> List.iter (fun (x, y) ->
+           if reach.(x) <> x then from x;
+           if reach.(y) = x then begin
+             let total = fwd.(y) in
+             (* a lone x-y dipath is forced throughout *)
+             let is_forced =
+               if Saturating.to_int total = 1 then fun _ _ -> true
+               else if
+                 Saturating.to_int total > 0 && not (Saturating.is_saturated total)
+               then
+                 let gy = into y in
+                 fun u v -> Saturating.equal (Saturating.mul fwd.(u) gy.(v)) total
+               else fun _ _ -> false
+             in
+             (* one hop-shortest x-y dipath: its length is the volume term,
+                and it holds every forced arc *)
+             let rec walk v =
+               if v <> x then begin
+                 let a = parent.(v) in
+                 let u = Digraph.arc_src g a in
+                 incr total_hops;
+                 if is_forced u v then forced.(a) <- forced.(a) + 1;
+                 walk u
+               end
+             in
+             walk y
+           end);
+    let volume = (!total_hops + m - 1) / m in
+    max volume (Array.fold_left max 0 forced)
 
 (* --- the full routing stage: enumerate, seed, search ------------------------ *)
 
@@ -407,7 +441,7 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
   match validate 0 with
   | Error e -> Error e
   | Ok () -> (
-    (* Phase 1: k alternatives per request (Yen, deterministic). *)
+    (* Phase 1: k alternatives per request (one sweep each, deterministic). *)
     let alts = Array.make nr [||] in
     let failure = ref None in
     Trace.with_span "routing.kshortest" (fun () ->
@@ -427,29 +461,20 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
     | Some e -> Error e
     | None ->
       (* Phase 2: greedy seed by the bottleneck Dijkstra.  The seed route
-         joins the request's alternative set when Yen's cutoff missed it,
+         joins the request's alternative set when the k cutoff missed it,
          so the search space always contains the seed. *)
       let load = Array.make (max 1 m) 0 in
       let chosen = Array.make nr 0 in
+      let seed = seed_scratch d in
       Trace.with_span "routing.seed" (fun () ->
           Array.iteri
             (fun i (x, y) ->
-              let p =
-                match bottleneck_path d load x y with
-                | Some p -> p
-                | None -> alts.(i).(0)
+              let p = Option.value (seed_path seed load x y) ~default:alts.(i).(0) in
+              let rec find j =
+                if j = Array.length alts.(i) then alts.(i) <- Array.append alts.(i) [| p |];
+                if Dipath.equal p alts.(i).(j) then j else find (j + 1)
               in
-              let idx =
-                let found = ref (-1) in
-                Array.iteri
-                  (fun j q -> if !found < 0 && Dipath.equal p q then found := j)
-                  alts.(i);
-                if !found >= 0 then !found
-                else begin
-                  alts.(i) <- Array.append alts.(i) [| p |];
-                  Array.length alts.(i) - 1
-                end
-              in
+              let idx = find 0 in
               chosen.(i) <- idx;
               List.iter
                 (fun a -> load.(a) <- load.(a) + 1)
@@ -579,41 +604,6 @@ let read_requests_file path =
 (* --- request families ------------------------------------------------------- *)
 
 let all_to_all d = Upp.routable_pairs d
-
-let route_multicast_tree d root =
-  let g = Dag.graph d in
-  let n = Digraph.n_vertices g in
-  (* BFS parents rooted at the source. *)
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  seen.(root) <- true;
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    List.iter
-      (fun w ->
-        if not seen.(w) then begin
-          seen.(w) <- true;
-          parent.(w) <- v;
-          Queue.add w queue
-        end)
-      (Digraph.succ g v)
-  done;
-  let rec tree_path v acc =
-    if v = root then root :: acc else tree_path parent.(v) (v :: acc)
-  in
-  List.filter_map
-    (fun v ->
-      if v <> root && seen.(v) then Some (Dipath.make g (tree_path v []))
-      else None)
-    (List.init n Fun.id)
-
-let multicast d root =
-  let reachable = Traversal.reachable_from (Dag.graph d) root in
-  let out = ref [] in
-  Array.iteri (fun v r -> if r && v <> root then out := (root, v) :: !out) reachable;
-  List.rev !out
 
 let random_requests rng d k =
   match all_to_all d with

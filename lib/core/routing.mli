@@ -2,18 +2,19 @@
 
     The paper studies wavelength assignment for a {e given} routing; this
     module supplies the routing stage that chooses one.  The full pipeline
-    ({!select}) is k-shortest dipath enumeration per request (Yen's
-    algorithm over the DAG, deterministic tie-breaking), a greedy seed by
-    the lexicographic bottleneck Dijkstra ({!bottleneck_path}), then local
-    search swapping single requests across their [k] alternatives until the
-    maximum arc load stops improving.  The chosen family feeds
+    ({!select}) is k-shortest dipath enumeration per request (one
+    reverse-topological sweep over the vertices of the request's dipaths,
+    deterministic tie-breaking), a greedy seed by the lexicographic
+    bottleneck Dijkstra ({!bottleneck_path}), then local search swapping
+    single requests across their [k] alternatives until the maximum arc
+    load stops improving.  The chosen family feeds
     {!Solver.solve} / the engine directly, and {!lower_bound} gives the
     routing-aware (global-packing-number style) floor
     [lower_bound <= load of any routing <= w].
 
     Simpler routers (unique dipath on UPP-DAGs, hop-count shortest, greedy
-    online min-load) and the classic request families (all-to-all,
-    multicast, random) remain for examples and benches.
+    online min-load) and the request families (all-to-all, random) remain
+    for examples and benches.
 
     Every fallible entry point reports a structured {!Error.t}: an
     unroutable request is [Invalid_path], a request naming a vertex outside
@@ -23,20 +24,12 @@ open Wl_digraph
 
 type request = Digraph.vertex * Digraph.vertex
 
-val collect_routes :
-  (int -> request -> Dipath.t option) ->
-  request list ->
-  (Dipath.t list, Error.t) result
-(** Route every request with the given per-request router (the [int] is the
-    request's position).  The first unroutable request aborts with
-    [Error (Invalid_path _)] naming the position and endpoints — the
-    structured error the CLI maps to its exit code. *)
-
 val shortest_dipath :
   Wl_dag.Dag.t -> Digraph.vertex -> Digraph.vertex -> Dipath.t option
 (** The hop-count-shortest dipath from [src] to [dst]; among the shortest,
     the lexicographically smallest vertex sequence (so the result is a
-    deterministic function of the graph, not of adjacency-list order).
+    deterministic function of the graph, not of adjacency-list order): the
+    head of {!k_shortest} [~k:1].
     [None] when [dst] is unreachable or [src = dst]. *)
 
 val route_unique :
@@ -73,9 +66,12 @@ val bottleneck_path :
 (** [bottleneck_path d load src dst]: a dipath whose bottleneck — the
     maximum of [load.(a)] over its arcs — is minimum over all [src]-[dst]
     dipaths, computed by a label-setting Dijkstra on (bottleneck, hops)
-    labels.  The hop component only breaks ties between labels (one label
-    per vertex cannot certify hop-minimality among min-bottleneck paths);
-    the bottleneck value itself is exact.  [load] is indexed by arc id and
+    labels over a binary heap.  The hop component only breaks ties between
+    labels (one label per vertex cannot certify hop-minimality among
+    min-bottleneck paths); the bottleneck value itself is exact.  Among
+    equal labels the lowest-numbered vertex settles first and a relaxation
+    keeps the first of equal labels, so the route is a deterministic
+    function of the graph and the loads.  [load] is indexed by arc id and
     is not modified.  This is the greedy seeding rule of {!select}. *)
 
 val compare_route : Dipath.t -> Dipath.t -> int
@@ -84,12 +80,15 @@ val compare_route : Dipath.t -> Dipath.t -> int
 
 val k_shortest :
   ?k:int -> Wl_dag.Dag.t -> Digraph.vertex -> Digraph.vertex -> Dipath.t list
-(** [k_shortest ~k d src dst]: up to [k] (default 8) distinct dipaths from
-    [src] to [dst], sorted by {!compare_route} — Yen's algorithm with the
-    lexicographically-smallest shortest path as the spur routine, so the
-    output is a deterministic function of the graph.  Duplicate-free, and
-    complete (every dipath appears) when [k] is at least the number of
-    [src]-[dst] dipaths.  [[]] when unreachable or [src = dst]. *)
+(** [k_shortest ~k d src dst]: the first [k] (default 8) [src]-[dst]
+    dipaths under {!compare_route}, in that order, so the output is a
+    deterministic function of the graph.  In a DAG the order on dipaths
+    [v.Q] out of one vertex is the order on their tails [Q], so one
+    reverse-topological sweep over the vertices of [src]-[dst] dipaths
+    merges each vertex's list from its successors' lists, in O(k) per arc
+    with shared tails.  Duplicate-free, and complete (every dipath appears)
+    when [k] is at least the number of [src]-[dst] dipaths.  [[]] when
+    unreachable, [src = dst] or [k <= 0]. *)
 
 val lower_bound : Wl_dag.Dag.t -> request list -> int
 (** A routing-aware lower bound on the maximum arc load of {e any} routing
@@ -102,7 +101,9 @@ val lower_bound : Wl_dag.Dag.t -> request list -> int
        arcs)], and}
     {- the forced-arc bound: the largest number of requests all of whose
        dipaths traverse one common arc (detected by saturating path
-       counting; a saturated count conservatively reads as avoidable).}}
+       counting; a saturated count conservatively reads as avoidable).
+       A forced arc lies on every dipath of its request, so only the arcs
+       of one hop-shortest dipath are tested.}}
 
     Unroutable requests contribute nothing (the bound stays valid for the
     routable sub-multiset). *)
@@ -131,7 +132,7 @@ val select :
   (selection, Error.t) result
 (** The full routing stage: enumerate [k] alternatives per request
     ({!k_shortest}), seed greedily with {!bottleneck_path} (the seed route
-    joins the request's alternative set when Yen's cutoff missed it), then
+    joins the request's alternative set when the [k] cutoff missed it), then
     local search: sweep the requests, re-routing single requests onto an
     alternative whenever that strictly lowers (max arc load, number of arcs
     attaining it); stop after a sweep with no improvement or [max_rounds]
@@ -168,17 +169,6 @@ val read_requests_file : string -> (request list, Error.t) result
 
 val all_to_all : Wl_dag.Dag.t -> request list
 (** Every ordered pair admitting a dipath. *)
-
-val multicast : Wl_dag.Dag.t -> Digraph.vertex -> request list
-(** From one source to every vertex reachable from it. *)
-
-val route_multicast_tree : Wl_dag.Dag.t -> Digraph.vertex -> Dipath.t list
-(** Routes the full multicast from a source along a BFS tree: all routes
-    then live on a rooted tree, which has no internal cycle, so Theorem 1
-    colors them with exactly the load — realizing (by routing choice) the
-    multicast equality [w = pi] the paper cites from
-    Beauquier–Hell–Pérennes.  Returns one dipath per reachable vertex
-    (empty when nothing is reachable). *)
 
 val random_requests : Wl_util.Prng.t -> Wl_dag.Dag.t -> int -> request list
 (** [random_requests rng d k] draws [k] uniformly random routable ordered

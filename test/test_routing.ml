@@ -141,6 +141,89 @@ let bottleneck_matches_brute_force =
           | _ -> false)
         (Wl_dag.Upp.routable_pairs dag))
 
+(* The linear-scan label-setting search the heap replaced, kept as the
+   reference for tie-breaking: it settles the lowest-numbered vertex among
+   equal (bottleneck, hops) labels and keeps the first of equal
+   relaxations. *)
+let scan_bottleneck_path dag load src dst =
+  let g = Dag.graph dag in
+  let n = Digraph.n_vertices g in
+  let inf = (max_int, max_int) in
+  let dist = Array.make n inf in
+  let parent = Array.make n (-1) in
+  let settled = Array.make n false in
+  dist.(src) <- (0, 0);
+  let rec loop () =
+    let best = ref (-1) in
+    for v = 0 to n - 1 do
+      if (not settled.(v)) && dist.(v) < inf
+         && (!best = -1 || dist.(v) < dist.(!best))
+      then best := v
+    done;
+    if !best >= 0 then begin
+      let v = !best in
+      settled.(v) <- true;
+      if v <> dst then begin
+        List.iter
+          (fun a ->
+            let w = Digraph.arc_dst g a in
+            let bott, hops = dist.(v) in
+            let cand = (max bott load.(a), hops + 1) in
+            if cand < dist.(w) then begin
+              dist.(w) <- cand;
+              parent.(w) <- v
+            end)
+          (Digraph.out_arcs g v);
+        loop ()
+      end
+    end
+  in
+  loop ();
+  if src = dst || dist.(dst) = inf then None
+  else begin
+    let rec build v acc = if v = src then v :: acc else build parent.(v) (v :: acc) in
+    Some (Dipath.make g (build dst []))
+  end
+
+(* The online min-load router over the reference search. *)
+let scan_min_load dag requests =
+  let load = Array.make (max 1 (Dag.n_arcs dag)) 0 in
+  List.map
+    (fun (x, y) ->
+      let p = scan_bottleneck_path dag load x y in
+      Option.iter
+        (fun p -> List.iter (fun a -> load.(a) <- load.(a) + 1) (Dipath.arcs p))
+        p;
+      p)
+    requests
+
+(* Loads in 0-2 make many equal labels, so any change to the heap's
+   tie-breaking changes some route here, not just its bottleneck. *)
+let bottleneck_matches_scan =
+  qtest "bottleneck_path and route_min_load match the linear scan" seed_gen
+    ~count:150 (fun seed ->
+      let rng = Prng.create seed in
+      let dag =
+        if seed mod 2 = 0 then Generators.gnp_dag rng (4 + Prng.int rng 9) 0.4
+        else Generators.layered rng ~layers:(2 + Prng.int rng 4) ~width:3 ~p:0.6
+      in
+      let g = Dag.graph dag in
+      let n = Digraph.n_vertices g in
+      let load = Array.init (max 1 (Digraph.n_arcs g)) (fun _ -> Prng.int rng 3) in
+      let same a b = Option.equal Dipath.equal a b in
+      let pairs = List.concat_map (fun x -> List.init n (fun y -> (x, y))) (List.init n Fun.id) in
+      let routable = Wl_dag.Upp.routable_pairs dag in
+      let requests = List.init 12 (fun _ -> List.nth routable (Prng.int rng (List.length routable))) in
+      List.for_all
+        (fun (x, y) ->
+          same (Routing.bottleneck_path dag load x y) (scan_bottleneck_path dag load x y))
+        pairs
+      && (routable = []
+         ||
+         match Routing.route_min_load dag requests with
+         | Ok paths -> List.equal same (List.map Option.some paths) (scan_min_load dag requests)
+         | Error _ -> false))
+
 (* k-shortest: duplicate-free, sorted by (hops, lex vertex sequence), and
    complete once k reaches the number of dipaths. *)
 let k_shortest_enumeration =
@@ -235,6 +318,42 @@ let test_lower_bound_forced_arc () =
   check_int "forced bridge" 3
     (Routing.lower_bound dag [ (0, 4); (1, 5); (0, 5) ])
 
+(* lower_bound against brute force on DAGs small enough to enumerate every
+   dipath: an arc is forced when every dipath of the request uses it, and
+   the volume term sums BFS distances.  Requests include x = y and
+   unroutable pairs, which contribute nothing. *)
+let brute_lower_bound dag requests =
+  let g = Dag.graph dag in
+  let m = Digraph.n_arcs g in
+  if requests = [] || m = 0 then 0
+  else begin
+    let forced = Array.make m 0 in
+    let hops = ref 0 in
+    List.iter
+      (fun (x, y) ->
+        match Dag.all_dipaths_between ~limit:1_000_000 dag x y with
+        | [] -> ()
+        | all ->
+          hops := !hops + (Traversal.bfs_dist g x).(y);
+          for a = 0 to m - 1 do
+            if List.for_all (fun p -> Dipath.mem_arc p a) all then
+              forced.(a) <- forced.(a) + 1
+          done)
+      requests;
+    max ((!hops + m - 1) / m) (Array.fold_left max 0 forced)
+  end
+
+let lower_bound_matches_brute_force =
+  qtest "lower_bound equals brute-force forced-arc and volume bound" seed_gen
+    ~count:150 (fun seed ->
+      let rng = Prng.create seed in
+      let n = 3 + Prng.int rng 7 in
+      let dag = Generators.gnp_dag rng n (0.2 +. Prng.float rng 0.4) in
+      let requests =
+        List.init (Prng.int rng 12) (fun _ -> (Prng.int rng n, Prng.int rng n))
+      in
+      Routing.lower_bound dag requests = brute_lower_bound dag requests)
+
 let test_requests_roundtrip () =
   let reqs = [ (0, 5); (2, 7); (2, 7) ] in
   (match Routing.requests_of_string (Routing.requests_to_string reqs) with
@@ -263,53 +382,6 @@ let test_unique_on_upp () =
         check "endpoints" true (Dipath.src p = x && Dipath.dst p = y))
       pairs paths
 
-let test_multicast () =
-  let g = Digraph.of_arcs 5 [ (0, 1); (0, 2); (1, 3) ] in
-  let dag = Dag.of_digraph_exn g in
-  check "multicast requests" true
-    (List.sort compare (Routing.multicast dag 0) = [ (0, 1); (0, 2); (0, 3) ]);
-  check "multicast from leaf" true (Routing.multicast dag 4 = [])
-
-(* Tree-routed multicast achieves w = pi on ANY DAG, because its routes
-   live on a rooted tree (Theorem 1 applies). *)
-let multicast_tree_equality =
-  qtest "tree-routed multicast: w = pi on any DAG" seed_gen ~count:40
-    (fun seed ->
-      let rng = Prng.create seed in
-      let dag = Generators.gnp_dag rng 14 0.3 in
-      let root = Prng.int rng 14 in
-      let paths = Routing.route_multicast_tree dag root in
-      match paths with
-      | [] -> true
-      | _ ->
-        let inst = Instance.make dag paths in
-        (* Routes form an out-tree: every vertex reached by exactly one
-           route suffix, so the union of arcs is a tree and Theorem 1
-           colors optimally. *)
-        let a = Theorem1.color inst in
-        Assignment.is_valid inst a
-        && Assignment.n_wavelengths (Assignment.normalize a) = Load.pi inst)
-
-let test_multicast_tree_counts () =
-  let g = Digraph.of_arcs 6 [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ] in
-  let dag = Dag.of_digraph_exn g in
-  let paths = Routing.route_multicast_tree dag 0 in
-  check_int "one route per reachable vertex" 4 (List.length paths);
-  List.iter (fun p -> check_int "starts at root" 0 (Dipath.src p)) paths;
-  check "leaf multicast empty" true (Routing.route_multicast_tree dag 4 = []);
-  (* All routes use only tree arcs: at most one in-arc used per vertex. *)
-  let used_in = Hashtbl.create 8 in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun a ->
-          let dst = Digraph.arc_dst g a in
-          match Hashtbl.find_opt used_in dst with
-          | None -> Hashtbl.add used_in dst a
-          | Some a' -> check "single in-arc per vertex" true (a = a'))
-        (Dipath.arcs p))
-    paths
-
 let test_random_requests_routable () =
   let rng = Prng.create 8 in
   let dag = Generators.gnp_dag rng 12 0.3 in
@@ -329,7 +401,12 @@ let multicast_w_equals_pi =
       let rng = Prng.create seed in
       let dag = Generators.gnp_dag rng 9 0.3 in
       let root = Prng.int rng 9 in
-      let reqs = Routing.multicast dag root in
+      let reached = Traversal.reachable_from (Dag.graph dag) root in
+      let reqs =
+        List.filter_map
+          (fun v -> if v <> root && reached.(v) then Some (root, v) else None)
+          (List.init 9 Fun.id)
+      in
       if List.length reqs = 0 || List.length reqs > 14 then true
       else
         match Routing.instance_of dag Routing.route_shortest reqs with
@@ -350,6 +427,7 @@ let suite =
         Alcotest.test_case "min-load beats shortest on hotspot" `Quick
           test_min_load_beats_shortest_on_hotspot;
         bottleneck_matches_brute_force;
+        bottleneck_matches_scan;
         k_shortest_enumeration;
         select_invariants;
         Alcotest.test_case "select reaches hotspot optimum" `Quick
@@ -358,12 +436,10 @@ let suite =
           test_select_bad_index;
         Alcotest.test_case "lower bound sees forced arc" `Quick
           test_lower_bound_forced_arc;
+        lower_bound_matches_brute_force;
         Alcotest.test_case "request file roundtrip" `Quick
           test_requests_roundtrip;
         Alcotest.test_case "unique routing on UPP" `Quick test_unique_on_upp;
-        Alcotest.test_case "multicast" `Quick test_multicast;
-        multicast_tree_equality;
-        Alcotest.test_case "multicast tree routing" `Quick test_multicast_tree_counts;
         Alcotest.test_case "random requests routable" `Quick
           test_random_requests_routable;
         multicast_w_equals_pi;
