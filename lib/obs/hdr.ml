@@ -9,7 +9,8 @@
      (the top half of each tier's sub-bucket range, since
      v lsr shift is in [half, 2*half)).
    The bucket *ceiling* — the largest value sharing the bucket — is what
-   quantile queries report, so answers are exact over buckets and within
+   quantile queries report, clamped to the largest recorded value, so
+   answers are exact over buckets, never above the max, and within
    2^(1-sub_bits) relative error of the true order statistic.
 
    The record path is lock-free and allocation-free: fetch_and_add on
@@ -121,7 +122,7 @@ let quantile t q =
         let acc = acc + Atomic.get t.cells.(i) in
         if acc >= rank then bucket_ceiling t i else go (i + 1) acc
     in
-    go 0 0
+    min (go 0 0) (max_value t)
   end
 
 let merge_into ~dst src =

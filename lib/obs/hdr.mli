@@ -11,9 +11,10 @@
     warm paths.
 
     Quantiles are *exact over buckets*: [quantile h q] returns the ceiling
-    of the bucket holding the rank-[ceil(q*count)] observation, i.e. the
-    smallest reported value [v] such that at least a [q] fraction of
-    observations were [<= v].  The oracle test pins this to a sorted-array
+    of the bucket holding the rank-[ceil(q*count)] observation, clamped to
+    the largest recorded value, i.e. the smallest reported value [v] such
+    that at least a [q] fraction of observations were [<= v], and never a
+    value above {!max_value}.  The oracle test pins this to a sorted-array
     reference through {!round_up}. *)
 
 type t
@@ -51,12 +52,13 @@ val max_value : t -> int
 
 val quantile : t -> float -> int
 (** [quantile h q] for [q] in [(0,1]]: the ceiling of the bucket holding
-    the observation of rank [ceil (q *. count)].  [0] when empty. *)
+    the observation of rank [ceil (q *. count)], or {!max_value} when that
+    is smaller.  [0] when empty. *)
 
 val round_up : t -> int -> int
 (** The bucket ceiling a value lands in: [quantile] answers are always
-    [round_up] of some recorded observation.  Exposed so tests can build
-    an exact sorted-array oracle. *)
+    [round_up] of some recorded observation, or the largest one.  Exposed
+    so tests can build an exact sorted-array oracle. *)
 
 val merge_into : dst:t -> t -> unit
 (** Add every bucket count of the source into [dst].  Both histograms
