@@ -212,17 +212,19 @@ let bottleneck_matches_scan =
       let load = Array.init (max 1 (Digraph.n_arcs g)) (fun _ -> Prng.int rng 3) in
       let same a b = Option.equal Dipath.equal a b in
       let pairs = List.concat_map (fun x -> List.init n (fun y -> (x, y))) (List.init n Fun.id) in
-      let routable = Wl_dag.Upp.routable_pairs dag in
-      let requests = List.init 12 (fun _ -> List.nth routable (Prng.int rng (List.length routable))) in
+      let requests =
+        match Array.of_list (Wl_dag.Upp.routable_pairs dag) with
+        | [||] -> []
+        | routable -> List.init 12 (fun _ -> Prng.choose rng routable)
+      in
       List.for_all
         (fun (x, y) ->
           same (Routing.bottleneck_path dag load x y) (scan_bottleneck_path dag load x y))
         pairs
-      && (routable = []
-         ||
-         match Routing.route_min_load dag requests with
-         | Ok paths -> List.equal same (List.map Option.some paths) (scan_min_load dag requests)
-         | Error _ -> false))
+      &&
+      match Routing.route_min_load dag requests with
+      | Ok paths -> List.equal same (List.map Option.some paths) (scan_min_load dag requests)
+      | Error _ -> false)
 
 (* k-shortest: duplicate-free, sorted by (hops, lex vertex sequence), and
    complete once k reaches the number of dipaths. *)
