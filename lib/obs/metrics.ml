@@ -18,8 +18,11 @@ type counter = int Atomic.t array
 
 (* Histograms delegate to an HDR histogram: exact quantiles from fixed
    memory, recorded lock-free from any domain.  The enable gate lives
-   here; Hdr itself is always on. *)
-type histogram = Hdr.t
+   here; Hdr itself is always on.  The Hdr.t (about 45 KiB) is made on the
+   first enabled observation and installed with one CAS, so racing domains
+   agree on it and a process that never enables Metrics never pays for it;
+   until then the histogram reads as empty. *)
+type histogram = Hdr.t option Atomic.t
 
 type entry = C of counter | H of histogram
 
@@ -47,7 +50,7 @@ let counter name =
 
 let histogram name =
   register name
-    (fun () -> H (Hdr.create ()))
+    (fun () -> H (Atomic.make None))
     (function
       | H h -> h
       | C _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram"))
@@ -57,7 +60,14 @@ let add c v =
 
 let incr c = add c 1
 let value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c
-let observe h v = if Atomic.get on then Hdr.record h v
+let rec hdr_of h =
+  match Atomic.get h with
+  | Some t -> t
+  | None ->
+    ignore (Atomic.compare_and_set h None (Some (Hdr.create ())) (* alloc-ok: first use *));
+    hdr_of h
+
+let observe h v = if Atomic.get on then Hdr.record (hdr_of h) v
 
 type instrument = Counter of int | Histogram of Hdr.snapshot
 
@@ -72,7 +82,10 @@ let snapshot () =
       | C c ->
         let v = value c in
         if v = 0 then None else Some (name, Counter v)
-      | H h -> if Hdr.count h = 0 then None else Some (name, Histogram (Hdr.snapshot h)))
+      | H h -> (
+        match Atomic.get h with
+        | Some t when Hdr.count t > 0 -> Some (name, Histogram (Hdr.snapshot t))
+        | _ -> None))
     all
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
@@ -85,7 +98,11 @@ let find_counter name =
 let find_histogram name =
   Mutex.protect registry_lock (fun () ->
       match Hashtbl.find_opt registry name with
-      | Some (H h) -> Some (Hdr.snapshot h)
+      | Some (H h) -> (
+        match Atomic.get h with
+        | Some t -> Some (Hdr.snapshot t)
+        | None ->
+          Some { Hdr.count = 0; sum = 0; min = 0; max = 0; p50 = 0; p90 = 0; p99 = 0; p999 = 0 })
       | _ -> None)
 
 (* One scalar per instrument for before/after comparison: counters by
@@ -111,7 +128,7 @@ let reset () =
         (fun _ e ->
           match e with
           | C c -> Array.iter (fun a -> Atomic.set a 0) c
-          | H h -> Hdr.reset h)
+          | H h -> Option.iter Hdr.reset (Atomic.get h))
         registry)
 
 let pp_summary ppf () =

@@ -6,7 +6,9 @@
     {!Wl_util.Parallel} never contend on a single cache line, and reads
     sum the stripes.  Histograms are {!Hdr} histograms: one kind serves
     nanosecond latencies and small magnitudes (cascade lengths, color
-    counts) alike, exact below 64 and within ~3% above.
+    counts) alike, exact below 64 and within ~3% above.  A histogram's
+    {!Hdr.t} is made on its first enabled {!observe}, so registering one
+    costs a few words until Metrics is enabled.
 
     The whole subsystem is gated on one flag: while disabled (the default)
     every update is a single atomic load and a branch — no allocation, no
@@ -34,11 +36,15 @@ val value : counter -> int
 val histogram : string -> histogram
 (** Find-or-create an {!Hdr} histogram with exact p50/p90/p99/p999 from
     fixed memory.  A name ending in [.ns] records nanosecond durations;
-    the others record plain magnitudes. *)
+    the others record plain magnitudes.  The {!Hdr.t} itself is created
+    on the first enabled {!observe}; until then the histogram reads as
+    empty. *)
 
 val observe : histogram -> int -> unit
 (** Record one observation (negative values clamp to 0).  Gated like
-    every update; lock-free and allocation-free when enabled. *)
+    every update; lock-free, and allocation-free when enabled except for
+    the histogram's first observation, which creates its {!Hdr.t} and
+    installs it with one compare-and-set (racing domains agree on one). *)
 
 type instrument = Counter of int | Histogram of Hdr.snapshot
 

@@ -107,6 +107,33 @@ let test_histogram_snapshot () =
         (* Values below 64 get a bucket each, so quantiles are exact. *)
         check_int "p50" 3 s.Hdr.p50)
 
+(* A histogram's Hdr.t is made on the first enabled observe.  Before that
+   it reads as empty; two domains racing to make it agree on one, so no
+   observation is lost. *)
+let test_histogram_created_on_first_observe () =
+  let count () =
+    match Metrics.find_histogram "test.obs.hist.lazy" with
+    | Some s -> s.Hdr.count
+    | None -> Alcotest.fail "histogram not registered"
+  in
+  Metrics.reset ();
+  let h = Metrics.histogram "test.obs.hist.lazy" in
+  Metrics.observe h 5;
+  check_int "empty while disabled" 0 (count ());
+  with_metrics (fun () ->
+      let n = 10_000 and ready = Atomic.make 0 in
+      List.init 2 (fun _ ->
+          Domain.spawn (fun () ->
+              Atomic.incr ready;
+              while Atomic.get ready < 2 do
+                Domain.cpu_relax ()
+              done;
+              for i = 1 to n do
+                Metrics.observe h i
+              done))
+      |> List.iter Domain.join;
+      check_int "every racing observation recorded" (2 * n) (count ()))
+
 let test_disabled_updates_ignored () =
   Metrics.reset ();
   let c = Metrics.counter "test.obs.off" in
@@ -542,6 +569,8 @@ let suite =
         Alcotest.test_case "counters under map_array" `Quick
           test_counters_under_map_array;
         Alcotest.test_case "histogram snapshot" `Quick test_histogram_snapshot;
+        Alcotest.test_case "histogram created on first observe" `Quick
+          test_histogram_created_on_first_observe;
         Alcotest.test_case "disabled updates ignored" `Quick
           test_disabled_updates_ignored;
         Alcotest.test_case "chrome trace round-trip" `Quick test_chrome_roundtrip;
