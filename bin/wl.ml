@@ -206,7 +206,7 @@ let route_cmd =
     Arg.(
       value & opt int 8
       & info [ "k" ] ~docv:"K"
-          ~doc:"Alternative routes enumerated per request (Yen's algorithm).")
+          ~doc:"Alternative routes enumerated per request (k-shortest dipaths).")
   in
   let json =
     Arg.(

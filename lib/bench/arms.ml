@@ -109,7 +109,7 @@ let engine_arm n =
         [ ("warm_hit_rate", Engine.hit_rate (Engine.stats session)) ]);
   }
 
-(* The full routing stage (Yen enumeration, bottleneck seeding, local
+(* The full routing stage (k-shortest enumeration, bottleneck seeding, local
    search) over a fixed uniform request set: the timed unit is one whole
    [Routing.select], the dominant cost of turning a demand matrix into a
    solvable instance.  The achieved bounds ride along as extras so the
