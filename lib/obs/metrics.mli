@@ -14,8 +14,9 @@
     every update is a single atomic load and a branch — no allocation, no
     store — so instruments can sit inside the Theorem 1 insertion loop
     without showing up in a profile.  Updates allocate nothing while
-    enabled either.  Enable with {!set_enabled} around the region you want
-    measured, then {!snapshot} or {!pp_summary}. *)
+    enabled either, apart from a histogram's first {!observe}.  Enable
+    with {!set_enabled} around the region you want measured, then
+    {!snapshot} or {!pp_summary}. *)
 
 type counter
 type histogram
