@@ -109,21 +109,56 @@ let engine_arm n =
         [ ("warm_hit_rate", Engine.hit_rate (Engine.stats session)) ]);
   }
 
+(* One full solve per step: add and remove a path on a session over a
+   small gnp DAG with internal cycles, then report.  Without the
+   Theorem-1 shape the session cannot stay warm, so each step's mutation
+   leaves it dirty and the report re-solves the materialized instance
+   from scratch.  The share of steps that solved rides along, so a
+   session that stopped solving cannot pass for a fast one. *)
+let full_solve_arm n =
+  let module Engine = Wl_engine.Engine in
+  let k = 40 in
+  let inst =
+    let rng = Prng.create 3 in
+    let dag = Generators.gnp_dag rng n 0.12 in
+    Path_gen.random_instance rng dag k
+  in
+  let p = List.hd (Instance.paths_list inst) in
+  let session = Engine.create inst in
+  ignore (Engine.report session);
+  let steps = ref 0 in
+  let solves0 = (Engine.stats session).Engine.full_solves in
+  let step () =
+    incr steps;
+    Engine.remove_path_exn session (Engine.add_dipath_exn session p);
+    ignore (Engine.report session)
+  in
+  {
+    name = Printf.sprintf "engine/full_solve/n=%d" n;
+    params = [ ("n", n); ("paths", k) ];
+    run = step;
+    extras =
+      (fun () ->
+        let solves = (Engine.stats session).Engine.full_solves - solves0 in
+        [ ("solves_per_step", float_of_int solves /. float_of_int (max 1 !steps)) ]);
+  }
+
 (* The full routing stage (k-shortest enumeration, bottleneck seeding, local
    search) over a fixed uniform request set: the timed unit is one whole
    [Routing.select], the dominant cost of turning a demand matrix into a
    solvable instance.  The achieved bounds ride along as extras so the
    trajectory records not just how fast the stage is but how good its
    routing was (seed vs final vs lower bound). *)
-let route_arm n =
-  let n_requests = n / 8 in
+let route_input n =
   let rng = Prng.create (20260808 + n) in
   let dag = Generators.gnp_no_internal_cycle rng n (8.0 /. float_of_int n) in
-  let requests = Wl_netgen.Traffic.uniform rng dag n_requests in
+  (dag, Wl_netgen.Traffic.uniform rng dag (n / 8))
+
+let route_arm n (dag, requests) =
   let last = ref None in
   {
     name = Printf.sprintf "route/n=%d" n;
-    params = [ ("n", n); ("requests", n_requests); ("k", 4) ];
+    params = [ ("n", n); ("requests", List.length requests); ("k", 4) ];
     run =
       (fun () ->
         match Routing.select ~k:4 dag requests with
@@ -141,7 +176,26 @@ let route_arm n =
           ]);
   }
 
+(* Parsing as `wl route` does it: the route arm's instance text (its DAG
+   written by [Serial.to_string]) and its request file.  The arm shares
+   the route arm's input, whose DAG takes seconds to generate at n=1600. *)
+let parse_arm n (dag, requests) =
+  let inst_text = Serial.to_string (Instance.make dag []) in
+  let req_text = Routing.requests_to_string requests in
+  {
+    name = Printf.sprintf "serial/parse/n=%d" n;
+    params =
+      [ ("n", n); ("arcs", Wl_dag.Dag.n_arcs dag); ("bytes", String.length inst_text) ];
+    run =
+      (fun () ->
+        ignore (Serial.of_string inst_text);
+        ignore (Routing.requests_of_string req_text));
+    extras = no_extras;
+  }
+
 let suite ?(quick = false) () =
+  let route_n = if quick then 120 else 1600 in
+  let route = route_input route_n in
   if quick then
     [
       thm1_arm 120;
@@ -149,7 +203,9 @@ let suite ?(quick = false) () =
       conflict_arm 60;
       load_arm 120;
       engine_arm 120;
-      route_arm 120;
+      full_solve_arm 60;
+      route_arm route_n route;
+      parse_arm route_n route;
     ]
   else
     [
@@ -158,7 +214,9 @@ let suite ?(quick = false) () =
       conflict_arm 150;
       load_arm 400;
       engine_arm 400;
-      route_arm 1600;
+      full_solve_arm 60;
+      route_arm route_n route;
+      parse_arm route_n route;
     ]
 
 let busy_wait ns =

@@ -17,10 +17,12 @@ type arm = {
 val suite : ?quick:bool -> unit -> arm list
 (** The standard arms: Theorem 1 coloring, dense DSATUR,
     conflict-graph construction, load computation, a warm engine
-    add/query/remove cycle through the prebuilt-dipath hot entries, and
+    add/query/remove cycle through the prebuilt-dipath hot entries, an
+    engine step that always ends in a full solve ([engine/full_solve/n=60]),
     the full routing stage ([route/n=...]: {!Wl_core.Routing.select} over
     a fixed uniform request set, with the seed/final/lower-bound loads as
-    extras).  [quick] (default false) switches to smaller instances under
+    extras), and parsing that arm's instance and request texts
+    ([serial/parse/n=...]).  [quick] (default false) switches to smaller instances under
     different bench names — for smoke tests and CI. *)
 
 val with_handicap : ns:int -> string -> arm list -> arm list
