@@ -5,6 +5,7 @@ module Metrics = Wl_obs.Metrics
 module Trace = Wl_obs.Trace
 module Clock = Wl_obs.Clock
 module Saturating = Wl_util.Saturating
+module Scan = Wl_util.Scan
 
 type request = Digraph.vertex * Digraph.vertex
 
@@ -45,17 +46,42 @@ let collect_routes route requests =
   in
   go 0 [] requests
 
-(* Depth-first from [start] along [next] (Digraph.pred or Digraph.succ),
-   entering the vertices [enter] accepts (and marks).  Returns every vertex
-   entered, [start] included. *)
-let collect next enter start =
-  let rec go seen = function
-    | [] -> seen
-    | v :: todo ->
-      go (v :: seen)
-        (List.fold_left (fun todo u -> if enter u then u :: todo else todo) todo (next v))
-  in
-  go [] [ start ]
+(* In-place heapsort of [buf.(0 .. len-1)] by increasing [key.(v)].
+   Topological positions are distinct, so sorting a vertex set by them
+   gives one order whatever order the set was collected in. *)
+let rec sift key buf i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && key.(buf.(l + 1)) > key.(buf.(l)) then l + 1 else l in
+    if key.(buf.(c)) > key.(buf.(i)) then begin
+      let t = buf.(i) in
+      buf.(i) <- buf.(c);
+      buf.(c) <- t;
+      sift key buf c len
+    end
+  end
+
+let sort_by key buf len =
+  for i = (len / 2) - 1 downto 0 do
+    sift key buf i len
+  done;
+  for last = len - 1 downto 1 do
+    let t = buf.(0) in
+    buf.(0) <- buf.(last);
+    buf.(last) <- t;
+    sift key buf 0 last
+  done
+
+(* Breadth-first from [buf.(0 .. len-1)]: [walk enter g v] offers [enter]
+   each neighbour of [v], and [enter] appends what it accepts (and marks)
+   to [buf] through [len].  Returns the final length. *)
+let bfs_into walk enter g buf len =
+  let i = ref 0 in
+  while !i < !len do
+    walk enter g buf.(!i);
+    incr i
+  done;
+  !len
 
 (* --- k-shortest dipaths: one reverse-topological sweep ---------------------
 
@@ -73,37 +99,56 @@ let rec nil = { v = -1; hops = -1; tail = nil }
 
 type sweep = {
   dag : Dag.t;
+  pos : int array;  (* topological positions *)
   anc : int array;  (* = stamp: an ancestor of dst no earlier than src *)
   reg : int array;  (* = stamp: also reached from src *)
+  buf : int array;  (* the ancestors, then the region *)
   best : entry list array;  (* k best dipaths to dst; [] between calls *)
   mutable stamp : int;
 }
 
 let sweep_scratch d =
   let n = Dag.n_vertices d in
-  { dag = d; anc = Array.make n 0; reg = Array.make n 0; best = Array.make n []; stamp = 0 }
+  let ints () = Array.make n 0 in
+  { dag = d; pos = Array.init n (Dag.topo_position d); anc = ints (); reg = ints ();
+    buf = ints (); best = Array.make n []; stamp = 0 }
 
 (* Callers ask for one request at a time, so a spare scratch, taken
    atomically and kept for the last DAG, spares them O(n) arrays per call. *)
 let spare = Atomic.make None
 
 (* The vertices on some src-dst dipath, i.e. the ancestors of dst that src
-   reaches, last in topological order first. *)
+   reaches, into [s.buf] in topological order; returns their count. *)
 let region s src dst =
   s.stamp <- s.stamp + 1;
-  let e = s.stamp and g = Dag.graph s.dag and pos = Dag.topo_position s.dag in
+  let e = s.stamp and g = Dag.graph s.dag and pos = s.pos and buf = s.buf in
+  let len = ref 1 in
+  let lo = pos.(src) in
+  let enter_anc u =
+    if s.anc.(u) <> e && pos.(u) >= lo then begin
+      s.anc.(u) <- e;
+      buf.(!len) <- u;
+      incr len
+    end
+  in
   s.anc.(dst) <- e;
-  ignore
-    (collect (Digraph.pred g)
-       (fun u -> s.anc.(u) <> e && pos u >= pos src && (s.anc.(u) <- e; true))
-       dst);
-  if s.anc.(src) <> e then []
+  buf.(0) <- dst;
+  ignore (bfs_into Digraph.iter_pred enter_anc g buf len);
+  if s.anc.(src) <> e then 0
   else begin
+    let enter_reg w =
+      if s.anc.(w) = e && s.reg.(w) <> e then begin
+        s.reg.(w) <- e;
+        buf.(!len) <- w;
+        incr len
+      end
+    in
     s.reg.(src) <- e;
-    collect (Digraph.succ g)
-      (fun w -> s.anc.(w) = e && s.reg.(w) <> e && (s.reg.(w) <- e; true))
-      src
-    |> List.sort (fun u v -> Int.compare (pos v) (pos u))
+    buf.(0) <- src;
+    len := 1;
+    let r = bfs_into Digraph.iter_succ enter_reg g buf len in
+    sort_by pos buf r;
+    r
   end
 
 (* The first k of two sorted lists of tails out of disjoint sets of
@@ -125,19 +170,22 @@ let k_shortest ?(k = 8) d src dst =
       | _ -> sweep_scratch d
     in
     let g = Dag.graph d in
+    let merge_succ w acc = if s.reg.(w) = s.stamp then merge k acc s.best.(w) else acc in
     let best v =
       if v = dst then [ { v; hops = 0; tail = nil } ]
       else
-        List.fold_left
-          (fun acc w -> if s.reg.(w) = s.stamp then merge k acc s.best.(w) else acc)
-          [] (Digraph.succ g v)
+        Digraph.fold_succ merge_succ g v []
         |> List.map (fun t -> { v; hops = t.hops + 1; tail = t })
     in
-    let vertices = region s src dst in
-    List.iter (fun v -> s.best.(v) <- best v) vertices;
+    let r = region s src dst in
+    for i = r - 1 downto 0 do
+      s.best.(s.buf.(i)) <- best s.buf.(i)
+    done;
     let rec walk e acc = if e == nil then List.rev acc else walk e.tail (e.v :: acc) in
     let paths = List.map (fun e -> Dipath.make g (walk e [])) s.best.(src) in
-    List.iter (fun v -> s.best.(v) <- []) vertices;
+    for i = 0 to r - 1 do
+      s.best.(s.buf.(i)) <- []
+    done;
     Atomic.set spare (Some s);
     paths
   end
@@ -167,6 +215,9 @@ let route_shortest d requests =
 
 type seed = {
   g : Digraph.t;
+  mutable load : int array;  (* the search's per-arc loads *)
+  mutable from : Digraph.vertex;  (* the vertex being settled *)
+  mutable relax_arc : Digraph.arc -> unit;  (* [relax] of this scratch *)
   bott : int array;  (* a vertex's label (bottleneck, hops) and parent *)
   hop : int array;
   parent : int array;
@@ -177,13 +228,6 @@ type seed = {
   hv : int array;
   mutable size : int;
 }
-
-let seed_scratch d =
-  let g = Dag.graph d in
-  let n = Digraph.n_vertices g and cap = Digraph.n_arcs g + 1 in
-  let ints k = Array.make k 0 in
-  { g; bott = ints n; hop = ints n; parent = ints n; reached = ints n; at = 0;
-    hb = ints cap; hh = ints cap; hv = ints cap; size = 0 }
 
 let less s i j =
   s.hb.(i) < s.hb.(j)
@@ -222,7 +266,8 @@ let push s b h v =
   s.size <- s.size + 1;
   sift_up s (s.size - 1)
 
-let relax s load v a =
+let relax s a =
+  let v = s.from and load = s.load in
   let w = Digraph.arc_dst s.g a in
   let b = if load.(a) > s.bott.(v) then load.(a) else s.bott.(v) in
   let h = s.hop.(v) + 1 in
@@ -235,31 +280,45 @@ let relax s load v a =
     push s b h w
   end
 
+let seed_scratch d =
+  let g = Dag.graph d in
+  let n = Digraph.n_vertices g and cap = Digraph.n_arcs g + 1 in
+  let ints k = Array.make k 0 in
+  let s =
+    { g; load = [||]; from = 0; relax_arc = ignore; bott = ints n; hop = ints n;
+      parent = ints n; reached = ints n; at = 0; hb = ints cap; hh = ints cap;
+      hv = ints cap; size = 0 }
+  in
+  s.relax_arc <- relax s;
+  s
+
 (* Pop until dst settles.  Labels only fall, so an entry that no longer
    matches its vertex's label is stale, and the matching one pops once. *)
-let rec settle s load dst =
+let rec settle s dst =
   if s.size > 0 then begin
     let b = s.hb.(0) and h = s.hh.(0) and v = s.hv.(0) in
     s.size <- s.size - 1;
     swap3 s 0 s.size;
     sift_down s 0;
-    if b <> s.bott.(v) || h <> s.hop.(v) then settle s load dst
+    if b <> s.bott.(v) || h <> s.hop.(v) then settle s dst
     else if v <> dst then begin
-      List.iter (relax s load v) (Digraph.out_arcs s.g v);
-      settle s load dst
+      s.from <- v;
+      Digraph.iter_out_arcs s.relax_arc s.g v;
+      settle s dst
     end
   end
 
 let seed_path s load src dst =
   if src = dst then None
   else begin
+    s.load <- load;
     s.at <- s.at + 1;
     s.size <- 0;
     s.reached.(src) <- s.at;
     s.bott.(src) <- 0;
     s.hop.(src) <- 0;
     push s 0 0 src;
-    settle s load dst;
+    settle s dst;
     if s.reached.(dst) <> s.at then None
     else begin
       let rec build v acc = if v = src then v :: acc else build s.parent.(v) (v :: acc) in
@@ -282,7 +341,7 @@ let min_load_router d =
         Metrics.incr c_unroutable;
         Error (unroutable (x, y))
       | Some p ->
-        List.iter (fun a -> load.(a) <- load.(a) + 1) (Dipath.arcs p);
+        Array.iter (fun a -> load.(a) <- load.(a) + 1) (Dipath.unsafe_arc_array p);
         Ok p)
 
 let route_min_load d requests =
@@ -322,57 +381,71 @@ let lower_bound d requests =
   else
     Trace.with_span "routing.bound" @@ fun () ->
     let in_range (x, y) = x >= 0 && x < n && y >= 0 && y < n && x <> y in
-    let by_topo u v = Int.compare (Dag.topo_position d u) (Dag.topo_position d v) in
+    let pos = Array.init n (Dag.topo_position d) in
+    (* [buf] holds one sweep's vertices: a BFS queue, then sorted into
+       topological order. *)
+    let buf = Array.make n 0 and len = ref 0 in
     (* Requests are taken grouped by source.  For the current source x,
        [reach.(v) = x] marks what x reaches, [parent] holds BFS parent arcs
        and [fwd] #paths(x, v), swept over those vertices. *)
     let reach = Array.make n (-1) and parent = Array.make n (-1) in
     let fwd = Array.make n Saturating.zero in
+    let src = ref 0 and cur = ref 0 in
+    let visit a =
+      let w = Digraph.arc_dst g a in
+      if reach.(w) <> !src then begin
+        reach.(w) <- !src;
+        parent.(w) <- a;
+        fwd.(w) <- Saturating.zero;
+        buf.(!len) <- w;
+        incr len
+      end
+    in
+    let push w = fwd.(w) <- Saturating.add fwd.(w) fwd.(!cur) in
     let from x =
-      let visit next a =
-        let w = Digraph.arc_dst g a in
-        if reach.(w) = x then next
-        else begin
-          reach.(w) <- x;
-          parent.(w) <- a;
-          fwd.(w) <- Saturating.zero;
-          w :: next
-        end
-      in
-      let rec bfs seen = function
-        | [] -> seen
-        | level ->
-          bfs (List.rev_append level seen)
-            (List.fold_left
-               (fun next u -> List.fold_left visit next (Digraph.out_arcs g u))
-               [] level)
-      in
+      src := x;
       reach.(x) <- x;
       fwd.(x) <- Saturating.one;
-      List.sort by_topo (bfs [] [ x ])
-      |> List.iter (fun u ->
-             List.iter
-               (fun w -> fwd.(w) <- Saturating.add fwd.(w) fwd.(u))
-               (Digraph.succ g u))
+      buf.(0) <- x;
+      len := 1;
+      let r = bfs_into Digraph.iter_out_arcs visit g buf len in
+      sort_by pos buf r;
+      for i = 0 to r - 1 do
+        cur := buf.(i);
+        Digraph.iter_succ push g !cur
+      done
     in
     (* #paths(v, y), swept once per destination over y's ancestors, which
        [mark.(v) = y] marks. *)
     let mark = Array.make n (-1) in
     let into_cache = Hashtbl.create 8 in
+    let dst = ref 0 and paths = ref [||] in
+    let enter u =
+      if mark.(u) <> !dst then begin
+        mark.(u) <- !dst;
+        buf.(!len) <- u;
+        incr len
+      end
+    in
+    let pull w = !paths.(!cur) <- Saturating.add !paths.(!cur) !paths.(w) in
     let into y =
       match Hashtbl.find_opt into_cache y with
       | Some paths -> paths
       | None ->
-        let paths = Array.make n Saturating.zero in
-        paths.(y) <- Saturating.one;
-        collect (Digraph.pred g) (fun u -> mark.(u) <> y && (mark.(u) <- y; true)) y
-        |> List.sort (fun u v -> by_topo v u)
-        |> List.iter (fun v ->
-               List.iter
-                 (fun w -> paths.(v) <- Saturating.add paths.(v) paths.(w))
-                 (Digraph.succ g v));
-        Hashtbl.add into_cache y paths;
-        paths
+        dst := y;
+        paths := Array.make n Saturating.zero;
+        !paths.(y) <- Saturating.one;
+        mark.(y) <- y;
+        buf.(0) <- y;
+        len := 1;
+        let r = bfs_into Digraph.iter_pred enter g buf len in
+        sort_by pos buf r;
+        for i = r - 1 downto 0 do
+          cur := buf.(i);
+          Digraph.iter_succ pull g !cur
+        done;
+        Hashtbl.add into_cache y !paths;
+        !paths
     in
     let total_hops = ref 0 in
     let forced = Array.make m 0 in
@@ -476,26 +549,30 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
               in
               let idx = find 0 in
               chosen.(i) <- idx;
-              List.iter
-                (fun a -> load.(a) <- load.(a) + 1)
-                (Dipath.arcs alts.(i).(idx)))
+              let arcs = Dipath.unsafe_arc_array alts.(i).(idx) in
+              for j = 0 to Array.length arcs - 1 do
+                load.(arcs.(j)) <- load.(arcs.(j)) + 1
+              done)
             reqs);
       (* Load-level histogram: cnt.(l) = #arcs at load l.  The search
          objective (max load, #arcs attaining it) reads off it in O(1)
          and swap trials update it in O(path length). *)
       let cnt = Array.make (nr + 1) 0 in
-      Array.iter (fun l -> cnt.(l) <- cnt.(l) + 1) (Array.sub load 0 m);
       let cur_max = ref 0 in
-      Array.iter (fun l -> if l > !cur_max then cur_max := l) load;
+      for a = 0 to m - 1 do
+        cnt.(load.(a)) <- cnt.(load.(a)) + 1;
+        if load.(a) > !cur_max then cur_max := load.(a)
+      done;
       let seed_load = !cur_max in
       let apply p delta =
-        List.iter
-          (fun a ->
-            cnt.(load.(a)) <- cnt.(load.(a)) - 1;
-            load.(a) <- load.(a) + delta;
-            cnt.(load.(a)) <- cnt.(load.(a)) + 1;
-            if load.(a) > !cur_max then cur_max := load.(a))
-          (Dipath.arcs p);
+        let arcs = Dipath.unsafe_arc_array p in
+        for j = 0 to Array.length arcs - 1 do
+          let a = arcs.(j) in
+          cnt.(load.(a)) <- cnt.(load.(a)) - 1;
+          load.(a) <- load.(a) + delta;
+          cnt.(load.(a)) <- cnt.(load.(a)) + 1;
+          if load.(a) > !cur_max then cur_max := load.(a)
+        done;
         while !cur_max > 0 && cnt.(!cur_max) = 0 do
           decr cur_max
         done
@@ -514,11 +591,13 @@ let select ?(k = 8) ?(max_rounds = 64) d requests =
               let n_alt = Array.length alts.(i) in
               for j = 0 to n_alt - 1 do
                 if j <> chosen.(i) then begin
-                  let old_obj = (!cur_max, cnt.(!cur_max)) in
+                  let old_max = !cur_max and old_at_max = cnt.(!cur_max) in
                   let pc = alts.(i).(chosen.(i)) and pj = alts.(i).(j) in
                   apply pc (-1);
                   apply pj 1;
-                  if (!cur_max, cnt.(!cur_max)) < old_obj then begin
+                  if !cur_max < old_max
+                     || (!cur_max = old_max && cnt.(!cur_max) < old_at_max)
+                  then begin
                     chosen.(i) <- j;
                     incr swaps;
                     improved := true;
@@ -565,36 +644,26 @@ let requests_to_string requests =
   Buffer.contents b
 
 let requests_of_string s =
-  let err line msg = Error (Error.Parse { line; msg }) in
-  let lines = String.split_on_char '\n' s in
-  let rec go lineno first acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      let line =
-        match String.index_opt line '#' with
-        | Some i -> String.sub line 0 i
-        | None -> line
-      in
-      let tokens =
-        String.split_on_char ' ' (String.trim line)
-        |> List.filter (fun t -> t <> "")
-      in
-      match tokens with
-      | [] -> go (lineno + 1) first acc rest
-      | [ "wlreq"; v ] -> (
-        if not first then err lineno "wlreq header must come first"
+  let sc = Scan.of_string s in
+  let err msg = Error (Error.Parse { line = Scan.line sc; msg }) in
+  let rec go first acc =
+    if not (Scan.next sc) then Ok (List.rev acc)
+    else
+      let n = Scan.count sc in
+      if Scan.is sc 0 "req" && n = 3 then
+        match (Scan.int sc 1, Scan.int sc 2) with
+        | Some x, Some y -> go false ((x, y) :: acc)
+        | _ -> err "expected 'req X Y' with integer vertices"
+      else if Scan.is sc 0 "wlreq" && n = 2 then
+        if not first then err "wlreq header must come first"
         else
-          match int_of_string_opt v with
-          | Some 1 -> go (lineno + 1) false acc rest
+          match Scan.int sc 1 with
+          | Some 1 -> go false acc
           | Some v when v > 1 -> Error (Error.Unsupported_version v)
-          | _ -> err lineno "malformed wlreq header")
-      | [ "req"; x; y ] -> (
-        match (int_of_string_opt x, int_of_string_opt y) with
-        | Some x, Some y -> go (lineno + 1) false ((x, y) :: acc) rest
-        | _ -> err lineno "expected 'req X Y' with integer vertices")
-      | tok :: _ -> err lineno (Printf.sprintf "unknown directive %S" tok))
+          | _ -> err "malformed wlreq header"
+      else err (Printf.sprintf "unknown directive %S" (Scan.word sc 0))
   in
-  go 1 true [] lines
+  go true []
 
 let read_requests_file path =
   match In_channel.with_open_text path In_channel.input_all with

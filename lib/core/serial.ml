@@ -1,6 +1,7 @@
 open Wl_digraph
 module Dag = Wl_dag.Dag
 module Jsonx = Wl_json.Jsonx
+module Scan = Wl_util.Scan
 
 (* Version 2 only adds the [wl 2] header line; the body grammar is shared.
    Version 1 (headerless) output is kept byte-identical to the historical
@@ -34,23 +35,14 @@ let to_string ?(version = current_version) inst =
   body_to_buffer buf inst;
   Buffer.contents buf
 
-type parse_state = {
-  mutable version : int option;
-  mutable graph : Digraph.t option;
-  mutable paths_rev : (int * int list) list; (* line, vertex sequence *)
-}
-
 let of_string text =
-  let st = { version = None; graph = None; paths_rev = [] } in
-  let err lineno msg = Error (Error.Parse { line = lineno; msg }) in
-  let lines = String.split_on_char '\n' text in
-  let parse_int lineno s =
-    match int_of_string_opt s with
-    | Some v -> Ok v
-    | None -> err lineno (Printf.sprintf "not an integer: %S" s)
-  in
+  let sc = Scan.of_string text in
+  let err msg = Error (Error.Parse { line = Scan.line sc; msg }) in
+  let not_int i = err (Printf.sprintf "not an integer: %S" (Scan.word sc i)) in
+  let version = ref None and graph = ref None in
+  let paths_rev = ref [] (* line, vertex sequence *) in
   let finish () =
-    match st.graph with
+    match !graph with
     | None -> Error (Error.Parse { line = 0; msg = "missing 'dag <n>' header" })
     | Some g -> (
       match Dag.of_digraph g with
@@ -65,80 +57,64 @@ let of_string text =
               Error
                 (Error.Invalid_path (Printf.sprintf "line %d: bad path: %s" lineno msg)))
         in
-        build [] (List.rev st.paths_rev))
+        build [] (List.rev !paths_rev))
   in
-  let rec go lineno = function
-    | [] -> finish ()
-    | line :: rest -> (
-      let line =
-        match String.index_opt line '#' with
-        | Some i -> String.sub line 0 i
-        | None -> line
-      in
-      let words =
-        String.split_on_char ' ' (String.trim line)
-        |> List.filter (fun w -> w <> "")
-      in
-      match words with
-      | [] -> go (lineno + 1) rest
-      | "wl" :: [ v ] -> (
-        match parse_int lineno v with
-        | Error e -> Error e
-        | Ok v ->
-          if st.version <> None then err lineno "duplicate 'wl' header"
-          else if st.graph <> None then err lineno "'wl' header must come before 'dag'"
-          else if v < 1 || v > current_version then Error (Error.Unsupported_version v)
+  let rec go () =
+    if not (Scan.next sc) then finish ()
+    else
+      let n = Scan.count sc in
+      if Scan.is sc 0 "arc" && n = 3 then
+        match (!graph, Scan.int sc 1, Scan.int sc 2) with
+        | None, _, _ -> err "'arc' before 'dag'"
+        | _, None, _ -> not_int 1
+        | _, _, None -> not_int 2
+        | Some g, Some u, Some v -> (
+          match Digraph.add_arc g u v with
+          | _ -> go ()
+          | exception Invalid_argument msg -> err msg)
+      else if Scan.is sc 0 "path" then
+        if Option.is_none !graph then err "'path' before 'dag'"
+        else
+          match Scan.ints sc 1 with
+          | Error i -> not_int i
+          | Ok vs ->
+            paths_rev := (Scan.line sc, vs) :: !paths_rev;
+            go ()
+      else if Scan.is sc 0 "vlabel" && n = 3 then
+        match (!graph, Scan.int sc 1) with
+        | None, _ -> err "'vlabel' before 'dag'"
+        | _, None -> not_int 1
+        | Some g, Some i ->
+          if i < 0 || i >= Digraph.n_vertices g then err "vertex out of range"
           else begin
-            st.version <- Some v;
-            go (lineno + 1) rest
-          end)
-      | "dag" :: [ n ] -> (
-        match parse_int lineno n with
-        | Error e -> Error e
-        | Ok n ->
-          if st.graph <> None then err lineno "duplicate 'dag' header"
+            Digraph.set_label g i (Scan.word sc 2);
+            go ()
+          end
+      else if Scan.is sc 0 "dag" && n = 2 then
+        match Scan.int sc 1 with
+        | None -> not_int 1
+        | Some n ->
+          if Option.is_some !graph then err "duplicate 'dag' header"
           else begin
             let g = Digraph.create () in
             Digraph.add_vertices g n;
-            st.graph <- Some g;
-            go (lineno + 1) rest
-          end)
-      | "vlabel" :: i :: name :: [] -> (
-        match (st.graph, parse_int lineno i) with
-        | None, _ -> err lineno "'vlabel' before 'dag'"
-        | _, Error e -> Error e
-        | Some g, Ok i ->
-          if i < 0 || i >= Digraph.n_vertices g then err lineno "vertex out of range"
+            graph := Some g;
+            go ()
+          end
+      else if Scan.is sc 0 "wl" && n = 2 then
+        match Scan.int sc 1 with
+        | None -> not_int 1
+        | Some v ->
+          if Option.is_some !version then err "duplicate 'wl' header"
+          else if Option.is_some !graph then err "'wl' header must come before 'dag'"
+          else if v < 1 || v > current_version then Error (Error.Unsupported_version v)
           else begin
-            Digraph.set_label g i name;
-            go (lineno + 1) rest
-          end)
-      | "arc" :: u :: [ v ] -> (
-        match (st.graph, parse_int lineno u, parse_int lineno v) with
-        | None, _, _ -> err lineno "'arc' before 'dag'"
-        | _, Error e, _ | _, _, Error e -> Error e
-        | Some g, Ok u, Ok v -> (
-          match Digraph.add_arc g u v with
-          | _ -> go (lineno + 1) rest
-          | exception Invalid_argument msg -> err lineno msg))
-      | "path" :: verts -> (
-        if st.graph = None then err lineno "'path' before 'dag'"
-        else
-          let rec ints acc = function
-            | [] -> Ok (List.rev acc)
-            | w :: ws -> (
-              match parse_int lineno w with
-              | Ok v -> ints (v :: acc) ws
-              | Error e -> Error e)
-          in
-          match ints [] verts with
-          | Error e -> Error e
-          | Ok vs ->
-            st.paths_rev <- (lineno, vs) :: st.paths_rev;
-            go (lineno + 1) rest)
-      | word :: _ -> err lineno (Printf.sprintf "unknown directive %S" word))
+            version := Some v;
+            go ()
+          end
+      else err (Printf.sprintf "unknown directive %S" (Scan.word sc 0))
   in
-  go 1 lines
+  go ()
 
 (* --- JSON mirror ----------------------------------------------------------- *)
 

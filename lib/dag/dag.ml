@@ -11,9 +11,8 @@ type t = {
 }
 
 let of_digraph g =
-  match Traversal.topological_order g with
-  | Some order ->
-    let topo = Array.of_list order in
+  match Traversal.topological_array g with
+  | Some topo ->
     let pos = Array.make (Digraph.n_vertices g) 0 in
     Array.iteri (fun i v -> pos.(v) <- i) topo;
     Ok { g; topo; pos; arc_order = None }
@@ -46,11 +45,10 @@ let longest_path_length d =
   let n = n_vertices d in
   let dist = Array.make n 0 in
   (* Process in reverse topological order: dist v = 1 + max over succ. *)
+  let longer w best = if dist.(w) + 1 > best then dist.(w) + 1 else best in
   for i = n - 1 downto 0 do
     let v = d.topo.(i) in
-    List.iter
-      (fun w -> if dist.(w) + 1 > dist.(v) then dist.(v) <- dist.(w) + 1)
-      (Digraph.succ d.g v)
+    dist.(v) <- Digraph.fold_succ longer d.g v dist.(v)
   done;
   Array.fold_left max 0 dist
 
@@ -58,12 +56,14 @@ let count_dipaths_from d v =
   let n = n_vertices d in
   let count = Array.make n Saturating.zero in
   count.(v) <- Saturating.one;
+  let from = ref Saturating.zero in
+  let push w = count.(w) <- Saturating.add count.(w) !from in
   for i = d.pos.(v) to n - 1 do
     let u = d.topo.(i) in
-    if not (Saturating.equal count.(u) Saturating.zero) then
-      List.iter
-        (fun w -> count.(w) <- Saturating.add count.(w) count.(u))
-        (Digraph.succ d.g u)
+    if not (Saturating.equal count.(u) Saturating.zero) then begin
+      from := count.(u);
+      Digraph.iter_succ push d.g u
+    end
   done;
   count
 
@@ -89,9 +89,8 @@ let all_dipaths_between ?(limit = 64) d src dst =
           out := Dipath.make d.g (List.rev (v :: prefix)) :: !out
         end
         else
-          List.iter
-            (fun w -> if reaches_dst.(w) then go (v :: prefix) w)
-            (Digraph.succ d.g v)
+          let prefix = v :: prefix in
+          Digraph.iter_succ (fun w -> if reaches_dst.(w) then go prefix w) d.g v
     in
     go [] src;
     List.rev !out

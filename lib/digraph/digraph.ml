@@ -1,62 +1,166 @@
-module Vec = Wl_util.Vec
-
 type vertex = int
 type arc = int
 
+(* Forward-star storage in flat int arrays, each sized by a capacity
+   that doubles (or is reserved from a known count) and filled up to
+   [nv] or [na].  Per arc: its ends, and the next arc in its tail's
+   out-list and in its head's in-list (-1 ends a list).  Per vertex: the
+   first and last arc of each list and the list's length; a new arc is
+   linked after the last one, so every list is in insertion order.
+   [slots] is an open-addressing table of arc ids (-1 = empty), probed
+   linearly from the hash of u * 2^30 + v; its size is a power of two
+   at least twice the arc count. *)
 type t = {
-  out_adj : (vertex * arc) Vec.t Vec.t; (* per vertex: (successor, arc id) *)
-  in_adj : (vertex * arc) Vec.t Vec.t;
-  arc_ends : (vertex * vertex) Vec.t;
-  labels : string option Vec.t;
-  arc_index : (int, arc) Hashtbl.t; (* key: src * 2^31 + dst, for mem_arc *)
+  mutable nv : int;
+  mutable na : int;
+  mutable out_first : int array;
+  mutable out_last : int array;
+  mutable out_deg : int array;
+  mutable in_first : int array;
+  mutable in_last : int array;
+  mutable in_deg : int array;
+  mutable labels : string option array;
+  mutable src : int array;
+  mutable dst : int array;
+  mutable next_out : int array;
+  mutable next_in : int array;
+  mutable slots : int array;
+  mutable bits : int; (* log2 (Array.length slots) *)
 }
+
+let min_bits = 3
 
 let create () =
   {
-    out_adj = Vec.create ();
-    in_adj = Vec.create ();
-    arc_ends = Vec.create ();
-    labels = Vec.create ();
-    arc_index = Hashtbl.create 64;
+    nv = 0;
+    na = 0;
+    out_first = [||];
+    out_last = [||];
+    out_deg = [||];
+    in_first = [||];
+    in_last = [||];
+    in_deg = [||];
+    labels = [||];
+    src = [||];
+    dst = [||];
+    next_out = [||];
+    next_in = [||];
+    slots = Array.make (1 lsl min_bits) (-1); (* alloc-ok: per graph *)
+    bits = min_bits;
   }
 
-let n_vertices g = Vec.length g.out_adj
-let n_arcs g = Vec.length g.arc_ends
+let n_vertices g = g.nv
+let n_arcs g = g.na
 
 let check_vertex g v =
-  if v < 0 || v >= n_vertices g then invalid_arg "Digraph: no such vertex"
+  if v < 0 || v >= g.nv then invalid_arg "Digraph: no such vertex"
 
-let key u v = (u * 0x40000000) + v
+let check_arc g a = if a < 0 || a >= g.na then invalid_arg "Digraph: no such arc"
+
+(* --- growth (cold: amortized by doubling or reserved up front) ---------- *)
+
+let resize a cap fill =
+  let b = Array.make cap fill in (* alloc-ok: capacity growth *)
+  Array.blit a 0 b 0 (min (Array.length a) cap);
+  b
+
+let reserve_vertices g cap =
+  if cap > Array.length g.out_first then begin
+    g.out_first <- resize g.out_first cap (-1);
+    g.out_last <- resize g.out_last cap (-1);
+    g.out_deg <- resize g.out_deg cap 0;
+    g.in_first <- resize g.in_first cap (-1);
+    g.in_last <- resize g.in_last cap (-1);
+    g.in_deg <- resize g.in_deg cap 0;
+    g.labels <- resize g.labels cap None
+  end
+
+let hash g u v = (((u * 0x40000000) + v) * 0x2545F4914F6CDD1D) lsr (63 - g.bits)
+
+(* Arc id of u -> v, or -1; both ends must be vertices. *)
+let lookup g u v =
+  let mask = Array.length g.slots - 1 in
+  let i = ref (hash g u v) in
+  let found = ref (-2) in
+  while !found = -2 do
+    let a = g.slots.(!i) in
+    if a < 0 then found := -1
+    else if g.src.(a) = u && g.dst.(a) = v then found := a
+    else i := (!i + 1) land mask
+  done;
+  !found
+
+let insert_slot g a =
+  let mask = Array.length g.slots - 1 in
+  let i = ref (hash g g.src.(a) g.dst.(a)) in
+  while g.slots.(!i) >= 0 do
+    i := (!i + 1) land mask
+  done;
+  g.slots.(!i) <- a
+
+let reserve_arcs g cap =
+  if cap > Array.length g.src then begin
+    g.src <- resize g.src cap 0;
+    g.dst <- resize g.dst cap 0;
+    g.next_out <- resize g.next_out cap (-1);
+    g.next_in <- resize g.next_in cap (-1)
+  end;
+  if 2 * cap > Array.length g.slots then begin
+    let bits = ref g.bits in
+    while 1 lsl !bits < 2 * cap do
+      incr bits
+    done;
+    g.bits <- !bits;
+    g.slots <- Array.make (1 lsl !bits) (-1); (* alloc-ok: capacity growth *)
+    for a = 0 to g.na - 1 do
+      insert_slot g a
+    done
+  end
+
+(* --- construction --------------------------------------------------------- *)
 
 let add_vertex ?label g =
-  let v = n_vertices g in
-  Vec.push g.out_adj (Vec.create ());
-  Vec.push g.in_adj (Vec.create ());
-  Vec.push g.labels label;
+  let v = g.nv in
+  if v = Array.length g.out_first then reserve_vertices g (max 8 (2 * v));
+  g.nv <- v + 1;
+  g.labels.(v) <- label;
   v
 
 let add_vertices g k =
-  for _ = 1 to k do
-    ignore (add_vertex g)
-  done
+  if k > 0 then begin
+    reserve_vertices g (g.nv + k);
+    g.nv <- g.nv + k
+  end
 
 let find_arc g u v =
   check_vertex g u;
   check_vertex g v;
-  Hashtbl.find_opt g.arc_index (key u v)
+  match lookup g u v with -1 -> None | a -> Some a
 
-let mem_arc g u v = find_arc g u v <> None
+let mem_arc g u v =
+  check_vertex g u;
+  check_vertex g v;
+  lookup g u v >= 0
 
 let add_arc g u v =
   check_vertex g u;
   check_vertex g v;
   if u = v then invalid_arg "Digraph.add_arc: self-loop";
-  if mem_arc g u v then invalid_arg "Digraph.add_arc: duplicate arc";
-  let a = n_arcs g in
-  Vec.push g.arc_ends (u, v);
-  Vec.push (Vec.get g.out_adj u) (v, a);
-  Vec.push (Vec.get g.in_adj v) (u, a);
-  Hashtbl.add g.arc_index (key u v) a;
+  if lookup g u v >= 0 then invalid_arg "Digraph.add_arc: duplicate arc";
+  let a = g.na in
+  if a = Array.length g.src then reserve_arcs g (max 8 (2 * a));
+  g.na <- a + 1;
+  g.src.(a) <- u;
+  g.dst.(a) <- v;
+  g.next_out.(a) <- -1;
+  g.next_in.(a) <- -1;
+  if g.out_last.(u) < 0 then g.out_first.(u) <- a else g.next_out.(g.out_last.(u)) <- a;
+  g.out_last.(u) <- a;
+  g.out_deg.(u) <- g.out_deg.(u) + 1;
+  if g.in_last.(v) < 0 then g.in_first.(v) <- a else g.next_in.(g.in_last.(v)) <- a;
+  g.in_last.(v) <- a;
+  g.in_deg.(v) <- g.in_deg.(v) + 1;
+  insert_slot g a;
   a
 
 let of_arcs ?labels n arcs =
@@ -65,130 +169,207 @@ let of_arcs ?labels n arcs =
   | None -> add_vertices g n
   | Some ls ->
     if Array.length ls <> n then invalid_arg "Digraph.of_arcs: labels length";
+    reserve_vertices g n;
     Array.iter (fun l -> ignore (add_vertex ~label:l g)) ls);
+  reserve_arcs g (List.length arcs);
   List.iter (fun (u, v) -> ignore (add_arc g u v)) arcs;
   g
 
-let arc_endpoints g a =
-  if a < 0 || a >= n_arcs g then invalid_arg "Digraph: no such arc";
-  Vec.get g.arc_ends a
+let copy g =
+  {
+    g with
+    out_first = Array.sub g.out_first 0 g.nv;
+    out_last = Array.sub g.out_last 0 g.nv;
+    out_deg = Array.sub g.out_deg 0 g.nv;
+    in_first = Array.sub g.in_first 0 g.nv;
+    in_last = Array.sub g.in_last 0 g.nv;
+    in_deg = Array.sub g.in_deg 0 g.nv;
+    labels = Array.sub g.labels 0 g.nv;
+    src = Array.sub g.src 0 g.na;
+    dst = Array.sub g.dst 0 g.na;
+    next_out = Array.sub g.next_out 0 g.na;
+    next_in = Array.sub g.next_in 0 g.na;
+    slots = Array.copy g.slots;
+  }
 
-let arc_src g a = fst (arc_endpoints g a)
-let arc_dst g a = snd (arc_endpoints g a)
+(* --- accessors ------------------------------------------------------------ *)
+
+let arc_src g a =
+  check_arc g a;
+  g.src.(a)
+
+let arc_dst g a =
+  check_arc g a;
+  g.dst.(a)
+
+let arc_endpoints g a =
+  check_arc g a;
+  (g.src.(a), g.dst.(a))
 
 let out_degree g v =
   check_vertex g v;
-  Vec.length (Vec.get g.out_adj v)
+  g.out_deg.(v)
 
 let in_degree g v =
   check_vertex g v;
-  Vec.length (Vec.get g.in_adj v)
+  g.in_deg.(v)
 
-let out_arcs g v =
-  check_vertex g v;
-  List.rev (Vec.fold (fun acc (_, a) -> a :: acc) [] (Vec.get g.out_adj v))
-
-let in_arcs g v =
-  check_vertex g v;
-  List.rev (Vec.fold (fun acc (_, a) -> a :: acc) [] (Vec.get g.in_adj v))
-
+(* One pass from the first arc, consing in order. *)
 let succ g v =
   check_vertex g v;
-  List.rev (Vec.fold (fun acc (w, _) -> w :: acc) [] (Vec.get g.out_adj v))
+  let[@tail_mod_cons] rec go a = if a < 0 then [] else g.dst.(a) :: go g.next_out.(a) in
+  go g.out_first.(v)
 
 let pred g v =
   check_vertex g v;
-  List.rev (Vec.fold (fun acc (w, _) -> w :: acc) [] (Vec.get g.in_adj v))
+  let[@tail_mod_cons] rec go a = if a < 0 then [] else g.src.(a) :: go g.next_in.(a) in
+  go g.in_first.(v)
 
-let arcs g = Vec.to_list g.arc_ends
+let arcs g = List.init g.na (fun a -> (g.src.(a), g.dst.(a)))
 
-let vertices g = List.init (n_vertices g) Fun.id
+let vertices g = List.init g.nv Fun.id
+
+(* --- walkers: no allocation of their own ---------------------------------- *)
+
+let iter_succ f g v =
+  check_vertex g v;
+  let a = ref g.out_first.(v) in
+  while !a >= 0 do
+    let x = !a in
+    a := g.next_out.(x);
+    f g.dst.(x)
+  done
+
+let iter_pred f g v =
+  check_vertex g v;
+  let a = ref g.in_first.(v) in
+  while !a >= 0 do
+    let x = !a in
+    a := g.next_in.(x);
+    f g.src.(x)
+  done
+
+let iter_out_arcs f g v =
+  check_vertex g v;
+  let a = ref g.out_first.(v) in
+  while !a >= 0 do
+    let x = !a in
+    a := g.next_out.(x);
+    f x
+  done
+
+let iter_in_arcs f g v =
+  check_vertex g v;
+  let a = ref g.in_first.(v) in
+  while !a >= 0 do
+    let x = !a in
+    a := g.next_in.(x);
+    f x
+  done
+
+let fold_succ f g v init =
+  check_vertex g v;
+  let acc = ref init and a = ref g.out_first.(v) in
+  while !a >= 0 do
+    let x = !a in
+    a := g.next_out.(x);
+    acc := f g.dst.(x) !acc
+  done;
+  !acc
+
+let fold_pred f g v init =
+  check_vertex g v;
+  let acc = ref init and a = ref g.in_first.(v) in
+  while !a >= 0 do
+    let x = !a in
+    a := g.next_in.(x);
+    acc := f g.src.(x) !acc
+  done;
+  !acc
+
+let iter_vertices f g =
+  for v = 0 to g.nv - 1 do
+    f v
+  done
+
+let iter_arcs f g =
+  for a = 0 to g.na - 1 do
+    f a g.src.(a) g.dst.(a)
+  done
+
+let fold_arcs f g init =
+  let acc = ref init in
+  for a = 0 to g.na - 1 do
+    acc := f a g.src.(a) g.dst.(a) !acc
+  done;
+  !acc
+
+(* --- labels --------------------------------------------------------------- *)
 
 let label g v =
   check_vertex g v;
-  match Vec.get g.labels v with
-  | Some l -> l
-  | None -> Printf.sprintf "v%d" v
+  match g.labels.(v) with Some l -> l | None -> Printf.sprintf "v%d" v
 
 let set_label g v l =
   check_vertex g v;
-  Vec.set g.labels v (Some l)
+  g.labels.(v) <- Some l
 
 let vertex_of_label g l =
-  let n = n_vertices g in
   let rec go v =
-    if v >= n then None
+    if v >= g.nv then None
     else
-      match Vec.get g.labels v with
+      match g.labels.(v) with
       | Some l' when String.equal l l' -> Some v
       | _ -> go (v + 1)
   in
   go 0
 
-let iter_vertices f g =
-  for v = 0 to n_vertices g - 1 do
-    f v
-  done
+(* --- derived graphs ------------------------------------------------------- *)
 
-let iter_arcs f g = Vec.iteri (fun a (u, v) -> f a u v) g.arc_ends
-
-let fold_arcs f g init =
-  let acc = ref init in
-  iter_arcs (fun a u v -> acc := f a u v !acc) g;
-  !acc
-
-let copy g =
-  let labels = Array.init (n_vertices g) (fun v -> Vec.get g.labels v) in
+(* A graph on [k] vertices labelled like [g]'s vertices [orig i], no arcs. *)
+let on_vertices g k orig =
   let g' = create () in
-  Array.iter (fun l -> ignore (match l with
-    | Some l -> add_vertex ~label:l g'
-    | None -> add_vertex g')) labels;
-  iter_arcs (fun _ u v -> ignore (add_arc g' u v)) g;
+  reserve_vertices g' k;
+  for i = 0 to k - 1 do
+    ignore (add_vertex ?label:g.labels.(orig i) g')
+  done;
   g'
 
 let reverse g =
-  let g' = create () in
-  iter_vertices
-    (fun v ->
-      ignore
-        (match Vec.get g.labels v with
-        | Some l -> add_vertex ~label:l g'
-        | None -> add_vertex g'))
-    g;
+  let g' = on_vertices g g.nv Fun.id in
+  reserve_arcs g' g.na;
   iter_arcs (fun _ u v -> ignore (add_arc g' v u)) g;
   g'
 
 let induced_subgraph g vs =
-  let n = n_vertices g in
-  let old_to_new = Array.make n (-1) in
-  let kept = Vec.create () in
+  let old_to_new = Array.make g.nv (-1) in (* alloc-ok: cold *)
+  let kept = Array.make g.nv 0 in (* alloc-ok: cold *)
+  let k = ref 0 in
   List.iter
     (fun v ->
       check_vertex g v;
       if old_to_new.(v) = -1 then begin
-        old_to_new.(v) <- Vec.length kept;
-        Vec.push kept v
+        old_to_new.(v) <- !k;
+        kept.(!k) <- v;
+        incr k
       end)
     vs;
-  let g' = create () in
-  Vec.iter
-    (fun v ->
-      ignore
-        (match Vec.get g.labels v with
-        | Some l -> add_vertex ~label:l g'
-        | None -> add_vertex g'))
-    kept;
+  let g' = on_vertices g !k (Array.get kept) in
   iter_arcs
     (fun _ u v ->
       if old_to_new.(u) >= 0 && old_to_new.(v) >= 0 then
         ignore (add_arc g' old_to_new.(u) old_to_new.(v)))
     g;
-  (g', Vec.to_array kept)
+  (g', Array.sub kept 0 !k)
 
+(* Equal counts and every arc of [g1] in [g2]: with no parallel arcs,
+   that is arc-set equality. *)
 let equal_structure g1 g2 =
-  n_vertices g1 = n_vertices g2
-  && n_arcs g1 = n_arcs g2
-  && List.sort compare (arcs g1) = List.sort compare (arcs g2)
+  g1.nv = g2.nv
+  && g1.na = g2.na
+  &&
+  let rec go a = a >= g1.na || (lookup g2 g1.src.(a) g1.dst.(a) >= 0 && go (a + 1)) in
+  go 0
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>digraph: %d vertices, %d arcs@," (n_vertices g)

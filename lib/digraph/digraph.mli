@@ -7,6 +7,23 @@
     from a filtered arc list ({!of_arcs}/{!arcs}) — this keeps every id
     stable, which the dipath and load machinery depends on.
 
+    {b Storage.}  A forward star in flat int arrays.  Per arc: its tail,
+    its head, and the next arc out of its tail and into its head.  Per
+    vertex: the first and last arc of its out- and in-lists and their
+    lengths; a new arc is linked after the last, so every neighbour list
+    is in insertion order.  Arrays grow by doubling; {!add_vertices} and
+    {!of_arcs} size them from their counts.  An open-addressing int
+    table keyed by [u * 2^30 + v], at most half full, maps an arc's ends
+    to its id.
+
+    {b Costs.}  {!add_arc}, {!find_arc} and {!mem_arc} are O(1) expected;
+    degrees are O(1).  {!copy} is a few array blits, O(n + m) words.  The
+    walkers ({!iter_succ}, {!iter_pred}, {!iter_out_arcs},
+    {!iter_in_arcs}, {!fold_succ}, {!fold_pred}) allocate nothing of
+    their own, so a hot loop that hoists its closure walks a graph
+    without touching the minor heap.  {!succ} and {!pred} build a fresh
+    list per call, for callers that pattern-match one.
+
     Optional string labels support readable DOT output and the text format. *)
 
 type t
@@ -22,7 +39,8 @@ val add_vertex : ?label:string -> t -> vertex
 (** Appends a fresh vertex and returns its id. *)
 
 val add_vertices : t -> int -> unit
-(** [add_vertices g k] appends [k] unlabeled vertices. *)
+(** [add_vertices g k] appends [k] unlabeled vertices (none when
+    [k <= 0]), growing the vertex arrays once. *)
 
 val add_arc : t -> vertex -> vertex -> arc
 (** [add_arc g u v] appends the arc [u -> v] and returns its id.
@@ -53,13 +71,8 @@ val mem_arc : t -> vertex -> vertex -> bool
 val out_degree : t -> vertex -> int
 val in_degree : t -> vertex -> int
 
-val out_arcs : t -> vertex -> arc list
-(** Arcs leaving a vertex, in insertion order. *)
-
-val in_arcs : t -> vertex -> arc list
-
 val succ : t -> vertex -> vertex list
-(** Out-neighbors, in insertion order. *)
+(** Out-neighbors, in insertion order, as a fresh list. *)
 
 val pred : t -> vertex -> vertex list
 
@@ -79,6 +92,27 @@ val vertex_of_label : t -> string -> vertex option
 (** First vertex carrying the given explicit label. *)
 
 (** {1 Iteration} *)
+
+val iter_succ : (vertex -> unit) -> t -> vertex -> unit
+(** [iter_succ f g v] applies [f] to the out-neighbors of [v], in
+    insertion order.  Like every walker here it raises
+    [Invalid_argument] when [v] is not a vertex, and an arc added while
+    it runs may or may not be visited. *)
+
+val iter_pred : (vertex -> unit) -> t -> vertex -> unit
+(** In-neighbors, in insertion order. *)
+
+val iter_out_arcs : (arc -> unit) -> t -> vertex -> unit
+(** Arcs leaving [v], in insertion order (so in increasing id order). *)
+
+val iter_in_arcs : (arc -> unit) -> t -> vertex -> unit
+(** Arcs entering [v], in increasing id order. *)
+
+val fold_succ : (vertex -> 'a -> 'a) -> t -> vertex -> 'a -> 'a
+(** [fold_succ f g v init] folds [f] over the out-neighbors of [v] in
+    insertion order, first neighbor innermost. *)
+
+val fold_pred : (vertex -> 'a -> 'a) -> t -> vertex -> 'a -> 'a
 
 val iter_vertices : (vertex -> unit) -> t -> unit
 val iter_arcs : (arc -> vertex -> vertex -> unit) -> t -> unit

@@ -9,12 +9,10 @@ let validate g verts =
   let k = Array.length verts in
   if k < 2 then Error "Dipath: needs at least two vertices"
   else begin
-    let seen = Hashtbl.create k in
-    let dup = Array.exists (fun v ->
-        Hashtbl.mem seen v || (Hashtbl.add seen v (); false))
-        verts
-    in
-    if dup then Error "Dipath: repeated vertex"
+    let sorted = Array.copy verts in
+    Array.sort Int.compare sorted;
+    let rec dup i = i < k && (sorted.(i) = sorted.(i - 1) || dup (i + 1)) in
+    if dup 1 then Error "Dipath: repeated vertex"
     else if
       Array.exists
         (fun v -> v < 0 || v >= Digraph.n_vertices g)
@@ -44,7 +42,7 @@ let of_vertex_array_result g verts =
   | Error _ as e -> e
   | Ok arc_ids ->
     let arcs_sorted = Array.copy arc_ids in
-    Array.sort compare arcs_sorted;
+    Array.sort Int.compare arcs_sorted;
     Ok { verts = Array.copy verts; arc_ids; arcs_sorted }
 
 let of_vertex_array g verts =

@@ -1,63 +1,71 @@
 module Bitset = Wl_util.Bitset
 module Union_find = Wl_util.Union_find
 
+(* Each BFS below keeps its queue in an int array: a vertex enters at
+   most once, so n slots suffice and [head]/[tail] never wrap. *)
+
 let bfs_order g src =
   let n = Digraph.n_vertices g in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  seen.(src) <- true;
-  Queue.add src queue;
-  let out = ref [] in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    out := v :: !out;
-    List.iter
-      (fun w ->
-        if not seen.(w) then begin
-          seen.(w) <- true;
-          Queue.add w queue
-        end)
-      (Digraph.succ g v)
+  let seen = Array.make n false and queue = Array.make n 0 in
+  let tail = ref 0 in
+  let enter w =
+    if not seen.(w) then begin
+      seen.(w) <- true;
+      queue.(!tail) <- w;
+      incr tail
+    end
+  in
+  enter src;
+  let head = ref 0 in
+  while !head < !tail do
+    incr head;
+    Digraph.iter_succ enter g queue.(!head - 1)
   done;
-  List.rev !out
+  Array.to_list (Array.sub queue 0 !tail)
 
 let bfs_dist g src =
   let n = Digraph.n_vertices g in
-  let dist = Array.make n (-1) in
-  let queue = Queue.create () in
-  dist.(src) <- 0;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    List.iter
-      (fun w ->
-        if dist.(w) < 0 then begin
-          dist.(w) <- dist.(v) + 1;
-          Queue.add w queue
-        end)
-      (Digraph.succ g v)
+  let dist = Array.make n (-1) and queue = Array.make n 0 in
+  let tail = ref 0 and d = ref 0 in
+  let enter w =
+    if dist.(w) < 0 then begin
+      dist.(w) <- !d;
+      queue.(!tail) <- w;
+      incr tail
+    end
+  in
+  enter src;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    d := dist.(v) + 1;
+    Digraph.iter_succ enter g v
   done;
   dist
 
 let bfs_parent_path g src dst =
   let n = Digraph.n_vertices g in
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let queue = Queue.create () in
+  let parent = Array.make n (-1) and seen = Array.make n false in
+  let queue = Array.make n 0 in
+  let tail = ref 1 and v = ref src in
   seen.(src) <- true;
-  Queue.add src queue;
+  queue.(0) <- src;
   let found = ref (src = dst) in
-  while (not !found) && not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    List.iter
-      (fun w ->
-        if not seen.(w) then begin
-          seen.(w) <- true;
-          parent.(w) <- v;
-          if w = dst then found := true;
-          Queue.add w queue
-        end)
-      (Digraph.succ g v)
+  let enter w =
+    if not seen.(w) then begin
+      seen.(w) <- true;
+      parent.(w) <- !v;
+      if w = dst then found := true;
+      queue.(!tail) <- w;
+      incr tail
+    end
+  in
+  let head = ref 0 in
+  while (not !found) && !head < !tail do
+    v := queue.(!head);
+    incr head;
+    Digraph.iter_succ enter g !v
   done;
   if not !found then None
   else begin
@@ -72,7 +80,7 @@ let dfs_postorder g =
   let rec visit v =
     if not seen.(v) then begin
       seen.(v) <- true;
-      List.iter visit (Digraph.succ g v);
+      Digraph.iter_succ visit g v;
       out := v :: !out
     end
   in
@@ -81,28 +89,33 @@ let dfs_postorder g =
   done;
   List.rev !out
 
-let topological_order g =
+let topological_array g =
   let n = Digraph.n_vertices g in
-  let indeg = Array.init n (Digraph.in_degree g) in
-  let queue = Queue.create () in
+  let indeg = Array.init n (Digraph.in_degree g) and queue = Array.make n 0 in
+  let tail = ref 0 in
+  let release w =
+    indeg.(w) <- indeg.(w) - 1;
+    if indeg.(w) = 0 then begin
+      queue.(!tail) <- w;
+      incr tail
+    end
+  in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Queue.add v queue
+    if indeg.(v) = 0 then begin
+      queue.(!tail) <- v;
+      incr tail
+    end
   done;
-  let out = ref [] in
-  let count = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    incr count;
-    out := v :: !out;
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w queue)
-      (Digraph.succ g v)
+  let head = ref 0 in
+  while !head < !tail do
+    incr head;
+    Digraph.iter_succ release g queue.(!head - 1)
   done;
-  if !count = n then Some (List.rev !out) else None
+  if !tail = n then Some queue else None
 
-let is_acyclic g = topological_order g <> None
+let topological_order g = Option.map Array.to_list (topological_array g)
+
+let is_acyclic g = topological_array g <> None
 
 let find_directed_cycle g =
   let n = Digraph.n_vertices g in
@@ -112,7 +125,7 @@ let find_directed_cycle g =
   let cycle = ref None in
   let rec visit v =
     state.(v) <- 1;
-    List.iter
+    Digraph.iter_succ
       (fun w ->
         if !cycle = None then
           if state.(w) = 0 then begin
@@ -124,7 +137,7 @@ let find_directed_cycle g =
             let rec build u acc = if u = w then u :: acc else build parent.(u) (u :: acc) in
             cycle := Some (build v [])
           end)
-      (Digraph.succ g v);
+      g v;
     state.(v) <- 2
   in
   let v = ref 0 in
@@ -135,24 +148,22 @@ let find_directed_cycle g =
   !cycle
 
 let reachable_from g src =
-  let n = Digraph.n_vertices g in
-  let seen = Array.make n false in
+  let seen = Array.make (Digraph.n_vertices g) false in
   let rec visit v =
     if not seen.(v) then begin
       seen.(v) <- true;
-      List.iter visit (Digraph.succ g v)
+      Digraph.iter_succ visit g v
     end
   in
   visit src;
   seen
 
 let reaching_to g dst =
-  let n = Digraph.n_vertices g in
-  let seen = Array.make n false in
+  let seen = Array.make (Digraph.n_vertices g) false in
   let rec visit v =
     if not seen.(v) then begin
       seen.(v) <- true;
-      List.iter visit (Digraph.pred g v)
+      Digraph.iter_pred visit g v
     end
   in
   visit dst;
@@ -160,14 +171,14 @@ let reaching_to g dst =
 
 let reachability_matrix g =
   let n = Digraph.n_vertices g in
-  match topological_order g with
+  match topological_array g with
   | Some order ->
     let reach = Array.init n (fun _ -> Bitset.create n) in
-    List.iter
-      (fun v ->
-        Bitset.add reach.(v) v;
-        List.iter (fun w -> Bitset.union_into reach.(v) reach.(w)) (Digraph.succ g v))
-      (List.rev order);
+    for i = n - 1 downto 0 do
+      let v = order.(i) in
+      Bitset.add reach.(v) v;
+      Digraph.iter_succ (fun w -> Bitset.union_into reach.(v) reach.(w)) g v
+    done;
     reach
   | None ->
     Array.init n (fun v ->

@@ -19,7 +19,12 @@ val dfs_postorder : Digraph.t -> Digraph.vertex list
 (** Postorder over the whole graph (all roots), following out-arcs. *)
 
 val topological_order : Digraph.t -> Digraph.vertex list option
-(** Kahn's algorithm: [Some order] (sources first) iff the graph is acyclic. *)
+(** Kahn's algorithm: [Some order] (sources first) iff the graph is acyclic.
+    The queue is FIFO and seeded in vertex order, so the order is a
+    function of the graph. *)
+
+val topological_array : Digraph.t -> Digraph.vertex array option
+(** {!topological_order} as a fresh array. *)
 
 val is_acyclic : Digraph.t -> bool
 

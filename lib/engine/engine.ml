@@ -150,6 +150,10 @@ let pool_pop z n =
    the live per-arc load. *)
 type core = {
   mutable g : Digraph.t;
+  mutable frozen : Dag.t option;
+      (* a copy of [g] with its topological order, made by the first
+         materialization after an [add_arc] and never mutated, so clones
+         share it *)
   mutable slot_path : Dipath.t array; (* meaningful where [slot_live] *)
   mutable slot_live : bool array; (* false = removed; ids never reused *)
   mutable n_slots : int;
@@ -210,6 +214,7 @@ let next_sid = Atomic.make 0
 let clone_core c =
   {
     g = Digraph.copy c.g;
+    frozen = c.frozen;
     slot_path = Array.copy c.slot_path;
     slot_live = Array.copy c.slot_live;
     n_slots = c.n_slots;
@@ -330,6 +335,7 @@ let make_core g classification =
   let m = Digraph.n_arcs g in
   {
     g;
+    frozen = None;
     slot_path = [||];
     slot_live = Array.make 8 false; (* alloc-ok *)
     n_slots = 0;
@@ -441,10 +447,17 @@ let stats s =
 
 (* --- materialization and the full-solve path ------------------------------- *)
 
+let frozen_dag c =
+  match c.frozen with
+  | Some dag -> dag
+  | None ->
+    (* The session never lets a directed cycle in, so this cannot fail. *)
+    let dag = Dag.of_digraph_exn (Digraph.copy c.g) in
+    c.frozen <- Some dag;
+    dag
+
 let materialize_core c =
-  let g = Digraph.copy c.g in
-  (* The session never lets a directed cycle in, so this cannot fail. *)
-  let dag = Dag.of_digraph_exn g in
+  let dag = frozen_dag c in
   let live = ref [] in
   for i = c.n_slots - 1 downto 0 do
     if c.slot_live.(i) then live := c.slot_path.(i) :: !live
@@ -1030,26 +1043,26 @@ let remove_path s pid =
   | () -> Ok ()
   | exception Error.Error e -> Error e
 
-(* DFS reachability used to reject directed cycles on arc insertion. *)
+(* DFS reachability used to reject directed cycles on arc insertion.  A
+   vertex is marked when pushed, so the stack never holds more than n. *)
 let reaches g src dst =
   let n = Digraph.n_vertices g in
-  let visited = Array.make n false in (* alloc-ok *)
-  let stack = ref [ src ] in
-  let found = ref false in
-  while (not !found) && !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-      stack := rest;
-      if v = dst then found := true
-      else if not visited.(v) then begin
-        visited.(v) <- true;
-        List.iter
-          (fun w -> if not visited.(w) then stack := w :: !stack)
-          (Digraph.succ g v)
-      end
+  let seen = Array.make n false in (* alloc-ok *)
+  let stack = Array.make n 0 in (* alloc-ok *)
+  let top = ref 0 in
+  let enter w =
+    if not seen.(w) then begin
+      seen.(w) <- true;
+      stack.(!top) <- w;
+      incr top
+    end
+  in
+  enter src;
+  while !top > 0 && not seen.(dst) do
+    decr top;
+    Digraph.iter_succ enter g stack.(!top)
   done;
-  !found
+  seen.(dst)
 
 let add_arc s u v =
   let c = !(s.core) in
@@ -1079,6 +1092,7 @@ let add_arc s u v =
   else begin
     count_op s;
     let a = Digraph.add_arc c.g u v in
+    c.frozen <- None;
     ensure_arc_capacity c (a + 1);
     c.occ.(a) <- [||];
     c.occ_len.(a) <- 0;

@@ -116,7 +116,13 @@ val color_of : session -> path_id -> (int, Error.t) result
 
 val instance : session -> Instance.t
 (** Materialize the current graph and live paths (in handle order) as an
-    immutable instance.  The result does not alias session state. *)
+    immutable instance.  Its DAG is the session's frozen copy of the
+    graph: made (one graph copy, one topological sort) by the first
+    materialization after an {!add_arc}, then shared by every instance
+    and full solve until the next {!add_arc}, and by snapshots and
+    rollbacks taken meanwhile.  The session never mutates it, and later
+    mutations of the session do not show through it; like any
+    [Dag.graph], callers must not mutate it either. *)
 
 val id : session -> int
 val n_live_paths : session -> int

@@ -1,5 +1,6 @@
 open Wl_core
 module Jsonx = Wl_json.Jsonx
+module Scan = Wl_util.Scan
 
 type t = Engine.op list
 
@@ -21,54 +22,35 @@ let to_string ops =
   Buffer.contents buf
 
 let of_string text =
-  let err lineno msg = Error (Error.Parse { line = lineno; msg }) in
-  let parse_int lineno s =
-    match int_of_string_opt s with
-    | Some v -> Ok v
-    | None -> err lineno (Printf.sprintf "not an integer: %S" s)
-  in
-  let rec ints lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | w :: ws -> (
-      match parse_int lineno w with
-      | Ok v -> ints lineno (v :: acc) ws
-      | Error e -> Error e)
-  in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      let line =
-        match String.index_opt line '#' with
-        | Some i -> String.sub line 0 i
-        | None -> line
-      in
-      let words =
-        String.split_on_char ' ' (String.trim line)
-        |> List.filter (fun w -> w <> "")
-      in
-      match words with
-      | [] -> go (lineno + 1) acc rest
-      | "wlops" :: [ v ] -> (
-        match parse_int lineno v with
-        | Error e -> Error e
-        | Ok v ->
+  let sc = Scan.of_string text in
+  let err msg = Error (Error.Parse { line = Scan.line sc; msg }) in
+  let not_int i = err (Printf.sprintf "not an integer: %S" (Scan.word sc i)) in
+  let rec go acc =
+    if not (Scan.next sc) then Ok (List.rev acc)
+    else
+      let n = Scan.count sc in
+      if Scan.is sc 0 "path" then
+        match Scan.ints sc 1 with
+        | Error i -> not_int i
+        | Ok vs -> go (Engine.Add_path vs :: acc)
+      else if Scan.is sc 0 "remove" && n = 2 then
+        match Scan.int sc 1 with
+        | None -> not_int 1
+        | Some pid -> go (Engine.Remove_path pid :: acc)
+      else if Scan.is sc 0 "arc" && n = 3 then
+        match (Scan.int sc 1, Scan.int sc 2) with
+        | None, _ -> not_int 1
+        | _, None -> not_int 2
+        | Some u, Some v -> go (Engine.Add_arc (u, v) :: acc)
+      else if Scan.is sc 0 "wlops" && n = 2 then
+        match Scan.int sc 1 with
+        | None -> not_int 1
+        | Some v ->
           if v < 1 || v > current_version then Error (Error.Unsupported_version v)
-          else go (lineno + 1) acc rest)
-      | "path" :: verts -> (
-        match ints lineno [] verts with
-        | Error e -> Error e
-        | Ok vs -> go (lineno + 1) (Engine.Add_path vs :: acc) rest)
-      | "remove" :: [ p ] -> (
-        match parse_int lineno p with
-        | Error e -> Error e
-        | Ok pid -> go (lineno + 1) (Engine.Remove_path pid :: acc) rest)
-      | "arc" :: u :: [ v ] -> (
-        match (parse_int lineno u, parse_int lineno v) with
-        | Error e, _ | _, Error e -> Error e
-        | Ok u, Ok v -> go (lineno + 1) (Engine.Add_arc (u, v) :: acc) rest)
-      | word :: _ -> err lineno (Printf.sprintf "unknown op %S" word))
+          else go acc
+      else err (Printf.sprintf "unknown op %S" (Scan.word sc 0))
   in
-  go 1 [] (String.split_on_char '\n' text)
+  go []
 
 let to_json ?pretty ops =
   let op_json = function

@@ -1,9 +1,10 @@
 (* Allocation-discipline lint for the GC-quiet hot files.
 
-   The solver core (theorem1.ml), DSATUR (coloring.ml) and the engine
-   (engine.ml) promise gc.minor_w = 0 on their warm paths; every
-   allocation primitive they do contain lives on a cold path — session
-   construction, capacity growth, cold queries.  This lint enforces that
+   The solver core (theorem1.ml), DSATUR (coloring.ml), the engine
+   (engine.ml) and the graph substrate's walkers (digraph.ml) promise
+   gc.minor_w = 0 on their warm paths; every allocation primitive they
+   do contain lives on a cold path — session or graph construction,
+   capacity growth, cold queries.  This lint enforces that
    each such line says so: any line matching an allocation primitive
    must carry an [alloc-ok] comment marker, so a new allocation cannot
    slip into these files without a visible, reviewable claim that it is

@@ -135,6 +135,28 @@ let test_engine_warm_ops_zero_alloc () =
     (let h = Engine.health session in
      h.Engine.add_latency.Wl_obs.Hdr.count)
 
+(* Every walker over every vertex of a 300-vertex graph: the forward
+   star is read in place, so with the closures made up front a whole
+   sweep allocates nothing. *)
+let test_digraph_walkers_zero_alloc () =
+  let module Digraph = Wl_digraph.Digraph in
+  let g = gnp_dag 11 300 0.03 in
+  let sum = ref 0 in
+  let add x = sum := !sum + x in
+  let sweep () =
+    for v = 0 to Digraph.n_vertices g - 1 do
+      Digraph.iter_succ add g v;
+      Digraph.iter_pred add g v;
+      Digraph.iter_out_arcs add g v;
+      Digraph.iter_in_arcs add g v;
+      sum := Digraph.fold_succ ( + ) g v !sum;
+      sum := Digraph.fold_pred ( + ) g v !sum
+    done
+  in
+  sweep ();
+  check_float "iter_*/fold_* sweep allocates nothing" 0. (minor_delta sweep);
+  check "the sweep saw arcs" true (Digraph.n_arcs g > 0 && !sum > 0)
+
 (* --- the gate's allocation arm ---------------------------------------------- *)
 
 let point ?alloc_w name median =
@@ -212,6 +234,8 @@ let suite =
           test_thm1_warm_solve_zero_alloc;
         Alcotest.test_case "engine warm ops zero-alloc" `Quick
           test_engine_warm_ops_zero_alloc;
+        Alcotest.test_case "digraph walkers zero-alloc" `Quick
+          test_digraph_walkers_zero_alloc;
         Alcotest.test_case "gate flags alloc regressions" `Quick
           test_gate_alloc_regression;
         Alcotest.test_case "gate skips unmeasured alloc" `Quick

@@ -99,7 +99,9 @@ let peeling_invariant =
       Array.for_all
         (fun a ->
           let tail = Digraph.arc_src g a in
-          List.for_all (fun b -> index.(b) < index.(a)) (Digraph.in_arcs g tail))
+          let ok = ref true in
+          Digraph.iter_in_arcs (fun b -> if index.(b) >= index.(a) then ok := false) g tail;
+          !ok)
         order)
 
 let suite =

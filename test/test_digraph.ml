@@ -83,11 +83,167 @@ let degrees_sum =
 let out_arcs_consistent =
   qtest "out_arcs/in_arcs agree with endpoints" seed_gen (fun seed ->
       let g = gnp_dag seed 12 0.3 in
-      List.for_all
+      let ok = ref true in
+      Digraph.iter_vertices
         (fun v ->
-          List.for_all (fun a -> Digraph.arc_src g a = v) (Digraph.out_arcs g v)
-          && List.for_all (fun a -> Digraph.arc_dst g a = v) (Digraph.in_arcs g v))
-        (Digraph.vertices g))
+          Digraph.iter_out_arcs (fun a -> if Digraph.arc_src g a <> v then ok := false) g v;
+          Digraph.iter_in_arcs (fun a -> if Digraph.arc_dst g a <> v then ok := false) g v)
+        g;
+      !ok)
+
+(* --- the forward star against a naive list model ------------------------
+
+   Random add_vertex / add_vertices / add_arc sequences, with self-loops,
+   duplicates and out-of-range ends, run on a Digraph and on a model
+   that keeps its arcs as a list in id order.  Every id and every
+   Invalid_argument message must agree, and so must everything the graph
+   says about itself: degrees, find_arc over every pair (out-of-range
+   ends included), the arc list, labels, and each vertex's neighbours in
+   order through every walker and through succ/pred. *)
+
+type model = { mutable n : int; mutable m_arcs : (int * int) list; mutable m_labels : (int * string) list }
+
+type op = Vertex of string option | Vertices of int | Arc of int * int
+
+let random_ops rng k =
+  List.init k (fun _ ->
+      match Prng.int rng 10 with
+      | 0 | 1 ->
+        Vertex (if Prng.bool rng then Some (Printf.sprintf "l%d" (Prng.int rng 4)) else None)
+      | 2 -> Vertices (Prng.int_in rng (-1) 3)
+      | _ -> Arc (Prng.int_in rng (-1) 9, Prng.int_in rng (-1) 9))
+
+let outcome f = match f () with x -> Ok x | exception Invalid_argument msg -> Error msg
+
+let model_apply m = function
+  | Vertex label ->
+    let v = m.n in
+    m.n <- v + 1;
+    Option.iter (fun l -> m.m_labels <- (v, l) :: m.m_labels) label;
+    Ok v
+  | Vertices k ->
+    m.n <- m.n + max 0 k;
+    Ok (-1)
+  | Arc (u, v) ->
+    if u < 0 || u >= m.n || v < 0 || v >= m.n then Error "Digraph: no such vertex"
+    else if u = v then Error "Digraph.add_arc: self-loop"
+    else if List.mem (u, v) m.m_arcs then Error "Digraph.add_arc: duplicate arc"
+    else begin
+      m.m_arcs <- m.m_arcs @ [ (u, v) ];
+      Ok (List.length m.m_arcs - 1)
+    end
+
+let graph_apply g = function
+  | Vertex label -> outcome (fun () -> Digraph.add_vertex ?label g)
+  | Vertices k -> outcome (fun () -> Digraph.add_vertices g k; -1)
+  | Arc (u, v) -> outcome (fun () -> Digraph.add_arc g u v)
+
+(* What a graph says about itself, as plain lists. *)
+let observe g =
+  let n = Digraph.n_vertices g in
+  let collect walk v =
+    let acc = ref [] in
+    walk (fun x -> acc := x :: !acc) g v;
+    List.rev !acc
+  in
+  let per_vertex v =
+    ( (Digraph.out_degree g v, Digraph.in_degree g v, Digraph.label g v),
+      [
+        collect Digraph.iter_succ v;
+        Digraph.succ g v;
+        List.rev (Digraph.fold_succ List.cons g v []);
+        collect Digraph.iter_pred v;
+        Digraph.pred g v;
+        List.rev (Digraph.fold_pred List.cons g v []);
+        collect Digraph.iter_out_arcs v;
+        collect Digraph.iter_in_arcs v;
+      ] )
+  in
+  let pairs =
+    List.concat_map
+      (fun u -> List.init (n + 2) (fun v -> outcome (fun () -> Digraph.find_arc g u (v - 1))))
+      (List.init (n + 2) (fun u -> u - 1))
+  in
+  let mems =
+    List.init (n * n) (fun i -> Digraph.mem_arc g (i / n) (i mod n))
+  in
+  (n, Digraph.n_arcs g, Digraph.arcs g, List.init n per_vertex, pairs, mems)
+
+(* The same, computed from the model. *)
+let expect m =
+  let n = m.n and arcs = List.mapi (fun a (u, v) -> (a, u, v)) m.m_arcs in
+  let pick f = List.filter_map f arcs in
+  let label v =
+    match List.assoc_opt v m.m_labels with Some l -> l | None -> Printf.sprintf "v%d" v
+  in
+  let per_vertex v =
+    let succ = pick (fun (_, u, w) -> if u = v then Some w else None) in
+    let pred = pick (fun (_, u, w) -> if w = v then Some u else None) in
+    ( (List.length succ, List.length pred, label v),
+      [
+        succ;
+        succ;
+        succ;
+        pred;
+        pred;
+        pred;
+        pick (fun (a, u, _) -> if u = v then Some a else None);
+        pick (fun (a, _, w) -> if w = v then Some a else None);
+      ] )
+  in
+  let find u v =
+    if u < 0 || u >= n || v < 0 || v >= n then Error "Digraph: no such vertex"
+    else Ok (List.find_map (fun (a, x, y) -> if x = u && y = v then Some a else None) arcs)
+  in
+  let pairs =
+    List.concat_map
+      (fun u -> List.init (n + 2) (fun v -> find u (v - 1)))
+      (List.init (n + 2) (fun u -> u - 1))
+  in
+  let mems = List.init (n * n) (fun i -> List.mem (i / n, i mod n) m.m_arcs) in
+  (n, List.length m.m_arcs, m.m_arcs, List.init n per_vertex, pairs, mems)
+
+let run_ops g m ops =
+  List.for_all (fun op -> graph_apply g op = model_apply m op) ops
+
+let model_agrees =
+  qtest ~count:300 "forward star agrees with a list model" seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let g = Digraph.create () in
+      let m = { n = 0; m_arcs = []; m_labels = [] } in
+      let same_run = run_ops g m (random_ops rng (Prng.int_in rng 0 80)) in
+      let same_graph = observe g = expect m in
+      (* A copy and its original diverge under later ops on either side. *)
+      let c = Digraph.copy g in
+      let mc = { m with n = m.n } in
+      let more_g = run_ops g m (random_ops rng 20) in
+      let more_c = run_ops c mc (random_ops rng 20) in
+      let independent = observe g = expect m && observe c = expect mc in
+      (* Derived graphs keep labels and arc order. *)
+      let r = Digraph.reverse g in
+      let mr = { m with m_arcs = List.map (fun (u, v) -> (v, u)) m.m_arcs } in
+      let reversed = observe r = expect mr in
+      let vs = List.init (Prng.int_in rng 0 (2 * m.n)) (fun _ -> Prng.int rng (max 1 m.n)) in
+      let vs = if m.n = 0 then [] else vs in
+      let kept = List.fold_left (fun acc v -> if List.mem v acc then acc else acc @ [ v ]) [] vs in
+      let index v = List.find_index (Int.equal v) kept in
+      let sub, mapping = Digraph.induced_subgraph g vs in
+      let ms =
+        {
+          n = List.length kept;
+          m_arcs =
+            List.filter_map
+              (fun (u, v) ->
+                match (index u, index v) with Some u, Some v -> Some (u, v) | _ -> None)
+              m.m_arcs;
+          m_labels =
+            List.filter_map
+              (fun (v, l) -> Option.map (fun i -> (i, l)) (index v))
+              m.m_labels;
+        }
+      in
+      let induced = Array.to_list mapping = kept && observe sub = expect ms in
+      same_run && same_graph && more_g && more_c && independent && reversed && induced)
 
 let suite =
   [
@@ -102,5 +258,6 @@ let suite =
         random_roundtrip;
         degrees_sum;
         out_arcs_consistent;
+        model_agrees;
       ] );
   ]

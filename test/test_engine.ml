@@ -243,6 +243,64 @@ let test_foreign_snapshot_rejected () =
   | Error (Error.Invalid_op _) -> ()
   | _ -> Alcotest.fail "foreign snapshot accepted"
 
+(* --- the frozen DAG: one graph copy per add_arc, not per full solve ---------- *)
+
+(* The fed diamond with its sink extended: 0-1-3-2-0 is an internal
+   cycle, so the session never goes warm and every query after a
+   mutation is a full solve over the materialized instance. *)
+let cyclic_arcs = fed_diamond_arcs @ [ (3, 5) ]
+let cyclic_session () =
+  Engine.create (instance_of_arcs 6 cyclic_arcs [ [ 0; 1; 3 ]; [ 0; 2; 3 ]; [ 4; 0; 1 ] ])
+
+let test_instance_sees_arcs_added_before_it () =
+  let s = cyclic_session () in
+  let before = Engine.instance s in
+  let a = ok_exn "arc" (Engine.add_arc s 4 5) in
+  let after = Engine.instance s in
+  check "earlier instance lacks the arc" false
+    (Digraph.mem_arc (Instance.graph before) 4 5);
+  check_int "earlier arc count" 6 (Digraph.n_arcs (Instance.graph before));
+  check "later instance has it" true
+    (Digraph.find_arc (Instance.graph after) 4 5 = Some a);
+  check "later DAG is a new one" true (Instance.dag before != Instance.dag after);
+  check "equivalent" true (equivalent s)
+
+let test_rollback_across_add_arc () =
+  let s = cyclic_session () in
+  let r0 = Engine.report s in
+  let arcs0 = Digraph.arcs (Instance.graph (Engine.instance s)) in
+  let snap = Engine.snapshot s in
+  let _ = ok_exn "arc" (Engine.add_arc s 1 2) in
+  let _ = ok_exn "path over it" (Engine.add_path s [ 0; 1; 2; 3 ]) in
+  ignore (Engine.report s);
+  ok_exn "rollback" (Engine.rollback s snap);
+  let g = Instance.graph (Engine.instance s) in
+  check "arc set restored" true (Digraph.arcs g = arcs0);
+  check "new arc gone" false (Digraph.mem_arc g 1 2);
+  let r1 = Engine.report s in
+  check "answers restored" true
+    (r1.Solver.n_wavelengths = r0.Solver.n_wavelengths
+    && r1.Solver.assignment = r0.Solver.assignment);
+  check "equivalent" true (equivalent s);
+  (* and the restored session still takes the arc afresh *)
+  let _ = ok_exn "arc again" (Engine.add_arc s 1 2) in
+  check "equivalent after re-adding" true (equivalent s)
+
+let test_dirty_reports_share_one_dag () =
+  let s = cyclic_session () in
+  ignore (Engine.report s);
+  let dag = Instance.dag (Engine.instance s) in
+  let solves = (Engine.stats s).Engine.full_solves in
+  for _ = 1 to 3 do
+    let pid = ok_exn "add" (Engine.add_path s [ 0; 2; 3; 5 ]) in
+    ignore (Engine.report s);
+    ok_exn "remove" (Engine.remove_path s pid);
+    ignore (Engine.report s);
+    check "same DAG" true (Instance.dag (Engine.instance s) == dag)
+  done;
+  check_int "every report solved" (solves + 6) (Engine.stats s).Engine.full_solves;
+  check "equivalent" true (equivalent s)
+
 (* --- batched submission ------------------------------------------------------ *)
 
 let test_submit_batch () =
@@ -391,6 +449,11 @@ let suite =
         Alcotest.test_case "add_arc keeps warm" `Quick
           test_add_arc_keeps_warm_when_still_nic;
         Alcotest.test_case "snapshot rollback" `Quick test_snapshot_rollback;
+        Alcotest.test_case "instance sees arcs added before it" `Quick
+          test_instance_sees_arcs_added_before_it;
+        Alcotest.test_case "rollback across add_arc" `Quick test_rollback_across_add_arc;
+        Alcotest.test_case "dirty reports share one DAG" `Quick
+          test_dirty_reports_share_one_dag;
         Alcotest.test_case "foreign snapshot" `Quick test_foreign_snapshot_rejected;
         Alcotest.test_case "submit batch" `Quick test_submit_batch;
         equivalence_random;

@@ -164,7 +164,7 @@ let scan_bottleneck_path dag load src dst =
       let v = !best in
       settled.(v) <- true;
       if v <> dst then begin
-        List.iter
+        Digraph.iter_out_arcs
           (fun a ->
             let w = Digraph.arc_dst g a in
             let bott, hops = dist.(v) in
@@ -173,7 +173,7 @@ let scan_bottleneck_path dag load src dst =
               dist.(w) <- cand;
               parent.(w) <- v
             end)
-          (Digraph.out_arcs g v);
+          g v;
         loop ()
       end
     end

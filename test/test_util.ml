@@ -6,7 +6,6 @@ module Union_find = Wl_util.Union_find
 module Bitset = Wl_util.Bitset
 module Permutation = Wl_util.Permutation
 module Saturating = Wl_util.Saturating
-module Vec = Wl_util.Vec
 
 (* --- Prng --- *)
 
@@ -264,29 +263,6 @@ let test_parallel_ops () =
   check "degenerate domains" true
     (Wl_util.Parallel.map_array ~domains:0 succ [| 1; 2 |] = [| 2; 3 |])
 
-(* --- Vec --- *)
-
-let test_vec () =
-  let v = Vec.create () in
-  check "empty" true (Vec.is_empty v);
-  for i = 0 to 99 do
-    Vec.push v i
-  done;
-  check_int "length" 100 (Vec.length v);
-  check_int "get" 42 (Vec.get v 42);
-  Vec.set v 42 1000;
-  check_int "set" 1000 (Vec.get v 42);
-  check_int "last" 99 (Vec.last v);
-  check_int "pop" 99 (Vec.pop v);
-  check_int "length after pop" 99 (Vec.length v);
-  check "exists" true (Vec.exists (fun x -> x = 1000) v);
-  check_int "fold" (Vec.fold (fun a x -> a + x) 0 v)
-    (List.fold_left ( + ) 0 (Vec.to_list v));
-  Alcotest.check_raises "oob" (Invalid_argument "Vec: index out of bounds")
-    (fun () -> ignore (Vec.get v 99));
-  Vec.clear v;
-  check "cleared" true (Vec.is_empty v)
-
 let suite =
   [
     ( "util",
@@ -316,6 +292,5 @@ let suite =
         Alcotest.test_case "jsonx float digits" `Quick test_jsonx_float_digits;
         parallel_matches_sequential;
         Alcotest.test_case "parallel operations" `Quick test_parallel_ops;
-        Alcotest.test_case "vec" `Quick test_vec;
       ] );
   ]
