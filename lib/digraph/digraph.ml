@@ -214,16 +214,17 @@ let in_degree g v =
   check_vertex g v;
   g.in_deg.(v)
 
-(* One pass from the first arc, consing in order. *)
+(* One pass along [next] from arc [a], consing [ends] in order. *)
+let[@tail_mod_cons] rec to_list next ends a =
+  if a < 0 then [] else ends.(a) :: to_list next ends next.(a)
+
 let succ g v =
   check_vertex g v;
-  let[@tail_mod_cons] rec go a = if a < 0 then [] else g.dst.(a) :: go g.next_out.(a) in
-  go g.out_first.(v)
+  to_list g.next_out g.dst g.out_first.(v)
 
 let pred g v =
   check_vertex g v;
-  let[@tail_mod_cons] rec go a = if a < 0 then [] else g.src.(a) :: go g.next_in.(a) in
-  go g.in_first.(v)
+  to_list g.next_in g.src g.in_first.(v)
 
 let arcs g = List.init g.na (fun a -> (g.src.(a), g.dst.(a)))
 
@@ -231,41 +232,38 @@ let vertices g = List.init g.nv Fun.id
 
 (* --- walkers: no allocation of their own ---------------------------------- *)
 
-let iter_succ f g v =
-  check_vertex g v;
-  let a = ref g.out_first.(v) in
+(* Along [next] from arc [first]: [f] gets [ends.(a)], or [a] itself. *)
+let walk f next ends first =
+  let a = ref first in
   while !a >= 0 do
     let x = !a in
-    a := g.next_out.(x);
-    f g.dst.(x)
+    a := next.(x);
+    f ends.(x)
   done
+
+let walk_arcs f next first =
+  let a = ref first in
+  while !a >= 0 do
+    let x = !a in
+    a := next.(x);
+    f x
+  done
+
+let iter_succ f g v =
+  check_vertex g v;
+  walk f g.next_out g.dst g.out_first.(v)
 
 let iter_pred f g v =
   check_vertex g v;
-  let a = ref g.in_first.(v) in
-  while !a >= 0 do
-    let x = !a in
-    a := g.next_in.(x);
-    f g.src.(x)
-  done
+  walk f g.next_in g.src g.in_first.(v)
 
 let iter_out_arcs f g v =
   check_vertex g v;
-  let a = ref g.out_first.(v) in
-  while !a >= 0 do
-    let x = !a in
-    a := g.next_out.(x);
-    f x
-  done
+  walk_arcs f g.next_out g.out_first.(v)
 
 let iter_in_arcs f g v =
   check_vertex g v;
-  let a = ref g.in_first.(v) in
-  while !a >= 0 do
-    let x = !a in
-    a := g.next_in.(x);
-    f x
-  done
+  walk_arcs f g.next_in g.in_first.(v)
 
 let fold_succ f g v init =
   check_vertex g v;
@@ -274,16 +272,6 @@ let fold_succ f g v init =
     let x = !a in
     a := g.next_out.(x);
     acc := f g.dst.(x) !acc
-  done;
-  !acc
-
-let fold_pred f g v init =
-  check_vertex g v;
-  let acc = ref init and a = ref g.in_first.(v) in
-  while !a >= 0 do
-    let x = !a in
-    a := g.next_in.(x);
-    acc := f g.src.(x) !acc
   done;
   !acc
 

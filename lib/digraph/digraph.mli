@@ -19,7 +19,7 @@
     {b Costs.}  {!add_arc}, {!find_arc} and {!mem_arc} are O(1) expected;
     degrees are O(1).  {!copy} is a few array blits, O(n + m) words.  The
     walkers ({!iter_succ}, {!iter_pred}, {!iter_out_arcs},
-    {!iter_in_arcs}, {!fold_succ}, {!fold_pred}) allocate nothing of
+    {!iter_in_arcs}, {!fold_succ}) allocate nothing of
     their own, so a hot loop that hoists its closure walks a graph
     without touching the minor heap.  {!succ} and {!pred} build a fresh
     list per call, for callers that pattern-match one.
@@ -111,8 +111,6 @@ val iter_in_arcs : (arc -> unit) -> t -> vertex -> unit
 val fold_succ : (vertex -> 'a -> 'a) -> t -> vertex -> 'a -> 'a
 (** [fold_succ f g v init] folds [f] over the out-neighbors of [v] in
     insertion order, first neighbor innermost. *)
-
-val fold_pred : (vertex -> 'a -> 'a) -> t -> vertex -> 'a -> 'a
 
 val iter_vertices : (vertex -> unit) -> t -> unit
 val iter_arcs : (arc -> vertex -> vertex -> unit) -> t -> unit

@@ -154,7 +154,6 @@ let observe g =
         List.rev (Digraph.fold_succ List.cons g v []);
         collect Digraph.iter_pred v;
         Digraph.pred g v;
-        List.rev (Digraph.fold_pred List.cons g v []);
         collect Digraph.iter_out_arcs v;
         collect Digraph.iter_in_arcs v;
       ] )
@@ -184,7 +183,6 @@ let expect m =
         succ;
         succ;
         succ;
-        pred;
         pred;
         pred;
         pick (fun (a, u, _) -> if u = v then Some a else None);
