@@ -93,11 +93,11 @@ let of_string text =
       else if Scan.is sc 0 "dag" && n = 2 then
         match Scan.int sc 1 with
         | None -> not_int 1
-        | Some n ->
+        | Some count ->
           if Option.is_some !graph then err "duplicate 'dag' header"
           else begin
             let g = Digraph.create () in
-            Digraph.add_vertices g n;
+            Digraph.add_vertices g count;
             graph := Some g;
             go ()
           end
