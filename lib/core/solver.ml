@@ -88,7 +88,22 @@ let solve_impl ?(exact_limit = 24) inst =
           (Assignment.of_conflict_coloring exact)
           Exact_coloring
       else finish classification pi chi From_exact_chromatic assignment Theorem_6
-    else finish classification pi pi From_clique assignment Theorem_6
+    else if Assignment.n_wavelengths (Assignment.normalize assignment)
+            <= Theorem6.upper_bound pi
+    then finish classification pi pi From_clique assignment Theorem_6
+    else begin
+      (* Repeated dipaths can push the construction past ceil(4 pi/3) (see
+         theorem6.mli); keep DSATUR's coloring when it does better. *)
+      let heuristic = Coloring.best_heuristic (Conflict_of.build inst) in
+      if
+        Assignment.n_wavelengths (Assignment.normalize heuristic)
+        < Assignment.n_wavelengths (Assignment.normalize assignment)
+      then
+        finish classification pi pi From_clique
+          (Assignment.of_conflict_coloring heuristic)
+          Heuristic
+      else finish classification pi pi From_clique assignment Theorem_6
+    end
   end
   else if
     classification.Classify.is_upp
