@@ -95,6 +95,8 @@ let of_string text =
         | None -> not_int 1
         | Some count ->
           if Option.is_some !graph then err "duplicate 'dag' header"
+          else if count > Digraph.max_vertices then
+            err (Printf.sprintf "vertex count must be at most %d" Digraph.max_vertices)
           else begin
             let g = Digraph.create () in
             Digraph.add_vertices g count;
@@ -202,6 +204,8 @@ let of_json text =
         match Option.bind (Jsonx.member "vertices" json) Jsonx.to_int with
         | None -> json_err "missing \"vertices\" count"
         | Some n when n < 0 -> json_err "\"vertices\" must be non-negative"
+        | Some n when n > Digraph.max_vertices ->
+          json_err (Printf.sprintf "\"vertices\" must be at most %d" Digraph.max_vertices)
         | Some n -> (
           let arcs_json =
             match Jsonx.member "arcs" json with

@@ -119,14 +119,20 @@ let reserve_arcs g cap =
 
 (* --- construction --------------------------------------------------------- *)
 
+let max_vertices = 1 lsl 20
+
+let too_many () = invalid_arg "Digraph: more than max_vertices vertices"
+
 let add_vertex ?label g =
   let v = g.nv in
+  if v >= max_vertices then too_many ();
   if v = Array.length g.out_first then reserve_vertices g (max 8 (2 * v));
   g.nv <- v + 1;
   g.labels.(v) <- label;
   v
 
 let add_vertices g k =
+  if k > max_vertices - g.nv then too_many ();
   if k > 0 then begin
     reserve_vertices g (g.nv + k);
     g.nv <- g.nv + k

@@ -33,14 +33,21 @@ type arc = int
 
 (** {1 Construction} *)
 
+val max_vertices : int
+(** [2^20]: the most vertices a graph may hold.  Arc keys need vertex ids
+    below [2^30]; [2^20] covers every generator and workload, and bounds
+    the vertex arrays a reader sizes from an untrusted count. *)
+
 val create : unit -> t
 
 val add_vertex : ?label:string -> t -> vertex
-(** Appends a fresh vertex and returns its id. *)
+(** Appends a fresh vertex and returns its id.  Raises [Invalid_argument]
+    when the graph already holds {!max_vertices} vertices. *)
 
 val add_vertices : t -> int -> unit
 (** [add_vertices g k] appends [k] unlabeled vertices (none when
-    [k <= 0]), growing the vertex arrays once. *)
+    [k <= 0]), growing the vertex arrays once.  Raises [Invalid_argument]
+    when that would exceed {!max_vertices}. *)
 
 val add_arc : t -> vertex -> vertex -> arc
 (** [add_arc g u v] appends the arc [u -> v] and returns its id.

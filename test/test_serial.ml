@@ -106,6 +106,8 @@ let test_json_errors () =
   json_error "self-loop" "{\"vertices\": 3, \"arcs\": [[1, 1]]}";
   json_error "missing arc" "{\"vertices\": 3, \"arcs\": [[0, 1]], \"paths\": [[0, 2]]}";
   json_error "unknown format" "{\"format\": \"nope\", \"vertices\": 1}";
+  json_error "at most 1048576" "{\"vertices\": 1048577}";
+  json_error "at most 1048576" "{\"vertices\": 4611686018427387903}";
   (match Serial.of_json "{\"vertices\": 2, \"version\": 99}" with
   | Error (Error.Unsupported_version 99) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)

@@ -127,6 +127,17 @@ let test_decode_rules () =
     {|{"wlrpc": 1, "ok": {"verb": "dhealth", "healthy": false, "sessions": 1, "unhealthy": ["bad tenant"]}}|};
   rejected "text trailing token" "wlrpc 1 ok path 3 4\n";
   rejected "text short outcome body" "wlrpc 1 ok outcomes 2 1 1 true theorem-1\noutcome path 0\n";
+  (* an instance with more vertices than a graph may hold is the reader's
+     Parse error, in either encoding *)
+  List.iter
+    (fun payload ->
+      match Proto.decode_request_ctx payload with
+      | Error e -> check "vertex limit named" true (contains (Error.to_string e) "at most 1048576")
+      | Ok _ -> Alcotest.failf "oversized open accepted: %s" payload)
+    [
+      "wlrpc 1 open t\ndag 4611686018427387903\n";
+      {|{"wlrpc": 1, "verb": "open", "tenant": "t", "instance": {"vertices": 4611686018427387903}}|};
+    ];
   List.iter
     (fun payload ->
       match Proto.decode_reply payload with
