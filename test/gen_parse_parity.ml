@@ -40,6 +40,8 @@ let inputs =
     (Wl, "19-digit integer", "dag 3\narc 0 1000000000000000000\n");
     (Wl, "19-digit overflow", "dag 3\narc 0 9999999999999999999\n");
     (Wl, "20-digit integer", "dag 12345678901234567890\n");
+    (Wl, "vertex count over the limit", "dag 1048577\n");
+    (Wl, "vertex count max_int", "dag 4611686018427387903\n");
     (Wl, "lone minus", "dag 3\narc - 1\n");
     (Wl, "empty text", "");
     (Wl, "only comments", "# nothing\n   # here\n");
