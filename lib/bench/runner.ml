@@ -16,7 +16,13 @@ module Trace = Wl_obs.Trace
 module Prof = Wl_obs.Prof
 module Store = Wl_obs.Store
 
-let measure ?(runs = 7) ?(target_s = 0.35) f =
+(* Seconds one arm's timed pass aims to take. *)
+let target_s = 0.35
+
+(* Time [f]: one warm-up, one calibration run to size batches so the
+   whole measurement takes [target_s], then [runs] (default 7) timed
+   batches; each batch yields one ns/op sample. *)
+let measure ?(runs = 7) f =
   (* Fence off garbage from whatever ran before so it isn't collected on
      this arm's clock, then warm caches/branch predictors. *)
   Gc.major ();
@@ -42,8 +48,10 @@ let measure ?(runs = 7) ?(target_s = 0.35) f =
    scratch (solver state, engine buffers, DSATUR working sets) reaches
    its steady-state capacity; then the minimum over [reps] single-op
    deltas, so an amortized growth event (a buffer doubling) that lands
-   in one rep does not misreport the steady state. *)
-let measure_alloc ?(reps = 4) f =
+   in one rep does not misreport the steady state.  Recorded as the
+   [Store.alloc_key] extra, which the gate judges. *)
+let measure_alloc f =
+  let reps = 4 in
   f ();
   f ();
   f ();
@@ -56,6 +64,8 @@ let measure_alloc ?(reps = 4) f =
   done;
   !best
 
+(* One instrumented run: the Metrics snapshot as a counter embedding,
+   plus the arm's extras.  Resets Metrics/Prof around itself. *)
 let observe (arm : Arms.arm) =
   Metrics.reset ();
   Prof.reset ();

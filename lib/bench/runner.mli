@@ -7,26 +7,6 @@
     captures the counter embedding — including the [prof.<span>.*]
     GC/allocation mirrors — and the arm's extras. *)
 
-val measure : ?runs:int -> ?target_s:float -> (unit -> unit) -> Wl_obs.Store.sample
-(** Time [f]: one warm-up, one calibration run to size batches so the
-    whole measurement takes [target_s] (default 0.35 s), then [runs]
-    (default 7) timed batches; each batch yields one ns/op sample. *)
-
-val measure_alloc : ?reps:int -> (unit -> unit) -> float
-(** Minor words allocated by one op in steady state: three warm-up runs
-    (retained scratch reaches capacity), then the minimum
-    [Gc.minor_words] delta over [reps] (default 4) single runs — the
-    minimum so an amortized buffer doubling in one rep does not
-    misreport.  Recorded by {!measure_arm} as the
-    [Wl_obs.Store.alloc_key] extra, which the gate judges. *)
-
-val observe : Arms.arm -> (string * Wl_json.Jsonx.t) list * (string * float) list
-(** One instrumented run: the Metrics snapshot as a counter embedding,
-    plus the arm's extras.  Resets Metrics/Prof around itself. *)
-
-val measure_arm : ?runs:int -> Arms.arm -> Wl_obs.Store.point
-(** {!measure} + {!measure_alloc} + {!observe}, as a trajectory point. *)
-
 val run_suite :
   ?quick:bool ->
   ?runs:int ->

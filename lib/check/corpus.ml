@@ -47,17 +47,5 @@ let replay entry =
     | r -> r
     | exception e -> Some (Printexc.to_string e))
 
-let replay_dir dir =
-  match load dir with
-  | Error _ as e -> e
-  | Ok entries ->
-    Ok
-      (List.filter_map
-         (fun entry ->
-           match replay entry with
-           | None -> None
-           | Some reason -> Some (Filename.basename entry.wl_file, reason))
-         entries)
-
 let add ~dir ~check ~label subject =
   Subject.write ~prefix:(Filename.concat dir (check ^ "." ^ label)) subject

@@ -29,10 +29,6 @@ val replay : entry -> string option
     passes (the regression stays fixed), [Some reason] when it fails —
     including when the oracle name is unknown. *)
 
-val replay_dir : string -> ((string * string) list, string) result
-(** Replay every entry; returns the failing [(file name, reason)] pairs in
-    file-name order. *)
-
 val add :
   dir:string -> check:string -> label:string -> Subject.t -> string list
 (** Write a reproducer into the corpus; returns the paths written.

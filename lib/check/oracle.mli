@@ -22,7 +22,28 @@
     {- [invariants]: the paper's unconditional claims on a mixed diet of
        generated classes — validity, [pi <= w], [w = pi] without internal
        cycles, [K_{2,3}]-freeness of UPP conflict graphs (Corollary 5),
-       the Theorem 6 ceiling, and a full {!Wl_core.Certificate} audit.}}
+       the Theorem 6 ceiling, and a full {!Wl_core.Certificate} audit;}
+    {- [routing_packing]: the full routing stage
+       ({!Wl_core.Routing.select}) on fuzzed request sets, the requests
+       carried as routed dipaths so the stock shrinker applies: the
+       packing-number-style lower bound may never exceed the achieved
+       load, the achieved load may never exceed the wavelength count of
+       the solved family, and local search may never end above the greedy
+       seed;}
+    {- [client_vs_engine]: a {!Wl_serve.Client} loopback session (full
+       [wlrpc/1] codec round trip on every call, text and JSON encodings
+       both) replayed op-for-op against a bare {!Wl_engine.Engine}
+       session: outcomes, reports, stats, colors and snapshots must agree
+       exactly — the service boundary may not change observable engine
+       behavior;}
+    {- [wlrpc_frame]: frame- and payload-level robustness of the
+       [wlrpc/1] codecs: encode/decode round trips are exact (requests,
+       replies and every {!Wl_core.Error.t} constructor, in both
+       encodings), and corrupted frames — truncated, oversized,
+       zero-length or garbage prefixes, flipped payload bytes — decode to
+       protocol errors, never exceptions or hangs.}}
+
+    Each is reachable by name through {!find}.
 
     The per-theorem re-validations ({!sweeps}) are oracles of the same
     shape, so one fuzz/shrink pipeline serves both.
@@ -37,35 +58,6 @@ type t = {
   generate : int -> Subject.t;  (** deterministic in the seed *)
   check : Subject.t -> string option;  (** [None] = every claim held *)
 }
-
-val thm1_dsatur : t
-val solver_exact : t
-val engine : t
-val serial : t
-val invariants : t
-
-val routing_packing : t
-(** The full routing stage ({!Wl_core.Routing.select}) on fuzzed request
-    sets, the requests carried as routed dipaths so the stock shrinker
-    applies: the packing-number-style lower bound may never exceed the
-    achieved load, the achieved load may never exceed the wavelength
-    count of the solved family, and local search may never end above the
-    greedy seed. *)
-
-val client_vs_engine : t
-(** A {!Wl_serve.Client} loopback session (full [wlrpc/1] codec round
-    trip on every call, text and JSON encodings both) replayed op-for-op
-    against a bare {!Wl_engine.Engine} session: outcomes, reports, stats,
-    colors and snapshots must agree exactly — the service boundary may
-    not change observable engine behavior. *)
-
-val wlrpc_frame : t
-(** Frame- and payload-level robustness of the [wlrpc/1] codecs:
-    encode/decode round trips are exact (requests, replies and every
-    {!Wl_core.Error.t} constructor, in both encodings), and corrupted
-    frames — truncated, oversized, zero-length or garbage prefixes,
-    flipped payload bytes — decode to protocol errors, never exceptions
-    or hangs. *)
 
 val sweeps : t list
 (** One randomized re-validation per theorem, in this order: [thm1]

@@ -45,8 +45,6 @@ let wl_string (t : t) = Serial.to_string t.inst
 let ops_string (t : t) =
   if t.ops = [] then None else Some (Script.to_string t.ops)
 
-let equal (a : t) (b : t) = wl_string a = wl_string b && a.ops = b.ops
-
 let write ~prefix t =
   let wl = prefix ^ ".wl" in
   Serial.write_file wl t.inst;

@@ -53,9 +53,6 @@ val n_ops : t -> int
 val wl_string : t -> string
 val ops_string : t -> string option
 
-val equal : t -> t -> bool
-(** Structural equality of the rendered forms (labels ignored). *)
-
 val write : prefix:string -> t -> string list
 (** Write [prefix.wl] (and [prefix.wlops] when ops are present); returns
     the paths written. *)

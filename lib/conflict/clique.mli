@@ -6,13 +6,9 @@
     branch-and-bound.  The independent-set solver powers the lower-bound
     argument of Theorem 7 ([w >= |P| / alpha]). *)
 
-val max_clique : Ugraph.t -> int list
-(** A maximum clique (vertices in increasing order).  Exponential worst
-    case; intended for the instance sizes of the test and bench suites. *)
-
 val clique_number : Ugraph.t -> int
-
-val max_independent_set : Ugraph.t -> int list
+(** Size of a maximum clique.  Exponential worst case; intended for the
+    instance sizes of the test and bench suites. *)
 
 val independence_number : Ugraph.t -> int
 

@@ -62,18 +62,14 @@ let smallest_free g coloring v =
   let rec first i = if not used.(i) then i else first (i + 1) in
   first 0
 
-let greedy ?order g =
-  let n = Ugraph.n_vertices g in
-  let order = match order with Some o -> o | None -> Array.init n Fun.id in (* alloc-ok *)
-  let coloring = Array.make n (-1) in (* alloc-ok *)
-  Array.iter (fun v -> coloring.(v) <- smallest_free g coloring v) order;
-  coloring
-
+(* First-fit in non-increasing degree order (Welsh–Powell). *)
 let greedy_desc_degree g =
   let n = Ugraph.n_vertices g in
   let order = Array.init n Fun.id in (* alloc-ok *)
   Array.sort (fun u v -> compare (Ugraph.degree g v) (Ugraph.degree g u)) order;
-  greedy ~order g
+  let coloring = Array.make n (-1) in (* alloc-ok *)
+  Array.iter (fun v -> coloring.(v) <- smallest_free g coloring v) order;
+  coloring
 
 (* Reusable DSATUR working set, one per domain: the saturation bitsets
    (the dominant allocation, O(n^2/62) words), the bucket rows, and the
@@ -240,10 +236,3 @@ let dsatur g =
 let best_heuristic g =
   let a = greedy_desc_degree g and b = dsatur g in
   if n_colors a <= n_colors b then a else b
-
-let pp ppf coloring =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       Format.pp_print_int)
-    (Array.to_list coloring)

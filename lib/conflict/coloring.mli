@@ -19,12 +19,6 @@ val n_colors : t -> int
 val normalize : t -> t
 (** Renames colors to an initial segment [0 .. k-1], preserving classes. *)
 
-val greedy : ?order:int array -> Ugraph.t -> t
-(** First-fit in the given vertex order (default: natural order). *)
-
-val greedy_desc_degree : Ugraph.t -> t
-(** First-fit in non-increasing degree order (Welsh–Powell). *)
-
 val dsatur : Ugraph.t -> t
 (** DSATUR (Brélaz): repeatedly color the vertex with the most distinctly
     colored neighbors.  Runs on a reusable domain-local working set
@@ -34,6 +28,5 @@ val dsatur : Ugraph.t -> t
     colored. *)
 
 val best_heuristic : Ugraph.t -> t
-(** The better of {!greedy_desc_degree} and {!dsatur}. *)
-
-val pp : Format.formatter -> t -> unit
+(** The better of {!dsatur} and first-fit in non-increasing degree order
+    (Welsh–Powell). *)

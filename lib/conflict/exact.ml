@@ -81,9 +81,3 @@ let chromatic_number g =
     match k_colorable g k with Some _ -> k | None -> search (k + 1)
   in
   search lower
-
-let optimal_coloring g =
-  let chi = chromatic_number g in
-  match k_colorable g chi with
-  | Some c -> c
-  | None -> invalid_arg "Exact.optimal_coloring: internal inconsistency"

@@ -9,6 +9,3 @@ val k_colorable : Ugraph.t -> int -> Coloring.t option
 (** A proper coloring with at most [k] colors, or [None] if impossible. *)
 
 val chromatic_number : Ugraph.t -> int
-
-val optimal_coloring : Ugraph.t -> Coloring.t
-(** A coloring with [chromatic_number g] colors. *)

@@ -96,55 +96,3 @@ let is_cycle_graph g =
   in
   visit 0;
   Array.for_all Fun.id seen
-
-let induced_cycle_lengths g =
-  let n = Ugraph.n_vertices g in
-  for v = 0 to n - 1 do
-    if Ugraph.degree g v <> 2 then
-      invalid_arg "Graph_props.induced_cycle_lengths: not 2-regular"
-  done;
-  let seen = Array.make n false in
-  let lengths = ref [] in
-  for start = 0 to n - 1 do
-    if not seen.(start) then begin
-      let len = ref 0 in
-      let rec walk prev v =
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          incr len;
-          match List.filter (fun w -> w <> prev) (Ugraph.neighbors g v) with
-          | w :: _ -> walk v w
-          | [] -> ()
-        end
-      in
-      walk (-1) start;
-      lengths := !len :: !lengths
-    end
-  done;
-  List.sort compare !lengths
-
-let odd_girth g =
-  let n = Ugraph.n_vertices g in
-  let best = ref max_int in
-  for root = 0 to n - 1 do
-    let dist = Array.make n (-1) in
-    let queue = Queue.create () in
-    dist.(root) <- 0;
-    Queue.add root queue;
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      List.iter
-        (fun w ->
-          if dist.(w) < 0 then begin
-            dist.(w) <- dist.(v) + 1;
-            Queue.add w queue
-          end)
-        (Ugraph.neighbors g v)
-    done;
-    List.iter
-      (fun (u, v) ->
-        if dist.(u) >= 0 && dist.(v) >= 0 && dist.(u) = dist.(v) then
-          best := min !best ((2 * dist.(u)) + 1))
-      (Ugraph.edges g)
-  done;
-  if !best = max_int then None else Some !best

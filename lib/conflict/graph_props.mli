@@ -21,11 +21,3 @@ val find_k5_minus_two_independent_edges : Ugraph.t -> int list option
 val is_cycle_graph : Ugraph.t -> bool
 (** The whole graph is a single cycle [C_n] ([n >= 3]): connected and
     2-regular. *)
-
-val induced_cycle_lengths : Ugraph.t -> int list
-(** Lengths of the cycles when the graph is a disjoint union of cycles
-    (each vertex has degree 2); raises [Invalid_argument] otherwise.
-    Used to validate the Theorem 2 conflict graph ([C_{2k+1}]). *)
-
-val odd_girth : Ugraph.t -> int option
-(** Length of a shortest odd cycle, if any ([w >= 3] needs one). *)

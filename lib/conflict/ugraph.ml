@@ -26,11 +26,6 @@ let add_edge t u v =
     t.m <- t.m + 1
   end
 
-let unsafe_add_edge t u v =
-  Bitset.add t.adj.(u) v;
-  Bitset.add t.adj.(v) u;
-  t.m <- t.m + 1
-
 let neighbors t v =
   check t v;
   Bitset.elements t.adj.(v)
@@ -43,13 +38,6 @@ let degree t v =
   check t v;
   Bitset.cardinal t.adj.(v)
 
-let max_degree t =
-  let best = ref 0 in
-  for v = 0 to t.n - 1 do
-    best := max !best (degree t v)
-  done;
-  !best
-
 let iter_edges f t =
   (* Each edge once as (u, v) with u < v, in lexicographic order — walking
      the upper triangle of the adjacency bitsets directly ([iter_ge]
@@ -57,13 +45,6 @@ let iter_edges f t =
   for u = 0 to t.n - 1 do
     Bitset.iter_ge (fun v -> f u v) t.adj.(u) (u + 1)
   done
-
-let fold_edges f t init =
-  let acc = ref init in
-  iter_edges (fun u v -> acc := f !acc u v) t;
-  !acc
-
-let edges t = List.rev (fold_edges (fun acc u v -> (u, v) :: acc) t [])
 
 let complement t =
   let c = create t.n in
@@ -73,29 +54,3 @@ let complement t =
     done
   done;
   c
-
-let of_edges n es =
-  let t = create n in
-  List.iter (fun (u, v) -> add_edge t u v) es;
-  t
-
-let is_clique t vs =
-  let rec go = function
-    | [] -> true
-    | v :: rest -> List.for_all (fun w -> mem_edge t v w) rest && go rest
-  in
-  go vs
-
-let is_independent t vs =
-  let rec go = function
-    | [] -> true
-    | v :: rest -> List.for_all (fun w -> not (mem_edge t v w)) rest && go rest
-  in
-  go vs
-
-let equal a b = a.n = b.n && edges a = edges b
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>ugraph: %d vertices, %d edges@," t.n t.m;
-  iter_edges (fun u v -> Format.fprintf ppf "  %d -- %d@," u v) t;
-  Format.fprintf ppf "@]"

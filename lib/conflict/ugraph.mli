@@ -17,38 +17,14 @@ val add_edge : t -> int -> int -> unit
 (** Ignores duplicate insertions; raises [Invalid_argument] on self-loops or
     out-of-range vertices. *)
 
-val unsafe_add_edge : t -> int -> int -> unit
-(** [add_edge] with no bounds, self-loop, or duplicate check — the edge
-    count is incremented unconditionally, so inserting a duplicate
-    corrupts [n_edges].  Only for trusted bulk loads whose source
-    already guarantees validity and uniqueness (e.g. re-emitting the
-    edges of an existing graph into component subgraphs). *)
-
 val mem_edge : t -> int -> int -> bool
 val neighbors : t -> int -> int list
 val neighbor_set : t -> int -> Wl_util.Bitset.t
 (** The adjacency bitset itself — callers must not mutate it. *)
 
 val degree : t -> int -> int
-val max_degree : t -> int
-val edges : t -> (int * int) list
-(** Each edge once, as [(min, max)] pairs, sorted. *)
-
 val iter_edges : (int -> int -> unit) -> t -> unit
-(** [iter_edges f g] calls [f u v] once per edge, [u < v], in the same
-    sorted order as {!edges} but without materializing the list. *)
-
-val fold_edges : ('a -> int -> int -> 'a) -> t -> 'a -> 'a
+(** [iter_edges f g] calls [f u v] once per edge, [u < v], in
+    lexicographic order, without materializing a list. *)
 
 val complement : t -> t
-
-val of_edges : int -> (int * int) list -> t
-
-val is_clique : t -> int list -> bool
-(** Whether the given vertices are pairwise adjacent. *)
-
-val is_independent : t -> int list -> bool
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -41,10 +41,3 @@ let n_wavelengths t =
 let normalize t = Wl_conflict.Coloring.normalize t
 
 let of_conflict_coloring c = Array.copy c
-
-let pp ppf t =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       Format.pp_print_int)
-    (Array.to_list t)

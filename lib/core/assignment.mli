@@ -23,4 +23,3 @@ val normalize : t -> t
 val of_conflict_coloring : Wl_conflict.Coloring.t -> t
 (** Conflict-graph colorings index vertices exactly like family members. *)
 
-val pp : Format.formatter -> t -> unit

@@ -1,9 +1,10 @@
 open Wl_digraph
 module Prng = Wl_util.Prng
 
+(* First-fit in an explicit processing order (a permutation of family
+   indices). *)
 let first_fit_order order inst =
   let n = Instance.n_paths inst in
-  if Array.length order <> n then invalid_arg "Baselines.first_fit_order";
   let g = Instance.graph inst in
   let assignment = Array.make n (-1) in
   (* Occupancy per arc: colors in use by already-assigned dipaths. *)
@@ -24,13 +25,3 @@ let first_fit inst =
 
 let first_fit_random rng inst =
   first_fit_order (Prng.permutation rng (Instance.n_paths inst)) inst
-
-let best_of_random_orders rng ~tries inst =
-  if tries < 1 then invalid_arg "Baselines.best_of_random_orders";
-  let best = ref (first_fit inst) in
-  for _ = 2 to tries do
-    let candidate = first_fit_random rng inst in
-    if Assignment.n_wavelengths candidate < Assignment.n_wavelengths !best then
-      best := candidate
-  done;
-  !best

@@ -11,14 +11,5 @@ val first_fit : Instance.t -> Assignment.t
     uses at most [max over i of (number of earlier conflicts of i) + 1]
     wavelengths. *)
 
-val first_fit_order : int array -> Instance.t -> Assignment.t
-(** First-fit in an explicit processing order (a permutation of family
-    indices). *)
-
 val first_fit_random : Wl_util.Prng.t -> Instance.t -> Assignment.t
 (** First-fit in a uniformly random order. *)
-
-val best_of_random_orders :
-  Wl_util.Prng.t -> tries:int -> Instance.t -> Assignment.t
-(** The best of [tries] random-order first-fits — a classic cheap
-    randomized baseline. *)

@@ -2,10 +2,6 @@ module Clique = Wl_conflict.Clique
 module Coloring = Wl_conflict.Coloring
 module Exact = Wl_conflict.Exact
 
-let pi_lower = Load.pi
-
-let clique_lower inst = Clique.clique_number (Conflict_of.build inst)
-
 let independence_lower inst =
   let n = Instance.n_paths inst in
   if n = 0 then 0

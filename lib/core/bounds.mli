@@ -5,13 +5,6 @@
     Theorems 2 and 7 use the independence-number lower bound
     [w >= ceil(|P| / alpha)]. *)
 
-val pi_lower : Instance.t -> int
-(** The load: dipaths through a max-load arc pairwise conflict. *)
-
-val clique_lower : Instance.t -> int
-(** Exact clique number of the conflict graph (equals [pi] on UPP-DAGs by
-    Property 3).  Exponential worst case; test/bench scale. *)
-
 val independence_lower : Instance.t -> int
 (** [ceil (|P| / alpha(conflict graph))] — each wavelength class is an
     independent set. *)

@@ -64,5 +64,3 @@ let helly_witness inst =
      done
    with Exit -> ());
   !result
-
-let clique_lower_bound inst = Load.pi inst

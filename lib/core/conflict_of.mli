@@ -18,6 +18,3 @@ val helly_witness : Instance.t -> int list option
     exhibits).  [None] means every pairwise-conflicting triple shares an
     arc. *)
 
-val clique_lower_bound : Instance.t -> int
-(** [pi] is always a clique of the conflict graph (the paths through a
-    max-load arc); this returns that bound, i.e. [Load.pi]. *)

@@ -25,12 +25,6 @@ let split_instance inst ~converters =
   in
   Instance.make (Instance.dag inst) segments
 
-let segments_of inst ~converters =
-  let g = Instance.graph inst in
-  List.map
-    (fun p -> List.length (segments_of_path g converters p))
-    (Instance.paths_list inst)
-
 let wavelengths inst ~converters =
   Solver.solve (split_instance inst ~converters)
 

@@ -18,18 +18,12 @@
 
 open Wl_digraph
 
-val split_instance : Instance.t -> converters:Digraph.vertex list -> Instance.t
-(** The segment instance: each dipath cut at every {e interior} occurrence
-    of a converter vertex (endpoints need no conversion).  Segment order:
-    family order, then along each dipath. *)
-
-val segments_of : Instance.t -> converters:Digraph.vertex list -> int list
-(** [segments_of inst ~converters] gives, per family index, the number of
-    segments its dipath contributes (>= 1). *)
-
 val wavelengths : Instance.t -> converters:Digraph.vertex list -> Solver.report
-(** Solve the segment instance.  The report's wavelengths are the converter
-    count for the original family; its assignment indexes {e segments}. *)
+(** Solve the segment instance: each dipath cut at every {e interior}
+    occurrence of a converter vertex (endpoints need no conversion), in
+    family order, then along each dipath.  The report's wavelengths are the
+    converter count for the original family; its assignment indexes
+    {e segments}. *)
 
 val greedy_placement :
   Instance.t -> budget:int -> Digraph.vertex list * Solver.report

@@ -21,8 +21,6 @@ let to_string = function
   | Unsupported_version v -> Printf.sprintf "unsupported format version %d" v
   | Io msg -> msg
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 (* Stable sysexits-style codes; [distinct] (tested) so scripts can dispatch
    on the exit status of the CLI alone. *)
 let exit_code = function
@@ -95,8 +93,3 @@ let of_code code msg =
   | _ -> None
 
 let raise_error e = raise (Error e)
-
-let get_exn = function Ok v -> v | Error e -> raise_error e
-
-let of_invalid_arg f x =
-  match f x with v -> Ok v | exception Invalid_argument msg -> Error (Precondition msg)

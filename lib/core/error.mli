@@ -23,7 +23,6 @@ type t =
 exception Error of t
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val exit_code : t -> int
 (** Distinct per constructor: Parse 65, Cyclic 66, Invalid_path 67,
@@ -46,10 +45,3 @@ val of_code : int -> string -> t option
 
 val raise_error : t -> 'a
 (** Raise as the {!Error} exception. *)
-
-val get_exn : ('a, t) result -> 'a
-(** [Ok v -> v]; raises {!Error} otherwise — the [_exn] wrapper builder. *)
-
-val of_invalid_arg : ('a -> 'b) -> 'a -> ('b, t) result
-(** Run a legacy raising function, mapping [Invalid_argument msg] to
-    [Precondition msg]. *)

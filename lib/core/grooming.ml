@@ -50,7 +50,9 @@ let greedy inst ~w =
 
 exception Node_budget_exhausted
 
-let exact ?(node_limit = 2_000_000) inst ~w =
+let node_limit = 2_000_000
+
+let exact inst ~w =
   if w < 0 then invalid_arg "Grooming.exact: w must be >= 0";
   let n = Instance.n_paths inst in
   if Load.pi inst <= w then
@@ -88,6 +90,7 @@ let exact ?(node_limit = 2_000_000) inst ~w =
     | exception Node_budget_exhausted -> None
   end
 
+(* Is the digraph a single directed path covering all vertices? *)
 let is_line dag =
   let g = Dag.graph dag in
   let n = Digraph.n_vertices g in

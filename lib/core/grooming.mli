@@ -23,24 +23,19 @@ type selection = {
   load : int;  (** load of the selected subfamily, always [<= w] *)
 }
 
-val load_of_subfamily : Instance.t -> bool array -> int
-
 val greedy : Instance.t -> w:int -> selection
 (** Considers dipaths by increasing arc count (ties by index) and keeps
     each one that leaves every arc's load at most [w]. *)
 
-val exact : ?node_limit:int -> Instance.t -> w:int -> selection option
+val exact : Instance.t -> w:int -> selection option
 (** Optimal selection by branch and bound ([None] if the search exceeds
-    [node_limit] nodes, default [2_000_000]). *)
+    2,000,000 nodes). *)
 
 val on_line : Instance.t -> w:int -> selection option
 (** Exact and fast when the underlying digraph is a directed line
     ([None] otherwise): sort by right endpoint, keep an interval whenever
     fewer than [w] kept intervals cover some arc of it — the standard
     exchange argument shows this maximizes the count. *)
-
-val is_line : Wl_dag.Dag.t -> bool
-(** Is the digraph a single directed path covering all vertices? *)
 
 val satisfy : Instance.t -> w:int -> (selection * Assignment.t) option
 (** End-to-end: picks a subfamily (exact where feasible, greedy at scale,

@@ -43,11 +43,6 @@ let of_array dag paths =
 
 let make dag path_list = of_array dag (Array.of_list path_list)
 
-let of_digraph g path_list =
-  match Dag.of_digraph g with
-  | Ok dag -> Ok (make dag path_list)
-  | Error msg -> Error (Error.Cyclic msg)
-
 let of_vertex_seqs g seqs =
   match Dag.of_digraph g with
   | Error msg -> Error (Error.Cyclic msg)
@@ -94,22 +89,6 @@ let paths_through_iter t a f =
     f (Flat.unsafe_get t.ids i)
   done
 
-let paths_through_fold t a f init =
-  check_arc t a;
-  let hi = Flat.unsafe_get t.off (a + 1) in
-  let rec go i acc =
-    if i >= hi then acc else go (i + 1) (f acc (Flat.unsafe_get t.ids i))
-  in
-  go (Flat.unsafe_get t.off a) init
-
-let paths_through t a =
-  check_arc t a;
-  let lo = Flat.unsafe_get t.off a in
-  let rec go i acc =
-    if i < lo then acc else go (i - 1) (Flat.unsafe_get t.ids i :: acc)
-  in
-  go (Flat.unsafe_get t.off (a + 1) - 1) []
-
 let csr_index t = (t.off, t.ids)
 
 (* Hoisted single pass for the load maximum: every [off] cell is read
@@ -124,12 +103,3 @@ let rec max_load_scan off m a prev best =
       (if cur - prev > best then cur - prev else best)
 
 let max_arc_load t = max_load_scan t.off (Flat.length t.off - 1) 1 0 0
-
-let pp ppf t =
-  let g = graph t in
-  Format.fprintf ppf "@[<v>instance: %d vertices, %d arcs, %d dipaths@,"
-    (Digraph.n_vertices g) (Digraph.n_arcs g) (n_paths t);
-  Array.iteri
-    (fun i p -> Format.fprintf ppf "  P%d: %a@," i (Dipath.pp g) p)
-    t.paths;
-  Format.fprintf ppf "@]"

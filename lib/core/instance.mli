@@ -20,10 +20,6 @@ val make : Wl_dag.Dag.t -> Dipath.t list -> t
 val of_array : Wl_dag.Dag.t -> Dipath.t array -> t
 (** Like {!make} from an array (copied). *)
 
-val of_digraph : Digraph.t -> Dipath.t list -> (t, Error.t) result
-(** Checks acyclicity first; [Error (Cyclic _)] on a directed cycle. *)
-
-
 val of_vertex_seqs :
   Digraph.t -> Digraph.vertex list list -> (t, Error.t) result
 (** Full result-typed construction from raw vertex sequences: checks
@@ -46,11 +42,6 @@ val add_paths : t -> Dipath.t list -> t
 (** New instance with extra dipaths appended (indices of existing paths are
     preserved). *)
 
-val paths_through : t -> Digraph.arc -> int list
-(** Indices of family members whose dipath uses the given arc, ascending.
-    Allocates; the iteration forms below are the allocation-free interface
-    the solvers use. *)
-
 val n_paths_through : t -> Digraph.arc -> int
 (** Number of family members through the arc (the arc's load), O(1). *)
 
@@ -63,13 +54,9 @@ val paths_through_iter : t -> Digraph.arc -> (int -> unit) -> unit
 (** Iterate the family indices through the arc, ascending, without
     allocating. *)
 
-val paths_through_fold : t -> Digraph.arc -> ('a -> int -> 'a) -> 'a -> 'a
-
 val csr_index : t -> Wl_util.Flat.t * Wl_util.Flat.t
 (** The underlying CSR index [(off, ids)]: the members through arc [a] are
     [ids.(off.(a)) .. ids.(off.(a+1) - 1)], ascending.  Both tables are
     Bigarray-backed ({!Wl_util.Flat.t}) so they live off the OCaml heap.
     Exposed for flat-core consumers (conflict-graph construction,
     Theorem 1 occupancy); callers must not mutate either array. *)
-
-val pp : Format.formatter -> t -> unit

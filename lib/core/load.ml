@@ -1,24 +1,6 @@
-open Wl_digraph
-
 let arc_load inst a = Instance.n_paths_through inst a
 
-let load_profile inst =
-  let g = Instance.graph inst in
-  Array.init (Digraph.n_arcs g) (Instance.n_paths_through inst)
-
 let pi inst = Instance.max_arc_load inst
-
-let max_load_arcs inst =
-  let g = Instance.graph inst in
-  let best = pi inst in
-  if best = 0 then []
-  else begin
-    let out = ref [] in
-    for a = Digraph.n_arcs g - 1 downto 0 do
-      if Instance.n_paths_through inst a = best then out := a :: !out
-    done;
-    !out
-  end
 
 let max_load_arc_among inst candidates =
   match candidates with

@@ -8,14 +8,8 @@ open Wl_digraph
 
 val arc_load : Instance.t -> Digraph.arc -> int
 
-val load_profile : Instance.t -> int array
-(** Per-arc loads, indexed by arc id. *)
-
 val pi : Instance.t -> int
 (** [max over arcs of arc_load]; [0] for an empty family or arc-less graph. *)
-
-val max_load_arcs : Instance.t -> Digraph.arc list
-(** All arcs attaining the load [pi] (empty iff [pi = 0]). *)
 
 val max_load_arc_among : Instance.t -> Digraph.arc list -> Digraph.arc
 (** The arc of maximum load within a non-empty candidate list (ties broken

@@ -190,15 +190,8 @@ let k_shortest ?(k = 8) d src dst =
     paths
   end
 
-let compare_route p q =
-  let c = compare (Dipath.n_arcs p) (Dipath.n_arcs q) in
-  if c <> 0 then c else compare (Dipath.vertices p) (Dipath.vertices q)
-
 let shortest_dipath d src dst =
   match k_shortest ~k:1 d src dst with p :: _ -> Some p | [] -> None
-
-let route_unique d requests =
-  collect_routes (fun (x, y) -> Upp.unique_dipath d x y) requests
 
 let route_shortest d requests =
   collect_routes (fun (x, y) -> shortest_dipath d x y) requests
@@ -325,8 +318,6 @@ let seed_path s load src dst =
       Some (Dipath.make s.g (build dst []))
     end
   end
-
-let bottleneck_path d load src dst = seed_path (seed_scratch d) load src dst
 
 let min_load_router d =
   let n = Dag.n_vertices d in
@@ -495,7 +486,9 @@ type selection = {
   rounds : int;
 }
 
-let select ?(k = 8) ?(max_rounds = 64) d requests =
+let max_rounds = 64
+
+let select ?(k = 8) d requests =
   let t0 = Clock.now_ns () in
   Trace.with_span "routing.select" @@ fun () ->
   let g = Dag.graph d in

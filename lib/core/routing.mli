@@ -5,16 +5,16 @@
     ({!select}) is k-shortest dipath enumeration per request (one
     reverse-topological sweep over the vertices of the request's dipaths,
     deterministic tie-breaking), a greedy seed by the lexicographic
-    bottleneck Dijkstra ({!bottleneck_path}), then local search swapping
+    bottleneck Dijkstra, then local search swapping
     single requests across their [k] alternatives until the maximum arc
     load stops improving.  The chosen family feeds
     {!Solver.solve} / the engine directly, and {!lower_bound} gives the
     routing-aware (global-packing-number style) floor
     [lower_bound <= load of any routing <= w].
 
-    Simpler routers (unique dipath on UPP-DAGs, hop-count shortest, greedy
-    online min-load) and the request families (all-to-all, random) remain
-    for examples and benches.
+    Simpler routers (hop-count shortest, greedy online min-load) and the
+    request families (all-to-all, random) remain for examples and
+    benches.
 
     Every fallible entry point reports a structured {!Error.t}: an
     unroutable request is [Invalid_path], a request naming a vertex outside
@@ -24,22 +24,12 @@ open Wl_digraph
 
 type request = Digraph.vertex * Digraph.vertex
 
-val shortest_dipath :
-  Wl_dag.Dag.t -> Digraph.vertex -> Digraph.vertex -> Dipath.t option
-(** The hop-count-shortest dipath from [src] to [dst]; among the shortest,
-    the lexicographically smallest vertex sequence (so the result is a
-    deterministic function of the graph, not of adjacency-list order): the
-    head of {!k_shortest} [~k:1].
-    [None] when [dst] is unreachable or [src = dst]. *)
-
-val route_unique :
-  Wl_dag.Dag.t -> request list -> (Dipath.t list, Error.t) result
-(** Routes every request along the unique dipath (UPP-DAGs; on non-UPP DAGs
-    an arbitrary dipath is taken).  Fails on an unroutable request. *)
-
 val route_shortest :
   Wl_dag.Dag.t -> request list -> (Dipath.t list, Error.t) result
-(** {!shortest_dipath} per request: hop-count-shortest, deterministic. *)
+(** Per request, the hop-count-shortest dipath; among the shortest, the
+    lexicographically smallest vertex sequence (so the result is a
+    deterministic function of the graph, not of adjacency-list order): the
+    head of {!k_shortest} [~k:1].  Fails on an unroutable request. *)
 
 val route_min_load :
   Wl_dag.Dag.t -> request list -> (Dipath.t list, Error.t) result
@@ -57,31 +47,11 @@ val min_load_router :
 
 (** {1 The routing stage: enumerate, seed, search} *)
 
-val bottleneck_path :
-  Wl_dag.Dag.t ->
-  int array ->
-  Digraph.vertex ->
-  Digraph.vertex ->
-  Dipath.t option
-(** [bottleneck_path d load src dst]: a dipath whose bottleneck — the
-    maximum of [load.(a)] over its arcs — is minimum over all [src]-[dst]
-    dipaths, computed by a label-setting Dijkstra on (bottleneck, hops)
-    labels over a binary heap.  The hop component only breaks ties between
-    labels (one label per vertex cannot certify hop-minimality among
-    min-bottleneck paths); the bottleneck value itself is exact.  Among
-    equal labels the lowest-numbered vertex settles first and a relaxation
-    keeps the first of equal labels, so the route is a deterministic
-    function of the graph and the loads.  [load] is indexed by arc id and
-    is not modified.  This is the greedy seeding rule of {!select}. *)
-
-val compare_route : Dipath.t -> Dipath.t -> int
-(** The total order of the enumeration: hop count, ties by lexicographic
-    vertex sequence. *)
-
 val k_shortest :
   ?k:int -> Wl_dag.Dag.t -> Digraph.vertex -> Digraph.vertex -> Dipath.t list
 (** [k_shortest ~k d src dst]: the first [k] (default 8) [src]-[dst]
-    dipaths under {!compare_route}, in that order, so the output is a
+    dipaths by hop count, ties by lexicographic vertex sequence, in that
+    order, so the output is a
     deterministic function of the graph.  In a DAG the order on dipaths
     [v.Q] out of one vertex is the order on their tails [Q], so one
     reverse-topological sweep over the vertices of [src]-[dst] dipaths
@@ -126,17 +96,19 @@ type selection = {
 
 val select :
   ?k:int ->
-  ?max_rounds:int ->
   Wl_dag.Dag.t ->
   request list ->
   (selection, Error.t) result
 (** The full routing stage: enumerate [k] alternatives per request
-    ({!k_shortest}), seed greedily with {!bottleneck_path} (the seed route
-    joins the request's alternative set when the [k] cutoff missed it), then
+    ({!k_shortest}), seed greedily with the bottleneck Dijkstra (a dipath
+    whose maximum arc load under the requests routed so far is minimum,
+    ties by hop count then lowest vertex, as in {!min_load_router}; the
+    seed route joins the request's alternative set when the [k] cutoff
+    missed it), then
     local search: sweep the requests, re-routing single requests onto an
     alternative whenever that strictly lowers (max arc load, number of arcs
-    attaining it); stop after a sweep with no improvement or [max_rounds]
-    (default 64) sweeps.  Strict descent guarantees
+    attaining it); stop after a sweep with no improvement or after 64
+    sweeps.  Strict descent guarantees
     [max_load <= seed_load].  Deterministic.  Errors: [Bad_index] for a
     request vertex outside the graph, [Invalid_path] for an unroutable
     request (including [x = y]). *)

@@ -263,11 +263,9 @@ let of_json text =
 
 (* --- files ----------------------------------------------------------------- *)
 
-let write_file ?version path inst =
+let write_file path inst =
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?version inst))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string inst))
 
 let read_file path =
   match

@@ -26,19 +26,15 @@
       "paths": [[0, 1, 2]] }
     v} *)
 
-val current_version : int
-(** The version writers emit by default (2). *)
-
 val to_string : ?version:int -> Instance.t -> string
-(** Renders the text format.  Raises [Invalid_argument] on an unknown
-    [version] (valid: 1 or {!current_version}). *)
+(** Renders the text format, by default in the current version (2).
+    Raises [Invalid_argument] on an unknown [version] (valid: 1 or 2). *)
 
 val of_string : string -> (Instance.t, Error.t) result
 (** Parses the text format, either version.  Errors: [Parse] with the
     offending 1-based line number, [Unsupported_version] for a [wl N] header
-    beyond {!current_version}, [Cyclic] when the arcs close a directed cycle,
-    [Invalid_path] when a [path] line is not a dipath of the graph. *)
-
+    beyond the current version, [Cyclic] when the arcs close a directed
+    cycle, [Invalid_path] when a [path] line is not a dipath of the graph. *)
 
 val to_json : ?pretty:bool -> Instance.t -> string
 (** Renders the JSON mirror (always the current version). *)
@@ -47,8 +43,8 @@ val of_json : string -> (Instance.t, Error.t) result
 (** Parses the JSON mirror.  Same error domain as {!of_string}; JSON syntax
     errors surface as [Parse]. *)
 
-val write_file : ?version:int -> string -> Instance.t -> unit
-(** Writes the text format.  Raises like {!to_string}, plus [Sys_error]. *)
+val write_file : string -> Instance.t -> unit
+(** Writes the text format in the current version.  Raises [Sys_error]. *)
 
 val read_file : string -> (Instance.t, Error.t) result
 (** Reads either format, sniffing JSON by a leading ['{'].  I/O failures

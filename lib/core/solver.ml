@@ -65,7 +65,11 @@ let finish classification pi lower source assignment method_used =
     optimal = n_wavelengths = lower;
   }
 
-let solve_impl ?(exact_limit = 24) inst =
+(* The family size up to which the exact coloring and clique solvers run
+   on the fallback paths. *)
+let exact_limit = 24
+
+let solve_impl inst =
   let classification = Classify.classify (Instance.dag inst) in
   let pi = Load.pi inst in
   let small = Instance.n_paths inst <= exact_limit in
@@ -154,7 +158,7 @@ let record_solve report dt_ns =
     Metrics.observe h dt_ns
   | None -> ()
 
-let solve ?exact_limit inst =
+let solve inst =
   let observed = Metrics.enabled () in
   let t0 = if observed then Clock.now_ns () else 0 in
   let report =
@@ -162,20 +166,16 @@ let solve ?exact_limit inst =
       Trace.with_span
         ~args:[ ("paths", Trace.Int (Instance.n_paths inst)) ]
         "solver.solve"
-        (fun () -> solve_impl ?exact_limit inst)
-    else solve_impl ?exact_limit inst
+        (fun () -> solve_impl inst)
+    else solve_impl inst
   in
   if observed then record_solve report (Clock.now_ns () - t0);
   report
 
-let solve_result ?exact_limit inst =
-  match exact_limit with
-  | Some l when l < 0 ->
-    Error (Error.Precondition "Solver.solve: exact_limit must be non-negative")
-  | _ -> (
-    match solve ?exact_limit inst with
-    | report -> Ok report
-    | exception Invalid_argument msg -> Error (Error.Precondition msg))
+let solve_result inst =
+  match solve inst with
+  | report -> Ok report
+  | exception Invalid_argument msg -> Error (Error.Precondition msg)
 
 let pp_report ?(stats = false) ppf r =
   if not stats then

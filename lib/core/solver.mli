@@ -6,14 +6,21 @@
     {- no internal cycle: Theorem 1 — optimal, [w = pi];}
     {- UPP with exactly one internal cycle: Theorem 6 — at most
        [ceil(4 pi/3)] wavelengths (additionally refined to an exact optimum
-       when the instance is small enough for the exact solver);}
+       when the instance is small enough for the exact solver).  The
+       construction promises the bound only for families of distinct
+       dipaths; when it uses more colors, which it can on families that
+       repeat dipaths, DSATUR's coloring of the conflict graph is kept
+       instead if it uses fewer, reported as [Heuristic];}
     {- UPP with several internal cycles: the iterated Theorem 6 recursion;}
     {- otherwise: exact conflict-graph coloring when the family is small,
        DSATUR heuristic at scale.}} *)
 
 type method_used =
   | Theorem_1  (** optimal by construction *)
-  | Theorem_6  (** within [ceil(4 pi/3)] *)
+  | Theorem_6
+      (** the Theorem 6 construction: within [ceil(4 pi/3)] on families of
+          distinct dipaths; on a family that repeats dipaths it is kept
+          above the bound only when DSATUR does no better *)
   | Theorem_6_iterated
       (** UPP with [C >= 2] internal cycles: within [C] nested ceilings of
           [4/3 pi] (the paper's closing remark) *)
@@ -36,17 +43,15 @@ type report = {
   optimal : bool;  (** [n_wavelengths = lower_bound] *)
 }
 
-val solve : ?exact_limit:int -> Instance.t -> report
-(** [exact_limit] (default 24) caps the family size for which the exact
-    coloring / exact clique solvers are invoked on the fallback paths.
+val solve : Instance.t -> report
+(** The exact coloring solver runs on families of at most 24 dipaths.
     The returned assignment is always valid ({!Assignment.is_valid}). *)
 
-val solve_result : ?exact_limit:int -> Instance.t -> (report, Error.t) result
-(** Exception-free {!solve}: a negative [exact_limit] or any precondition
-    violation surfaces as [Error (Precondition _)]. *)
+val solve_result : Instance.t -> (report, Error.t) result
+(** Exception-free {!solve}: any precondition violation surfaces as
+    [Error (Precondition _)]. *)
 
 val method_name : method_used -> string
-val lower_bound_source_name : lower_bound_source -> string
 
 val pp_report : ?stats:bool -> Format.formatter -> report -> unit
 (** With [~stats:false] (the default) the output is byte-identical to the

@@ -381,9 +381,6 @@ let color_result inst =
   | exception Internal_cycle_encountered { chain; junction } ->
     Error (chain, junction)
 
-let colors_used inst =
-  Assignment.n_wavelengths (Assignment.normalize (color inst))
-
 (* The paper's case-C extraction (its Figure 4): follow the chain of
    pairwise-conflicting dipaths around, from the junction back to the
    junction; every arc traversed an odd number of times survives into a

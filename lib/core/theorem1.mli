@@ -84,5 +84,3 @@ val witness_internal_cycle :
     emits).  Used by tests to confirm that every case-C abort exhibits a
     concrete internal cycle. *)
 
-val colors_used : Instance.t -> int
-(** [Assignment.n_wavelengths (normalize (color inst))]. *)

@@ -18,10 +18,6 @@
 
 open Wl_dag
 
-val family_from_canonical : Dag.t -> Internal_cycle.canonical -> Wl_digraph.Dipath.t list
-(** The [2k + 1] dipaths above.  Raises [Invalid_argument] if the canonical
-    cycle is not internal (no predecessor/successor where needed). *)
-
 val build : Dag.t -> Instance.t option
 (** Finds an internal cycle and wraps the family into an instance;
     [None] when the DAG has no internal cycle (Theorem 1 territory). *)

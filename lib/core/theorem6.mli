@@ -61,9 +61,12 @@ val upper_bound : int -> int
 (** [ceil (4 pi / 3)]. *)
 
 val color : ?check:bool -> Instance.t -> Assignment.t
-(** Valid assignment with at most [upper_bound (Load.pi inst)] wavelengths.
-    [check] (default [true]) verifies the UPP and one-internal-cycle
-    hypotheses first and raises {!Not_applicable} when they fail. *)
+(** Valid assignment; on a family of pairwise distinct dipaths it uses at
+    most [upper_bound (Load.pi inst)] wavelengths, while on a family that
+    repeats dipaths it may use more (see the faithfulness note; the
+    {!Solver} falls back to DSATUR then).  [check] (default [true])
+    verifies the UPP and one-internal-cycle hypotheses first and raises
+    {!Not_applicable} when they fail. *)
 
 val color_with_stats : ?check:bool -> Instance.t -> Assignment.t * stats
 

@@ -5,27 +5,20 @@ module Trace = Wl_obs.Trace
 let c_solves = Metrics.counter "thm6multi.solves"
 let h_depth = Metrics.histogram "thm6multi.recursion_depth"
 
-type level = { depth : int; stats : Theorem6.stats }
-
-let color_with_stats ?(check = true) inst =
+let color ?(check = true) inst =
   if check then Theorem6.check_hypotheses ~exact_one:false (Instance.dag inst);
   Metrics.incr c_solves;
-  let levels = ref [] in
-  let rec solve depth inst =
+  let splits = ref 0 in
+  let rec solve inst =
     if Internal_cycle.count_independent (Instance.dag inst) = 0 then
       Theorem1.color inst
     else begin
-      let assignment, stats =
-        Theorem6.split_and_glue ~subcolor:(solve (depth + 1)) inst
-      in
-      levels := { depth; stats } :: !levels;
-      assignment
+      incr splits;
+      fst (Theorem6.split_and_glue ~subcolor:solve inst)
     end
   in
-  let assignment = Trace.with_span "thm6multi.color" (fun () -> solve 0 inst) in
-  Metrics.observe h_depth (List.length !levels);
-  (assignment, List.sort (fun a b -> compare a.depth b.depth) !levels)
-
-let color ?check inst = fst (color_with_stats ?check inst)
+  let assignment = Trace.with_span "thm6multi.color" (fun () -> solve inst) in
+  Metrics.observe h_depth !splits;
+  assignment
 
 let upper_bound = Bounds.theorem6_upper

@@ -15,18 +15,12 @@
     families of pairwise distinct dipaths; validity of the output is
     unconditional. *)
 
-type level = {
-  depth : int;  (** 0 = outermost split *)
-  stats : Theorem6.stats;
-}
-
-val color_with_stats : ?check:bool -> Instance.t -> Assignment.t * level list
-(** Valid assignment; the level list records one entry per split, outermost
-    first.  [check] (default [true]) verifies that the DAG is UPP with at
-    least one internal cycle; on a DAG with exactly one this coincides with
-    {!Theorem6.color_with_stats}. *)
-
 val color : ?check:bool -> Instance.t -> Assignment.t
+(** Valid assignment.  [check] (default [true]) verifies that the DAG is
+    UPP with at least one internal cycle; on a DAG with exactly one this
+    coincides with {!Theorem6.color}.  With {!Wl_obs.Metrics} enabled, the
+    number of splits of each call is observed in the
+    [thm6multi.recursion_depth] histogram. *)
 
 val upper_bound : n_internal_cycles:int -> int -> int
 (** [Bounds.theorem6_upper], re-exported for convenience. *)

@@ -19,9 +19,4 @@ type t = {
 
 val classify : Dag.t -> t
 
-val is_rooted_forest : Dag.t -> bool
-(** Every vertex has in-degree at most 1.  Rooted forests are UPP and have
-    no internal cycle, hence satisfy [w = pi] (the paper's rooted-tree
-    remark). *)
-
 val pp : Format.formatter -> t -> unit

@@ -31,9 +31,7 @@ let graph d = d.g
 let n_vertices d = Digraph.n_vertices d.g
 let n_arcs d = Digraph.n_arcs d.g
 
-let topological_order d = Array.copy d.topo
 let topo_position d v = d.pos.(v)
-let compare_topo d u v = Int.compare d.pos.(u) d.pos.(v)
 
 let sources d =
   Array.to_list d.topo |> List.filter (fun v -> Digraph.in_degree d.g v = 0)
@@ -66,15 +64,6 @@ let count_dipaths_from d v =
     end
   done;
   count
-
-let count_dipaths d src dst = (count_dipaths_from d src).(dst)
-
-let some_dipath d src dst =
-  if src = dst then None
-  else
-    match Traversal.bfs_parent_path d.g src dst with
-    | None -> None
-    | Some verts -> Some (Dipath.make d.g verts)
 
 let all_dipaths_between ?(limit = 64) d src dst =
   if src = dst then []

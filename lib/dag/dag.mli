@@ -25,14 +25,8 @@ val graph : t -> Digraph.t
 val n_vertices : t -> int
 val n_arcs : t -> int
 
-val topological_order : t -> Digraph.vertex array
-(** Fresh copy of the topological order (sources first). *)
-
 val topo_position : t -> Digraph.vertex -> int
 (** Position of a vertex in the cached topological order. *)
-
-val compare_topo : t -> Digraph.vertex -> Digraph.vertex -> int
-(** Order vertices by topological position. *)
 
 val sources : t -> Digraph.vertex list
 (** Vertices of in-degree 0, in topological order. *)
@@ -46,13 +40,6 @@ val longest_path_length : t -> int
 val count_dipaths_from : t -> Digraph.vertex -> Wl_util.Saturating.t array
 (** [count_dipaths_from d v] counts, for every vertex [w], the dipaths from
     [v] to [w] ([1] for [w = v]); counts saturate rather than overflow. *)
-
-val count_dipaths : t -> Digraph.vertex -> Digraph.vertex -> Wl_util.Saturating.t
-(** Number of distinct dipaths between two vertices. *)
-
-val some_dipath : t -> Digraph.vertex -> Digraph.vertex -> Dipath.t option
-(** Any dipath from [src] to [dst] with at least one arc ([None] when
-    unreachable or [src = dst]). *)
 
 val all_dipaths_between :
   ?limit:int -> t -> Digraph.vertex -> Digraph.vertex -> Dipath.t list

@@ -14,9 +14,6 @@ let internal_vertex d v =
   let g = Dag.graph d in
   Digraph.in_degree g v > 0 && Digraph.out_degree g v > 0
 
-let internal_vertices d =
-  List.filter (internal_vertex d) (Digraph.vertices (Dag.graph d))
-
 let arc_internal d a =
   let g = Dag.graph d in
   internal_vertex d (Digraph.arc_src g a) && internal_vertex d (Digraph.arc_dst g a)

@@ -29,11 +29,6 @@ type canonical = {
   up : Dipath.t array; (* up.(i) : b.(i+1 mod k) ~> c.(i) *)
 }
 
-val internal_vertex : Dag.t -> Digraph.vertex -> bool
-(** [indeg > 0 && outdeg > 0]. *)
-
-val internal_vertices : Dag.t -> Digraph.vertex list
-
 val find : Dag.t -> walk option
 (** Some internal cycle as a closed walk, or [None]. *)
 

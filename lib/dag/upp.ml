@@ -35,8 +35,6 @@ let find_violation d =
     | p1 :: p2 :: _ -> Some { from_v = v; to_v = w; path1 = p1; path2 = p2 }
     | _ -> invalid_arg "Upp.find_violation: count/enumeration mismatch")
 
-let unique_dipath d src dst = Dag.some_dipath d src dst
-
 let routable_pairs d =
   let g = Dag.graph d in
   let n = Dag.n_vertices d in

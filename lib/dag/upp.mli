@@ -24,10 +24,6 @@ val is_upp : Dag.t -> bool
 val find_violation : Dag.t -> violation option
 (** [None] iff the DAG is UPP. The two returned dipaths differ. *)
 
-val unique_dipath : Dag.t -> Digraph.vertex -> Digraph.vertex -> Dipath.t option
-(** On a UPP-DAG: the unique dipath with >= 1 arc from [src] to [dst], or
-    [None].  (On a non-UPP DAG this returns an arbitrary such dipath.) *)
-
 val routable_pairs : Dag.t -> (Digraph.vertex * Digraph.vertex) list
 (** Ordered pairs [(x, y)], [x <> y], such that a dipath from [x] to [y]
     exists — the all-to-all request family that the paper's concluding

@@ -238,21 +238,13 @@ let vertices g = List.init g.nv Fun.id
 
 (* --- walkers: no allocation of their own ---------------------------------- *)
 
-(* Along [next] from arc [first]: [f] gets [ends.(a)], or [a] itself. *)
+(* Along [next] from arc [first]: [f] gets [ends.(a)] for each arc [a]. *)
 let walk f next ends first =
   let a = ref first in
   while !a >= 0 do
     let x = !a in
     a := next.(x);
     f ends.(x)
-  done
-
-let walk_arcs f next first =
-  let a = ref first in
-  while !a >= 0 do
-    let x = !a in
-    a := next.(x);
-    f x
   done
 
 let iter_succ f g v =
@@ -265,11 +257,12 @@ let iter_pred f g v =
 
 let iter_out_arcs f g v =
   check_vertex g v;
-  walk_arcs f g.next_out g.out_first.(v)
-
-let iter_in_arcs f g v =
-  check_vertex g v;
-  walk_arcs f g.next_in g.in_first.(v)
+  let a = ref g.out_first.(v) in
+  while !a >= 0 do
+    let x = !a in
+    a := g.next_out.(x);
+    f x
+  done
 
 let fold_succ f g v init =
   check_vertex g v;
@@ -320,55 +313,12 @@ let vertex_of_label g l =
 
 (* --- derived graphs ------------------------------------------------------- *)
 
-(* A graph on [k] vertices labelled like [g]'s vertices [orig i], no arcs. *)
-let on_vertices g k orig =
-  let g' = create () in
-  reserve_vertices g' k;
-  for i = 0 to k - 1 do
-    ignore (add_vertex ?label:g.labels.(orig i) g')
-  done;
-  g'
-
 let reverse g =
-  let g' = on_vertices g g.nv Fun.id in
+  let g' = create () in
+  reserve_vertices g' g.nv;
+  for v = 0 to g.nv - 1 do
+    ignore (add_vertex ?label:g.labels.(v) g')
+  done;
   reserve_arcs g' g.na;
   iter_arcs (fun _ u v -> ignore (add_arc g' v u)) g;
   g'
-
-let induced_subgraph g vs =
-  let old_to_new = Array.make g.nv (-1) in (* alloc-ok: cold *)
-  let kept = Array.make g.nv 0 in (* alloc-ok: cold *)
-  let k = ref 0 in
-  List.iter
-    (fun v ->
-      check_vertex g v;
-      if old_to_new.(v) = -1 then begin
-        old_to_new.(v) <- !k;
-        kept.(!k) <- v;
-        incr k
-      end)
-    vs;
-  let g' = on_vertices g !k (Array.get kept) in
-  iter_arcs
-    (fun _ u v ->
-      if old_to_new.(u) >= 0 && old_to_new.(v) >= 0 then
-        ignore (add_arc g' old_to_new.(u) old_to_new.(v)))
-    g;
-  (g', Array.sub kept 0 !k)
-
-(* Equal counts and every arc of [g1] in [g2]: with no parallel arcs,
-   that is arc-set equality. *)
-let equal_structure g1 g2 =
-  g1.nv = g2.nv
-  && g1.na = g2.na
-  &&
-  let rec go a = a >= g1.na || (lookup g2 g1.src.(a) g1.dst.(a) >= 0 && go (a + 1)) in
-  go 0
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph: %d vertices, %d arcs@," (n_vertices g)
-    (n_arcs g);
-  iter_arcs
-    (fun a u v -> Format.fprintf ppf "  #%d: %s -> %s@," a (label g u) (label g v))
-    g;
-  Format.fprintf ppf "@]"

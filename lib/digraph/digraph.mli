@@ -18,8 +18,8 @@
 
     {b Costs.}  {!add_arc}, {!find_arc} and {!mem_arc} are O(1) expected;
     degrees are O(1).  {!copy} is a few array blits, O(n + m) words.  The
-    walkers ({!iter_succ}, {!iter_pred}, {!iter_out_arcs},
-    {!iter_in_arcs}, {!fold_succ}) allocate nothing of
+    walkers ({!iter_succ}, {!iter_pred}, {!iter_out_arcs} and
+    {!fold_succ}) allocate nothing of
     their own, so a hot loop that hoists its closure walks a graph
     without touching the minor heap.  {!succ} and {!pred} build a fresh
     list per call, for callers that pattern-match one.
@@ -112,9 +112,6 @@ val iter_pred : (vertex -> unit) -> t -> vertex -> unit
 val iter_out_arcs : (arc -> unit) -> t -> vertex -> unit
 (** Arcs leaving [v], in insertion order (so in increasing id order). *)
 
-val iter_in_arcs : (arc -> unit) -> t -> vertex -> unit
-(** Arcs entering [v], in increasing id order. *)
-
 val fold_succ : (vertex -> 'a -> 'a) -> t -> vertex -> 'a -> 'a
 (** [fold_succ f g v init] folds [f] over the out-neighbors of [v] in
     insertion order, first neighbor innermost. *)
@@ -128,13 +125,3 @@ val fold_arcs : (arc -> vertex -> vertex -> 'a -> 'a) -> t -> 'a -> 'a
 val reverse : t -> t
 (** Graph with every arc flipped; arc ids are preserved (arc [i] of the
     result is the reverse of arc [i] of the argument). Labels carry over. *)
-
-val induced_subgraph : t -> vertex list -> t * vertex array
-(** [induced_subgraph g vs] keeps only the vertices in [vs] and the arcs
-    between them.  Returns the new graph and the mapping from new vertex ids
-    to original ids. *)
-
-val equal_structure : t -> t -> bool
-(** Same vertex count and same arc set (ignoring labels and arc ids). *)
-
-val pp : Format.formatter -> t -> unit

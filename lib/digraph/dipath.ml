@@ -68,15 +68,12 @@ let of_arcs g arc_list =
     p
 
 let vertices p = Array.to_list p.verts
-let vertex_array p = Array.copy p.verts
 let arcs p = Array.to_list p.arc_ids
 let arc_array p = Array.copy p.arc_ids
 let unsafe_arc_array p = p.arc_ids
 let src p = p.verts.(0)
 let dst p = p.verts.(Array.length p.verts - 1)
 let n_arcs p = Array.length p.arc_ids
-
-let mem_vertex p v = Array.exists (Int.equal v) p.verts
 
 let mem_arc p a =
   (* Binary search in the sorted arc ids. *)
@@ -96,21 +93,6 @@ let vertex_index p v =
   let rec go i = if i >= n then None else if p.verts.(i) = v then Some i else go (i + 1) in
   go 0
 
-let concat g p q =
-  if dst p <> src q then invalid_arg "Dipath.concat: endpoints do not match";
-  let verts = Array.append p.verts (Array.sub q.verts 1 (Array.length q.verts - 1)) in
-  of_vertex_array g verts
-
-let sub g p i j =
-  let k = Array.length p.verts in
-  if i < 0 || j >= k || i >= j then invalid_arg "Dipath.sub: bad indices";
-  of_vertex_array g (Array.sub p.verts i (j - i + 1))
-
-let sub_between g p x y =
-  match (vertex_index p x, vertex_index p y) with
-  | Some i, Some j when i < j -> sub g p i j
-  | _ -> invalid_arg "Dipath.sub_between: vertices not on path in this order"
-
 let shares_arc p q =
   (* Merge scan over sorted arc ids. *)
   let a = p.arcs_sorted and b = q.arcs_sorted in
@@ -123,6 +105,7 @@ let shares_arc p q =
   in
   go 0 0
 
+(* Common arcs, in the order they appear on [p]. *)
 let shared_arcs p q =
   List.filter (fun a -> mem_arc q a) (arcs p)
 
@@ -160,8 +143,6 @@ let intersection_interval g p q =
     Some (Digraph.arc_src g first, Digraph.arc_dst g last)
 
 let equal p q = p.verts = q.verts
-
-let compare p q = compare p.verts q.verts
 
 let pp g ppf p =
   Format.pp_print_list

@@ -23,9 +23,6 @@ val of_arcs : Digraph.t -> Digraph.arc list -> t
 val vertices : t -> Digraph.vertex list
 (** The vertex sequence, in order. *)
 
-val vertex_array : t -> Digraph.vertex array
-(** Fresh array of the vertex sequence. *)
-
 val arcs : t -> Digraph.arc list
 (** The arc ids, in order. *)
 
@@ -44,28 +41,13 @@ val dst : t -> Digraph.vertex
 val n_arcs : t -> int
 (** Length in arcs (>= 1). *)
 
-val mem_vertex : t -> Digraph.vertex -> bool
 val mem_arc : t -> Digraph.arc -> bool
 
 val vertex_index : t -> Digraph.vertex -> int option
 (** Position of a vertex in the sequence. *)
 
-val concat : Digraph.t -> t -> t -> t
-(** [concat g p q] requires [dst p = src q] and no other shared vertex;
-    returns the concatenation (re-validated against [g]). *)
-
-val sub : Digraph.t -> t -> int -> int -> t
-(** [sub g p i j] is the sub-dipath from vertex position [i] to position [j]
-    (inclusive, [i < j]). *)
-
-val sub_between : Digraph.t -> t -> Digraph.vertex -> Digraph.vertex -> t
-(** Sub-dipath between two vertices that occur on [p] in this order. *)
-
 val shares_arc : t -> t -> bool
 (** Whether the two dipaths conflict, i.e. have an arc in common. *)
-
-val shared_arcs : t -> t -> Digraph.arc list
-(** Common arcs, in the order they appear on the first dipath. *)
 
 val intersection_interval :
   Digraph.t -> t -> t -> (Digraph.vertex * Digraph.vertex) option
@@ -77,8 +59,6 @@ val intersection_interval :
 
 val equal : t -> t -> bool
 (** Same vertex sequence. *)
-
-val compare : t -> t -> int
 
 val pp : Digraph.t -> Format.formatter -> t -> unit
 (** Prints using vertex labels: [a -> b -> c]. *)

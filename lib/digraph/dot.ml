@@ -24,9 +24,9 @@ let node_lines g =
     g;
   Buffer.contents buf
 
-let of_digraph ?(name = "G") g =
+let of_digraph g =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (header name);
+  Buffer.add_string buf (header "G");
   Buffer.add_string buf (node_lines g);
   Digraph.iter_arcs
     (fun _ u v -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" u v))

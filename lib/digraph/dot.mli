@@ -4,8 +4,8 @@
     pen color per wavelength — handy for eyeballing the paper's figures
     ([dot -Tpdf] on the output). *)
 
-val of_digraph : ?name:string -> Digraph.t -> string
-(** Plain DOT rendering of the graph. *)
+val of_digraph : Digraph.t -> string
+(** Plain DOT rendering of the graph, named [G]. *)
 
 val of_colored_paths :
   ?name:string ->

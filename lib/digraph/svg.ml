@@ -61,9 +61,8 @@ let escape s =
     s;
   Buffer.contents buf
 
-let header ?width ?height l =
-  let w = Option.value ~default:(int_of_float l.view_w) width in
-  let h = Option.value ~default:(int_of_float l.view_h) height in
+let header l =
+  let w = int_of_float l.view_w and h = int_of_float l.view_h in
   Printf.sprintf
     "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%d\" height=\"%d\" \
      viewBox=\"0 0 %.0f %.0f\">\n\
@@ -105,10 +104,10 @@ let nodes g l buf =
            (escape (Digraph.label g v))))
     g
 
-let of_digraph ?width ?height g =
+let of_digraph g =
   let l = layout_of g in
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf (header ?width ?height l);
+  Buffer.add_string buf (header l);
   Digraph.iter_arcs
     (fun _ u v ->
       Buffer.add_string buf
@@ -121,10 +120,10 @@ let of_digraph ?width ?height g =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let of_colored_paths ?width ?height g paths =
+let of_colored_paths g paths =
   let l = layout_of g in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (header ?width ?height l);
+  Buffer.add_string buf (header l);
   (* Base arcs in light gray. *)
   Digraph.iter_arcs
     (fun _ u v ->

@@ -7,15 +7,10 @@
     per wavelength.  Good enough to eyeball every figure in the paper
     without Graphviz installed. *)
 
-val of_digraph : ?width:int -> ?height:int -> Digraph.t -> string
+val of_digraph : Digraph.t -> string
 (** Plain rendering; the viewport scales to the layer layout. *)
 
-val of_colored_paths :
-  ?width:int ->
-  ?height:int ->
-  Digraph.t ->
-  (Dipath.t * int) list ->
-  string
+val of_colored_paths : Digraph.t -> (Dipath.t * int) list -> string
 (** [of_colored_paths g paths] overlays each [(dipath, wavelength)] pair,
     offsetting parallel strokes on shared arcs so multiplicity stays
     visible.  Wavelengths index a fixed palette (cycling past its end). *)

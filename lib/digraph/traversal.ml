@@ -4,25 +4,6 @@ module Union_find = Wl_util.Union_find
 (* Each BFS below keeps its queue in an int array: a vertex enters at
    most once, so n slots suffice and [head]/[tail] never wrap. *)
 
-let bfs_order g src =
-  let n = Digraph.n_vertices g in
-  let seen = Array.make n false and queue = Array.make n 0 in
-  let tail = ref 0 in
-  let enter w =
-    if not seen.(w) then begin
-      seen.(w) <- true;
-      queue.(!tail) <- w;
-      incr tail
-    end
-  in
-  enter src;
-  let head = ref 0 in
-  while !head < !tail do
-    incr head;
-    Digraph.iter_succ enter g queue.(!head - 1)
-  done;
-  Array.to_list (Array.sub queue 0 !tail)
-
 let bfs_dist g src =
   let n = Digraph.n_vertices g in
   let dist = Array.make n (-1) and queue = Array.make n 0 in
@@ -43,51 +24,6 @@ let bfs_dist g src =
     Digraph.iter_succ enter g v
   done;
   dist
-
-let bfs_parent_path g src dst =
-  let n = Digraph.n_vertices g in
-  let parent = Array.make n (-1) and seen = Array.make n false in
-  let queue = Array.make n 0 in
-  let tail = ref 1 and v = ref src in
-  seen.(src) <- true;
-  queue.(0) <- src;
-  let found = ref (src = dst) in
-  let enter w =
-    if not seen.(w) then begin
-      seen.(w) <- true;
-      parent.(w) <- !v;
-      if w = dst then found := true;
-      queue.(!tail) <- w;
-      incr tail
-    end
-  in
-  let head = ref 0 in
-  while (not !found) && !head < !tail do
-    v := queue.(!head);
-    incr head;
-    Digraph.iter_succ enter g !v
-  done;
-  if not !found then None
-  else begin
-    let rec build v acc = if v = src then src :: acc else build parent.(v) (v :: acc) in
-    Some (build dst [])
-  end
-
-let dfs_postorder g =
-  let n = Digraph.n_vertices g in
-  let seen = Array.make n false in
-  let out = ref [] in
-  let rec visit v =
-    if not seen.(v) then begin
-      seen.(v) <- true;
-      Digraph.iter_succ visit g v;
-      out := v :: !out
-    end
-  in
-  for v = 0 to n - 1 do
-    visit v
-  done;
-  List.rev !out
 
 let topological_array g =
   let n = Digraph.n_vertices g in
@@ -114,8 +50,6 @@ let topological_array g =
   if !tail = n then Some queue else None
 
 let topological_order g = Option.map Array.to_list (topological_array g)
-
-let is_acyclic g = topological_array g <> None
 
 let find_directed_cycle g =
   let n = Digraph.n_vertices g in

@@ -4,19 +4,8 @@
     drives the Theorem 1 arc peeling; reachability defines the sets [A_a] and
     [S_b] of Theorem 6. *)
 
-val bfs_order : Digraph.t -> Digraph.vertex -> Digraph.vertex list
-(** Vertices reachable from the source, in BFS order (source first). *)
-
 val bfs_dist : Digraph.t -> Digraph.vertex -> int array
 (** Arc-count distances from the source; unreachable vertices get [-1]. *)
-
-val bfs_parent_path :
-  Digraph.t -> Digraph.vertex -> Digraph.vertex -> Digraph.vertex list option
-(** A shortest dipath (as a vertex sequence) from [src] to [dst], if one
-    exists.  [Some [src]] when [src = dst]. *)
-
-val dfs_postorder : Digraph.t -> Digraph.vertex list
-(** Postorder over the whole graph (all roots), following out-arcs. *)
 
 val topological_order : Digraph.t -> Digraph.vertex list option
 (** Kahn's algorithm: [Some order] (sources first) iff the graph is acyclic.
@@ -25,8 +14,6 @@ val topological_order : Digraph.t -> Digraph.vertex list option
 
 val topological_array : Digraph.t -> Digraph.vertex array option
 (** {!topological_order} as a fresh array. *)
-
-val is_acyclic : Digraph.t -> bool
 
 val find_directed_cycle : Digraph.t -> Digraph.vertex list option
 (** A directed cycle as a vertex sequence [v1; ...; vk] with arcs

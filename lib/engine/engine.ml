@@ -61,9 +61,8 @@ let hit_rate st =
 let occ_shift = 31
 let occ_mask = (1 lsl occ_shift) - 1
 
-(* Warm-path working set.  None of it is rollback-able state: every buffer
-   is recomputed or re-stamped before use, so snapshot/clone drop it and
-   start the copy with a fresh empty scratch.  Buffers grow geometrically
+(* Warm-path working set.  None of it is logical state: every buffer is
+   recomputed or re-stamped before use.  Buffers grow geometrically
    and are retained, which is what makes a steady stream of warm
    add/remove ops allocation-free once capacities have settled. *)
 type scr = {
@@ -142,8 +141,8 @@ let pool_pop z n =
   end
   else Array.make n 0 (* alloc-ok *)
 
-(* All rollback-able state lives in one record so snapshot/rollback are a
-   single deep copy.  The occupancy index is the mutable cousin of the
+(* The logical state of a session.  The occupancy index is the mutable
+   cousin of the
    instance CSR index: per arc, the live slots through it, each entry packed
    with its back-pointer; [slot_pos] is the inverse.  Swap-removal keeps
    every update O(1) per arc of the touched dipath, and [occ_len] doubles as
@@ -152,8 +151,8 @@ type core = {
   mutable g : Digraph.t;
   mutable frozen : Dag.t option;
       (* a copy of [g] with its topological order, made by the first
-         materialization after an [add_arc] and never mutated, so clones
-         share it *)
+         materialization after an [add_arc] and never mutated, so every
+         instance materialized until the next [add_arc] shares it *)
   mutable slot_path : Dipath.t array; (* meaningful where [slot_live] *)
   mutable slot_live : bool array; (* false = removed; ids never reused *)
   mutable n_slots : int;
@@ -173,17 +172,17 @@ type core = {
   mutable warm : bool; (* colors valid, contiguous, palette = maxload = pi *)
   mutable dirty : bool; (* state diverged; next query runs a full solve *)
   mutable cached_report : Solver.report option;
-  scr : scr; (* not part of the logical state; clones get a fresh one *)
+  scr : scr; (* not part of the logical state *)
 }
 
 (* Always-on per-session observability.  Everything here records with
    plain int stores / lock-free atomics, so it lives inside the warm
    paths without breaking their zero-minor-alloc contract; reading any
-   of it back (health, snapshots, dumps) is cold and may allocate. *)
+   of it back (health, dumps) is cold and may allocate. *)
 type session = {
   sid : int;
   repair_budget : int;
-  core : core ref;
+  core : core;
   flight : Flight.t;  (* ring of the last ops, dumped on failure *)
   lat_add : Hdr.t;  (* add-op latency, whole warm/dirty path *)
   lat_remove : Hdr.t;
@@ -207,37 +206,7 @@ type session = {
   mutable s_rejected : int;
 }
 
-type snapshot = { snap_sid : int; snap_core : core }
-
 let next_sid = Atomic.make 0
-
-let clone_core c =
-  {
-    g = Digraph.copy c.g;
-    frozen = c.frozen;
-    slot_path = Array.copy c.slot_path;
-    slot_live = Array.copy c.slot_live;
-    n_slots = c.n_slots;
-    n_live = c.n_live;
-    colors = Array.copy c.colors;
-    slot_arcs = Array.copy c.slot_arcs; (* rows are immutable once built *)
-    slot_pos = Array.map Array.copy c.slot_pos;
-    occ = Array.map Array.copy c.occ;
-    occ_len = Array.copy c.occ_len;
-    n_arcs = c.n_arcs;
-    load_hist = Array.copy c.load_hist;
-    maxload = c.maxload;
-    palette = c.palette;
-    color_count = Array.copy c.color_count;
-    classification = c.classification;
-    has_cycle = c.has_cycle;
-    warm = c.warm;
-    dirty = c.dirty;
-    cached_report =
-      Option.map (fun r -> { r with Solver.assignment = Array.copy r.Solver.assignment })
-        c.cached_report;
-    scr = new_scr ();
-  }
 
 (* --- growth helpers -------------------------------------------------------- *)
 
@@ -367,11 +336,11 @@ let fresh_session ?(repair_budget = default_repair_budget)
   {
     sid;
     repair_budget;
-    core = ref core;
+    core;
     flight = Flight.create ~capacity:flight_capacity ~tid:sid ();
     lat_add = Hdr.create ();
     lat_remove = Hdr.create ();
-    slo = Hdr.Slo.create ~target_ns:slo_target_ns ~budget:slo_budget ();
+    slo = Hdr.Slo.create ~target_ns:slo_target_ns ~budget:slo_budget;
     hit_ring = Array.make 256 0 (* alloc-ok *);
     hit_idx = 0;
     hit_filled = 0;
@@ -410,21 +379,11 @@ let create ?repair_budget ?flight_capacity inst =
   List.iter (fun p -> ignore (new_slot core p)) (Instance.paths_list inst);
   fresh_session ?repair_budget ?flight_capacity core
 
-let of_digraph ?repair_budget ?flight_capacity g =
-  match Dag.of_digraph (Digraph.copy g) with
-  | Error msg -> Error (Error.Cyclic msg)
-  | Ok dag ->
-    let core = make_core (Dag.graph dag) (Classify.classify dag) in
-    Ok (fresh_session ?repair_budget ?flight_capacity core)
-
-let id s = s.sid
-let n_live_paths s = !(s.core).n_live
-let classification s = !(s.core).classification
-let pi s = !(s.core).maxload
-let is_warm s = (not !(s.core).dirty) && !(s.core).warm
+let n_live_paths s = s.core.n_live
+let pi s = s.core.maxload
 
 let live_paths s =
-  let c = !(s.core) in
+  let c = s.core in
   let acc = ref [] in
   for i = c.n_slots - 1 downto 0 do
     if c.slot_live.(i) then acc := (i, c.slot_path.(i)) :: !acc
@@ -464,7 +423,7 @@ let materialize_core c =
   done;
   Instance.of_array dag (Array.of_list !live) (* alloc-ok *)
 
-let instance s = materialize_core !(s.core)
+let instance s = materialize_core s.core
 
 (* Install a solver assignment back into the per-slot colors; the session
    returns to warm mode when the result has Theorem-1 shape (contiguous
@@ -495,7 +454,7 @@ let install_assignment c (report : Solver.report) =
   c.warm <- (not c.has_cycle) && !contiguous && palette = c.maxload
 
 let ensure_clean s =
-  let c = !(s.core) in
+  let c = s.core in
   if c.dirty then begin
     let solve () =
       let t0 = Clock.now_ns () in
@@ -540,7 +499,7 @@ let build_warm_report c =
 
 let report s =
   ensure_clean s;
-  let c = !(s.core) in
+  let c = s.core in
   match c.cached_report with
   | Some r -> r
   | None ->
@@ -549,7 +508,7 @@ let report s =
     r
 
 let color_of s pid =
-  let c = !(s.core) in
+  let c = s.core in
   if pid < 0 || pid >= c.n_slots then
     Error (Error.Bad_index { what = "path"; index = pid })
   else if not c.slot_live.(pid) then
@@ -795,7 +754,7 @@ let try_shrink c =
   end
 
 let go_dirty s =
-  let c = !(s.core) in
+  let c = s.core in
   c.dirty <- true;
   c.warm <- false;
   s.s_fallbacks <- s.s_fallbacks + 1;
@@ -807,14 +766,14 @@ let go_dirty s =
 let count_op s =
   s.s_ops <- s.s_ops + 1;
   Metrics.incr c_ops;
-  !(s.core).cached_report <- None
+  s.core.cached_report <- None
 
 (* Post-op observability, shared by add and remove: latency into the
    session HDR + SLO (+ the gated global latency), the warm-hit window,
    the fallback streak, and one flight-recorder entry.  All int stores
    and lock-free atomics — the warm paths stay zero-minor-alloc. *)
 let obs_op s kind lat gl t0 ~arcs =
-  let c = !(s.core) in
+  let c = s.core in
   let dur = Clock.now_ns () - t0 in
   let tr = Ctx.current_trace () in
   Hdr.record_traced lat dur ~trace:tr;
@@ -847,7 +806,7 @@ let obs_op s kind lat gl t0 ~arcs =
    auto-dump latch: a client hitting validation errors is exactly when
    the recent-op tail is wanted. *)
 let record_rejection s kind =
-  let c = !(s.core) in
+  let c = s.core in
   s.s_rejected <- s.s_rejected + 1;
   Flight.record s.flight kind Flight.Rejected ~t_ns:(Clock.now_ns ()) ~dur_ns:0
     ~arcs:0 ~palette:c.palette ~pi:c.maxload ~trace:(Ctx.current_trace ());
@@ -856,7 +815,7 @@ let record_rejection s kind =
 (* Insert an already-validated dipath; the shared tail of [add_path] and
    [add_dipath_exn]. *)
 let add_body s p =
-  let c = !(s.core) in
+  let c = s.core in
   count_op s;
   let warm = c.warm && not c.dirty in
   let slot = new_slot c p in
@@ -903,7 +862,7 @@ let add_instrumented s p =
   let t0 = Clock.now_ns () in
   let slot = add_body s p in
   obs_op s Flight.Add_path s.lat_add l_add t0
-    ~arcs:(Array.length !(s.core).slot_arcs.(slot));
+    ~arcs:(Array.length s.core.slot_arcs.(slot));
   slot
 
 let add_traced s p =
@@ -912,7 +871,7 @@ let add_traced s p =
   else add_instrumented s p
 
 let add_path s verts =
-  let c = !(s.core) in
+  let c = s.core in
   match Dipath.of_vertices c.g verts with
   | Error msg ->
     record_rejection s Flight.Add_path;
@@ -962,7 +921,7 @@ let validate_dipath c p =
   stamp_vertex z z.z_gen (Digraph.arc_dst c.g arcs.(n - 1))
 
 let add_dipath_exn s p =
-  let c = !(s.core) in
+  let c = s.core in
   (try validate_dipath c p
    with Error.Error _ as e ->
      record_rejection s Flight.Add_path;
@@ -975,7 +934,7 @@ let add_dipath s p =
   | exception Error.Error e -> Error e
 
 let remove_body s pid =
-  let c = !(s.core) in
+  let c = s.core in
   count_op s;
   let warm = c.warm && not c.dirty in
   occ_remove c pid;
@@ -1019,12 +978,12 @@ let remove_instrumented s pid =
   let t0 = Clock.now_ns () in
   (* [slot_arcs] survives the removal; read the width before anyway so
      the record reflects what the op saw. *)
-  let arcs = Array.length !(s.core).slot_arcs.(pid) in
+  let arcs = Array.length s.core.slot_arcs.(pid) in
   remove_body s pid;
   obs_op s Flight.Remove_path s.lat_remove l_remove t0 ~arcs
 
 let remove_path_exn s pid =
-  let c = !(s.core) in
+  let c = s.core in
   if pid < 0 || pid >= c.n_slots then begin
     record_rejection s Flight.Remove_path;
     Error.raise_error (Error.Bad_index { what = "path"; index = pid })
@@ -1065,7 +1024,7 @@ let reaches g src dst =
   seen.(dst)
 
 let add_arc s u v =
-  let c = !(s.core) in
+  let c = s.core in
   let n = Digraph.n_vertices c.g in
   if u < 0 || u >= n then begin
     record_rejection s Flight.Add_arc;
@@ -1113,21 +1072,6 @@ let add_arc s u v =
     Ok a
   end
 
-(* --- snapshot / rollback --------------------------------------------------- *)
-
-let snapshot s = { snap_sid = s.sid; snap_core = clone_core !(s.core) }
-
-let rollback s snap =
-  if snap.snap_sid <> s.sid then
-    Error
-      (Error.Invalid_op
-         (Printf.sprintf "rollback: snapshot belongs to session %d, not %d"
-            snap.snap_sid s.sid))
-  else begin
-    s.core := clone_core snap.snap_core;
-    Ok ()
-  end
-
 (* --- batched submission ---------------------------------------------------- *)
 
 type batch = {
@@ -1173,7 +1117,7 @@ let submit s ops =
 (* --- invariant audit (for tests) ------------------------------------------- *)
 
 let audit_core s =
-  let c = !(s.core) in
+  let c = s.core in
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let check_occ () =
     let rec go a =
@@ -1258,7 +1202,7 @@ let audit s =
     (* The black box earns its keep here: the violation goes into the ring
        as its own record, then the auto-dump fires so the op tail that led
        to the broken invariant is preserved. *)
-    let c = !(s.core) in
+    let c = s.core in
     Flight.record s.flight Flight.Audit Flight.Failed ~t_ns:(Clock.now_ns ())
       ~dur_ns:0 ~arcs:0 ~palette:c.palette ~pi:c.maxload
       ~trace:(Ctx.current_trace ());
@@ -1270,7 +1214,7 @@ let audit s =
    that a failing audit emits a flight dump.  Test-only: the session is
    unusable for real work afterwards. *)
 let corrupt_for_testing s =
-  let c = !(s.core) in
+  let c = s.core in
   c.maxload <- c.maxload + 1
 
 (* --- health ----------------------------------------------------------------- *)

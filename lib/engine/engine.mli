@@ -28,8 +28,7 @@
     stream of warm {!add_dipath_exn}/{!remove_path_exn} ops performs no
     minor allocation once buffer capacities have settled — the
     [engine.add_path] and [engine.remove_path] trace spans report
-    [gc.minor_w = 0] under {!Wl_obs.Prof}.  The scratch is not part of the
-    logical state: snapshots and rollbacks never share it. *)
+    [gc.minor_w = 0] under {!Wl_obs.Prof}. *)
 
 open Wl_digraph
 open Wl_core
@@ -54,14 +53,6 @@ val create :
     [flight_capacity] sizes the session's {!Wl_obs.Flight} ring (default
     1024 ops).  The per-op latency SLO reported by {!health} has a 1 ms
     target and a 1% budget. *)
-
-val of_digraph :
-  ?repair_budget:int ->
-  ?flight_capacity:int ->
-  Digraph.t ->
-  (session, Error.t) result
-(** Path-less session over a copy of the graph; [Error (Cyclic _)] when the
-    graph is not a DAG. *)
 
 (** {1 Mutations}
 
@@ -119,20 +110,14 @@ val instance : session -> Instance.t
     immutable instance.  Its DAG is the session's frozen copy of the
     graph: made (one graph copy, one topological sort) by the first
     materialization after an {!add_arc}, then shared by every instance
-    and full solve until the next {!add_arc}, and by snapshots and
-    rollbacks taken meanwhile.  The session never mutates it, and later
-    mutations of the session do not show through it; like any
-    [Dag.graph], callers must not mutate it either. *)
+    and full solve until the next {!add_arc}.  The session never mutates
+    it, and later mutations of the session do not show through it; like
+    any [Dag.graph], callers must not mutate it either. *)
 
-val id : session -> int
 val n_live_paths : session -> int
 val live_paths : session -> (path_id * Dipath.t) list
-val classification : session -> Wl_dag.Classify.t
 val pi : session -> int
 (** The live load, maintained incrementally (O(1) to read). *)
-
-val is_warm : session -> bool
-(** Whether the next mutation can take the incremental path. *)
 
 (** {1 Batched submission} *)
 
@@ -160,7 +145,7 @@ type stats = {
 }
 
 val stats : session -> stats
-(** Cumulative since [create] (never rolled back). *)
+(** Cumulative since [create]. *)
 
 val hit_rate : stats -> float
 (** Fraction of accepted mutations handled warm; [1.0] when idle. *)
@@ -177,19 +162,6 @@ val submit : session -> op list -> batch
 (** Apply a batch of mutations, then report once — intermediate states are
     never solved, so a dirty streak inside the batch costs one solve at the
     end, not one per op. *)
-
-(** {1 Snapshot / rollback} *)
-
-type snapshot
-
-val snapshot : session -> snapshot
-(** Deep copy of the session state (graph, paths, coloring, caches); O(size
-    of session), independent of later mutations. *)
-
-val rollback : session -> snapshot -> (unit, Error.t) result
-(** Restore a snapshot taken from {e this} session; [Invalid_op] when the
-    snapshot belongs to another session.  A snapshot can be rolled back to
-    any number of times.  Cumulative {!stats} are not rolled back. *)
 
 (** {1 Auditing} *)
 

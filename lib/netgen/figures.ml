@@ -60,7 +60,7 @@ let fig3 () =
     [ p [ 0; 1; 2 ]; p [ 1; 2; 3 ]; p [ 2; 3; 4 ]; p [ 1; 3; 4 ]; p [ 0; 1; 3 ] ]
 
 let fig5_graph k =
-  if k < 2 then invalid_arg "Figures.fig5_graph: k must be >= 2";
+  if k < 2 then invalid_arg "Figures.fig5: k must be >= 2";
   let g = Digraph.create () in
   let name prefix i = Printf.sprintf "%s%d" prefix (i + 1) in
   let a = Array.init k (fun i -> Digraph.add_vertex ~label:(name "a" i) g) in

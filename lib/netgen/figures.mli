@@ -24,25 +24,21 @@ val fig3 : unit -> Instance.t
     whose conflict graph is [C_5] — a DAG with one internal cycle,
     [pi = 2], [w = 3]. *)
 
-val fig5_graph : int -> Wl_dag.Dag.t
-(** Figure 5's DAG for a given [k >= 1]: an internal cycle with peaks
-    [b_1..b_k] and valleys [c_1..c_k] (arcs [b_i -> c_i] and
-    [b_{i+1} -> c_i]), plus pendant predecessors [a_i] and successors
-    [d_i].  A UPP-DAG with exactly one internal cycle. *)
-
 val fig5 : int -> Instance.t
-(** The Theorem 2 family on {!fig5_graph}: [2k + 1] dipaths with [pi = 2],
-    [w = 3] (conflict graph [C_{2k+1}]). *)
-
-val havet_graph : unit -> Wl_dag.Dag.t
-(** Figure 9's UPP-DAG (due to F. Havet): peaks [b1, b2], valleys
-    [c1, c2] joined by all four arcs (the single internal cycle), two
-    pendant predecessors on each peak ([a1, a1'] -> [b1]; [a2, a2'] ->
-    [b2]) and two pendant successors on each valley. *)
+(** The Theorem 2 family on Figure 5's DAG for a given [k >= 2]: an
+    internal cycle with peaks [b_1..b_k] and valleys [c_1..c_k] (arcs
+    [b_i -> c_i] and [b_{i+1} -> c_i]), plus pendant predecessors [a_i]
+    and successors [d_i] — a UPP-DAG with exactly one internal cycle —
+    and [2k + 1] dipaths with [pi = 2], [w = 3] (conflict graph
+    [C_{2k+1}]). *)
 
 val havet : int -> Instance.t
-(** Theorem 7's family: the 8 dipaths of Figure 9, each replicated [h >= 1]
-    times ([8h] dipaths total).  The base conflict graph is [C_8] plus
+(** Theorem 7's family on Figure 9's UPP-DAG (due to F. Havet): peaks
+    [b1, b2], valleys [c1, c2] joined by all four arcs (the single
+    internal cycle), two pendant predecessors on each peak ([a1, a1'] ->
+    [b1]; [a2, a2'] -> [b2]) and two pendant successors on each valley.
+    The 8 dipaths of Figure 9, each replicated [h >= 1] times ([8h]
+    dipaths total).  The base conflict graph is [C_8] plus
     antipodal chords (the Wagner graph), so [pi = 2h] while
     [w = ceil(8h/3)] — the tight case of Theorem 6's bound. *)
 

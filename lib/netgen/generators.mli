@@ -21,10 +21,8 @@ val without_internal_cycle : Wl_util.Prng.t -> Dag.t -> Dag.t
 
 val gnp_no_internal_cycle : Wl_util.Prng.t -> int -> float -> Dag.t
 
-val make_upp : Wl_util.Prng.t -> Dag.t -> Dag.t
-(** Removes arcs until the unique-dipath property holds. *)
-
 val gnp_upp : Wl_util.Prng.t -> int -> float -> Dag.t
+(** A gnp DAG with arcs removed until the unique-dipath property holds. *)
 
 val random_rooted_tree : Wl_util.Prng.t -> int -> Dag.t
 (** Uniform random recursive out-tree on [n] vertices: vertex [i >= 1]

@@ -2,25 +2,25 @@ open Wl_digraph
 module Dag = Wl_dag.Dag
 module Prng = Wl_util.Prng
 
-let extend_walk rng g start ~stop_probability =
-  let rec go v acc =
-    match Digraph.succ g v with
-    | [] -> List.rev acc
-    | succs ->
-      if List.length acc > 1 && Prng.bernoulli rng stop_probability then List.rev acc
-      else
-        let w = Prng.choose_list rng succs in
-        go w (w :: acc)
-  in
-  go start [ start ]
-
+(* A uniform-start random directed walk, stopping after each step past the
+   first with probability 0.35 or at a sink; [None] when the start has no
+   outgoing arc. *)
 let random_walk rng dag =
   let g = Dag.graph dag in
   let n = Digraph.n_vertices g in
   if n = 0 then None
   else begin
+    let rec go v acc =
+      match Digraph.succ g v with
+      | [] -> List.rev acc
+      | succs ->
+        if List.length acc > 1 && Prng.bernoulli rng 0.35 then List.rev acc
+        else
+          let w = Prng.choose_list rng succs in
+          go w (w :: acc)
+    in
     let start = Prng.int rng n in
-    match extend_walk rng g start ~stop_probability:0.35 with
+    match go start [ start ] with
     | [ _ ] | [] -> None
     | verts -> Some (Dipath.make g verts)
   end
@@ -38,25 +38,5 @@ let random_family rng dag k =
     in
     collect [] k (k * 50)
   end
-
-let source_sink_paths rng dag k =
-  let g = Dag.graph dag in
-  match Dag.sources dag with
-  | [] -> []
-  | sources ->
-    let sources = Array.of_list sources in
-    List.filter_map
-      (fun _ ->
-        let start = Prng.choose rng sources in
-        match extend_walk rng g start ~stop_probability:0.0 with
-        | [ _ ] | [] -> None
-        | verts -> Some (Dipath.make g verts))
-      (List.init k Fun.id)
-
-let all_to_all_instance dag =
-  match Wl_core.Routing.instance_of dag Wl_core.Routing.route_unique (Wl_core.Routing.all_to_all dag) with
-  | Ok inst -> inst
-  | Error e ->
-    invalid_arg ("Path_gen.all_to_all_instance: " ^ Wl_core.Error.to_string e)
 
 let random_instance rng dag k = Wl_core.Instance.make dag (random_family rng dag k)

@@ -5,20 +5,11 @@
 
 open Wl_digraph
 
-val random_walk : Wl_util.Prng.t -> Wl_dag.Dag.t -> Dipath.t option
-(** A uniform-start random directed walk extended to a random length
-    (at least one arc); [None] when the start has no outgoing arc. *)
-
 val random_family : Wl_util.Prng.t -> Wl_dag.Dag.t -> int -> Dipath.t list
 (** [random_family rng d k] draws until it has [k] dipaths (skipping dead
-    starts); returns fewer only when the DAG has no arc at all. *)
-
-val source_sink_paths : Wl_util.Prng.t -> Wl_dag.Dag.t -> int -> Dipath.t list
-(** [k] random maximal dipaths: start at a random source, walk randomly to
-    a sink. *)
-
-val all_to_all_instance : Wl_dag.Dag.t -> Wl_core.Instance.t
-(** One dipath per routable ordered pair (the unique one on UPP-DAGs). *)
+    starts); returns fewer only when the DAG has no arc at all.  Each is a
+    uniform-start random directed walk of at least one arc, extended one
+    more step with probability 0.65 until it reaches a sink. *)
 
 val random_instance :
   Wl_util.Prng.t -> Wl_dag.Dag.t -> int -> Wl_core.Instance.t

@@ -58,8 +58,6 @@ let current () =
   { trace_id = cell.c_trace; span_id = cell.c_span; parent_id = cell.c_parent }
 
 let current_trace () = (Domain.DLS.get key).c_trace
-let clear () = set none
-
 (* --- wire form ------------------------------------------------------------- *)
 
 let hex = Printf.sprintf "%x"

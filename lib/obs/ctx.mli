@@ -57,9 +57,6 @@ val current_trace : unit -> int
 (** [ (current ()).trace_id ] without constructing a [t] — safe to call
     from zero-allocation hot paths. *)
 
-val clear : unit -> unit
-(** [set none]. *)
-
 (** {1 Wire form} *)
 
 val to_string : t -> string

@@ -12,7 +12,6 @@
    Chrome-trace [ts] values small and makes golden fixtures
    deterministic (feed fixed t_ns values from 0). *)
 
-module Jsonx = Wl_json.Jsonx
 
 type kind = Add_path | Remove_path | Add_arc | Full_solve | Audit
 
@@ -106,14 +105,6 @@ let string_of_kind = function
   | Full_solve -> "full_solve"
   | Audit -> "audit"
 
-let kind_of_string = function
-  | "add_path" -> Some Add_path
-  | "remove_path" -> Some Remove_path
-  | "add_arc" -> Some Add_arc
-  | "full_solve" -> Some Full_solve
-  | "audit" -> Some Audit
-  | _ -> None
-
 let string_of_outcome = function
   | Warm_hit -> "warm_hit"
   | Fresh_color -> "fresh_color"
@@ -125,19 +116,6 @@ let string_of_outcome = function
   | Ok -> "ok"
   | Rejected -> "rejected"
   | Failed -> "failed"
-
-let outcome_of_string = function
-  | "warm_hit" -> Some Warm_hit
-  | "fresh_color" -> Some Fresh_color
-  | "repair" -> Some Repair
-  | "fallback" -> Some Fallback
-  | "dirty" -> Some Dirty
-  | "warm_remove" -> Some Warm_remove
-  | "shrink" -> Some Shrink
-  | "ok" -> Some Ok
-  | "rejected" -> Some Rejected
-  | "failed" -> Some Failed
-  | _ -> None
 
 let record t kind outcome ~t_ns ~dur_ns ~arcs ~palette ~pi ~trace =
   if t.origin < 0 then t.origin <- t_ns;
@@ -154,7 +132,6 @@ let record t kind outcome ~t_ns ~dur_ns ~arcs ~palette ~pi ~trace =
   t.n <- t.n + 1
 
 let total t = t.n
-let capacity t = t.cap
 
 type entry = {
   seq : int;
@@ -210,50 +187,6 @@ let to_jsonl ?last t =
     (entries ?last t);
   Buffer.contents buf
 
-let of_jsonl s =
-  let lines =
-    List.filteri
-      (fun _ l -> String.trim l <> "")
-      (String.split_on_char '\n' s)
-  in
-  let parse_line i line =
-    let fail msg = Error (Printf.sprintf "line %d: %s" (i + 1) msg) in
-    match Jsonx.parse line with
-    | Error e -> fail e
-    | Ok j -> (
-      let int k = Option.bind (Jsonx.member k j) Jsonx.to_int in
-      let str k = Option.bind (Jsonx.member k j) Jsonx.to_str in
-      match
-        (int "seq", int "t_ns", int "dur_ns", str "op", str "outcome",
-         int "arcs", int "palette", int "pi")
-      with
-      | ( Some seq, Some t_ns, Some dur_ns, Some op, Some oc, Some arcs,
-          Some palette, Some pi ) -> (
-        match (kind_of_string op, outcome_of_string oc) with
-        | Some kind, Some outcome -> (
-          match str "trace" with
-          | None ->
-            Stdlib.Ok
-              { seq; t_ns; dur_ns; kind; outcome; arcs; palette; pi; trace = 0 }
-          | Some h -> (
-            match int_of_string_opt ("0x" ^ h) with
-            | Some trace when trace > 0 ->
-              Stdlib.Ok
-                { seq; t_ns; dur_ns; kind; outcome; arcs; palette; pi; trace }
-            | _ -> fail ("bad trace id " ^ h)))
-        | None, _ -> fail ("unknown op " ^ op)
-        | _, None -> fail ("unknown outcome " ^ oc))
-      | _ -> fail "missing field")
-  in
-  let rec go i acc = function
-    | [] -> Stdlib.Ok (List.rev acc)
-    | l :: rest -> (
-      match parse_line i l with
-      | Stdlib.Ok e -> go (i + 1) (e :: acc) rest
-      | Error e -> Error e)
-  in
-  go 0 [] lines
-
 (* One Chrome document over several rings — the TraceDump RPC's payload.
    Each ring keeps its own track ([tid] = session id) and its label as a
    ["tenant"] arg; per-ring relative stamps are rebased onto the
@@ -303,4 +236,3 @@ let trigger ~reason t =
   end
 
 let rearm t = t.latched <- false
-let dumped t = t.latched

@@ -67,32 +67,13 @@ val record :
 val total : t -> int
 (** Ops recorded over the recorder's lifetime (may exceed capacity). *)
 
-val capacity : t -> int
-
-type entry = {
-  seq : int;  (** 0-based op sequence number *)
-  t_ns : int;  (** start, relative to the first recorded op *)
-  dur_ns : int;
-  kind : kind;
-  outcome : outcome;
-  arcs : int;
-  palette : int;
-  pi : int;
-  trace : int;  (** distributed trace id; [0] = untraced *)
-}
-
-val entries : ?last:int -> t -> entry list
-(** Oldest-first view of the retained tail (at most [last] ops). *)
-
 val to_jsonl : ?last:int -> t -> string
-(** One JSON object per line:
+(** The retained tail (at most [last] ops), oldest first, one JSON object
+    per line:
     [{"seq":..,"t_ns":..,"dur_ns":..,"op":"add_path","outcome":"warm_hit",
       "arcs":..,"palette":..,"pi":..}], plus a hex ["trace"] field on
     traced ops (untraced lines are byte-identical to the pre-trace
     format). *)
-
-val of_jsonl : string -> (entry list, string) result
-(** Parse a {!to_jsonl} dump back (replay). *)
 
 val to_chrome : ?last:int -> t -> string
 (** [merged_chrome ?last [t]]: a complete Chrome trace document ("X"
@@ -104,9 +85,6 @@ val merged_chrome : ?last:int -> t list -> string
     each ring keeps its own [tid] track and carries its {!label} as a
     ["tenant"] arg, with per-ring timestamps rebased onto the earliest
     ring origin so tracks share one time axis. *)
-
-val string_of_kind : kind -> string
-val string_of_outcome : outcome -> string
 
 (** {2 Automatic dumps} *)
 
@@ -120,5 +98,4 @@ val trigger : reason:string -> t -> unit
     {!rearm}.  Cheap (one load) when already latched or no handler. *)
 
 val rearm : t -> unit
-val dumped : t -> bool
-(** Has {!trigger} fired (handler or not) since creation/{!rearm}? *)
+(** Re-open the latch, so the next {!trigger} fires the handler again. *)

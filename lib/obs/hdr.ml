@@ -1,6 +1,6 @@
 (* Log-linear ("HDR") latency histograms over atomic int cells.
 
-   Bucket scheme, parameterized by [sub_bits] (default 6):
+   Bucket scheme, with [sub_bits] = 6:
    - values in [0, 2^sub_bits) are exact: bucket index = value;
    - a value with most-significant bit k >= sub_bits lands in tier
      [k - sub_bits + 1], which splits [2^k, 2^(k+1)) into
@@ -17,10 +17,11 @@
    immediate ints, CAS loops via tail recursion (no ref cells), no float
    arithmetic.  Everything else (quantiles, snapshots, merge) is cold. *)
 
+let sub_bits = 6
+let sub_count = 1 lsl sub_bits (* the exact range *)
+let half = sub_count / 2 (* sub-buckets per tier *)
+
 type t = {
-  sub_bits : int;
-  sub_count : int;  (* 2^sub_bits: the exact range *)
-  half : int;  (* sub_count / 2: sub-buckets per tier *)
   cells : int Atomic.t array;
   total : int Atomic.t;
   sumv : int Atomic.t;
@@ -35,17 +36,12 @@ type t = {
   ex_trace : int Atomic.t;
 }
 
-let create ?(sub_bits = 6) () =
-  let sub_bits = if sub_bits < 2 then 2 else if sub_bits > 12 then 12 else sub_bits in
-  let sub_count = 1 lsl sub_bits in
-  let half = sub_count / 2 in
-  (* Highest tier holds msb 62 (max positive int): index range ends at
-     half * (65 - sub_bits) - 1. *)
-  let size = half * (65 - sub_bits) in
+(* Highest tier holds msb 62 (max positive int): index range ends at
+   half * (65 - sub_bits) - 1. *)
+let size = half * (65 - sub_bits)
+
+let create () =
   {
-    sub_bits;
-    sub_count;
-    half;
     cells = Array.init size (fun _ -> Atomic.make 0) (* alloc-ok *);
     total = Atomic.make 0;
     sumv = Atomic.make 0;
@@ -59,24 +55,24 @@ let create ?(sub_bits = 6) () =
    path must not allocate, and ref cells would on a non-flambda build). *)
 let rec msb_from v k = if v <= 1 then k else msb_from (v lsr 1) (k + 1)
 
-let index t v =
-  if v < t.sub_count then v
+let index v =
+  if v < sub_count then v
   else
-    let k = msb_from (v lsr t.sub_bits) t.sub_bits in
-    let shift = k - t.sub_bits + 1 in
-    (t.half * shift) + (v lsr shift)
+    let k = msb_from (v lsr sub_bits) sub_bits in
+    let shift = k - sub_bits + 1 in
+    (half * shift) + (v lsr shift)
 
 (* Largest value mapping to bucket [i]. *)
-let bucket_ceiling t i =
-  if i < t.sub_count then i
+let bucket_ceiling i =
+  if i < sub_count then i
   else
-    let tier = (i / t.half) - 1 in
-    let top = i - (tier * t.half) in
+    let tier = (i / half) - 1 in
+    let top = i - (tier * half) in
     ((top + 1) lsl tier) - 1
 
-let round_up t v =
+let round_up v =
   let v = if v < 0 then 0 else v in
-  bucket_ceiling t (index t v)
+  bucket_ceiling (index v)
 
 let rec cas_min a v =
   let cur = Atomic.get a in
@@ -88,7 +84,7 @@ let rec cas_max a v =
 
 let record_traced t v ~trace =
   let v = if v < 0 then 0 else v in
-  ignore (Atomic.fetch_and_add (Array.unsafe_get t.cells (index t v)) 1);
+  ignore (Atomic.fetch_and_add (Array.unsafe_get t.cells (index v)) 1);
   ignore (Atomic.fetch_and_add t.total 1);
   ignore (Atomic.fetch_and_add t.sumv v);
   cas_min t.mn v;
@@ -117,17 +113,15 @@ let quantile t q =
     let rank = if rank < 1 then 1 else if rank > n then n else rank in
     let len = Array.length t.cells in
     let rec go i acc =
-      if i >= len then bucket_ceiling t (len - 1)
+      if i >= len then bucket_ceiling (len - 1)
       else
         let acc = acc + Atomic.get t.cells.(i) in
-        if acc >= rank then bucket_ceiling t i else go (i + 1) acc
+        if acc >= rank then bucket_ceiling i else go (i + 1) acc
     in
     min (go 0 0) (max_value t)
   end
 
 let merge_into ~dst src =
-  if dst.sub_bits <> src.sub_bits then
-    invalid_arg "Hdr.merge_into: sub_bits mismatch";
   Array.iteri
     (fun i c ->
       let n = Atomic.get c in
@@ -198,8 +192,6 @@ module Slo = struct
     target_ns : int;
     budget : float;
     budget_ppm : int;
-    window : int;
-    min_fill : int;
     bits : int array;
     mutable idx : int;
     mutable filled : int;
@@ -209,14 +201,16 @@ module Slo = struct
     mutable latched : bool;
   }
 
-  let create ?(window = 512) ~target_ns ~budget () =
-    let window = if window < 8 then 8 else window in
+  (* The window of recent observations, and how many of them must be in
+     before the tracker may trip. *)
+  let window = 512
+  let min_fill = window / 8
+
+  let create ~target_ns ~budget =
     {
       target_ns;
       budget;
       budget_ppm = int_of_float ((budget *. 1e6) +. 0.5);
-      window;
-      min_fill = (let m = window / 8 in if m < 8 then 8 else m);
       bits = Array.make window 0 (* alloc-ok *);
       idx = 0;
       filled = 0;
@@ -228,16 +222,16 @@ module Slo = struct
 
   let record t lat =
     let b = if lat > t.target_ns then 1 else 0 in
-    if t.filled = t.window then t.over <- t.over - Array.unsafe_get t.bits t.idx
+    if t.filled = window then t.over <- t.over - Array.unsafe_get t.bits t.idx
     else t.filled <- t.filled + 1;
     Array.unsafe_set t.bits t.idx b;
     t.over <- t.over + b;
-    t.idx <- (if t.idx + 1 = t.window then 0 else t.idx + 1);
+    t.idx <- (if t.idx + 1 = window then 0 else t.idx + 1);
     t.total <- t.total + 1;
     t.total_over <- t.total_over + b;
     if
       (not t.latched)
-      && t.filled >= t.min_fill
+      && t.filled >= min_fill
       && t.over * 1_000_000 > t.filled * t.budget_ppm
     then t.latched <- true
 
@@ -245,14 +239,6 @@ module Slo = struct
     if t.filled = 0 then 0. else float_of_int t.over /. float_of_int t.filled
 
   let tripped t = t.latched
-  let healthy t = not t.latched
-
-  let rearm t =
-    Array.fill t.bits 0 t.window 0;
-    t.idx <- 0;
-    t.filled <- 0;
-    t.over <- 0;
-    t.latched <- false
 
   type state = {
     target_ns : int;
@@ -270,7 +256,7 @@ module Slo = struct
     {
       target_ns = t.target_ns;
       budget = t.budget;
-      window = t.window;
+      window;
       observed = t.filled;
       over = t.over;
       total = t.total;

@@ -1,11 +1,10 @@
 (** Fixed-memory HDR latency histograms with exact quantile queries.
 
     A log-linear bucket scheme in the style of HdrHistogram: values below
-    [2^sub_bits] get their own bucket (exact), and every higher power-of-two
-    tier is split into [2^(sub_bits-1)] linear sub-buckets, so the bucket
-    ceiling is always within [2^(1-sub_bits)] relative error of the recorded
-    value.  The whole structure is a flat array of atomic counters sized at
-    creation (~1.9k cells at the default [sub_bits = 6]) — recording is
+    [2^6] get their own bucket (exact), and every higher power-of-two tier
+    is split into [2^5] linear sub-buckets, so the bucket ceiling is always
+    within [2^-5] (~3%) relative error of the recorded value.  The whole
+    structure is a flat array of ~1.9k atomic counters — recording is
     lock-free, domain-safe, and allocates nothing, which is what lets the
     engine keep per-session latency accounting inside its zero-minor-alloc
     warm paths.
@@ -14,15 +13,12 @@
     of the bucket holding the rank-[ceil(q*count)] observation, clamped to
     the largest recorded value, i.e. the smallest reported value [v] such
     that at least a [q] fraction of observations were [<= v], and never a
-    value above {!max_value}.  The oracle test pins this to a sorted-array
-    reference through {!round_up}. *)
+    value above the largest recorded one.  The oracle test pins this to a
+    sorted-array reference through {!round_up}. *)
 
 type t
 
-val create : ?sub_bits:int -> unit -> t
-(** [sub_bits] (default 6, clamped to [2..12]) sets the per-tier
-    resolution: relative bucket error is at most [2^(1-sub_bits)]
-    (~3% at the default). *)
+val create : unit -> t
 
 val record : t -> int -> unit
 (** Record one observation (negative values clamp to 0).  Lock-free,
@@ -44,25 +40,18 @@ val exemplar : t -> (int * int) option
 val count : t -> int
 val sum : t -> int
 
-val min_value : t -> int
-(** Smallest recorded value, [0] when empty. *)
-
-val max_value : t -> int
-(** Largest recorded value, [0] when empty. *)
-
 val quantile : t -> float -> int
 (** [quantile h q] for [q] in [(0,1]]: the ceiling of the bucket holding
-    the observation of rank [ceil (q *. count)], or {!max_value} when that
-    is smaller.  [0] when empty. *)
+    the observation of rank [ceil (q *. count)], or the largest recorded
+    value when that is smaller.  [0] when empty. *)
 
-val round_up : t -> int -> int
+val round_up : int -> int
 (** The bucket ceiling a value lands in: [quantile] answers are always
     [round_up] of some recorded observation, or the largest one.  Exposed
     so tests can build an exact sorted-array oracle. *)
 
 val merge_into : dst:t -> t -> unit
-(** Add every bucket count of the source into [dst].  Both histograms
-    must share [sub_bits] ([Invalid_argument] otherwise).  The worst
+(** Add every bucket count of the source into [dst].  The worst
     {!exemplar} of the two survives, so shard-merged rollups keep their
     link to the slowest trace daemon-wide. *)
 
@@ -88,35 +77,24 @@ val pp_ns : Format.formatter -> snapshot -> unit
 
 (** Latency SLO tracking over a sliding window of observations.
 
-    [create ~target_ns ~budget ()] tracks the fraction of the last
-    [window] observations over [target_ns].  When the window is
-    sufficiently full and that fraction (the {e burn rate}) exceeds
+    [create ~target_ns ~budget] tracks the fraction of the last 512
+    observations over [target_ns].  When the window is sufficiently full
+    (64 observations) and that fraction (the {e burn rate}) exceeds
     [budget], the tracker latches [tripped] — the engine surfaces it
     through [Engine.health].  Recording is allocation-free. *)
 module Slo : sig
   type t
 
-  val create : ?window:int -> target_ns:int -> budget:float -> unit -> t
-  (** [window] (default 512) is the number of recent observations the
-      burn rate is computed over; [budget] is the tolerated fraction of
-      over-target observations (e.g. [0.01] for 1%). *)
+  val create : target_ns:int -> budget:float -> t
+  (** [budget] is the tolerated fraction of over-target observations
+      (e.g. [0.01] for 1%). *)
 
   val record : t -> int -> unit
   (** Record one latency observation.  Zero-allocation. *)
 
-  val burn_rate : t -> float
-  (** Fraction of the current window over target ([0.] until any
-      observation arrives). *)
-
   val tripped : t -> bool
-  (** Latched: has the burn rate ever exceeded the budget with at least
-      [max 8 (window/8)] observations in the window? *)
-
-  val healthy : t -> bool
-  (** [not (tripped t)]. *)
-
-  val rearm : t -> unit
-  (** Clear the latch and the window. *)
+  (** Latched: has the burn rate ever exceeded the budget with at least 64
+      observations in the window? *)
 
   type state = {
     target_ns : int;

@@ -89,39 +89,6 @@ let snapshot () =
     all
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let find_counter name =
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some (C c) -> Some (value c)
-      | _ -> None)
-
-let find_histogram name =
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some (H h) -> (
-        match Atomic.get h with
-        | Some t -> Some (Hdr.snapshot t)
-        | None ->
-          Some { Hdr.count = 0; sum = 0; min = 0; max = 0; p50 = 0; p90 = 0; p99 = 0; p999 = 0 })
-      | _ -> None)
-
-(* One scalar per instrument for before/after comparison: counters by
-   value, histograms by observation count. *)
-let scalar_of = function Counter v -> v | Histogram s -> s.Hdr.count
-
-let diff before after =
-  let tbl = Hashtbl.create 32 (* alloc-ok: cold comparison *) in
-  List.iter (fun (name, inst) -> Hashtbl.replace tbl name (scalar_of inst, 0)) before;
-  List.iter
-    (fun (name, inst) ->
-      let b = match Hashtbl.find_opt tbl name with Some (b, _) -> b | None -> 0 in
-      Hashtbl.replace tbl name (b, scalar_of inst))
-    after;
-  Hashtbl.fold
-    (fun name (b, a) acc -> if b = a then acc else (name, b, a) :: acc)
-    tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
 let reset () =
   Mutex.protect registry_lock (fun () ->
       Hashtbl.iter

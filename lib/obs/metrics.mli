@@ -32,8 +32,6 @@ val counter : string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val value : counter -> int
-
 val histogram : string -> histogram
 (** Find-or-create an {!Hdr} histogram with exact p50/p90/p99/p999 from
     fixed memory.  A name ending in [.ns] records nanosecond durations;
@@ -53,24 +51,8 @@ val snapshot : unit -> (string * instrument) list
 (** Every registered instrument with a non-zero value/count, sorted by
     name.  Instruments that were never touched are omitted.  The sort
     makes snapshots (and everything rendered from them — {!pp_summary},
-    bench counter embeddings, {!diff}) deterministic across runs and
-    domain counts. *)
-
-val diff :
-  (string * instrument) list ->
-  (string * instrument) list ->
-  (string * int * int) list
-(** [diff before after] — per-instrument [(name, before, after)] deltas
-    between two snapshots: counters compare by value, histograms by
-    observation count.  Names whose scalar did not change are dropped;
-    a name missing on one side counts as 0 there.  Sorted by name (the
-    caller ranks by magnitude if it wants "top movements", as
-    [wl report] does). *)
-
-val find_counter : string -> int option
-(** Current value of a registered counter, [None] if absent. *)
-
-val find_histogram : string -> Hdr.snapshot option
+    bench counter embeddings) deterministic across runs and domain
+    counts. *)
 
 val reset : unit -> unit
 (** Zero every instrument (registration survives). *)

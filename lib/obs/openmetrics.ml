@@ -21,6 +21,7 @@ let sanitize name =
     name;
   Buffer.contents buf
 
+(* Label-value escaping: backslash, double quote, newline. *)
 let escape_label v =
   let buf = Buffer.create (String.length v) in
   String.iter
@@ -32,33 +33,6 @@ let escape_label v =
       | c -> Buffer.add_char buf c)
     v;
   Buffer.contents buf
-
-(* Exact inverse of {!escape_label}; [None] on a dangling or unknown
-   escape.  Exists so the escaping property test is a genuine
-   round-trip, not a re-implementation. *)
-let unescape_label v =
-  let n = String.length v in
-  let buf = Buffer.create n in
-  let rec go i =
-    if i >= n then Some (Buffer.contents buf)
-    else if v.[i] = '\\' then
-      if i + 1 >= n then None
-      else begin
-        (match v.[i + 1] with
-        | '\\' -> Buffer.add_char buf '\\'
-        | '"' -> Buffer.add_char buf '"'
-        | 'n' -> Buffer.add_char buf '\n'
-        | _ -> ());
-        match v.[i + 1] with
-        | '\\' | '"' | 'n' -> go (i + 2)
-        | _ -> None
-      end
-    else begin
-      Buffer.add_char buf v.[i];
-      go (i + 1)
-    end
-  in
-  go 0
 
 let add_family buf ~name ~help ~typ body =
   Printf.bprintf buf "# HELP %s %s\n" name (escape_label help);

@@ -39,15 +39,6 @@ val render :
     {!Hdr.exemplar}; matching summaries gain OpenMetrics exemplar syntax
     ([# {trace_id="<hex>"} value]) on their [_count] sample. *)
 
-val escape_label : string -> string
-(** Label-value escaping (backslash, double quote, newline).  Exposed
-    for tests and for callers embedding label values in hand-built
-    expositions. *)
-
-val unescape_label : string -> string option
-(** Exact inverse of {!escape_label}; [None] on dangling or unknown
-    escapes. *)
-
 type stats = { families : int; samples : int }
 
 val validate : string -> (stats, string) result

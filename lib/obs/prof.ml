@@ -26,15 +26,6 @@ type gc_delta = {
   major_collections : int;
 }
 
-let zero_gc =
-  {
-    minor_words = 0.;
-    major_words = 0.;
-    promoted_words = 0.;
-    minor_collections = 0;
-    major_collections = 0;
-  }
-
 type row = {
   span : string;
   calls : int;
@@ -162,8 +153,6 @@ let grow_dstack s =
 let stack_key = Domain.DLS.new_key new_dstack
 
 let on = Atomic.make false
-let enabled () = Atomic.get on
-
 let on_start () =
   let s = Domain.DLS.get stack_key in
   let i = s.len in

@@ -40,8 +40,6 @@ type gc_delta = {
   major_collections : int;
 }
 
-val zero_gc : gc_delta
-
 type row = {
   span : string;
   calls : int;
@@ -56,8 +54,6 @@ val enable : unit -> unit
 val disable : unit -> unit
 (** Remove the probe and stop aggregating (accumulated rows survive
     until {!reset}). *)
-
-val enabled : unit -> bool
 
 val snapshot : unit -> row list
 (** Aggregated rows for every profiled span name, sorted by name. *)

@@ -45,22 +45,9 @@ type entry = {
           trajectory embedding) *)
 }
 
-val schema : string
-(** ["wavelength-bench-core/3"]. *)
-
 val summarize : float list -> sample
 (** Median, MAD, and CV of the given measurements.
     @raise Invalid_argument on an empty list. *)
-
-val median : float list -> float
-(** @raise Invalid_argument on an empty list. *)
-
-val git_rev : unit -> string
-(** [WL_GIT_REV] env var if set, else [git rev-parse --short HEAD],
-    else ["unknown"]. *)
-
-val timestamp_now : unit -> string
-(** Current time, ISO-8601 UTC (e.g. ["2026-08-06T12:00:00Z"]). *)
 
 val make :
   ?rev:string ->
@@ -70,16 +57,16 @@ val make :
   domains:int ->
   point list ->
   entry
-(** Entry for the current environment; [rev]/[timestamp] default to
-    {!git_rev}/{!timestamp_now}. *)
+(** Entry for the current environment, under the
+    ["wavelength-bench-core/3"] schema.  [rev] defaults to the [WL_GIT_REV]
+    environment variable if set, else [git rev-parse --short HEAD], else
+    ["unknown"]; [timestamp] to the current time, ISO-8601 UTC (e.g.
+    ["2026-08-06T12:00:00Z"]). *)
 
 val json_of_instrument : Metrics.instrument -> Wl_json.Jsonx.t
 (** Counter as a bare int; histogram as
     [{count; sum; min; max; p50; p90; p99; p999}] — the shape used in
     point counter embeddings. *)
-
-val to_json : entry -> Wl_json.Jsonx.t
-val of_json : Wl_json.Jsonx.t -> (entry, string) result
 
 val append : string -> entry -> unit
 (** Append one JSONL line to the trajectory at this path, creating the
@@ -155,5 +142,4 @@ val compare :
     be time-stable yet an allocation regression, and
     [alloc_regressions] counts those separately for the gate. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
 val pp_comparison : Format.formatter -> comparison -> unit

@@ -13,7 +13,6 @@ type event = {
 type collector = { lock : Mutex.t; mutable events : event list }
 type sink = Null | Memory of collector | Discard
 
-let null = Null
 let memory () = Memory { lock = Mutex.create (); events = [] }
 
 (* Spans run (probes fire, self-time is tracked) but events are dropped:

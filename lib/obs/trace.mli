@@ -30,7 +30,6 @@ type event = {
 
 type sink
 
-val null : sink
 val memory : unit -> sink
 (** An in-process collector; safe to write from any domain. *)
 

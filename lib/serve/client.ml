@@ -114,15 +114,6 @@ let local ?(json = false) ?(seed = 0) ?(threaded = false) ?flight_capacity
     closed = false;
   }
 
-let of_shard ?(json = false) ?(seed = 0) shard =
-  {
-    transport = Local shard;
-    json;
-    gen = Ctx.generator seed;
-    gen_m = Mutex.create ();
-    closed = false;
-  }
-
 let connect ?(json = false) ?(seed = 0) addr =
   match Server.address_of_string addr with
   | Error _ as e -> e
@@ -169,12 +160,6 @@ let close t =
 
 let unexpected verb = Error (Error.Invalid_op ("unexpected reply to " ^ verb))
 
-let hello t =
-  match call t (Proto.Hello Proto.version) with
-  | Ok (Proto.R_hello v) -> Ok v
-  | Error e -> Error e
-  | Ok _ -> unexpected "hello"
-
 let ping t =
   match call t Proto.Ping with
   | Ok Proto.R_pong -> Ok ()
@@ -190,8 +175,6 @@ let shutdown_server t =
 let session t ~tenant =
   if Proto.tenant_ok tenant then Ok { client = t; tenant }
   else Error (Error.Precondition (Printf.sprintf "invalid tenant id %S" tenant))
-
-let tenant s = s.tenant
 
 let open_session t ~tenant instance =
   match session t ~tenant with
@@ -215,12 +198,6 @@ let remove_path s id =
   | Ok (Proto.R_removed _) -> Ok ()
   | Error e -> Error e
   | Ok _ -> unexpected "remove_path"
-
-let add_arc s tail head =
-  match scall s (Proto.Add_arc { tenant = s.tenant; tail; head }) with
-  | Ok (Proto.R_arc a) -> Ok a
-  | Error e -> Error e
-  | Ok _ -> unexpected "add_arc"
 
 let submit s ops =
   match scall s (Proto.Submit { tenant = s.tenant; ops }) with

@@ -7,7 +7,7 @@
     {ul
     {- {!connect} — a remote [wld] daemon ([unix:PATH] or
        [tcp:HOST:PORT]);}
-    {- {!local} / {!of_shard} — an in-process loopback that still runs
+    {- {!local} — an in-process loopback that still runs
        every request and reply through the full [wlrpc/1] codec
        (encode, frame, unframe, decode), so switching a program between
        embedded and remote operation changes one constructor, not its
@@ -16,7 +16,13 @@
     A {!session} is a tenant handle bound to a client; all engine
     operations go through one.  One client may serve many sessions and
     is safe to share between threads (remote calls serialize on the
-    connection). *)
+    connection).
+
+    When {!Wl_obs.Trace} is enabled, every request opens a span — a trace
+    root, or a child of the caller's ambient {!Wl_obs.Ctx} — and sends
+    the context on the frame, so client, wire, shard and engine spans
+    share one trace id in a merged Chrome view.  With tracing off the
+    frames are byte-identical to the pre-context protocol. *)
 
 open Wl_core
 module Digraph = Wl_digraph.Digraph
@@ -52,26 +58,9 @@ val local :
     ([threaded] defaults to [false]: requests execute synchronously on
     the caller, which keeps engine statistics deterministic). *)
 
-val of_shard : ?json:bool -> ?seed:int -> Shard.t -> t
-(** Loopback over an existing shard set (the daemon's own, in tests). *)
-
 val close : t -> unit
 (** Remote: close the socket.  Loopback: drain the private shards.
     Idempotent; later calls return [Error (Invalid_op _)]. *)
-
-val call : t -> Proto.req -> Proto.reply
-(** Raw escape hatch: one request, one reply, full codec round trip.
-
-    When {!Wl_obs.Trace} is enabled, every call opens a span — a trace
-    root, or a child of the caller's ambient {!Wl_obs.Ctx} — and sends
-    the context on the frame, so client, wire, shard and engine spans
-    share one trace id in a merged Chrome view.  With tracing off the
-    frames are byte-identical to the pre-context protocol. *)
-
-(** {1 Admin} *)
-
-val hello : t -> (int, Error.t) result
-(** Version handshake; the daemon's protocol revision. *)
 
 val ping : t -> (unit, Error.t) result
 
@@ -87,14 +76,11 @@ val session : t -> tenant:string -> (session, Error.t) result
 val open_session : t -> tenant:string -> Instance.t -> (session, Error.t) result
 (** Open (or replace) the tenant's engine session from an instance. *)
 
-val tenant : session -> string
-
 (** {1 Engine operations} — names and shapes follow
     {!Wl_engine.Engine}. *)
 
 val add_path : session -> Digraph.vertex list -> (Engine.path_id, Error.t) result
 val remove_path : session -> Engine.path_id -> (unit, Error.t) result
-val add_arc : session -> Digraph.vertex -> Digraph.vertex -> (Digraph.arc, Error.t) result
 val submit : session -> Engine.op list -> (outcomes, Error.t) result
 val report : session -> (Proto.report, Error.t) result
 val pi : session -> (int, Error.t) result

@@ -143,9 +143,7 @@ let serve ~shard addr =
     t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
     Ok t
 
-let address t = t.addr
 let request_stop t = Atomic.set t.stop_flag true
-let stop_requested t = Atomic.get t.stop_flag
 
 let wait t =
   while not (Atomic.get t.stop_flag) do

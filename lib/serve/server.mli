@@ -30,12 +30,8 @@ val serve : shard:Shard.t -> address -> (t, Error.t) result
     socket path is unlinked first if present; TCP listeners set
     [SO_REUSEADDR].  [Error (Io _)] when the endpoint cannot be bound. *)
 
-val address : t -> address
-
 val request_stop : t -> unit
 (** Ask the server to shut down; returns immediately.  Idempotent. *)
-
-val stop_requested : t -> bool
 
 val wait : t -> (string * Engine.session) list
 (** Block until {!request_stop}, then perform the drain: close the

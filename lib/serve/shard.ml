@@ -40,7 +40,6 @@ type shard = {
           belongs to the worker domain (it is mutated outside [m]), so
           introspection requests answered on caller threads read this
           mirror under its own lock instead of racing the table. *)
-  n_sessions : int Atomic.t;
   mutable worker : unit Domain.t option;
 }
 
@@ -174,7 +173,6 @@ let handle_one t sh (req : Proto.req) : Proto.reply =
   | Proto.Open { tenant; instance } ->
     let s = Engine.create ~flight_capacity:t.flight_capacity instance in
     Flight.set_label (Engine.flight s) tenant;
-    if not (Hashtbl.mem sh.sessions tenant) then Atomic.incr sh.n_sessions;
     Hashtbl.replace sh.sessions tenant s;
     Mutex.lock sh.roster_m;
     sh.roster <- (tenant, s) :: List.remove_assoc tenant sh.roster;
@@ -212,7 +210,6 @@ let handle_one t sh (req : Proto.req) : Proto.reply =
         Mutex.lock sh.roster_m;
         sh.roster <- List.remove_assoc tenant sh.roster;
         Mutex.unlock sh.roster_m;
-        Atomic.decr sh.n_sessions;
         Ok Proto.R_evicted)
   | Proto.Hello _ | Proto.Ping | Proto.Shutdown | Proto.Dstats | Proto.Dhealth
   | Proto.Trace_dump _ ->
@@ -301,7 +298,6 @@ let create ?(threaded = true) ?(flight_capacity = 256) ~shards ~max_queue () =
       sessions = Hashtbl.create 64;
       roster_m = Mutex.create ();
       roster = [];
-      n_sessions = Atomic.make 0;
       worker = None;
     }
   in
@@ -318,11 +314,6 @@ let create ?(threaded = true) ?(flight_capacity = 256) ~shards ~max_queue () =
   if threaded then
     Array.iter (fun sh -> sh.worker <- Some (Domain.spawn (fun () -> worker_loop t sh))) t.shards;
   t
-
-let shards t = Array.length t.shards
-
-let session_count t =
-  Array.fold_left (fun acc sh -> acc + Atomic.get sh.n_sessions) 0 t.shards
 
 let draining_error = Error.Precondition "server draining"
 

@@ -38,12 +38,6 @@ val create :
     cheap.  [shards] must be positive, [max_queue] at least 1.
     @raise Invalid_argument on a non-positive [shards] or [max_queue]. *)
 
-val shards : t -> int
-
-val shard_of_tenant : shards:int -> string -> int
-(** The stable partition function (FNV-1a over the tenant bytes), exposed
-    for tests and for operators reading per-shard metrics. *)
-
 val call : ?ctx:Wl_obs.Ctx.t -> t -> Proto.req -> Proto.reply
 (** Execute one request and wait for its reply.  Tenant-scoped requests
     run on the tenant's shard; [Hello]/[Ping]/[Shutdown] are answered
@@ -62,9 +56,6 @@ val call : ?ctx:Wl_obs.Ctx.t -> t -> Proto.req -> Proto.reply
     lock-free engine read-backs, so they never queue behind (or block)
     engine work.  [Dstats] rollups merge every session's live histogram
     via {!Wl_obs.Hdr.merge_into}: true daemon-wide quantiles. *)
-
-val session_count : t -> int
-(** Open sessions across all shards (approximate under concurrency). *)
 
 val drain : t -> (string * Engine.session) list
 (** Stop accepting, flush every shard's queue, join the workers, and

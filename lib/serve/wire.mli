@@ -1,9 +1,10 @@
 (** Length-prefixed framing for the [wlrpc/1] wire protocol.
 
     A frame is a 4-byte big-endian payload length followed by the payload
-    bytes.  The length is bounded by {!max_frame} so a hostile or corrupt
-    prefix can never make a reader allocate unboundedly: readers check the
-    prefix {e before} allocating the payload buffer.
+    bytes.  The length is bounded by 16 MiB so a hostile or corrupt prefix
+    can never make a reader allocate unboundedly: readers check the prefix
+    {e before} allocating the payload buffer, and writers raise
+    [Invalid_argument] on a larger payload.
 
     Two reader surfaces share one decoder:
 
@@ -19,11 +20,6 @@
     bytes it was given. *)
 
 open Wl_core
-
-val max_frame : int
-(** Hard payload-size ceiling (16 MiB).  Frames beyond it are refused on
-    both sides: writers raise [Invalid_argument], readers report a
-    protocol error without allocating the payload. *)
 
 (** {1 In-memory codec} *)
 

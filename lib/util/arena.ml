@@ -23,10 +23,9 @@
 type t = {
   mutable slots : int array array;  (* slot k -> its reusable buffer *)
   mutable used : int;  (* watermark: slots handed out since reset *)
-  mutable grown : int;  (* lifetime count of grow events, for tests *)
 }
 
-let create () = { slots = Array.make 8 [||]; used = 0; grown = 0 }
+let create () = { slots = Array.make 8 [||]; used = 0 }
 
 (* Growth events are the arena's only steady-state health signal — a
    nonzero rate after warmup means some caller's capacity demand is still
@@ -57,7 +56,6 @@ let ints a n =
     else begin
       let fresh = Array.make (round_up n) 0 in
       a.slots.(k) <- fresh;
-      a.grown <- a.grown + 1;
       Wl_obs.Metrics.incr c_grow;
       fresh
     end
@@ -65,16 +63,8 @@ let ints a n =
   a.used <- k + 1;
   buf
 
-let ints_zeroed a n =
-  let buf = ints a n in
-  Array.fill buf 0 (Array.length buf) 0;
-  buf
-
 let mark a = a.used
 
 let release a m =
   if m < 0 || m > a.used then invalid_arg "Arena.release: bad mark";
   a.used <- m
-
-let slots_used a = a.used
-let grow_count a = a.grown

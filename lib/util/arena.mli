@@ -23,10 +23,6 @@ val ints : t -> int -> int array
     its length is at least [n].  Contents are unspecified — stale data
     from previous rounds is visible. *)
 
-val ints_zeroed : t -> int -> int array
-(** Like {!ints} but zero-filled — for one-time session initialisation,
-    not per-round hot paths. *)
-
 val mark : t -> int
 (** Current watermark, for scoped acquisition: grab a mark, acquire
     buffers, {!release} back to the mark when done — the slots (and
@@ -34,10 +30,3 @@ val mark : t -> int
 
 val release : t -> int -> unit
 (** Restore a watermark previously returned by {!mark}. *)
-
-val slots_used : t -> int
-(** Slots handed out since the last {!reset}. *)
-
-val grow_count : t -> int
-(** Lifetime number of buffer (re)allocations — a steady-state round
-    must not advance this. *)

@@ -11,8 +11,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { n; words = Array.make (max 1 (word_count n)) 0 }
 
-let capacity t = t.n
-
 let copy t = { n = t.n; words = Array.copy t.words }
 
 let check t i =
@@ -38,8 +36,6 @@ let popcount x =
   go x 0
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
-
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
@@ -70,25 +66,7 @@ let inter_into dst src =
     dst.words.(i) <- dst.words.(i) land src.words.(i)
   done
 
-let diff_into dst src =
-  same_capacity dst src;
-  for i = 0 to Array.length dst.words - 1 do
-    dst.words.(i) <- dst.words.(i) land lnot src.words.(i)
-  done
-
 let inter a b = let c = copy a in inter_into c b; c
-let union a b = let c = copy a in union_into c b; c
-let diff a b = let c = copy a in diff_into c b; c
-
-let equal a b = a.n = b.n && a.words = b.words
-
-let subset a b =
-  same_capacity a b;
-  let rec go i =
-    i >= Array.length a.words
-    || (a.words.(i) land lnot b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
 
 (* Count-trailing-zeros by byte-table steps: the old one-shift-per-bit
    loop cost ~31 iterations on average for dense sets and dominated
@@ -155,15 +133,3 @@ let first t =
     iter (fun i -> raise (Found i)) t;
     None
   with Found i -> Some i
-
-let of_list n elems =
-  let t = create n in
-  List.iter (add t) elems;
-  t
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Format.pp_print_int)
-    (elements t)

@@ -8,8 +8,6 @@ type t
 val create : int -> t
 (** [create n] is the empty set with capacity [n]. *)
 
-val capacity : t -> int
-
 val copy : t -> t
 
 val add : t -> int -> unit
@@ -19,29 +17,16 @@ val mem : t -> int -> bool
 val cardinal : t -> int
 (** Population count, O(words). *)
 
-val is_empty : t -> bool
-
 val clear : t -> unit
 (** Remove all elements. *)
 
 val fill : t -> unit
-(** Add all elements of [0 .. capacity-1]. *)
+(** Add all elements of [0 .. n-1]. *)
 
 val union_into : t -> t -> unit
 (** [union_into dst src] sets [dst := dst ∪ src]. Capacities must agree. *)
 
-val inter_into : t -> t -> unit
-(** [dst := dst ∩ src]. *)
-
-val diff_into : t -> t -> unit
-(** [dst := dst \ src]. *)
-
 val inter : t -> t -> t
-val union : t -> t -> t
-val diff : t -> t -> t
-
-val equal : t -> t -> bool
-val subset : t -> t -> bool
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate elements in increasing order. *)
@@ -51,18 +36,12 @@ val iter_ge : (int -> unit) -> t -> int -> unit
     ([lo >= 0]); whole words below [lo] are skipped, so iterating an
     upper triangle costs half of filtering inside [f]. *)
 
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 
 val first : t -> int option
 (** Smallest element, if any. *)
 
 val first_absent : t -> int
-(** Smallest [i >= 0] not in the set ([capacity t] when the set is full) —
+(** Smallest [i >= 0] not in the set (the capacity when the set is full) —
     the "first free color" query of the coloring heuristics, walking whole
     words instead of testing bits one by one. *)
-
-val of_list : int -> int list -> t
-(** [of_list n elems]. *)
-
-val pp : Format.formatter -> t -> unit

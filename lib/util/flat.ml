@@ -37,13 +37,6 @@ let of_array src : t =
   done;
   a
 
-let to_array (a : t) = Array.init (Array1.dim a) (fun i -> Array1.get a i)
-
-let blit ~(src : t) ~src_pos ~(dst : t) ~dst_pos ~len =
-  Array1.blit
-    (Array1.sub src src_pos len)
-    (Array1.sub dst dst_pos len)
-
 (* Index operators so call sites read like array code:
    [Flat.(a.%(i))] checked, [Flat.(a.!(i))] unsafe. *)
 let ( .%() ) = get

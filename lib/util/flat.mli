@@ -15,13 +15,10 @@ val create : int -> t
 
 val length : t -> int
 val get : t -> int -> int
-val set : t -> int -> int -> unit
 val unsafe_get : t -> int -> int
 val unsafe_set : t -> int -> int -> unit
 val fill : t -> int -> unit
 val of_array : int array -> t
-val to_array : t -> int array
-val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
 val ( .%() ) : t -> int -> int
 (** Checked read: [Flat.(a.%(i))]. *)

@@ -38,8 +38,7 @@ let seq_threshold_ns = 2_000_000
    on the calling domain before any spawn, falling back to a fully
    sequential map when the whole workload projects under
    {!seq_threshold_ns}. *)
-let map_array ?domains f input =
-  let n = Array.length input in
+let init ?domains n f =
   let requested = match domains with Some d -> d | None -> default_domains () in
   let d = min requested (Domain.recommended_domain_count ()) in
   if d < requested then Metrics.incr m_domains_clamped;
@@ -47,7 +46,7 @@ let map_array ?domains f input =
   Metrics.add m_items n;
   if d <= 1 || n <= 1 then begin
     if requested > 1 && n > 1 then Metrics.incr m_seq_fallbacks;
-    Array.map f input
+    Array.init n f
   end
   else begin
     let d = min d n in
@@ -55,13 +54,13 @@ let map_array ?domains f input =
     (* Probe: run the first block sequentially and project the total. *)
     let t0 = Clock.now_ns () in
     let probe_len = min block n in
-    let probe = Array.init probe_len (fun i -> f input.(i)) in
+    let probe = Array.init probe_len f in
     let elapsed = Clock.now_ns () - t0 in
     let estimate = elapsed * n / probe_len in
     if estimate < seq_threshold_ns then begin
       Metrics.incr m_seq_fallbacks;
       Metrics.incr m_chunks;
-      Array.init n (fun i -> if i < probe_len then probe.(i) else f input.(i))
+      Array.init n (fun i -> if i < probe_len then probe.(i) else f i)
     end
     else begin
       let next = Atomic.make probe_len in
@@ -73,7 +72,7 @@ let map_array ?domains f input =
           else begin
             incr chunks;
             let len = min block (n - lo) in
-            let buf = Array.init len (fun i -> f input.(lo + i)) in
+            let buf = Array.init len (fun i -> f (lo + i)) in
             claim ((lo, buf) :: acc)
           end
         in
@@ -105,11 +104,7 @@ let map_array ?domains f input =
     end
   end
 
-let map_array ?domains f input =
+let init ?domains n f =
   if Trace.enabled () then
-    Trace.with_span
-      ~args:[ ("items", Trace.Int (Array.length input)) ]
-      "parallel.map" (fun () -> map_array ?domains f input)
-  else map_array ?domains f input
-
-let init ?domains n f = map_array ?domains f (Array.init n Fun.id)
+    Trace.with_span ~args:[ ("items", Trace.Int n) ] "parallel.map" (fun () -> init ?domains n f)
+  else init ?domains n f

@@ -33,9 +33,6 @@
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count], capped at 8. *)
 
-val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map]; preserves order.  [domains] defaults to
-    {!default_domains}; values [<= 1] run sequentially. *)
-
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init]. *)
+(** Parallel [Array.init]; preserves order.  [domains] defaults to
+    {!default_domains}; values [<= 1] run sequentially. *)

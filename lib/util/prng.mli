@@ -3,8 +3,7 @@
     All randomized code in this repository draws from this generator so that
     every test, example and benchmark is reproducible from a seed.  The
     implementation is the standard SplitMix64 mixer (Steele, Lea, Flood 2014),
-    which is statistically solid for simulation workloads and trivially
-    splittable. *)
+    which is statistically solid for simulation workloads. *)
 
 type t
 (** Mutable generator state. *)
@@ -13,16 +12,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    (for practical purposes) independent of the remainder of [t]'s. *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
@@ -30,17 +19,11 @@ val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. Requires
     [lo <= hi]. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
-
 val bool : t -> bool
 (** Fair coin. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. Raises [Invalid_argument] on an

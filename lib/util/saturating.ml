@@ -19,7 +19,3 @@ let mul a b =
 let is_saturated x = x >= cap
 let compare = Int.compare
 let equal = Int.equal
-
-let pp ppf x =
-  if is_saturated x then Format.fprintf ppf ">=%d" cap
-  else Format.pp_print_int ppf x

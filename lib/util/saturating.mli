@@ -8,9 +8,6 @@ type t = private int
 (** A saturated count: either an exact value [< cap] or [cap] meaning
     "at least cap". *)
 
-val cap : int
-(** Saturation ceiling (a large value, currently [max_int / 4]). *)
-
 val zero : t
 val one : t
 val of_int : int -> t
@@ -22,4 +19,3 @@ val mul : t -> t -> t
 val is_saturated : t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
-type t = { parent : int array; rank : int array; mutable classes : int }
+type t = { parent : int array; rank : int array }
 
 let create n =
-  { parent = Array.init n (fun i -> i); rank = Array.make n 0; classes = n }
+  { parent = Array.init n (fun i -> i); rank = Array.make n 0 }
 
 let rec find t x =
   let p = t.parent.(x) in
@@ -16,7 +16,6 @@ let union t a b =
   let ra = find t a and rb = find t b in
   if ra = rb then false
   else begin
-    t.classes <- t.classes - 1;
     if t.rank.(ra) < t.rank.(rb) then t.parent.(ra) <- rb
     else if t.rank.(ra) > t.rank.(rb) then t.parent.(rb) <- ra
     else begin
@@ -25,17 +24,3 @@ let union t a b =
     end;
     true
   end
-
-let same t a b = find t a = find t b
-
-let count t = t.classes
-
-let class_sizes t =
-  let n = Array.length t.parent in
-  let tbl = Hashtbl.create 16 in
-  for i = 0 to n - 1 do
-    let r = find t i in
-    Hashtbl.replace tbl r (1 + Option.value ~default:0 (Hashtbl.find_opt tbl r))
-  done;
-  Hashtbl.fold (fun r c acc -> (r, c) :: acc) tbl []
-  |> List.sort compare

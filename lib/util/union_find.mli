@@ -1,7 +1,7 @@
 (** Disjoint-set forest with union by rank and path compression.
 
     Used for undirected cycle detection (an edge joining two vertices already
-    in the same class closes a cycle) and for connected-component counting. *)
+    in the same class closes a cycle) and for connected components. *)
 
 type t
 
@@ -14,12 +14,3 @@ val find : t -> int -> int
 val union : t -> int -> int -> bool
 (** [union t a b] merges the classes of [a] and [b]. Returns [false] when
     they were already in the same class (i.e. the union closed a cycle). *)
-
-val same : t -> int -> int -> bool
-(** Whether two elements share a class. *)
-
-val count : t -> int
-(** Number of distinct classes. *)
-
-val class_sizes : t -> (int * int) list
-(** [(representative, size)] for every class. *)

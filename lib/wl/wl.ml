@@ -71,5 +71,3 @@ let session = Wl_serve.Client.session
 let local = Wl_serve.Client.local
 
 let version = 2
-(** Serialization format version this build writes by default
-    ({!Serial.current_version}). *)

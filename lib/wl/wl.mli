@@ -101,11 +101,10 @@ module Client = Wl_serve.Client
 
 (** {1 Convenience} *)
 
-val solve : ?exact_limit:int -> Instance.t -> Solver.report
+val solve : Instance.t -> Solver.report
 (** {!Solver.solve}. *)
 
-val solve_result :
-  ?exact_limit:int -> Instance.t -> (Solver.report, Error.t) result
+val solve_result : Instance.t -> (Solver.report, Error.t) result
 (** {!Solver.solve_result}. *)
 
 val connect : ?json:bool -> ?seed:int -> string -> (Client.t, Error.t) result
@@ -128,5 +127,5 @@ val local :
     that still exercises the full codec. *)
 
 val version : int
-(** Serialization format version this build writes by default
-    ({!Serial.current_version}). *)
+(** Serialization format version this build writes by default (the
+    [wl 2] header of {!Serial.to_string}). *)

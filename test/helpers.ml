@@ -88,13 +88,64 @@ let brute_chromatic g =
     search 1
   end
 
+let pairwise rel vs =
+  let rec go = function [] -> true | v :: rest -> List.for_all (rel v) rest && go rest in
+  go vs
+
+let is_clique g vs = pairwise (Wl_conflict.Ugraph.mem_edge g) vs
+let is_independent g vs = pairwise (fun u v -> not (Wl_conflict.Ugraph.mem_edge g u v)) vs
+
+let ugraph_of_edges n es =
+  let g = Wl_conflict.Ugraph.create n in
+  List.iter (fun (u, v) -> Wl_conflict.Ugraph.add_edge g u v) es;
+  g
+
+(* Each edge once, as [(min, max)] pairs, sorted. *)
+let ugraph_edges g =
+  let acc = ref [] in
+  Wl_conflict.Ugraph.iter_edges (fun u v -> acc := (u, v) :: !acc) g;
+  List.rev !acc
+
+(* Same vertex count and same arc set, labels and arc ids aside. *)
+let same_graph g1 g2 =
+  Digraph.n_vertices g1 = Digraph.n_vertices g2
+  && List.sort compare (Digraph.arcs g1) = List.sort compare (Digraph.arcs g2)
+
+(* Family indices through an arc, ascending. *)
+let paths_through inst a =
+  let acc = ref [] in
+  Wl_core.Instance.paths_through_iter inst a (fun i -> acc := i :: !acc);
+  List.rev !acc
+
+(* One hop-shortest dipath per routable ordered pair: on a UPP-DAG, the
+   unique one. *)
+let all_to_all_instance dag =
+  match
+    Wl_core.Routing.instance_of dag Wl_core.Routing.route_shortest
+      (Wl_core.Routing.all_to_all dag)
+  with
+  | Ok inst -> inst
+  | Error e -> invalid_arg (Wl_core.Error.to_string e)
+
+(* A counter's value, or a histogram's snapshot, as the metrics registry
+   reports it: an instrument never touched reads as 0 / empty. *)
+let counter_value name =
+  match List.assoc_opt name (Wl_obs.Metrics.snapshot ()) with
+  | Some (Wl_obs.Metrics.Counter v) -> v
+  | _ -> 0
+
+let histogram_snapshot name =
+  match List.assoc_opt name (Wl_obs.Metrics.snapshot ()) with
+  | Some (Wl_obs.Metrics.Histogram s) -> s
+  | _ -> { Wl_obs.Hdr.count = 0; sum = 0; min = 0; max = 0; p50 = 0; p90 = 0; p99 = 0; p999 = 0 }
+
 (* Brute-force maximum clique by subset enumeration, for tiny graphs. *)
 let brute_clique_number g =
   let n = Wl_conflict.Ugraph.n_vertices g in
   let best = ref 0 in
   for mask = 0 to (1 lsl n) - 1 do
     let vs = List.filter (fun v -> mask land (1 lsl v) <> 0) (List.init n Fun.id) in
-    if List.length vs > !best && Wl_conflict.Ugraph.is_clique g vs then
+    if List.length vs > !best && is_clique g vs then
       best := List.length vs
   done;
   !best

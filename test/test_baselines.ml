@@ -20,15 +20,6 @@ let first_fit_at_least_pi =
       Assignment.n_wavelengths (Assignment.normalize (Baselines.first_fit inst))
       >= Load.pi inst)
 
-let best_of_orders_no_worse =
-  qtest "best-of-random-orders <= plain first-fit" seed_gen ~count:25
-    (fun seed ->
-      let inst = random_instance ~n:14 ~k:12 seed in
-      let rng = Prng.create seed in
-      Assignment.n_wavelengths
-        (Assignment.normalize (Baselines.best_of_random_orders rng ~tries:8 inst))
-      <= Assignment.n_wavelengths (Assignment.normalize (Baselines.first_fit inst)))
-
 (* A crafted order where first-fit is forced above the optimum: the fig1
    staircase processed in its natural order yields w = k = chromatic, so
    instead exhibit suboptimality on a no-internal-cycle instance. *)
@@ -85,11 +76,6 @@ let first_fit_gap_exists =
       done;
       check "gap witnessed" true !found)
 
-let test_rejects_bad_order () =
-  let inst = random_instance ~n:8 ~k:5 1 in
-  Alcotest.check_raises "wrong length" (Invalid_argument "Baselines.first_fit_order")
-    (fun () -> ignore (Baselines.first_fit_order [| 0; 1 |] inst))
-
 let suite =
   [
     ( "baselines",
@@ -97,9 +83,7 @@ let suite =
         first_fit_valid;
         random_order_valid;
         first_fit_at_least_pi;
-        best_of_orders_no_worse;
         Alcotest.test_case "crafted instance" `Quick test_first_fit_can_be_suboptimal;
         first_fit_gap_exists;
-        Alcotest.test_case "rejects bad order" `Quick test_rejects_bad_order;
       ] );
   ]

@@ -12,9 +12,9 @@ let all_vertices inst =
 
 let test_no_converters_is_identity () =
   let inst = Figures.fig3 () in
-  let split = Conversion.split_instance inst ~converters:[] in
-  check_int "same family size" (Instance.n_paths inst) (Instance.n_paths split);
-  check_int "same w" 3 (w_of (Conversion.wavelengths inst ~converters:[]))
+  let r = Conversion.wavelengths inst ~converters:[] in
+  check_int "same family size" (Instance.n_paths inst) (Array.length r.Solver.assignment);
+  check_int "same w" 3 (w_of r)
 
 let test_full_conversion_gives_pi () =
   (* Figure 3: w = 3 > 2 = pi; full conversion recovers pi. *)
@@ -53,10 +53,20 @@ let segments_count_consistent =
         Prng.sample_without_replacement rng 4
           (Wl_digraph.Digraph.n_vertices (Instance.graph inst))
       in
-      let counts = Conversion.segments_of inst ~converters in
-      let split = Conversion.split_instance inst ~converters in
-      List.fold_left ( + ) 0 counts = Instance.n_paths split
-      && List.for_all (fun c -> c >= 1) counts)
+      (* one segment per dipath, plus one per interior converter vertex *)
+      let segments p =
+        let vs = Array.of_list (Wl_digraph.Dipath.vertices p) in
+        let cuts = ref 0 in
+        for i = 1 to Array.length vs - 2 do
+          if List.mem vs.(i) converters then incr cuts
+        done;
+        1 + !cuts
+      in
+      let expected =
+        List.fold_left (fun acc p -> acc + segments p) 0 (Instance.paths_list inst)
+      in
+      (* the report's assignment indexes the segments *)
+      Array.length (Conversion.wavelengths inst ~converters).Solver.assignment = expected)
 
 let split_preserves_load =
   qtest "splitting never changes any arc load" seed_gen ~count:30 (fun seed ->
@@ -66,8 +76,9 @@ let split_preserves_load =
         Prng.sample_without_replacement rng 4
           (Wl_digraph.Digraph.n_vertices (Instance.graph inst))
       in
-      let split = Conversion.split_instance inst ~converters in
-      Load.load_profile inst = Load.load_profile split)
+      (* the per-arc loads of the segment family are internal; its load is
+         the report's pi *)
+      (Conversion.wavelengths inst ~converters).Solver.pi = Load.pi inst)
 
 let test_single_converter_on_fig3 () =
   (* Converting at the right vertex of figure 3 already breaks the C5. *)

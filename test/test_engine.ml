@@ -1,6 +1,6 @@
 (* Tests for the incremental engine: deterministic exercises of every warm
    path (free color, fresh color, Kempe repair, shrink, fallback), the
-   classification flip, snapshot/rollback, batched submission — and the
+   classification flip, batched submission — and the
    central equivalence property: after ANY op sequence the session reports
    exactly what a fresh solve of the materialized instance reports. *)
 
@@ -38,6 +38,16 @@ let instance_of_arcs n arcs paths =
   let dag = Dag.of_digraph_exn g in
   Instance.make dag (List.map (fun vs -> Dipath.make g vs) paths)
 
+(* Warm mode, observed from outside: a report that runs no full solve.
+   Reporting a dirty session re-solves it, so the probe itself leaves the
+   session solved. *)
+let is_warm s =
+  let before = (Engine.stats s).Engine.full_solves in
+  ignore (Engine.report s);
+  (Engine.stats s).Engine.full_solves = before
+
+let classification s = Wl_dag.Classify.classify (Instance.dag (Engine.instance s))
+
 (* Warm the session: the first query after [create] runs the one cold
    solve, after which a no-internal-cycle session is in warm mode. *)
 let warmed ?repair_budget inst =
@@ -52,13 +62,13 @@ let base_arcs = [ (0, 1); (1, 2); (2, 3); (4, 5) ]
 let test_warm_hit () =
   let inst = instance_of_arcs 6 base_arcs [ [ 4; 5 ]; [ 4; 5 ]; [ 4; 5 ] ] in
   let s = warmed inst in
-  check "warm after first solve" true (Engine.is_warm s);
+  check "warm after first solve" true (is_warm s);
   check_int "pi" 3 (Engine.pi s);
   let _ = ok_exn "add" (Engine.add_path s [ 0; 1 ]) in
   let st = Engine.stats s in
   check_int "warm hit" 1 st.Engine.warm_hits;
   check_int "one solve only" 1 st.Engine.full_solves;
-  check "still warm" true (Engine.is_warm s);
+  check "still warm" true (is_warm s);
   check "equivalent" true (equivalent s);
   (* the report was produced warm, without a second solve *)
   check_int "still one solve" 1 (Engine.stats s).Engine.full_solves
@@ -93,14 +103,14 @@ let repair_session ?repair_budget () =
 
 let test_kempe_repair () =
   let s = repair_session () in
-  check "warm before repair" true (Engine.is_warm s);
+  check "warm before repair" true (is_warm s);
   let before = Engine.stats s in
   let _ = ok_exn "add long" (Engine.add_path s [ 0; 1; 2; 3 ]) in
   let st = Engine.stats s in
   check_int "one repair" (before.Engine.repairs + 1) st.Engine.repairs;
   check_int "single flip" 1 (st.Engine.repair_flips - before.Engine.repair_flips);
   check_int "no fallback" 0 st.Engine.fallbacks;
-  check "still warm" true (Engine.is_warm s);
+  check "still warm" true (is_warm s);
   check_int "still optimal at 3" 3 (Engine.report s).Solver.n_wavelengths;
   check "equivalent" true (equivalent s)
 
@@ -109,7 +119,7 @@ let test_budget_exhaustion_falls_back () =
   let _ = ok_exn "add long" (Engine.add_path s [ 0; 1; 2; 3 ]) in
   let st = Engine.stats s in
   check_int "fallback" 1 st.Engine.fallbacks;
-  check "dirty now" false (Engine.is_warm s);
+  check "dirty now" false (is_warm s);
   (* the report transparently re-solves and is still exact *)
   check "equivalent" true (equivalent s);
   check_int "second solve" 2 (Engine.stats s).Engine.full_solves
@@ -119,7 +129,7 @@ let test_warm_remove_and_shrink () =
      0,1; X on (2,3) wears 0.  Removing A drops pi to 1 while both classes
      stay inhabited — only the greedy shrink can restore palette = pi. *)
   let g = Digraph.of_arcs 4 [ (0, 1); (2, 3) ] in
-  let s = ok_exn "of_digraph" (Engine.of_digraph g) in
+  let s = Engine.create (Instance.make (Dag.of_digraph_exn g) []) in
   ignore (Engine.report s);
   let a = ok_exn "a" (Engine.add_path s [ 0; 1 ]) in
   let _b = ok_exn "b" (Engine.add_path s [ 0; 1 ]) in
@@ -128,7 +138,7 @@ let test_warm_remove_and_shrink () =
   ok_exn "rm a" (Engine.remove_path s a);
   let st = Engine.stats s in
   check_int "shrink" 1 st.Engine.shrink_recolors;
-  check "still warm" true (Engine.is_warm s);
+  check "still warm" true (is_warm s);
   check_int "pi down" 1 (Engine.pi s);
   check_int "wavelengths down" 1 (Engine.report s).Solver.n_wavelengths;
   check "equivalent" true (equivalent s)
@@ -137,7 +147,7 @@ let test_remove_empties_class () =
   let inst = instance_of_arcs 6 base_arcs [ [ 0; 1 ]; [ 0; 1 ]; [ 0; 1 ] ] in
   let s = warmed inst in
   ok_exn "rm 2" (Engine.remove_path s 2);
-  check "warm" true (Engine.is_warm s);
+  check "warm" true (is_warm s);
   check_int "wavelengths" 2 (Engine.report s).Solver.n_wavelengths;
   check "equivalent" true (equivalent s);
   ok_exn "rm 1" (Engine.remove_path s 1);
@@ -186,14 +196,14 @@ let fed_diamond_arcs = [ (0, 1); (0, 2); (1, 3); (2, 3); (4, 0) ]
 let test_classification_flip_forces_resolve () =
   let inst = instance_of_arcs 6 fed_diamond_arcs [ [ 0; 1; 3 ]; [ 0; 2; 3 ] ] in
   let s = warmed inst in
-  check "warm" true (Engine.is_warm s);
+  check "warm" true (is_warm s);
   check_int "no internal cycle" 0
-    (Engine.classification s).Wl_dag.Classify.n_internal_cycles;
+    (classification s).Wl_dag.Classify.n_internal_cycles;
   let solves_before = (Engine.stats s).Engine.full_solves in
   let _arc = ok_exn "add arc" (Engine.add_arc s 3 5) in
-  check "flip ends warm mode" false (Engine.is_warm s);
+  check "flip ends warm mode" false (is_warm s);
   check_int "internal cycle seen" 1
-    (Engine.classification s).Wl_dag.Classify.n_internal_cycles;
+    (classification s).Wl_dag.Classify.n_internal_cycles;
   (* the next query must be a genuine re-solve *)
   check "equivalent" true (equivalent s);
   check_int "forced full solve" (solves_before + 1)
@@ -206,42 +216,11 @@ let test_add_arc_keeps_warm_when_still_nic () =
   let inst = instance_of_arcs 6 base_arcs [ [ 0; 1; 2 ]; [ 1; 2; 3 ] ] in
   let s = warmed inst in
   let _ = ok_exn "arc" (Engine.add_arc s 0 4) in
-  check "still warm" true (Engine.is_warm s);
+  check "still warm" true (is_warm s);
   check "equivalent" true (equivalent s);
   (* new arc is usable by later paths *)
   let _ = ok_exn "path over new arc" (Engine.add_path s [ 0; 4; 5 ]) in
   check "equivalent 2" true (equivalent s)
-
-(* --- snapshot / rollback ----------------------------------------------------- *)
-
-let test_snapshot_rollback () =
-  let inst = instance_of_arcs 6 base_arcs [ [ 0; 1 ]; [ 1; 2 ] ] in
-  let s = warmed inst in
-  let r0 = Engine.report s in
-  let snap = Engine.snapshot s in
-  let _ = ok_exn "add" (Engine.add_path s [ 0; 1; 2; 3 ]) in
-  ok_exn "rm" (Engine.remove_path s 0);
-  let _ = ok_exn "arc" (Engine.add_arc s 3 5) in
-  check "changed" true (Engine.n_live_paths s = 2 && Engine.report s <> r0);
-  ok_exn "rollback" (Engine.rollback s snap);
-  let r1 = Engine.report s in
-  check_int "paths restored" 2 (Engine.n_live_paths s);
-  check "report restored" true
-    (r1.Solver.n_wavelengths = r0.Solver.n_wavelengths
-    && r1.Solver.assignment = r0.Solver.assignment);
-  check "equivalent" true (equivalent s);
-  (* snapshots are reusable *)
-  let _ = ok_exn "add again" (Engine.add_path s [ 0; 1 ]) in
-  ok_exn "rollback again" (Engine.rollback s snap);
-  check_int "restored again" 2 (Engine.n_live_paths s)
-
-let test_foreign_snapshot_rejected () =
-  let inst = instance_of_arcs 6 base_arcs [ [ 0; 1 ] ] in
-  let s1 = warmed inst and s2 = warmed inst in
-  let snap = Engine.snapshot s1 in
-  match Engine.rollback s2 snap with
-  | Error (Error.Invalid_op _) -> ()
-  | _ -> Alcotest.fail "foreign snapshot accepted"
 
 (* --- the frozen DAG: one graph copy per add_arc, not per full solve ---------- *)
 
@@ -264,27 +243,6 @@ let test_instance_sees_arcs_added_before_it () =
     (Digraph.find_arc (Instance.graph after) 4 5 = Some a);
   check "later DAG is a new one" true (Instance.dag before != Instance.dag after);
   check "equivalent" true (equivalent s)
-
-let test_rollback_across_add_arc () =
-  let s = cyclic_session () in
-  let r0 = Engine.report s in
-  let arcs0 = Digraph.arcs (Instance.graph (Engine.instance s)) in
-  let snap = Engine.snapshot s in
-  let _ = ok_exn "arc" (Engine.add_arc s 1 2) in
-  let _ = ok_exn "path over it" (Engine.add_path s [ 0; 1; 2; 3 ]) in
-  ignore (Engine.report s);
-  ok_exn "rollback" (Engine.rollback s snap);
-  let g = Instance.graph (Engine.instance s) in
-  check "arc set restored" true (Digraph.arcs g = arcs0);
-  check "new arc gone" false (Digraph.mem_arc g 1 2);
-  let r1 = Engine.report s in
-  check "answers restored" true
-    (r1.Solver.n_wavelengths = r0.Solver.n_wavelengths
-    && r1.Solver.assignment = r0.Solver.assignment);
-  check "equivalent" true (equivalent s);
-  (* and the restored session still takes the arc afresh *)
-  let _ = ok_exn "arc again" (Engine.add_arc s 1 2) in
-  check "equivalent after re-adding" true (equivalent s)
 
 let test_dirty_reports_share_one_dag () =
   let s = cyclic_session () in
@@ -448,13 +406,10 @@ let suite =
           test_classification_flip_forces_resolve;
         Alcotest.test_case "add_arc keeps warm" `Quick
           test_add_arc_keeps_warm_when_still_nic;
-        Alcotest.test_case "snapshot rollback" `Quick test_snapshot_rollback;
         Alcotest.test_case "instance sees arcs added before it" `Quick
           test_instance_sees_arcs_added_before_it;
-        Alcotest.test_case "rollback across add_arc" `Quick test_rollback_across_add_arc;
         Alcotest.test_case "dirty reports share one DAG" `Quick
           test_dirty_reports_share_one_dag;
-        Alcotest.test_case "foreign snapshot" `Quick test_foreign_snapshot_rejected;
         Alcotest.test_case "submit batch" `Quick test_submit_batch;
         equivalence_random;
         equivalence_no_budget;

@@ -21,25 +21,17 @@ let test_prng_contracts () =
   check "sample bad k" true
     (raises_invalid (fun () -> Prng.sample_without_replacement rng 5 3))
 
-let test_permutation_contracts () =
-  check "compose mismatch" true
-    (raises_invalid (fun () ->
-         Wl_util.Permutation.compose
-           (Wl_util.Permutation.identity 2)
-           (Wl_util.Permutation.identity 3)));
-  check "bijections mismatch" true
-    (raises_invalid (fun () ->
-         Wl_util.Permutation.of_two_bijections [| 1; 1 |] [| 1; 2 |]))
-
 let line n = Digraph.of_arcs n (List.init (n - 1) (fun i -> (i, i + 1)))
 
 let test_dipath_contracts () =
   let g = line 5 in
   let p = Dipath.make g [ 0; 1; 2 ] in
-  check "sub bad indices" true (raises_invalid (fun () -> Dipath.sub g p 2 1));
-  check "sub out of range" true (raises_invalid (fun () -> Dipath.sub g p 0 9));
-  check "sub_between wrong order" true
-    (raises_invalid (fun () -> Dipath.sub_between g p 2 0))
+  check "make without an arc" true (raises_invalid (fun () -> Dipath.make g [ 0; 2 ]));
+  check "make one vertex" true (raises_invalid (fun () -> Dipath.make g [ 0 ]));
+  check "make out of range" true (raises_invalid (fun () -> Dipath.make g [ 3; 4; 5 ]));
+  check "of_arcs not chaining" true (raises_invalid (fun () -> Dipath.of_arcs g [ 0; 2 ]));
+  check "of_arcs bad arc" true
+    (raises_invalid (fun () -> Dipath.of_arcs g [ Dipath.n_arcs p + 9 ]))
 
 let test_instance_contracts () =
   let g = line 4 in
@@ -47,7 +39,7 @@ let test_instance_contracts () =
   let inst = Instance.make dag [ Dipath.make g [ 0; 1 ] ] in
   check "path index" true (raises_invalid (fun () -> Instance.path inst 1));
   check "paths_through bad arc" true
-    (raises_invalid (fun () -> Instance.paths_through inst 99));
+    (raises_invalid (fun () -> Instance.n_paths_through inst 99));
   check "arc_load bad arc" true (raises_invalid (fun () -> Load.arc_load inst (-1)));
   check "max_load_arc_among empty" true
     (raises_invalid (fun () -> Load.max_load_arc_among inst []))
@@ -91,14 +83,6 @@ let test_exact_contracts () =
   check "k_colorable negative" true
     (raises_invalid (fun () -> Wl_conflict.Exact.k_colorable g (-1)))
 
-let test_baselines_contracts () =
-  let g = line 4 in
-  let dag = Dag.of_digraph_exn g in
-  let inst = Instance.make dag [ Dipath.make g [ 0; 1 ] ] in
-  check "best_of tries 0" true
-    (raises_invalid (fun () ->
-         Baselines.best_of_random_orders (Prng.create 1) ~tries:0 inst))
-
 (* The CLI dispatches on these, so every constructor must keep a distinct
    sysexits-style code and a printable message. *)
 let test_error_exit_codes () =
@@ -122,10 +106,8 @@ let test_error_exit_codes () =
       check "sysexits range" true (code >= 64 && code <= 78);
       check "message nonempty" true (String.length (Error.to_string e) > 0))
     samples codes;
-  (* get_exn mirrors raise_error *)
-  check_int "get_exn ok" 5 (Error.get_exn (Ok 5));
-  check "get_exn raises" true
-    (match Error.get_exn (Error (Error.Io "x")) with
+  check "raise_error raises" true
+    (match Error.raise_error (Error.Io "x") with
     | exception Error.Error (Error.Io "x") -> true
     | _ -> false)
 
@@ -172,14 +154,12 @@ let suite =
     ( "contracts",
       [
         Alcotest.test_case "prng" `Quick test_prng_contracts;
-        Alcotest.test_case "permutation" `Quick test_permutation_contracts;
         Alcotest.test_case "dipath" `Quick test_dipath_contracts;
         Alcotest.test_case "instance and load" `Quick test_instance_contracts;
         Alcotest.test_case "grooming" `Quick test_grooming_contracts;
         Alcotest.test_case "replication and bounds" `Quick test_replication_contracts;
         Alcotest.test_case "generators" `Quick test_generator_contracts;
         Alcotest.test_case "exact coloring" `Quick test_exact_contracts;
-        Alcotest.test_case "baselines" `Quick test_baselines_contracts;
         Alcotest.test_case "error exit codes" `Quick test_error_exit_codes;
         Alcotest.test_case "error wire codes" `Quick test_error_wire_codes;
       ] );

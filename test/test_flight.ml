@@ -2,10 +2,9 @@
    and the engine wiring (every session carries one; a failing audit or a
    rejected op trips the dump handler with the op tail that led there).
 
-   The JSONL dump is the replayable record: of_jsonl must reproduce the
-   entry list byte-for-byte-equivalently, and the Chrome dump must pass
-   the same validator as solver traces so one `wl trace-check` serves
-   both. *)
+   The JSONL dump is the replayable record: read back as JSON it must
+   reproduce every recorded field, and the Chrome dump must pass the same
+   validator as solver traces so one `wl trace-check` serves both. *)
 
 open Helpers
 module Flight = Wl_obs.Flight
@@ -23,6 +22,57 @@ let outcomes =
      Flight.Dirty; Flight.Warm_remove; Flight.Shrink; Flight.Ok;
      Flight.Rejected; Flight.Failed |]
 
+let kind_names = [| "add_path"; "remove_path"; "add_arc"; "full_solve"; "audit" |]
+
+let outcome_names =
+  [| "warm_hit"; "fresh_color"; "repair"; "fallback"; "dirty"; "warm_remove"; "shrink";
+     "ok"; "rejected"; "failed" |]
+
+(* One JSONL dump line, read back through Jsonx. *)
+type line = {
+  seq : int;
+  t_ns : int;
+  dur_ns : int;
+  op : string;
+  outcome : string;
+  arcs : int;
+  palette : int;
+  pi : int;
+}
+
+let read_jsonl text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map (fun l ->
+         match Wl_json.Jsonx.parse l with
+         | Error e -> Alcotest.failf "bad JSONL line %S: %s" l e
+         | Ok j ->
+           let int k = Option.get (Option.bind (Wl_json.Jsonx.member k j) Wl_json.Jsonx.to_int) in
+           let str k = Option.get (Option.bind (Wl_json.Jsonx.member k j) Wl_json.Jsonx.to_str) in
+           {
+             seq = int "seq";
+             t_ns = int "t_ns";
+             dur_ns = int "dur_ns";
+             op = str "op";
+             outcome = str "outcome";
+             arcs = int "arcs";
+             palette = int "palette";
+             pi = int "pi";
+           })
+
+(* The dump line [record_n] writes for op [i]. *)
+let expected_line i =
+  {
+    seq = i;
+    t_ns = i * 1000;
+    dur_ns = i * 10;
+    op = kind_names.(i mod Array.length kinds);
+    outcome = outcome_names.(i mod Array.length outcomes);
+    arcs = i mod 7;
+    palette = i mod 5;
+    pi = i mod 5;
+  }
+
 let record_n f n =
   for i = 0 to n - 1 do
     Flight.record f
@@ -32,51 +82,25 @@ let record_n f n =
       ~dur_ns:(i * 10) ~arcs:(i mod 7) ~palette:(i mod 5) ~pi:(i mod 5) ~trace:0
   done
 
+(* A capacity of 12 rounds up to 16: the ring keeps the last 16 ops. *)
 let test_ring_retention () =
-  let f = Flight.create ~capacity:16 () in
-  check_int "capacity rounds to a power of two" 16 (Flight.capacity f);
+  let f = Flight.create ~capacity:12 () in
   record_n f 40;
   check_int "lifetime count" 40 (Flight.total f);
-  let es = Flight.entries f in
+  let es = read_jsonl (Flight.to_jsonl f) in
   check_int "holds the last capacity ops" 16 (List.length es);
-  let seqs = List.map (fun e -> e.Flight.seq) es in
   check "oldest retained is total - capacity" true
-    (seqs = List.init 16 (fun i -> 24 + i));
+    (List.map (fun e -> e.seq) es = List.init 16 (fun i -> 24 + i));
   (* Field round-trip through the packed ring, including the relative
      timestamp (origin = first recorded t_ns). *)
-  List.iter
-    (fun e ->
-      let i = e.Flight.seq in
-      check_int "t_ns relative to origin" (i * 1000) e.Flight.t_ns;
-      check_int "dur" (i * 10) e.Flight.dur_ns;
-      check "kind" true (e.Flight.kind = kinds.(i mod 5));
-      check "outcome" true (e.Flight.outcome = outcomes.(i mod 10));
-      check_int "arcs" (i mod 7) e.Flight.arcs;
-      check_int "palette" (i mod 5) e.Flight.palette;
-      check_int "pi" (i mod 5) e.Flight.pi)
-    es;
-  check_int "last=4 trims" 4 (List.length (Flight.entries ~last:4 f))
+  List.iter (fun e -> check "fields" true (e = expected_line e.seq)) es;
+  check_int "last=4 trims" 4 (List.length (read_jsonl (Flight.to_jsonl ~last:4 f)))
 
 let test_jsonl_roundtrip () =
   let f = Flight.create ~capacity:32 () in
   record_n f 50;
-  match Flight.of_jsonl (Flight.to_jsonl f) with
-  | Error e -> Alcotest.fail ("of_jsonl: " ^ e)
-  | Ok replayed ->
-    check "JSONL replays the recorded op tail exactly" true
-      (replayed = Flight.entries f)
-
-let test_jsonl_rejects_garbage () =
-  (match Flight.of_jsonl "{\"seq\": 0}\n" with
-  | Error e -> check "missing fields located" true (String.length e > 0)
-  | Ok _ -> Alcotest.fail "accepted a truncated record");
-  match
-    Flight.of_jsonl
-      "{\"seq\": 0, \"t_ns\": 0, \"dur_ns\": 0, \"op\": \"warp\", \
-       \"outcome\": \"ok\", \"arcs\": 0, \"palette\": 0, \"pi\": 0}\n"
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted an unknown op kind"
+  check "JSONL replays the recorded op tail exactly" true
+    (read_jsonl (Flight.to_jsonl f) = List.init 32 (fun i -> expected_line (18 + i)))
 
 let test_chrome_dump_validates () =
   let f = Flight.create ~capacity:64 ~tid:3 () in
@@ -93,11 +117,10 @@ let test_trigger_latch () =
     ~finally:(fun () -> Flight.set_dump_handler None)
     (fun () ->
       let f = Flight.create () in
-      check "not dumped initially" false (Flight.dumped f);
+      check "not dumped initially" true (!fired = []);
       Flight.trigger ~reason:"first" f;
       Flight.trigger ~reason:"second" f;
-      check "latched after the first trigger" true (Flight.dumped f);
-      check "handler ran exactly once" true (!fired = [ "first" ]);
+      check "latched after the first trigger" true (!fired = [ "first" ]);
       Flight.rearm f;
       Flight.trigger ~reason:"third" f;
       check "rearm re-enables the dump" true (!fired = [ "third"; "first" ]))
@@ -112,10 +135,11 @@ let churn session pool rounds =
     pool
 
 let test_engine_audit_failure_dumps () =
-  let captured = ref None in
+  let captured = ref None and fires = ref 0 in
   Flight.set_dump_handler
     (Some
        (fun ~reason f ->
+         incr fires;
          captured := Some (reason, Flight.to_jsonl f, Flight.to_chrome f)));
   Fun.protect
     ~finally:(fun () -> Flight.set_dump_handler None)
@@ -139,15 +163,14 @@ let test_engine_audit_failure_dumps () =
         | Ok n -> check "dump has the op tail" true (n > 0)
         | Error e -> Alcotest.fail ("dump trace invalid: " ^ e));
         (* ...and the JSONL replays the tail, ending in the audit event. *)
-        (match Flight.of_jsonl jsonl with
-        | Error e -> Alcotest.fail ("dump jsonl invalid: " ^ e)
-        | Ok entries ->
-          check "tail replays" true (entries <> []);
-          let last = List.nth entries (List.length entries - 1) in
-          check "last op is the failed audit" true
-            (last.Flight.kind = Flight.Audit
-            && last.Flight.outcome = Flight.Failed));
-        check "session flight latched" true (Flight.dumped (Engine.flight s)))
+        let entries = read_jsonl jsonl in
+        check "tail replays" true (entries <> []);
+        let last = List.nth entries (List.length entries - 1) in
+        check "last op is the failed audit" true
+          (last.op = "audit" && last.outcome = "failed");
+        (* the session's flight is latched: a further trigger stays quiet *)
+        Flight.trigger ~reason:"again" (Engine.flight s);
+        check_int "session flight latched" 1 !fires)
 
 let test_engine_rejection_dumps () =
   let fired = ref 0 in
@@ -216,8 +239,6 @@ let suite =
       [
         Alcotest.test_case "ring retention" `Quick test_ring_retention;
         Alcotest.test_case "jsonl roundtrip" `Quick test_jsonl_roundtrip;
-        Alcotest.test_case "jsonl rejects garbage" `Quick
-          test_jsonl_rejects_garbage;
         Alcotest.test_case "chrome dump validates" `Quick
           test_chrome_dump_validates;
         Alcotest.test_case "trigger latch" `Quick test_trigger_latch;

@@ -1,7 +1,7 @@
 (* HDR histogram correctness, pinned against a sorted-array oracle.
 
    The bucket scheme quantizes a value to its bucket ceiling, so the
-   exact contract is: [quantile h q] equals [round_up h] of the true
+   exact contract is: [quantile h q] equals [round_up] of the true
    order statistic at rank ceil(q*n) of the recorded multiset, clamped
    to the largest recorded value.  The oracle below computes exactly
    that from a sorted copy, making the checks equalities, not
@@ -25,8 +25,8 @@ let oracle_quantile sorted q =
   let rank = if rank < 1 then 1 else if rank > n then n else rank in
   sorted.(rank - 1)
 
-let check_against_oracle ?sub_bits values =
-  let h = Hdr.create ?sub_bits () in
+let check_against_oracle values =
+  let h = Hdr.create () in
   Array.iter (Hdr.record h) values;
   let sorted = Array.map (fun v -> if v < 0 then 0 else v) values in
   Array.sort compare sorted;
@@ -35,16 +35,16 @@ let check_against_oracle ?sub_bits values =
     (fun q ->
       check_int
         (Printf.sprintf "q=%g over %d values" q n)
-        (min (Hdr.round_up h (oracle_quantile sorted q)) sorted.(n - 1))
+        (min (Hdr.round_up (oracle_quantile sorted q)) sorted.(n - 1))
         (Hdr.quantile h q))
     quantiles;
   check_int "count" n (Hdr.count h);
-  check_int "min" sorted.(0) (Hdr.min_value h);
-  check_int "max" sorted.(n - 1) (Hdr.max_value h);
+  check_int "min" sorted.(0) (Hdr.snapshot h).Hdr.min;
+  check_int "max" sorted.(n - 1) (Hdr.snapshot h).Hdr.max;
   check_int "sum" (Array.fold_left ( + ) 0 sorted) (Hdr.sum h)
 
 let test_quantile_exact_small_range () =
-  (* Values below 2^sub_bits are bucketed exactly: the HDR quantile IS
+  (* Values below 2^6 are bucketed exactly: the HDR quantile IS
      the order statistic, no rounding at all. *)
   let rng = Prng.create 7 in
   let values = Array.init 1000 (fun _ -> Prng.int rng 64) in
@@ -67,9 +67,7 @@ let test_quantile_oracle_wide_range () =
         let magnitude = Prng.int rng 10 in
         Prng.int rng (1 lsl (3 * magnitude + 3)))
   in
-  check_against_oracle values;
-  check_against_oracle ~sub_bits:2 values;
-  check_against_oracle ~sub_bits:10 values
+  check_against_oracle values
 
 let test_quantile_oracle_adversarial () =
   (* Bucket-boundary values: powers of two and their neighbours are where
@@ -90,14 +88,13 @@ let test_quantile_oracle_adversarial () =
   check_int "p50 clamped to the max" 169980 (Hdr.quantile h 0.5)
 
 let test_round_up_monotone_bound () =
-  let h = Hdr.create () in
   let rng = Prng.create 3 in
   for _ = 1 to 2000 do
     let v = Prng.int rng (1 lsl 50) in
-    let r = Hdr.round_up h v in
+    let r = Hdr.round_up v in
     check "ceiling >= value" true (r >= v);
-    (* Relative error bound: ceiling < v * (1 + 2^(1-sub_bits)) with
-       default sub_bits=6, i.e. under 1/32 above the true value. *)
+    (* Relative error bound: ceiling < v * (1 + 2^-5), i.e. under 1/32
+       above the true value. *)
     check "ceiling within relative error" true
       (r - v <= (v / 32) + 1)
   done
@@ -138,47 +135,34 @@ let test_merge_associative () =
 let test_merge_shard_union () =
   (* The daemon rollup contract: merging per-shard histograms into a
      fresh target answers every quantile exactly as one histogram fed
-     the union of all shards' samples would — at any matching sub_bits.
-     This is what lets `wl top --connect` print daemon-wide p50/p99
-     without any shard ever seeing another shard's samples. *)
+     the union of all shards' samples would.  This is what lets
+     `wl top --connect` print daemon-wide p50/p99 without any shard ever
+     seeing another shard's samples. *)
   let n_shards = 5 in
+  let shards = Array.init n_shards (fun _ -> Hdr.create ()) in
+  let union = Hdr.create () in
+  let rng = Prng.create 99 in
+  for i = 1 to 4000 do
+    let v = Prng.int rng (1 lsl (4 + Prng.int rng 26)) in
+    Hdr.record shards.(i mod n_shards) v;
+    Hdr.record union v
+  done;
+  let merged = Hdr.create () in
+  Array.iter (fun src -> Hdr.merge_into ~dst:merged src) shards;
   List.iter
-    (fun sub_bits ->
-      let shards = Array.init n_shards (fun _ -> Hdr.create ~sub_bits ()) in
-      let union = Hdr.create ~sub_bits () in
-      let rng = Prng.create 99 in
-      for i = 1 to 4000 do
-        let v = Prng.int rng (1 lsl (4 + Prng.int rng 26)) in
-        Hdr.record shards.(i mod n_shards) v;
-        Hdr.record union v
-      done;
-      let merged = Hdr.create ~sub_bits () in
-      Array.iter (fun src -> Hdr.merge_into ~dst:merged src) shards;
-      List.iter
-        (fun q ->
-          check_int
-            (Printf.sprintf "sub_bits=%d q=%g" sub_bits q)
-            (Hdr.quantile union q) (Hdr.quantile merged q))
-        quantiles;
-      check_int "union count" (Hdr.count union) (Hdr.count merged);
-      check_int "union sum" (Hdr.sum union) (Hdr.sum merged);
-      check_int "union min" (Hdr.min_value union) (Hdr.min_value merged);
-      check_int "union max" (Hdr.max_value union) (Hdr.max_value merged);
-      check "union snapshot" true (Hdr.snapshot union = Hdr.snapshot merged))
-    [ 2; 6; 10 ]
-
-let test_merge_mismatch_rejected () =
-  let a = Hdr.create ~sub_bits:4 () and b = Hdr.create ~sub_bits:8 () in
-  Alcotest.check_raises "sub_bits mismatch"
-    (Invalid_argument "Hdr.merge_into: sub_bits mismatch") (fun () ->
-      Hdr.merge_into ~dst:a b)
+    (fun q ->
+      check_int (Printf.sprintf "q=%g" q) (Hdr.quantile union q) (Hdr.quantile merged q))
+    quantiles;
+  check_int "union count" (Hdr.count union) (Hdr.count merged);
+  check_int "union sum" (Hdr.sum union) (Hdr.sum merged);
+  check "union snapshot, min and max included" true (Hdr.snapshot union = Hdr.snapshot merged)
 
 let test_empty_and_reset () =
   let h = Hdr.create () in
   check_int "empty count" 0 (Hdr.count h);
   check_int "empty quantile" 0 (Hdr.quantile h 0.99);
-  check_int "empty min" 0 (Hdr.min_value h);
-  check_int "empty max" 0 (Hdr.max_value h);
+  check_int "empty min" 0 (Hdr.snapshot h).Hdr.min;
+  check_int "empty max" 0 (Hdr.snapshot h).Hdr.max;
   Hdr.record h 1234;
   check "recorded" true (Hdr.count h = 1);
   Hdr.reset h;
@@ -229,40 +213,39 @@ let test_exemplar_survives_merge () =
 (* --- SLO window -------------------------------------------------------------- *)
 
 let test_slo_trip_and_rearm () =
-  let slo = Hdr.Slo.create ~window:64 ~target_ns:100 ~budget:0.1 () in
-  for _ = 1 to 64 do
+  let slo = Hdr.Slo.create ~target_ns:100 ~budget:0.1 in
+  for _ = 1 to 512 do
     Hdr.Slo.record slo 50
   done;
-  check "all under target: healthy" true (Hdr.Slo.healthy slo);
-  check_float "burn 0" 0. (Hdr.Slo.burn_rate slo);
-  (* 10% budget over a 64-wide window: 7 violations cross it. *)
-  for _ = 1 to 7 do
+  check "all under target: healthy" true (not (Hdr.Slo.tripped slo));
+  check_float "burn 0" 0. (Hdr.Slo.state slo).Hdr.Slo.burn;
+  (* 10% budget over the 512-wide window: 51 violations stay within it,
+     the 52nd crosses it. *)
+  for _ = 1 to 51 do
     Hdr.Slo.record slo 1000
   done;
+  check "51 of 512 within budget" true (not (Hdr.Slo.tripped slo));
+  Hdr.Slo.record slo 1000;
   check "tripped" true (Hdr.Slo.tripped slo);
   (* Latched: recovering the window does not silently clear the trip. *)
-  for _ = 1 to 64 do
+  for _ = 1 to 512 do
     Hdr.Slo.record slo 10
   done;
   check "still tripped (latched)" true (Hdr.Slo.tripped slo);
   let st = Hdr.Slo.state slo in
-  check_int "lifetime over-target count survives" 7 st.Hdr.Slo.total_over;
-  Hdr.Slo.rearm slo;
-  check "rearmed" true (Hdr.Slo.healthy slo);
-  let st = Hdr.Slo.state slo in
-  check_int "window cleared" 0 st.Hdr.Slo.observed;
-  check_int "lifetime totals kept" 7 st.Hdr.Slo.total_over
+  check_int "window holds no violation" 0 st.Hdr.Slo.over;
+  check_int "lifetime over-target count survives" 52 st.Hdr.Slo.total_over
 
 let test_slo_min_fill_guard () =
   (* A single slow op in a barely-filled window must not trip: the trip
-     needs window/8 observations first. *)
-  let slo = Hdr.Slo.create ~window:512 ~target_ns:100 ~budget:0.01 () in
+     needs window/8 = 64 observations first. *)
+  let slo = Hdr.Slo.create ~target_ns:100 ~budget:0.01 in
   Hdr.Slo.record slo 10_000;
-  check "one op never trips" true (Hdr.Slo.healthy slo);
+  check "one op never trips" true (not (Hdr.Slo.tripped slo));
   for _ = 1 to 62 do
     Hdr.Slo.record slo 10
   done;
-  check "below min fill" true (Hdr.Slo.healthy slo);
+  check "below min fill" true (not (Hdr.Slo.tripped slo));
   Hdr.Slo.record slo 10_000;
   (* 64 observed, 2 over: 3.1% > 1% budget — now it trips. *)
   check "trips once the window is credible" true (Hdr.Slo.tripped slo)
@@ -276,7 +259,7 @@ let minor_delta f =
 
 let test_record_path_zero_alloc () =
   let h = Hdr.create () in
-  let slo = Hdr.Slo.create ~target_ns:500 ~budget:0.5 () in
+  let slo = Hdr.Slo.create ~target_ns:500 ~budget:0.5 in
   (* Warm both paths (first records touch every code path once). *)
   for i = 1 to 100 do
     Hdr.record h (i * 37);
@@ -305,8 +288,6 @@ let suite =
         Alcotest.test_case "merge associativity" `Quick test_merge_associative;
         Alcotest.test_case "shard merge equals union" `Quick
           test_merge_shard_union;
-        Alcotest.test_case "merge mismatch rejected" `Quick
-          test_merge_mismatch_rejected;
         Alcotest.test_case "exemplar latch" `Quick test_exemplar_latch;
         Alcotest.test_case "exemplar survives merge" `Quick
           test_exemplar_survives_merge;

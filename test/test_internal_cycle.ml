@@ -19,12 +19,12 @@ let test_fig3_has_one () =
 let test_fig5_has_one () =
   List.iter
     (fun k ->
-      let d = Figures.fig5_graph k in
+      let d = Wl_core.Instance.dag (Figures.fig5 k) in
       check_int "one internal cycle" 1 (IC.count_independent d))
     [ 2; 3; 5 ]
 
 let test_havet_has_one () =
-  check_int "havet one cycle" 1 (IC.count_independent (Figures.havet_graph ()))
+  check_int "havet one cycle" 1 (IC.count_independent (Wl_core.Instance.dag (Figures.havet 1)))
 
 let test_trees_have_none () =
   let rng = Prng.create 3 in
@@ -49,13 +49,6 @@ let test_internality_needs_all_vertices () =
   let d = dag_of [ (0, 1); (0, 2); (1, 3); (2, 3); (4, 0) ] 5 in
   check "still not internal" false (IC.has_internal_cycle d)
 
-let test_internal_vertices () =
-  let d = dag_of [ (0, 1); (1, 2) ] 3 in
-  check "middle vertex internal" true (IC.internal_vertex d 1);
-  check "source not internal" false (IC.internal_vertex d 0);
-  check "sink not internal" false (IC.internal_vertex d 2);
-  check "list" true (IC.internal_vertices d = [ 1 ])
-
 let find_matches_count =
   qtest "find = Some iff count_independent > 0" seed_gen (fun seed ->
       let d = Dag.of_digraph_exn (gnp_dag seed 12 0.25) in
@@ -71,7 +64,7 @@ let canonical_well_formed =
 let canonical_on_figures () =
   List.iter
     (fun k ->
-      let d = Figures.fig5_graph k in
+      let d = Wl_core.Instance.dag (Figures.fig5 k) in
       match IC.find_canonical d with
       | None -> Alcotest.fail "fig5 should have an internal cycle"
       | Some can ->
@@ -108,7 +101,6 @@ let suite =
         Alcotest.test_case "internality matters" `Quick test_cycle_without_internality;
         Alcotest.test_case "all vertices must be internal" `Quick
           test_internality_needs_all_vertices;
-        Alcotest.test_case "internal vertices" `Quick test_internal_vertices;
         find_matches_count;
         canonical_well_formed;
         Alcotest.test_case "canonical on figures" `Quick canonical_on_figures;

@@ -21,20 +21,19 @@ let test_loads () =
   check_int "load arc1" 2 (Load.arc_load inst 1);
   check_int "load arc2" 1 (Load.arc_load inst 2);
   check_int "pi" 2 (Load.pi inst);
-  check "max load arcs" true (Load.max_load_arcs inst = [ 1 ]);
-  check "profile" true (Load.load_profile inst = [| 1; 2; 1; 1 |]);
+  check_int "load arc3" 1 (Load.arc_load inst 3);
   check_int "max among" 1 (Load.max_load_arc_among inst [ 0; 1; 2 ])
 
 let test_paths_through () =
   let _, inst = line_instance () in
-  check "arc1 users" true (Instance.paths_through inst 1 = [ 0; 1 ]);
-  check "arc3 users" true (Instance.paths_through inst 3 = [ 2 ])
+  check "arc1 users" true (paths_through inst 1 = [ 0; 1 ]);
+  check "arc3 users" true (paths_through inst 3 = [ 2 ])
 
 let test_empty_instance () =
   let g = Digraph.of_arcs 3 [ (0, 1) ] in
   let inst = Instance.make (Dag.of_digraph_exn g) [] in
   check_int "pi of empty" 0 (Load.pi inst);
-  check "no max arcs" true (Load.max_load_arcs inst = [])
+  check_int "no load" 0 (Load.arc_load inst 0)
 
 let test_add_paths () =
   let g, inst = line_instance () in
@@ -50,7 +49,7 @@ let test_fig3_conflict_graph () =
   check_int "5 vertices" 5 (Ugraph.n_vertices cg);
   check "C5" true (Graph_props.is_cycle_graph cg);
   check_int "pi = 2" 2 (Load.pi inst);
-  check_int "clique bound" 2 (Conflict_of.clique_lower_bound inst)
+  check_int "clique bound" 2 (Wl_conflict.Clique.clique_number cg)
 
 let conflict_graph_matches_pairwise =
   qtest "conflict graph edges = pairwise arc sharing" seed_gen (fun seed ->
@@ -99,8 +98,8 @@ let test_assignment_normalize () =
 let bounds_are_ordered =
   qtest "pi <= clique <= chromatic <= heuristic" seed_gen ~count:40 (fun seed ->
       let inst = random_instance ~n:12 ~k:7 seed in
-      let pi = Bounds.pi_lower inst in
-      let clique = Bounds.clique_lower inst in
+      let pi = Load.pi inst in
+      let clique = Wl_conflict.Clique.clique_number (Conflict_of.build inst) in
       let chi = Bounds.chromatic_exact inst in
       let heur = Bounds.heuristic_upper inst in
       let indep = Bounds.independence_lower inst in

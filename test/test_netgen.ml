@@ -32,7 +32,7 @@ let rooted_tree_generator =
   qtest "random_rooted_tree is a rooted tree" seed_gen ~count:30 (fun seed ->
       let d = Generators.random_rooted_tree (Prng.create seed) 20 in
       Dag.n_arcs d = 19
-      && Wl_dag.Classify.is_rooted_forest d
+      && (Wl_dag.Classify.classify d).Wl_dag.Classify.is_rooted_forest
       && Wl_dag.Upp.is_upp d
       && IC.count_independent d = 0)
 
@@ -54,8 +54,8 @@ let test_fig1_shape () =
     [ 2; 3; 4; 5; 6 ]
 
 let test_fig5_rejects_k1 () =
-  Alcotest.check_raises "k >= 2" (Invalid_argument "Figures.fig5_graph: k must be >= 2")
-    (fun () -> ignore (Figures.fig5_graph 1))
+  Alcotest.check_raises "k >= 2" (Invalid_argument "Figures.fig5: k must be >= 2")
+    (fun () -> ignore (Figures.fig5 1))
 
 let test_havet_rejects_h0 () =
   Alcotest.check_raises "h >= 1" (Invalid_argument "Figures.havet: h must be >= 1")
@@ -70,25 +70,18 @@ let random_walks_are_dipaths =
       (* Dipath.make already validated: check count and lengths. *)
       List.for_all (fun p -> Dipath.n_arcs p >= 1) paths)
 
-let source_sink_paths_maximal =
-  qtest "source-sink paths start at sources and end at sinks" seed_gen
-    ~count:20 (fun seed ->
-      let rng = Prng.create seed in
-      let dag = Generators.layered rng ~layers:4 ~width:4 ~p:0.4 in
-      let g = Dag.graph dag in
-      List.for_all
-        (fun p ->
-          Digraph.in_degree g (Dipath.src p) = 0
-          && Digraph.out_degree g (Dipath.dst p) = 0)
-        (Path_gen.source_sink_paths rng dag 10))
-
 let all_to_all_counts =
   qtest "all_to_all instance has one dipath per routable pair" seed_gen
     ~count:20 (fun seed ->
       let dag = Generators.gnp_upp (Prng.create seed) 10 0.3 in
-      let inst = Path_gen.all_to_all_instance dag in
-      Wl_core.Instance.n_paths inst
-      = List.length (Wl_dag.Upp.routable_pairs dag))
+      let inst = all_to_all_instance dag in
+      List.map (fun p -> (Dipath.src p, Dipath.dst p)) (Wl_core.Instance.paths_list inst)
+      = Wl_dag.Upp.routable_pairs dag
+      && List.for_all
+           (fun p ->
+             Wl_util.Saturating.to_int (Dag.count_dipaths_from dag (Dipath.src p)).(Dipath.dst p)
+             = 1)
+           (Wl_core.Instance.paths_list inst))
 
 let traffic_models_routable =
   qtest "traffic models emit routable requests" seed_gen ~count:20 (fun seed ->
@@ -144,7 +137,7 @@ let generators_are_deterministic =
   qtest "same seed, same graph" seed_gen ~count:20 (fun seed ->
       let d1 = Generators.gnp_dag (Prng.create seed) 14 0.3 in
       let d2 = Generators.gnp_dag (Prng.create seed) 14 0.3 in
-      Digraph.equal_structure (Dag.graph d1) (Dag.graph d2))
+      same_graph (Dag.graph d1) (Dag.graph d2))
 
 let suite =
   [
@@ -158,7 +151,6 @@ let suite =
         Alcotest.test_case "fig5 rejects k=1" `Quick test_fig5_rejects_k1;
         Alcotest.test_case "havet rejects h=0" `Quick test_havet_rejects_h0;
         random_walks_are_dipaths;
-        source_sink_paths_maximal;
         all_to_all_counts;
         traffic_models_routable;
         hotspot_bias_works;

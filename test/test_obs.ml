@@ -76,17 +76,14 @@ let test_counters_under_map_array () =
     (fun domains ->
       with_metrics (fun () ->
           let n = 500 in
-          let input = Array.init n Fun.id in
           let out =
-            Parallel.map_array ~domains
-              (fun x ->
+            Parallel.init ~domains n (fun x ->
                 Metrics.incr c;
                 x * x)
-              input
           in
           check_int
             (Printf.sprintf "all %d increments seen at %d domains" n domains)
-            n (Metrics.value c);
+            n (counter_value "test.obs.items");
           check
             (Printf.sprintf "map result intact at %d domains" domains)
             true
@@ -97,25 +94,19 @@ let test_histogram_snapshot () =
   with_metrics (fun () ->
       let h = Metrics.histogram "test.obs.hist" in
       List.iter (Metrics.observe h) [ 1; 3; 3; 7; 60 ];
-      match Metrics.find_histogram "test.obs.hist" with
-      | None -> Alcotest.fail "histogram not registered"
-      | Some s ->
-        check_int "count" 5 s.Hdr.count;
-        check_int "sum" 74 s.Hdr.sum;
-        check_int "min" 1 s.Hdr.min;
-        check_int "max" 60 s.Hdr.max;
-        (* Values below 64 get a bucket each, so quantiles are exact. *)
-        check_int "p50" 3 s.Hdr.p50)
+      let s = histogram_snapshot "test.obs.hist" in
+      check_int "count" 5 s.Hdr.count;
+      check_int "sum" 74 s.Hdr.sum;
+      check_int "min" 1 s.Hdr.min;
+      check_int "max" 60 s.Hdr.max;
+      (* Values below 64 get a bucket each, so quantiles are exact. *)
+      check_int "p50" 3 s.Hdr.p50)
 
 (* A histogram's Hdr.t is made on the first enabled observe.  Before that
-   it reads as empty; two domains racing to make it agree on one, so no
-   observation is lost. *)
+   it reads as empty (the registry's snapshot leaves it out); two domains
+   racing to make it agree on one, so no observation is lost. *)
 let test_histogram_created_on_first_observe () =
-  let count () =
-    match Metrics.find_histogram "test.obs.hist.lazy" with
-    | Some s -> s.Hdr.count
-    | None -> Alcotest.fail "histogram not registered"
-  in
+  let count () = (histogram_snapshot "test.obs.hist.lazy").Hdr.count in
   Metrics.reset ();
   let h = Metrics.histogram "test.obs.hist.lazy" in
   Metrics.observe h 5;
@@ -139,7 +130,7 @@ let test_disabled_updates_ignored () =
   let c = Metrics.counter "test.obs.off" in
   Metrics.incr c;
   Metrics.add c 10;
-  check_int "updates dropped while disabled" 0 (Metrics.value c)
+  check_int "updates dropped while disabled" 0 (counter_value "test.obs.off")
 
 (* --- chrome trace JSON ---------------------------------------------------- *)
 
@@ -186,19 +177,6 @@ let test_clock_monotonic () =
   let us = Clock.now_us () in
   check "now_us consistent with now_ns" true
     (Float.abs ((float_of_int (Clock.now_ns ()) /. 1e3) -. us) < 1e6)
-
-(* --- Metrics.diff ---------------------------------------------------------- *)
-
-let test_metrics_diff () =
-  let before = [ ("a", Metrics.Counter 1); ("c", Metrics.Counter 5) ] in
-  let after = [ ("a", Metrics.Counter 3); ("b", Metrics.Counter 2); ("c", Metrics.Counter 5) ] in
-  (match Metrics.diff before after with
-  | [ ("a", 1, 3); ("b", 0, 2) ] -> ()
-  | d ->
-    Alcotest.failf "unexpected diff (%d entries): %s" (List.length d)
-      (String.concat "; "
-         (List.map (fun (n, b, a) -> Printf.sprintf "%s %d->%d" n b a) d)));
-  check "empty diff on identical snapshots" true (Metrics.diff before before = [])
 
 (* --- Prof: GC/alloc probe --------------------------------------------------- *)
 
@@ -262,7 +240,7 @@ let test_prof_aggregates_and_mirror () =
     with_prof (fun _sink ->
         ignore (Theorem1.color inst);
         ignore (Theorem1.color inst);
-        (Prof.snapshot (), Metrics.find_counter "prof.thm1.color.calls"))
+        (Prof.snapshot (), counter_value "prof.thm1.color.calls"))
   in
   (match List.find_opt (fun r -> r.Prof.span = "thm1.color") rows with
   | None -> Alcotest.fail "thm1.color not aggregated"
@@ -270,7 +248,7 @@ let test_prof_aggregates_and_mirror () =
     check_int "two calls aggregated" 2 r.Prof.calls;
     check "aggregate minor words positive" true (r.Prof.gc.Prof.minor_words > 0.);
     check "self <= total" true (r.Prof.self_us <= r.Prof.total_us +. 1e-3));
-  check "metrics mirror counted the calls" true (mirror = Some 2)
+  check_int "metrics mirror counted the calls" 2 mirror
 
 let test_prof_self_time_excludes_children () =
   let alloc_some () = ignore (Sys.opaque_identity (Array.make 2048 0.)) in
@@ -327,7 +305,7 @@ let test_enabled_updates_no_alloc () =
               Metrics.observe h i
             done)
       in
-      check_int "every update counted" 100_001 (Metrics.value c);
+      check_int "every update counted" 100_001 (counter_value "test.obs.noalloc.on");
       check "enabled incr + observe allocate nothing" true (words < 256.))
 
 let test_disabled_obs_theorem1_deterministic_alloc () =
@@ -349,23 +327,20 @@ let test_sweep_latency_histogram () =
       let thm1 = List.find (fun o -> o.Oracle.name = "thm1") Oracle.sweeps in
       let summary = Fuzz.run ~seeds:10 [ thm1 ] in
       check "sweep clean" true (summary.Fuzz.total_failures = 0);
-      match Metrics.find_histogram "fuzz.thm1.ns" with
-      | None -> Alcotest.fail "fuzz.thm1.ns not populated"
-      | Some s ->
-        check_int "one latency sample per seed" 10 s.Hdr.count;
-        check "latencies positive" true (s.Hdr.min > 0))
+      let s = histogram_snapshot "fuzz.thm1.ns" in
+      check_int "one latency sample per seed" 10 s.Hdr.count;
+      check "latencies positive" true (s.Hdr.min > 0))
 
 let test_solver_counters_and_provenance () =
   let inst = random_nic_instance ~n:24 ~k:16 3 in
   let report =
     with_metrics (fun () ->
         let report = Solver.solve inst in
-        check "solver.solves counted" true
-          (Metrics.find_counter "solver.solves" = Some 1);
+        check_int "solver.solves counted" 1 (counter_value "solver.solves");
         let arm =
           "solver.arm." ^ Solver.method_name report.Solver.method_used
         in
-        check (arm ^ " counted") true (Metrics.find_counter arm = Some 1);
+        check_int (arm ^ " counted") 1 (counter_value arm);
         report)
   in
   let render stats =
@@ -423,13 +398,32 @@ let test_openmetrics_validator_rejects () =
   | Ok st -> check_int "minimal doc is one family" 1 st.Wl_obs.Openmetrics.families
   | Error e -> Alcotest.fail ("rejected a minimal valid doc: " ^ e)
 
+(* The [tenant] label value of the first labeled row in a rendered
+   exposition, unescaped (backslash, double quote and newline are the only
+   escaped characters); a raw newline inside the value fails the test. *)
+let tenant_label doc =
+  let key = "{tenant=\"" in
+  let rec find i = if String.sub doc i (String.length key) = key then i else find (i + 1) in
+  let buf = Buffer.create 16 in
+  let rec go i =
+    match doc.[i] with
+    | '"' -> Buffer.contents buf
+    | '\\' ->
+      Buffer.add_char buf (if doc.[i + 1] = 'n' then '\n' else doc.[i + 1]);
+      go (i + 2)
+    | '\n' -> Alcotest.failf "raw newline in a label value of %S" doc
+    | c ->
+      Buffer.add_char buf c;
+      go (i + 1)
+  in
+  go (find 0 + String.length key)
+
 let test_openmetrics_label_escaping () =
-  (* Property: unescape_label inverts escape_label on adversarial
-     inputs, and the escaped form never leaks a raw quote, backslash or
-     newline — the three characters that would corrupt the exposition
-     line format.  Then the same strings ride through a real [render] as
-     label values and the full document still validates (the validator
-     is what `wl metrics-check` runs). *)
+  (* Property: adversarial label values survive [render]: the escaped form
+     never leaks a raw quote or newline — the characters that would
+     corrupt the exposition line format — and unescapes back to the
+     original.  Then all of them ride through one document, which still
+     validates (the validator is what `wl metrics-check` runs). *)
   let module Om = Wl_obs.Openmetrics in
   let rng = Prng.create 2718 in
   let adversarial =
@@ -457,27 +451,10 @@ let test_openmetrics_label_escaping () =
   in
   List.iter
     (fun s ->
-      let e = Om.escape_label s in
-      (match Om.unescape_label e with
-      | Some s' when s' = s -> ()
-      | Some _ -> Alcotest.failf "escape/unescape changed %S" s
-      | None -> Alcotest.failf "escaped form of %S does not unescape" s);
-      String.iter
-        (fun c ->
-          if c = '\n' then Alcotest.failf "raw newline survives in %S" s)
-        e;
-      (* Any raw quote would terminate the label value early. *)
-      let rec scan i =
-        if i < String.length e then
-          if e.[i] = '\\' then scan (i + 2)
-          else if e.[i] = '"' then Alcotest.failf "raw quote survives in %S" s
-          else scan (i + 1)
-      in
-      scan 0)
+      (* a raw quote would end the value early, and so fail to round-trip *)
+      let doc = Om.render ~labeled:[ ("wld.tenant.paths", [ ([ ("tenant", s) ], 1.) ]) ] [] in
+      if tenant_label doc <> s then Alcotest.failf "label value %S did not round-trip" s)
     adversarial;
-  (* Unknown or dangling escapes are rejected, not guessed at. *)
-  check "dangling escape rejected" true (Om.unescape_label "a\\" = None);
-  check "unknown escape rejected" true (Om.unescape_label "a\\x" = None);
   (* End to end: adversarial label values rendered as per-tenant rows
      still yield a document the wl metrics-check validator accepts. *)
   let rows = List.mapi (fun i s -> ([ ("tenant", s) ], float_of_int i)) adversarial in
@@ -549,13 +526,13 @@ let test_ctx_generator_and_wire () =
 
 let test_ctx_ambient () =
   let module Ctx = Wl_obs.Ctx in
-  Ctx.clear ();
+  Ctx.set Ctx.none;
   check "clean slate" true (Ctx.is_none (Ctx.current ()));
   check_int "no ambient trace" 0 (Ctx.current_trace ());
   let g = Ctx.generator 9 in
   let c = Ctx.root g in
   Ctx.set c;
-  Fun.protect ~finally:Ctx.clear (fun () ->
+  Fun.protect ~finally:(fun () -> Ctx.set Ctx.none) (fun () ->
       check "ambient readable" true (Ctx.current () = c);
       check_int "current_trace matches" c.Ctx.trace_id (Ctx.current_trace ()));
   check "cleared" true (Ctx.is_none (Ctx.current ()))
@@ -587,7 +564,6 @@ let suite =
         Alcotest.test_case "solver counters and provenance" `Quick
           test_solver_counters_and_provenance;
         Alcotest.test_case "clock is monotonic" `Quick test_clock_monotonic;
-        Alcotest.test_case "metrics diff" `Quick test_metrics_diff;
         Alcotest.test_case "prof: GC args on algorithm spans" `Quick
           test_prof_gc_args_on_algorithm_spans;
         Alcotest.test_case "prof: aggregates and metrics mirror" `Quick

@@ -7,7 +7,7 @@ module Digraph = Wl_digraph.Digraph
 module Dipath = Wl_digraph.Dipath
 
 let same_instance inst inst' =
-  Digraph.equal_structure (Instance.graph inst) (Instance.graph inst')
+  same_graph (Instance.graph inst) (Instance.graph inst')
   && List.equal
        (fun p q -> Dipath.vertices p = Dipath.vertices q)
        (Instance.paths_list inst) (Instance.paths_list inst')

@@ -215,7 +215,6 @@ let test_addresses () =
 
 let test_loopback () =
   let c = Client.local () in
-  check_int "hello" (ok_exn "hello" (Client.hello c)) Proto.version;
   ok_exn "ping" (Client.ping c);
   let s = ok_exn "open" (Client.open_session c ~tenant:"t1" (line3 ())) in
   check_int "pi" (ok_exn "pi" (Client.pi s)) 2;
@@ -353,22 +352,38 @@ let test_introspection () =
   (* Loopback daemon with several tenants; requests run traced so the
      engine latches exemplars.  The dstats rollup must equal a manual
      Hdr.merge_into over the drained sessions' histograms — introspection
-     is a read-side projection, not a second bookkeeping path. *)
+     is a read-side projection, not a second bookkeeping path.  Requests
+     go straight to the shard, each with a fresh trace context. *)
   with_memory_trace (fun _sink ->
       let shard = Shard.create ~threaded:false ~shards:2 ~max_queue:64 () in
-      let c = Client.of_shard ~seed:77 shard in
+      let gen = Ctx.generator 77 in
+      let call what req =
+        match Shard.call ~ctx:(Ctx.root gen) shard req with
+        | Ok reply -> reply
+        | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e)
+      in
+      let path_of = function Proto.R_path id -> id | _ -> Alcotest.fail "expected a path id" in
       let n_adds = [ ("alpha", 4); ("beta", 2); ("gamma", 5) ] in
       List.iter
         (fun (tenant, n) ->
-          let s = ok_exn "open" (Client.open_session c ~tenant (line3 ())) in
+          ignore (call "open" (Proto.Open { tenant; instance = line3 () }));
           for _ = 1 to n do
-            ignore (ok_exn "add" (Client.add_path s [ 0; 1 ]));
-            ok_exn "remove"
-              (Client.remove_path s
-                 (ok_exn "add2" (Client.add_path s [ 2; 3 ])))
+            ignore (call "add" (Proto.Add_path { tenant; vertices = [ 0; 1 ] }));
+            let id = path_of (call "add2" (Proto.Add_path { tenant; vertices = [ 2; 3 ] })) in
+            ignore (call "remove" (Proto.Remove_path { tenant; id }))
           done)
         n_adds;
-      let d = ok_exn "dstats" (Client.daemon_stats c) in
+      let dstats () =
+        match call "dstats" Proto.Dstats with
+        | Proto.R_dstats d -> d
+        | _ -> Alcotest.fail "expected dstats"
+      in
+      let trace_pull last =
+        match call "trace pull" (Proto.Trace_dump { last }) with
+        | Proto.R_trace doc -> doc
+        | _ -> Alcotest.fail "expected a trace"
+      in
+      let d = dstats () in
       check_int "shards" 2 d.Proto.d_shards;
       check_int "sessions" 3 d.Proto.d_sessions;
       check_int "tenant rows" 3 (List.length d.Proto.d_tenants);
@@ -390,19 +405,23 @@ let test_introspection () =
       check "traced requests latched an add exemplar" true
         (d.Proto.d_add.Proto.l_ex_trace <> 0);
       (* Introspection must not perturb what it reports. *)
-      let d2 = ok_exn "dstats again" (Client.daemon_stats c) in
+      let d2 = dstats () in
       check "dstats is read-only" true (d = d2);
-      let h = ok_exn "dhealth" (Client.daemon_health c) in
+      let h =
+        match call "dhealth" Proto.Dhealth with
+        | Proto.R_dhealth h -> h
+        | _ -> Alcotest.fail "expected dhealth"
+      in
       check "daemon healthy" true h.Proto.dh_healthy;
       check_int "dhealth sessions" 3 h.Proto.dh_sessions;
       check "no unhealthy tenants" true (h.Proto.dh_unhealthy = []);
       (* The merged-trace endpoint returns a valid Chrome document
          covering every tenant's flight ring. *)
-      let doc = ok_exn "trace pull" (Client.trace_pull c) in
+      let doc = trace_pull 0 in
       (match Trace.validate_chrome doc with
       | Ok n -> check "trace has the churn" true (n >= total_adds)
       | Error e -> Alcotest.fail ("pulled trace invalid: " ^ e));
-      let doc1 = ok_exn "trace pull last" (Client.trace_pull ~last:1 c) in
+      let doc1 = trace_pull 1 in
       (match Trace.validate_chrome doc1 with
       | Ok n -> check_int "last=1 keeps one op per ring" 3 n
       | Error e -> Alcotest.fail ("trimmed trace invalid: " ^ e));
@@ -420,7 +439,7 @@ let test_introspection () =
         d.Proto.d_add.Proto.l_p50;
       check_int "rollup p99 = manual merge" (Hdr.quantile merged 0.99)
         d.Proto.d_add.Proto.l_p99;
-      check_int "rollup max = manual merge" (Hdr.max_value merged)
+      check_int "rollup max = manual merge" (Hdr.snapshot merged).Hdr.max
         d.Proto.d_add.Proto.l_max;
       match Hdr.exemplar merged with
       | None -> Alcotest.fail "manual merge lost the exemplar"
@@ -470,7 +489,7 @@ let test_daemon_roundtrip () =
     ok_exn "serve" (Server.serve ~shard (Server.Unix_sock path))
   in
   let c = ok_exn "connect" (Client.connect ("unix:" ^ path)) in
-  check_int "hello" (ok_exn "hello" (Client.hello c)) Proto.version;
+  ok_exn "ping" (Client.ping c);
   let s = ok_exn "open" (Client.open_session c ~tenant:"remote" (line3 ())) in
   let id = ok_exn "add" (Client.add_path s [ 1; 2; 3 ]) in
   check_int "pi over the wire" (ok_exn "pi" (Client.pi s)) 3;

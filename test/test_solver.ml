@@ -18,7 +18,7 @@ let test_dispatch_theorem1 () =
 let test_dispatch_theorem6 () =
   (* Large enough family that the exact solver is skipped. *)
   let inst = random_upp_one_cycle_instance ~k:40 ~distinct:true 123 in
-  let r = Solver.solve ~exact_limit:4 inst in
+  let r = Solver.solve inst in
   check "method" true (r.Solver.method_used = Solver.Theorem_6);
   check "within bound" true
     (r.Solver.n_wavelengths <= Theorem6.upper_bound r.Solver.pi);
@@ -84,7 +84,7 @@ let test_dispatch_heuristic () =
   let dag = Generators.gnp_dag rng 30 0.2 in
   (* Only meaningful when the DAG has internal cycles and is big. *)
   let inst = Path_gen.random_instance rng dag 40 in
-  let r = Solver.solve ~exact_limit:4 inst in
+  let r = Solver.solve inst in
   check "valid" true (Assignment.is_valid inst r.Solver.assignment);
   check "bounds sound" true (r.Solver.lower_bound <= r.Solver.n_wavelengths)
 

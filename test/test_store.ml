@@ -150,18 +150,30 @@ let check_entry_eq msg (a : Store.entry) (b : Store.entry) =
       check (msg ^ ": counters") true (p.Store.counters = q.Store.counters))
     a.Store.points b.Store.points
 
+let with_temp f =
+  let path = Filename.temp_file "wl_store_test" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* One entry through [append] and [load]. *)
+let round_trip e =
+  with_temp (fun path ->
+      Store.append path e;
+      match Store.load path with
+      | Ok [ e' ] -> (read_file path, e')
+      | Ok l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
+      | Error m -> Alcotest.failf "round-trip failed: %s" m)
+
 let test_json_round_trip () =
   let e = rich_entry () in
-  match Store.of_json (Store.to_json e) with
-  | Error m -> Alcotest.failf "round-trip failed: %s" m
-  | Ok e' ->
-    check_entry_eq "to_json/of_json" e e';
-    (* Byte-stable fixpoint: serializing the reparsed entry reproduces
-       the exact bytes — the golden property the trajectory file relies
-       on for clean diffs. *)
-    let s1 = Jsonx.to_string (Store.to_json e) in
-    let s2 = Jsonx.to_string (Store.to_json e') in
-    Alcotest.(check string) "golden fixpoint" s1 s2
+  let s1, e' = round_trip e in
+  check_entry_eq "to_json/of_json" e e';
+  (* Byte-stable fixpoint: serializing the reparsed entry reproduces
+     the exact bytes — the golden property the trajectory file relies
+     on for clean diffs. *)
+  let s2, _ = round_trip e' in
+  Alcotest.(check string) "golden fixpoint" s1 s2
 
 let test_jsonl_append_load () =
   let path = Filename.temp_file "wl_store_test" ".jsonl" in
@@ -217,12 +229,11 @@ let legacy_v2 =
 }|}
 
 let test_legacy_v2_reader () =
-  match Jsonx.parse legacy_v2 with
-  | Error m -> Alcotest.failf "fixture parse: %s" m
-  | Ok j -> (
-    match Store.of_json j with
+  with_temp (fun path ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc legacy_v2);
+    match Store.load path with
     | Error m -> Alcotest.failf "legacy reader: %s" m
-    | Ok e ->
+    | Ok [ e ] ->
       (match e.Store.points with
       | [ p ] ->
         check "legacy name" true (p.Store.name = "thm1/color/n=400");
@@ -239,7 +250,8 @@ let test_legacy_v2_reader () =
           (p.Store.counters = [ ("solver.kempe_cascades", Jsonx.Int 3) ])
       | l -> Alcotest.failf "expected 1 legacy point, got %d" (List.length l));
       check "command preserved in extra" true
-        (List.mem_assoc "command" e.Store.extra))
+        (List.mem_assoc "command" e.Store.extra)
+    | Ok l -> Alcotest.failf "expected 1 legacy entry, got %d" (List.length l))
 
 let test_terminal_report_renders () =
   let history =

@@ -130,15 +130,11 @@ let test_instrumentation () =
   Trace.clear ();
   Metrics.set_enabled false;
   let failures = failed_seeds summary in
-  let counter name =
-    Option.value ~default:0 (Metrics.find_counter ("fuzz.testcase." ^ name))
-  in
+  let counter name = counter_value ("fuzz.testcase." ^ name) in
   check_int "failures returned" 4 (List.length failures);
   check_int "seeds counter" 10 (counter "seeds");
   check_int "failures counter" (List.length failures) (counter "failures");
-  (match Metrics.find_histogram "fuzz.testcase.ns" with
-  | None -> Alcotest.fail "latency summary missing"
-  | Some h -> check_int "latency observations" 10 h.Wl_obs.Hdr.count);
+  check_int "latency observations" 10 (histogram_snapshot "fuzz.testcase.ns").Wl_obs.Hdr.count;
   let events = Trace.events sink in
   let instant_seeds =
     List.filter_map

@@ -67,7 +67,7 @@ let theorem1_all_to_all_on_trees =
     ~count:25 (fun seed ->
       let rng = Prng.create seed in
       let dag = Generators.random_rooted_tree rng 12 in
-      optimal_on (Path_gen.all_to_all_instance dag))
+      optimal_on (all_to_all_instance dag))
 
 let theorem1_replicated_families =
   qtest "w = pi even on replicated families" seed_gen ~count:40 (fun seed ->

@@ -59,7 +59,7 @@ let test_not_applicable () =
   with Theorem6.Not_applicable _ -> ()
 
 let test_empty_family () =
-  let dag = Figures.fig5_graph 2 in
+  let dag = Wl_core.Instance.dag (Figures.fig5 2) in
   let inst = Instance.make dag [] in
   let a, stats = Theorem6.color_with_stats inst in
   check "empty assignment" true (a = [||]);

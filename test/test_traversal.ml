@@ -14,12 +14,6 @@ let test_bfs_dist_on_path () =
   let d2 = Traversal.bfs_dist g 3 in
   check "unreachable is -1" true (d2 = [| -1; -1; -1; 0; 1; 2 |])
 
-let test_bfs_path () =
-  let g = Digraph.of_arcs 5 [ (0, 1); (1, 4); (0, 2); (2, 3); (3, 4) ] in
-  check "shortest path" true (Traversal.bfs_parent_path g 0 4 = Some [ 0; 1; 4 ]);
-  check "self" true (Traversal.bfs_parent_path g 2 2 = Some [ 2 ]);
-  check "unreachable" true (Traversal.bfs_parent_path g 4 0 = None)
-
 let topo_order_valid =
   qtest "topological order respects arcs" seed_gen (fun seed ->
       let g = gnp_dag seed 20 0.2 in
@@ -33,7 +27,7 @@ let topo_order_valid =
 
 let test_cyclic_detected () =
   let g = Digraph.of_arcs 3 [ (0, 1); (1, 2); (2, 0) ] in
-  check "not acyclic" false (Traversal.is_acyclic g);
+  check "not acyclic" true (Traversal.topological_order g = None);
   match Traversal.find_directed_cycle g with
   | None -> Alcotest.fail "expected a directed cycle"
   | Some cycle ->
@@ -47,7 +41,7 @@ let test_cyclic_detected () =
 let acyclic_no_cycle =
   qtest "DAGs have no directed cycle" seed_gen (fun seed ->
       let g = gnp_dag seed 15 0.3 in
-      Traversal.is_acyclic g && Traversal.find_directed_cycle g = None)
+      Traversal.topological_order g <> None && Traversal.find_directed_cycle g = None)
 
 let reachability_consistent =
   qtest "reachability matrix agrees with DFS" seed_gen (fun seed ->
@@ -117,17 +111,11 @@ let undirected_cycle_respects_filter =
       | None -> true
       | Some walk -> List.for_all (fun (a, _) -> keep a) walk)
 
-let test_dfs_postorder () =
-  let g = Digraph.of_arcs 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  let post = Traversal.dfs_postorder g in
-  check_int "covers all vertices" (Digraph.n_vertices g) (List.length post)
-
 let suite =
   [
     ( "traversal",
       [
         Alcotest.test_case "bfs dist on path" `Quick test_bfs_dist_on_path;
-        Alcotest.test_case "bfs parent path" `Quick test_bfs_path;
         topo_order_valid;
         Alcotest.test_case "directed cycle detection" `Quick test_cyclic_detected;
         acyclic_no_cycle;
@@ -138,6 +126,5 @@ let suite =
           test_undirected_cycle_on_forest;
         undirected_cycle_valid;
         undirected_cycle_respects_filter;
-        Alcotest.test_case "dfs postorder" `Quick test_dfs_postorder;
       ] );
   ]

@@ -30,8 +30,8 @@ let test_line_upp () =
   check "line is UPP" true (Upp.is_upp d)
 
 let test_figures_upp () =
-  check "fig5 UPP" true (Upp.is_upp (Figures.fig5_graph 3));
-  check "havet UPP" true (Upp.is_upp (Figures.havet_graph ()));
+  check "fig5 UPP" true (Upp.is_upp (Wl_core.Instance.dag (Figures.fig5 3)));
+  check "havet UPP" true (Upp.is_upp (Wl_core.Instance.dag (Figures.havet 1)));
   (* Figure 3's graph has two b1 ~> d1 dipaths: not UPP. *)
   check "fig3 not UPP" false (Upp.is_upp (Wl_core.Instance.dag (Figures.fig3 ())))
 
@@ -87,18 +87,19 @@ let routable_pairs_match_reachability =
       done;
       List.sort compare pairs = List.sort compare !expected)
 
+(* Every routable pair of a UPP DAG has exactly one dipath, and the
+   hop-shortest route is that dipath. *)
 let unique_dipath_is_unique_on_upp =
   qtest "unique_dipath returns the only dipath on UPP DAGs" seed_gen ~count:30
     (fun seed ->
       let d = Generators.gnp_upp (Prng.create seed) 12 0.3 in
       List.for_all
         (fun (x, y) ->
-          match Upp.unique_dipath d x y with
-          | None -> false
-          | Some p -> (
-            match Dag.all_dipaths_between ~limit:3 d x y with
-            | [ only ] -> Dipath.equal p only
-            | _ -> false))
+          match
+            (Wl_core.Routing.route_shortest d [ (x, y) ], Dag.all_dipaths_between ~limit:3 d x y)
+          with
+          | Ok [ p ], [ only ] -> Dipath.equal p only
+          | _ -> false)
         (Upp.routable_pairs d))
 
 let suite =

@@ -89,7 +89,7 @@ let test_all_to_all_on_upp () =
   let rng = Prng.create 13 in
   for _ = 1 to 8 do
     let dag = Generators.gnp_upp rng 10 0.3 in
-    let inst = Path_gen.all_to_all_instance dag in
+    let inst = all_to_all_instance dag in
     check "helly all-to-all" true (Upp_theorems.helly_holds inst);
     check "clique = load all-to-all" true
       (Upp_theorems.clique_number_equals_load inst)
