@@ -142,11 +142,10 @@ let pool_pop z n =
   else Array.make n 0 (* alloc-ok *)
 
 (* The logical state of a session.  The occupancy index is the mutable
-   cousin of the
-   instance CSR index: per arc, the live slots through it, each entry packed
-   with its back-pointer; [slot_pos] is the inverse.  Swap-removal keeps
-   every update O(1) per arc of the touched dipath, and [occ_len] doubles as
-   the live per-arc load. *)
+   cousin of the instance CSR index: per arc, the live slots through it,
+   each entry packed with its back-pointer; [slot_pos] is the inverse.
+   Swap-removal keeps every update O(1) per arc of the touched dipath, and
+   [occ_len] doubles as the live per-arc load. *)
 type core = {
   mutable g : Digraph.t;
   mutable frozen : Dag.t option;

@@ -104,10 +104,9 @@ let call t req =
           (fun () -> dispatch t ~ctx req))
   end
 
-let local ?(json = false) ?(seed = 0) ?(threaded = false) ?flight_capacity
-    ?(shards = 1) ?(max_queue = 1024) () =
+let local ?(json = false) ?(seed = 0) ?(threaded = false) ?(shards = 1) () =
   {
-    transport = Local (Shard.create ~threaded ?flight_capacity ~shards ~max_queue ());
+    transport = Local (Shard.create ~threaded ~shards ~max_queue:1024 ());
     json;
     gen = Ctx.generator seed;
     gen_m = Mutex.create ();

@@ -45,16 +45,9 @@ val connect : ?json:bool -> ?seed:int -> string -> (t, Error.t) result
     default is the text form.  [seed] (default [0]) seeds the client's
     {!Wl_obs.Ctx} id generator, so traced runs are reproducible. *)
 
-val local :
-  ?json:bool ->
-  ?seed:int ->
-  ?threaded:bool ->
-  ?flight_capacity:int ->
-  ?shards:int ->
-  ?max_queue:int ->
-  unit ->
-  t
-(** Self-contained loopback client over a private {!Shard.t}
+val local : ?json:bool -> ?seed:int -> ?threaded:bool -> ?shards:int -> unit -> t
+(** Self-contained loopback client over a private {!Shard.t} with the
+    default flight capacity and a 1024-request queue per shard
     ([threaded] defaults to [false]: requests execute synchronously on
     the caller, which keeps engine statistics deterministic). *)
 

@@ -114,15 +114,7 @@ val connect : ?json:bool -> ?seed:int -> string -> (Client.t, Error.t) result
 val session : Client.t -> tenant:string -> (Client.session, Error.t) result
 (** {!Client.session}: a tenant handle on a connected client. *)
 
-val local :
-  ?json:bool ->
-  ?seed:int ->
-  ?threaded:bool ->
-  ?flight_capacity:int ->
-  ?shards:int ->
-  ?max_queue:int ->
-  unit ->
-  Client.t
+val local : ?json:bool -> ?seed:int -> ?threaded:bool -> ?shards:int -> unit -> Client.t
 (** {!Client.local}: the same API with no daemon — an in-process loopback
     that still exercises the full codec. *)
 
