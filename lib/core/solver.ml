@@ -65,6 +65,19 @@ let finish classification pi lower source assignment method_used =
     optimal = n_wavelengths = lower;
   }
 
+(* A construction's coloring, or DSATUR's coloring of the conflict graph
+   when that uses fewer colors. *)
+let construction_or_dsatur classification pi inst assignment method_used =
+  let heuristic = Coloring.best_heuristic (Conflict_of.build inst) in
+  if
+    Assignment.n_wavelengths (Assignment.normalize heuristic)
+    < Assignment.n_wavelengths (Assignment.normalize assignment)
+  then
+    finish classification pi pi From_clique
+      (Assignment.of_conflict_coloring heuristic)
+      Heuristic
+  else finish classification pi pi From_clique assignment method_used
+
 (* The family size up to which the exact coloring and clique solvers run
    on the fallback paths. *)
 let exact_limit = 24
@@ -79,6 +92,7 @@ let solve_impl inst =
   else if classification.Classify.is_upp && classification.Classify.n_internal_cycles = 1
   then begin
     let assignment = Theorem6.color ~check:false inst in
+    let w = Assignment.n_wavelengths (Assignment.normalize assignment) in
     (* On a UPP-DAG the clique number equals pi (Property 3), so pi is the
        natural lower bound; a small instance gets the exact optimum instead. *)
     if small then
@@ -87,27 +101,17 @@ let solve_impl inst =
       let exact =
         match Exact.k_colorable cg chi with Some c -> c | None -> assert false
       in
-      if chi < Assignment.n_wavelengths (Assignment.normalize assignment) then
+      if chi < w then
         finish classification pi chi From_exact_chromatic
           (Assignment.of_conflict_coloring exact)
           Exact_coloring
       else finish classification pi chi From_exact_chromatic assignment Theorem_6
-    else if Assignment.n_wavelengths (Assignment.normalize assignment)
-            <= Theorem6.upper_bound pi
-    then finish classification pi pi From_clique assignment Theorem_6
-    else begin
+    else if w <= Theorem6.upper_bound pi then
+      finish classification pi pi From_clique assignment Theorem_6
+    else
       (* Repeated dipaths can push the construction past ceil(4 pi/3) (see
-         theorem6.mli); keep DSATUR's coloring when it does better. *)
-      let heuristic = Coloring.best_heuristic (Conflict_of.build inst) in
-      if
-        Assignment.n_wavelengths (Assignment.normalize heuristic)
-        < Assignment.n_wavelengths (Assignment.normalize assignment)
-      then
-        finish classification pi pi From_clique
-          (Assignment.of_conflict_coloring heuristic)
-          Heuristic
-      else finish classification pi pi From_clique assignment Theorem_6
-    end
+         theorem6.mli). *)
+      construction_or_dsatur classification pi inst assignment Theorem_6
   end
   else if
     classification.Classify.is_upp
@@ -116,17 +120,9 @@ let solve_impl inst =
   then begin
     (* The iterated Theorem 6 recursion; DSATUR may still beat it on dense
        conflict graphs, so keep the better of the two. *)
-    let assignment = Theorem6_multi.color ~check:false inst in
-    let cg = Conflict_of.build inst in
-    let heuristic = Coloring.best_heuristic cg in
-    if
-      Assignment.n_wavelengths (Assignment.normalize heuristic)
-      < Assignment.n_wavelengths (Assignment.normalize assignment)
-    then
-      finish classification pi pi From_clique
-        (Assignment.of_conflict_coloring heuristic)
-        Heuristic
-    else finish classification pi pi From_clique assignment Theorem_6_iterated
+    construction_or_dsatur classification pi inst
+      (Theorem6_multi.color ~check:false inst)
+      Theorem_6_iterated
   end
   else if small then begin
     let cg = Conflict_of.build inst in
