@@ -10,10 +10,10 @@
    - through an alias: [module A = M] (or [= Lib.M]) then [A.x];
    - bare, in a file that opens [M] anywhere ([open M], [let open M in],
      [M.( ... )]), whatever the scope of the open.
-   The scan skips
-   comments, string and character literals, and otherwise errs toward
-   "called": a name counts wherever it appears.  Operators and the values
-   of a [module type] are not checked.  The test suite is not a caller.
+   The scan skips comments, string and character literals, and otherwise
+   errs toward "called": a name counts wherever it appears.  Operators and
+   the values of a [module type] are not checked.  The test suite is not a
+   caller.
 
    ALLOW has one entry per line, [M.x REASON: text], for a value that
    stays exported without a caller; blank lines and lines starting with
