@@ -1247,7 +1247,7 @@ let trace_cmd =
 
 (* --- wld --- *)
 
-let wld addr shards max_queue flight_capacity metrics_out health_dump
+let wld addr shards flight_capacity metrics_out health_dump
     flight_dump =
   let module Engine = Wl_engine.Engine in
   let module Shard = Wl_serve.Shard in
@@ -1255,12 +1255,12 @@ let wld addr shards max_queue flight_capacity metrics_out health_dump
   let address = or_die_e ~ctx:addr (Server.address_of_string addr) in
   Option.iter install_flight_dump flight_dump;
   if metrics_out <> None then Metrics.set_enabled true;
-  let shard = Shard.create ~flight_capacity ~shards ~max_queue () in
+  let shard = Shard.create ~flight_capacity ~shards () in
   let srv = or_die_e ~ctx:addr (Server.serve ~shard address) in
-  Printf.eprintf "wld: serving wlrpc/%d on %s (%d shards, queue %d)\n%!"
+  Printf.eprintf "wld: serving wlrpc/%d on %s (%d shards)\n%!"
     Wl_serve.Proto.version
     (Server.address_to_string address)
-    shards max_queue;
+    shards;
   let stop _ = Server.request_stop srv in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
@@ -1318,16 +1318,10 @@ let wld_cmd =
       value & opt int 4
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Engine worker domains; sessions are hash-partitioned over \
-             them by tenant id.")
-  in
-  let max_queue =
-    Arg.(
-      value & opt int 1024
-      & info [ "max-queue" ] ~docv:"N"
-          ~doc:
-            "Per-shard request queue bound; producers block (backpressure) \
-             when a shard is this far behind.")
+            "Session-table partitions; sessions are hash-partitioned over \
+             them by tenant id, and $(b,dstats) reports each tenant's \
+             partition.  Every request is answered on its connection's \
+             thread, under one lock shared by all partitions.")
   in
   let flight_capacity =
     Arg.(
@@ -1352,11 +1346,11 @@ let wld_cmd =
     (Cmd.info "wld"
        ~doc:
          "Serve wavelength assignment over the wlrpc/1 protocol: a \
-          long-lived daemon sharding engine sessions across domains, with \
-          graceful drain on SIGTERM (stop accepting, flush shards, dump \
-          per-session health).")
+          long-lived daemon holding one engine session per tenant, with \
+          graceful drain on SIGTERM (stop accepting, finish the op in \
+          flight, dump per-session health).")
     Term.(
-      const wld $ addr $ shards $ max_queue $ flight_capacity $ metrics_out
+      const wld $ addr $ shards $ flight_capacity $ metrics_out
       $ health_dump $ flight_dump)
 
 let () =

@@ -82,8 +82,7 @@ let construction_or_dsatur classification pi inst assignment method_used =
    on the fallback paths. *)
 let exact_limit = 24
 
-let solve_impl inst =
-  let classification = Classify.classify (Instance.dag inst) in
+let solve_impl classification inst =
   let pi = Load.pi inst in
   let small = Instance.n_paths inst <= exact_limit in
   if classification.Classify.n_internal_cycles = 0 then
@@ -154,7 +153,7 @@ let record_solve report dt_ns =
     Metrics.observe h dt_ns
   | None -> ()
 
-let solve inst =
+let solve_classified classification inst =
   let observed = Metrics.enabled () in
   let t0 = if observed then Clock.now_ns () else 0 in
   let report =
@@ -162,11 +161,13 @@ let solve inst =
       Trace.with_span
         ~args:[ ("paths", Trace.Int (Instance.n_paths inst)) ]
         "solver.solve"
-        (fun () -> solve_impl inst)
-    else solve_impl inst
+        (fun () -> solve_impl classification inst)
+    else solve_impl classification inst
   in
   if observed then record_solve report (Clock.now_ns () - t0);
   report
+
+let solve inst = solve_classified (Classify.classify (Instance.dag inst)) inst
 
 let solve_result inst =
   match solve inst with

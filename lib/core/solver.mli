@@ -47,6 +47,13 @@ val solve : Instance.t -> report
 (** The exact coloring solver runs on families of at most 24 dipaths.
     The returned assignment is always valid ({!Assignment.is_valid}). *)
 
+val solve_classified : Wl_dag.Classify.t -> Instance.t -> report
+(** {!solve} given the classification it would compute, for a caller
+    that keeps one already (the engine recomputes it only when the graph
+    changes).  The classification must be that of [Instance.dag inst];
+    [solve inst] is [solve_classified (Classify.classify (Instance.dag
+    inst)) inst]. *)
+
 val solve_result : Instance.t -> (report, Error.t) result
 (** Exception-free {!solve}: any precondition violation surfaces as
     [Error (Precondition _)]. *)

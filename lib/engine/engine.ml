@@ -166,7 +166,7 @@ type core = {
   mutable maxload : int; (* live pi *)
   mutable palette : int; (* # colors in use when [warm] *)
   mutable color_count : int array; (* live wearers per color, length >= palette *)
-  mutable classification : Classify.t;
+  mutable classification : Classify.t; (* of [g]; full solves reuse it *)
   mutable has_cycle : bool; (* internal cycle present (monotone under add_arc) *)
   mutable warm : bool; (* colors valid, contiguous, palette = maxload = pi *)
   mutable dirty : bool; (* state diverged; next query runs a full solve *)
@@ -458,7 +458,7 @@ let ensure_clean s =
     let solve () =
       let t0 = Clock.now_ns () in
       let inst = materialize_core c in
-      let report = Solver.solve inst in
+      let report = Solver.solve_classified c.classification inst in
       install_assignment c report;
       c.dirty <- false;
       c.cached_report <- Some report;

@@ -18,10 +18,12 @@
     Whenever the warm path gives up (flip budget exhausted, shrink failure,
     internal cycle appeared) the session only marks itself dirty; the next
     query transparently re-solves the materialized instance with
-    {!Wl_core.Solver.solve}, so results are always exactly what a fresh
-    solve of the current instance would report.  Cumulative per-session
-    {!stats} record how often each path was taken; the [engine.*]
-    {!Wl_obs.Metrics} counters aggregate the same events globally.
+    {!Wl_core.Solver.solve_classified}, handing it the classification the
+    session keeps, so results are always exactly what a fresh
+    {!Wl_core.Solver.solve} of the current instance would report.
+    Cumulative per-session {!stats} record how often each path was taken;
+    the [engine.*] {!Wl_obs.Metrics} counters aggregate the same events
+    globally.
 
     The warm machinery runs on a retained per-session scratch (generation
     stamps, an int-array Kempe queue, recycled position rows), so a steady

@@ -24,6 +24,7 @@ type outcomes = {
 }
 
 let closed_error = Error.Invalid_op "client is closed"
+let unexpected verb = Error (Error.Invalid_op ("unexpected reply to " ^ verb))
 
 (* Both transports run the full codec round trip — encode, frame, unframe,
    decode on each side — so a loopback client exercises exactly the bytes
@@ -55,22 +56,21 @@ let call_local shard ~json ~ctx req =
       | Error e -> Error e
       | Ok reply -> reply))
 
+let roundtrip fd ~json ~ctx req : Proto.reply =
+  match Wire.write fd (Proto.encode_request ~json ~ctx req) with
+  | Error e -> Error e
+  | Ok () -> (
+    match Wire.read fd with
+    | Error e -> Error e
+    | Ok None -> Error (Error.Io "connection closed by server")
+    | Ok (Some payload) -> (
+      match Proto.decode_reply payload with
+      | Error e -> Error e
+      | Ok reply -> reply))
+
 let call_remote fd m ~json ~ctx req =
-  Mutex.lock m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock m)
-    (fun () ->
-      Trace.with_span "wire.roundtrip" (fun () ->
-          match Wire.write fd (Proto.encode_request ~json ~ctx req) with
-          | Error e -> (Error e : Proto.reply)
-          | Ok () -> (
-            match Wire.read fd with
-            | Error e -> Error e
-            | Ok None -> Error (Error.Io "connection closed by server")
-            | Ok (Some payload) -> (
-              match Proto.decode_reply payload with
-              | Error e -> Error e
-              | Ok reply -> reply))))
+  Mutex.protect m (fun () ->
+      Trace.with_span "wire.roundtrip" (fun () -> roundtrip fd ~json ~ctx req))
 
 let dispatch t ~ctx req =
   match t.transport with
@@ -104,48 +104,55 @@ let call t req =
           (fun () -> dispatch t ~ctx req))
   end
 
-let local ?(json = false) ?(seed = 0) ?(threaded = false) ?(shards = 1) () =
-  {
-    transport = Local (Shard.create ~threaded ~shards ~max_queue:1024 ());
-    json;
-    gen = Ctx.generator seed;
-    gen_m = Mutex.create ();
-    closed = false;
-  }
+let make transport ~json ~seed =
+  { transport; json; gen = Ctx.generator seed; gen_m = Mutex.create (); closed = false }
+
+let local ?(json = false) ?(seed = 0) ?(shards = 1) () =
+  make (Local (Shard.create ~shards ())) ~json ~seed
+
+(* Open a socket to [addr]; a failed connect closes it before raising. *)
+let dial addr =
+  let domain, sockaddr =
+    match addr with
+    | Server.Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | Server.Tcp (host, port) ->
+      let inet =
+        match Unix.inet_addr_of_string host with
+        | a -> a
+        | exception _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+      in
+      (Unix.PF_INET, Unix.ADDR_INET (inet, port))
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd sockaddr
+   with e ->
+     Unix.close fd;
+     raise e);
+  fd
+
+(* One untraced hello per connection — no span, no context, no draw from
+   the id generator, so trace ids stay what they were without it. *)
+let check_version fd ~json =
+  match roundtrip fd ~json ~ctx:Ctx.none (Proto.Hello Proto.version) with
+  | Ok (Proto.R_hello v) when v = Proto.version -> Ok ()
+  | Ok (Proto.R_hello v) -> Error (Error.Unsupported_version v)
+  | Ok _ -> unexpected "hello"
+  | Error e -> Error e
 
 let connect ?(json = false) ?(seed = 0) addr =
   match Server.address_of_string addr with
   | Error _ as e -> e
   | Ok parsed -> (
-    try
-      let fd =
-        match parsed with
-        | Server.Unix_sock path ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_UNIX path);
-          fd
-        | Server.Tcp (host, port) ->
-          let inet =
-            match Unix.inet_addr_of_string host with
-            | a -> a
-            | exception _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          in
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_INET (inet, port));
-          fd
-      in
-      Ok
-        {
-          transport = Remote { fd; m = Mutex.create () };
-          json;
-          gen = Ctx.generator seed;
-          gen_m = Mutex.create ();
-          closed = false;
-        }
-    with
-    | Unix.Unix_error (e, _, _) ->
+    match dial parsed with
+    | exception Unix.Unix_error (e, _, _) ->
       Error (Error.Io (Printf.sprintf "cannot connect to %s: %s" addr (Unix.error_message e)))
-    | Not_found -> Error (Error.Io (Printf.sprintf "cannot resolve %s" addr)))
+    | exception Not_found -> Error (Error.Io (Printf.sprintf "cannot resolve %s" addr))
+    | fd -> (
+      match check_version fd ~json with
+      | Error e ->
+        (try Unix.close fd with _ -> ());
+        Error e
+      | Ok () -> Ok (make (Remote { fd; m = Mutex.create () }) ~json ~seed)))
 
 let close t =
   if not t.closed then begin
@@ -156,8 +163,6 @@ let close t =
   end
 
 (* --- reply projection ------------------------------------------------------ *)
-
-let unexpected verb = Error (Error.Invalid_op ("unexpected reply to " ^ verb))
 
 let ping t =
   match call t Proto.Ping with

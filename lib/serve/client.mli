@@ -40,16 +40,19 @@ type outcomes = {
 (** {1 Connecting} *)
 
 val connect : ?json:bool -> ?seed:int -> string -> (t, Error.t) result
-(** Dial a daemon at an {!Server.address} string.  [json] selects the
-    JSON mirror encoding for requests (replies come back in kind);
-    default is the text form.  [seed] (default [0]) seeds the client's
-    {!Wl_obs.Ctx} id generator, so traced runs are reproducible. *)
+(** Dial a daemon at an {!Server.address} string and check its protocol
+    version: one untraced [hello] (no span, no trace context, no draw
+    from the id generator) must come back as [R_hello Proto.version].
+    Any other reply closes the socket and returns
+    [Error (Unsupported_version v)] for a daemon speaking version [v],
+    or the error received.  [json] selects the JSON mirror encoding for
+    requests (replies come back in kind); default is the text form.
+    [seed] (default [0]) seeds the client's {!Wl_obs.Ctx} id generator,
+    so traced runs are reproducible. *)
 
-val local : ?json:bool -> ?seed:int -> ?threaded:bool -> ?shards:int -> unit -> t
+val local : ?json:bool -> ?seed:int -> ?shards:int -> unit -> t
 (** Self-contained loopback client over a private {!Shard.t} with the
-    default flight capacity and a 1024-request queue per shard
-    ([threaded] defaults to [false]: requests execute synchronously on
-    the caller, which keeps engine statistics deterministic). *)
+    default flight capacity: requests execute on the caller's thread. *)
 
 val close : t -> unit
 (** Remote: close the socket.  Loopback: drain the private shards.

@@ -157,5 +157,4 @@ let wait t =
   (match t.addr with
   | Unix_sock path -> ( try Unix.unlink path with _ -> ())
   | Tcp _ -> ());
-  let healths = Shard.drain t.shard in
-  healths
+  Shard.drain t.shard

@@ -16,45 +16,39 @@ let shard_of_tenant ~shards tenant =
     tenant;
   (!h land max_int) mod shards
 
-type job = {
-  req : Proto.req;
-  ctx : Ctx.t;  (** propagated trace context, [Ctx.none] when untraced *)
-  enq_us : float;  (** enqueue stamp, feeds the [serve.queue_wait] span *)
-  job_m : Mutex.t;
-  job_c : Condition.t;
-  mutable reply : Proto.reply option;
-}
-
 type shard = {
   sid : int;
-  m : Mutex.t;
-  nonempty : Condition.t;
-  nonfull : Condition.t;
-  mutable queue : job list;  (** newest first *)
-  mutable queue_len : int;
-  mutable stopping : bool;
   sessions : (string, Engine.session) Hashtbl.t;
   roster_m : Mutex.t;
   mutable roster : (string * Engine.session) list;
-      (** mirror of [sessions], maintained on Open/Evict.  The Hashtbl
-          belongs to the worker domain (it is mutated outside [m]), so
-          introspection requests answered on caller threads read this
-          mirror under its own lock instead of racing the table. *)
-  mutable worker : unit Domain.t option;
+      (** mirror of [sessions], maintained on Open/Evict.  The Hashtbl is
+          only touched under [t.m], so introspection requests answered
+          outside it read this mirror under its own lock instead of
+          racing the table. *)
 }
 
 type t = {
   shards : shard array;
-  max_queue : int;
   flight_capacity : int;
-  threaded : bool;
-  drain_m : Mutex.t;
+  m : Mutex.t;
+      (** One lock for every shard, held across the engine work
+          ([handle_traced]) and nothing else: no socket read or write and
+          no codec runs under it.  Per-shard locks would not be safe: every systhread of
+          the domain shares its domain-local state — the scratches that
+          [Theorem1.color] (reached by [Solver] and
+          [Theorem6.split_and_glue]) and DSATUR draw from, the ambient
+          [Ctx] cell, and the [Trace] and [Prof] span stacks — and the
+          tick thread may switch systhreads at any poll point in the
+          middle of a solve, so a second connection would solve on the
+          same scratch.  One domain runs one OCaml thread at a time
+          anyway, so the single lock gives up no parallelism. *)
   mutable drained : (string * Engine.session) list option;
+      (** [Some] once {!drain} ran; read and written under [m] *)
 }
 
 (* --- introspection (dstats / dhealth / tracedump) --------------------------- *)
 
-(* Served on the caller's thread, never queued behind engine work: the
+(* Served outside the lock, never waiting behind engine work: the
    figures come from the roster mirror plus lock-free read-backs (HDR
    atomics, stats ints).  Racing a concurrent op can skew one sample —
    monitoring-grade, never corrupting. *)
@@ -138,7 +132,7 @@ let trace_dump t ~last : Proto.reply =
   let last = if last <= 0 then None else Some last in
   Ok (Proto.R_trace (Flight.merged_chrome ?last rings))
 
-(* --- per-request execution (runs on the owning shard) ---------------------- *)
+(* --- per-request execution (runs under the lock) ---------------------------- *)
 
 let no_session tenant = Error.Invalid_op ("no open session for tenant " ^ tenant)
 
@@ -154,7 +148,7 @@ let wire_outcomes (b : Engine.batch) =
       after = Proto.report_of_solver b.Engine.batch_report;
     }
 
-(* Tenant-less requests: answered on the caller's thread, never queued.
+(* Tenant-less requests: answered outside the lock.
    [Shutdown] replies [R_bye]; initiating the drain is the caller's job. *)
 let answer_inline t (req : Proto.req) : Proto.reply =
   match req with
@@ -224,8 +218,8 @@ let handle_one t sh (req : Proto.req) : Proto.reply =
 let with_ctx ctx f =
   if Ctx.is_none ctx then f ()
   else begin
-    (* Save/restore rather than clear: on the synchronous loopback the
-       client's own ambient context lives on this same domain. *)
+    (* Save/restore rather than clear: on the loopback the client's own
+       ambient context lives on this same domain. *)
     let prev = Ctx.current () in
     Ctx.set ctx;
     Fun.protect ~finally:(fun () -> Ctx.set prev) f
@@ -233,174 +227,54 @@ let with_ctx ctx f =
 
 let traced ctx = (not (Ctx.is_none ctx)) && Trace.enabled ()
 
-let queue_wait ctx ~t0_us ~t1_us =
-  with_ctx ctx (fun () -> Trace.span_between "serve.queue_wait" ~t0_us ~t1_us)
-
-(* The one dispatch path: the threaded worker answers each queued job
-   through it and [call_sync] each call, so both modes run the same engine
-   calls and a mutation solves lazily, as on a bare session. *)
-let handle_traced t sh ~ctx req =
+(* The one dispatch path, run under [t.m]: a mutation goes straight to the
+   engine and solves lazily, as on a bare session.  [serve.queue_wait]
+   spans the wait for the lock, from [t0_us], stamped before
+   [Mutex.lock], to now. *)
+let handle_traced t sh ~ctx ~t0_us req =
   with_ctx ctx (fun () ->
       if not (traced ctx) then handle_one t sh req
-      else
+      else begin
+        Trace.span_between "serve.queue_wait" ~t0_us ~t1_us:(Clock.now_us ());
         Trace.with_span "serve.batch"
           ~args:[ ("shard", Trace.Int sh.sid); ("jobs", Trace.Int 1) ]
           (fun () ->
             Trace.with_span "serve.engine"
               ~args:[ ("verb", Trace.Str (Proto.verb_of_req req)) ]
-              (fun () -> handle_one t sh req)))
-
-(* --- worker loop ----------------------------------------------------------- *)
-
-let run_job t sh job =
-  if traced job.ctx then queue_wait job.ctx ~t0_us:job.enq_us ~t1_us:(Clock.now_us ());
-  let reply = handle_traced t sh ~ctx:job.ctx job.req in
-  Mutex.lock job.job_m;
-  job.reply <- Some reply;
-  Condition.signal job.job_c;
-  Mutex.unlock job.job_m
-
-(* Take the whole queue at once and answer it in order; the queue bound
-   is the backpressure. *)
-let worker_loop t sh =
-  let rec loop () =
-    Mutex.lock sh.m;
-    while sh.queue = [] && not sh.stopping do
-      Condition.wait sh.nonempty sh.m
-    done;
-    let jobs = List.rev sh.queue in
-    sh.queue <- [];
-    sh.queue_len <- 0;
-    Condition.broadcast sh.nonfull;
-    Mutex.unlock sh.m;
-    match jobs with
-    | [] -> () (* stopping and flushed *)
-    | jobs ->
-      List.iter (run_job t sh) jobs;
-      loop ()
-  in
-  loop ()
+              (fun () -> handle_one t sh req))
+      end)
 
 (* --- public surface -------------------------------------------------------- *)
 
-let create ?(threaded = true) ?(flight_capacity = 256) ~shards ~max_queue () =
+let create ?(flight_capacity = 256) ?threaded:_ ?max_queue:_ ~shards () =
   if shards <= 0 then invalid_arg "Shard.create: shards must be positive";
-  if max_queue <= 0 then invalid_arg "Shard.create: max_queue must be positive";
   let mk sid =
-    {
-      sid;
-      m = Mutex.create ();
-      nonempty = Condition.create ();
-      nonfull = Condition.create ();
-      queue = [];
-      queue_len = 0;
-      stopping = false;
-      sessions = Hashtbl.create 64;
-      roster_m = Mutex.create ();
-      roster = [];
-      worker = None;
-    }
+    { sid; sessions = Hashtbl.create 64; roster_m = Mutex.create (); roster = [] }
   in
-  let t =
-    {
-      shards = Array.init shards mk;
-      max_queue;
-      flight_capacity;
-      threaded;
-      drain_m = Mutex.create ();
-      drained = None;
-    }
-  in
-  if threaded then
-    Array.iter (fun sh -> sh.worker <- Some (Domain.spawn (fun () -> worker_loop t sh))) t.shards;
-  t
+  { shards = Array.init shards mk; flight_capacity; m = Mutex.create (); drained = None }
 
 let draining_error = Error.Precondition "server draining"
-
-let call_sync t sh ~ctx req =
-  Mutex.lock sh.m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sh.m)
-    (fun () ->
-      if sh.stopping then Error draining_error
-      else begin
-        (* Synchronous dispatch never queues — a zero-width queue-wait
-           span keeps the traced span set identical across modes. *)
-        (if traced ctx then
-           let now = Clock.now_us () in
-           queue_wait ctx ~t0_us:now ~t1_us:now);
-        handle_traced t sh ~ctx req
-      end)
-
-let call_threaded t sh ~ctx req =
-  let job =
-    {
-      req;
-      ctx;
-      enq_us = Clock.now_us ();
-      job_m = Mutex.create ();
-      job_c = Condition.create ();
-      reply = None;
-    }
-  in
-  Mutex.lock sh.m;
-  while sh.queue_len >= t.max_queue && not sh.stopping do
-    Condition.wait sh.nonfull sh.m
-  done;
-  if sh.stopping then begin
-    Mutex.unlock sh.m;
-    Error draining_error
-  end
-  else begin
-    sh.queue <- job :: sh.queue;
-    sh.queue_len <- sh.queue_len + 1;
-    Condition.signal sh.nonempty;
-    Mutex.unlock sh.m;
-    Mutex.lock job.job_m;
-    while job.reply = None do
-      Condition.wait job.job_c job.job_m
-    done;
-    Mutex.unlock job.job_m;
-    Option.get job.reply
-  end
 
 let call ?(ctx = Ctx.none) t (req : Proto.req) =
   match Proto.tenant_of_req req with
   | None -> answer_inline t req
   | Some tenant ->
     let sh = t.shards.(shard_of_tenant ~shards:(Array.length t.shards) tenant) in
-    if t.threaded then call_threaded t sh ~ctx req else call_sync t sh ~ctx req
+    let t0_us = if traced ctx then Clock.now_us () else 0. in
+    Mutex.protect t.m (fun () ->
+        if t.drained <> None then Error draining_error
+        else handle_traced t sh ~ctx ~t0_us req)
 
 let drain t =
-  Mutex.lock t.drain_m;
-  match t.drained with
-  | Some listing ->
-    Mutex.unlock t.drain_m;
-    listing
-  | None ->
-    Array.iter
-      (fun sh ->
-        Mutex.lock sh.m;
-        sh.stopping <- true;
-        Condition.broadcast sh.nonempty;
-        Condition.broadcast sh.nonfull;
-        Mutex.unlock sh.m)
-      t.shards;
-    if t.threaded then
-      Array.iter
-        (fun sh ->
-          match sh.worker with
-          | Some d ->
-            Domain.join d;
-            sh.worker <- None
-          | None -> ())
-        t.shards;
-    let listing =
-      Array.to_list t.shards
-      |> List.concat_map (fun sh ->
-             Hashtbl.fold (fun tenant s acc -> (tenant, s) :: acc) sh.sessions [])
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    t.drained <- Some listing;
-    Mutex.unlock t.drain_m;
-    listing
+  Mutex.protect t.m (fun () ->
+      match t.drained with
+      | Some listing -> listing
+      | None ->
+        let listing =
+          Array.to_list t.shards
+          |> List.concat_map (fun sh ->
+                 Hashtbl.fold (fun tenant s acc -> (tenant, s) :: acc) sh.sessions [])
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        in
+        t.drained <- Some listing;
+        listing)

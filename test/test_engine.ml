@@ -212,6 +212,30 @@ let test_classification_flip_forces_resolve () =
   let _ = ok_exn "add" (Engine.add_path s [ 3; 5 ]) in
   check "equivalent after more ops" true (equivalent s)
 
+let test_full_solves_reuse_classification () =
+  (* A full solve hands the session's classification to the solver instead
+     of recomputing it; the report must still be a fresh solve's, field for
+     field, on both sides of the arc that creates an internal cycle — with
+     3 paths (exact coloring after the arc) and with 30 (DSATUR). *)
+  List.iter
+    (fun copies ->
+      let family = [ [ 0; 1; 3 ]; [ 0; 2; 3 ]; [ 4; 0; 1 ] ] in
+      let paths = List.concat (List.init copies (fun _ -> family)) in
+      let s = Engine.create (instance_of_arcs 6 fed_diamond_arcs paths) in
+      let same what =
+        check
+          (Printf.sprintf "%d paths, %s: report = fresh solve" (3 * copies) what)
+          true
+          (Engine.report s = Solver.solve (Engine.instance s))
+      in
+      same "before the arc";
+      ignore (ok_exn "add arc" (Engine.add_arc s 3 5));
+      check_int "internal cycle" 1 (classification s).Wl_dag.Classify.n_internal_cycles;
+      same "after the arc";
+      ignore (ok_exn "add" (Engine.add_path s [ 2; 3; 5 ]));
+      same "after a path over it")
+    [ 1; 10 ]
+
 let test_add_arc_keeps_warm_when_still_nic () =
   let inst = instance_of_arcs 6 base_arcs [ [ 0; 1; 2 ]; [ 1; 2; 3 ] ] in
   let s = warmed inst in
@@ -404,6 +428,8 @@ let suite =
         Alcotest.test_case "rejections" `Quick test_rejections;
         Alcotest.test_case "classification flip" `Quick
           test_classification_flip_forces_resolve;
+        Alcotest.test_case "full solves reuse the classification" `Quick
+          test_full_solves_reuse_classification;
         Alcotest.test_case "add_arc keeps warm" `Quick
           test_add_arc_keeps_warm_when_still_nic;
         Alcotest.test_case "instance sees arcs added before it" `Quick

@@ -1,7 +1,9 @@
 (* Tests for the wlrpc/1 service stack: wire framing totality, protocol
    codecs (text and JSON, error frames included), address parsing, the
-   loopback client against a live engine, and a real unix-socket daemon
-   round trip ending in a graceful drain.  The statistical/differential
+   loopback client against a live engine, a real unix-socket daemon
+   (concurrent connections against bare sessions, a stalled peer, a round
+   trip ending in a graceful drain), a drain under load, and the client's
+   protocol-version check.  The statistical/differential
    side lives in the client_vs_engine and wlrpc_frame fuzz oracles; these
    are the deterministic anchors. *)
 
@@ -267,10 +269,10 @@ let test_loopback_json_and_batch () =
 
 (* --- one dispatch path ------------------------------------------------------- *)
 
-let test_threaded_dispatch_matches_engine () =
+let test_dispatch_matches_engine () =
   (* Figure 3's DAG has an internal cycle, so the warm path is off and a
-     session solves once per dirty streak, when a report is read.  Both
-     shard modes must count the solves a bare session counts, call for
+     session solves once per dirty streak, when a report is read.  The
+     loopback must count the solves a bare session counts, call for
      call. *)
   let fig3 = Wl_netgen.Figures.fig3 () in
   let base = Instance.make (Instance.dag fig3) [] in
@@ -280,34 +282,274 @@ let test_threaded_dispatch_matches_engine () =
   in
   let bare = Engine.create base in
   ignore (Engine.report bare) (* an Open replies with a report *);
-  let clients =
-    [ ("threaded", Client.local ~threaded:true ~shards:2 ()); ("sync", Client.local ()) ]
-  in
-  let sessions =
-    List.map
-      (fun (mode, c) -> (mode, ok_exn "open" (Client.open_session c ~tenant:"fig3" base)))
-      clients
-  in
+  let c = Client.local () in
+  let s = ok_exn "open" (Client.open_session c ~tenant:"fig3" base) in
   List.iteri
     (fun k call ->
       (match call with
-      | `Add vs -> ignore (ok_exn "engine add" (Engine.add_path bare vs))
-      | `Report -> ignore (Engine.report bare)
-      | `Remove id -> ok_exn "engine remove" (Engine.remove_path bare id));
-      List.iter
-        (fun (mode, s) ->
-          (match call with
-          | `Add vs -> ignore (ok_exn "add" (Client.add_path s vs))
-          | `Report -> ignore (ok_exn "report" (Client.report s))
-          | `Remove id -> ok_exn "remove" (Client.remove_path s id));
-          check
-            (Printf.sprintf "call %d: %s stats = bare engine" k mode)
-            true
-            (ok_exn "stats" (Client.stats s) = Engine.stats bare))
-        sessions)
+      | `Add vs ->
+        ignore (ok_exn "engine add" (Engine.add_path bare vs));
+        ignore (ok_exn "add" (Client.add_path s vs))
+      | `Report ->
+        ignore (Engine.report bare);
+        ignore (ok_exn "report" (Client.report s))
+      | `Remove id ->
+        ok_exn "engine remove" (Engine.remove_path bare id);
+        ok_exn "remove" (Client.remove_path s id));
+      check
+        (Printf.sprintf "call %d: stats = bare engine" k)
+        true
+        (ok_exn "stats" (Client.stats s) = Engine.stats bare))
     (round @ round @ [ `Remove 0 ]);
   check_int "one solve per dirty streak" 3 (Engine.stats bare).Engine.full_solves;
-  List.iter (fun (_, c) -> Client.close c) clients
+  Client.close c
+
+(* --- one domain, many connections -------------------------------------------- *)
+
+(* A tenant's churn: every path added in order, the oldest of each four
+   removed after the fourth, and a report after every third mutation.
+   [`Remove k] names the k-th add. *)
+let churn_script paths =
+  let ops = ref [] and mutations = ref 0 in
+  let mutate op =
+    ops := op :: !ops;
+    incr mutations;
+    if !mutations mod 3 = 0 then ops := `Report :: !ops
+  in
+  List.iteri
+    (fun i vs ->
+      mutate (`Add vs);
+      if i mod 4 = 3 then mutate (`Remove (i - 3)))
+    paths;
+  List.rev !ops
+
+(* Run a script through [add]/[remove]/[report]; returns the path ids in
+   add order. *)
+let run_script ~add ~remove ~report ops =
+  let ids = ref [] in
+  List.iter
+    (function
+      | `Add vs -> ids := add vs :: !ids
+      | `Remove k -> remove (List.nth (List.rev !ids) k)
+      | `Report -> report ())
+    ops;
+  List.rev !ids
+
+let with_daemon f =
+  (* As in wld: a peer that hangs up before its reply is written must not
+     kill the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path = Filename.temp_file "wld_test" ".sock" in
+  Sys.remove path;
+  let shard = Shard.create ~shards:2 () in
+  let srv = ok_exn "serve" (Server.serve ~shard (Server.Unix_sock path)) in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_stop srv;
+      ignore (Server.wait srv))
+    (fun () -> f path)
+
+(* Run [f] on a thread; [Error msg] if it raised. *)
+let in_thread f =
+  let failure = ref None in
+  let th =
+    Thread.create
+      (fun () -> try f () with e -> failure := Some (Printexc.to_string e))
+      ()
+  in
+  fun () ->
+    Thread.join th;
+    match !failure with None -> Ok () | Some msg -> Error msg
+
+let test_concurrent_dispatch_matches_engine () =
+  (* Two connections drive their own tenants at once, one on Figure 3's
+     DAG and one on a random DAG with internal cycles, so full solves of
+     one connection run while the other waits for the lock.  Every
+     tenant must end exactly where a bare session replaying its ops
+     ends: same stats, same report, same color for every live path. *)
+  let fig3 = Wl_netgen.Figures.fig3 () in
+  let rng = Prng.create 27 in
+  let gnp = Wl_netgen.Generators.gnp_dag rng 14 0.3 in
+  check "random DAG has internal cycles" true
+    ((Wl_dag.Classify.classify gnp).Wl_dag.Classify.n_internal_cycles > 0);
+  let vertices = List.map Wl_digraph.Dipath.vertices in
+  let gnp_paths = vertices (Wl_netgen.Path_gen.random_family rng gnp 40) in
+  let fig3_paths = vertices (Instance.paths_list fig3) in
+  let tenants =
+    [
+      ("c0-fig3", Instance.make (Instance.dag fig3) [], churn_script (fig3_paths @ fig3_paths));
+      ("c0-gnp", Instance.make gnp [], churn_script gnp_paths);
+      ("c1-gnp", Instance.make gnp [], churn_script (List.rev gnp_paths));
+      ("c1-fig3", Instance.make (Instance.dag fig3) [], churn_script fig3_paths);
+    ]
+  in
+  with_daemon (fun path ->
+      let addr = "unix:" ^ path in
+      let drive json mine =
+        let c = ok_exn "connect" (Client.connect ~json addr) in
+        let out =
+          List.map
+            (fun (tenant, base, ops) ->
+              let s = ok_exn "open" (Client.open_session c ~tenant base) in
+              let ids =
+                run_script ops
+                  ~add:(fun vs -> ok_exn "add" (Client.add_path s vs))
+                  ~remove:(fun id -> ok_exn "remove" (Client.remove_path s id))
+                  ~report:(fun () -> ignore (ok_exn "report" (Client.report s)))
+              in
+              (s, ids))
+            mine
+        in
+        Client.close c;
+        out
+      in
+      let results = Array.make 2 [] in
+      let joins =
+        List.mapi
+          (fun j json ->
+            let mine = List.filteri (fun i _ -> i / 2 = j) tenants in
+            in_thread (fun () -> results.(j) <- drive json mine))
+          [ false; true ]
+      in
+      List.iter (fun join -> match join () with Ok () -> () | Error m -> Alcotest.fail m) joins;
+      (* The clients are closed; read each tenant back over a fresh one. *)
+      let c = ok_exn "connect" (Client.connect addr) in
+      List.iter2
+        (fun (tenant, base, ops) (_, ids) ->
+          let bare = Engine.create base in
+          ignore (Engine.report bare);
+          let bare_ids =
+            run_script ops
+              ~add:(fun vs -> ok_exn "bare add" (Engine.add_path bare vs))
+              ~remove:(fun id -> ok_exn "bare remove" (Engine.remove_path bare id))
+              ~report:(fun () -> ignore (Engine.report bare))
+          in
+          check (tenant ^ ": same path ids") true (ids = bare_ids);
+          let s = ok_exn "session" (Client.session c ~tenant) in
+          check (tenant ^ ": report = bare engine") true
+            (ok_exn "report" (Client.report s) = Proto.report_of_solver (Engine.report bare));
+          check (tenant ^ ": stats = bare engine") true
+            (ok_exn "stats" (Client.stats s) = Engine.stats bare);
+          check (tenant ^ ": solved more than once") true
+            ((Engine.stats bare).Engine.full_solves > 1);
+          List.iter
+            (fun (id, _) ->
+              check_int
+                (Printf.sprintf "%s: color of path %d" tenant id)
+                (ok_exn "bare color" (Engine.color_of bare id))
+                (ok_exn "color" (Client.color_of s id)))
+            (Engine.live_paths bare))
+        tenants
+        (Array.to_list results |> List.concat);
+      Client.close c)
+
+let test_stalled_client_blocks_no_one () =
+  (* A peer that sends a length prefix and half its payload, then stalls,
+     holds its own connection thread in [Wire.read] — never the lock the
+     engine work runs under. *)
+  with_daemon (fun path ->
+      let addr = "unix:" ^ path in
+      let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close raw)
+        (fun () ->
+          Unix.connect raw (Unix.ADDR_UNIX path);
+          let frame = Wire.frame (Proto.encode_request (Proto.Report { tenant = "stall" })) in
+          ignore (Unix.write_substring raw frame 0 (String.length frame / 2));
+          let finished = Atomic.make false in
+          let join =
+            in_thread (fun () ->
+                let c = ok_exn "connect" (Client.connect addr) in
+                let s = ok_exn "open" (Client.open_session c ~tenant:"live" (line3 ())) in
+                ignore (ok_exn "add" (Client.add_path s [ 0; 1 ]));
+                check_int "report" 2 (ok_exn "report" (Client.report s)).Proto.n_wavelengths;
+                Client.close c;
+                Atomic.set finished true)
+          in
+          let deadline = Unix.gettimeofday () +. 2.0 in
+          while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+            Thread.delay 0.005
+          done;
+          check "open, add and report done within 2 s" true (Atomic.get finished);
+          match join () with Ok () -> () | Error m -> Alcotest.fail m))
+
+let test_drain_under_load () =
+  (* Drain takes the dispatch lock: once it returns no op is in flight,
+     the drained sessions never change again, and every tenant request
+     begun after it is refused. *)
+  let shard = Shard.create ~shards:2 () in
+  let tenants = [| "d0"; "d1"; "d2" |] in
+  Array.iter
+    (fun tenant ->
+      match Shard.call shard (Proto.Open { tenant; instance = line3 () }) with
+      | Ok (Proto.R_open _) -> ()
+      | _ -> Alcotest.fail "open")
+    tenants;
+  let calls = Atomic.make 0 and drained = Atomic.make false in
+  let late = ref [] in
+  let join =
+    in_thread (fun () ->
+        let i = ref 0 in
+        while List.length !late < 200 do
+          let after = Atomic.get drained in
+          let tenant = tenants.(!i mod 3) in
+          let reply =
+            match Shard.call shard (Proto.Add_path { tenant; vertices = [ 0; 1 ] }) with
+            | Ok (Proto.R_path id) -> Shard.call shard (Proto.Remove_path { tenant; id })
+            | reply -> reply
+          in
+          if !i mod 3 = 2 then ignore (Shard.call shard (Proto.Report { tenant }));
+          if after then late := reply :: !late;
+          incr i;
+          Atomic.set calls !i
+        done)
+  in
+  while Atomic.get calls < 30 do
+    Thread.yield ()
+  done;
+  let sessions = Shard.drain shard in
+  Atomic.set drained true;
+  let stats () = List.map (fun (tenant, s) -> (tenant, Engine.stats s)) sessions in
+  let at_drain = stats () in
+  (match join () with Ok () -> () | Error m -> Alcotest.fail m);
+  check_int "every tenant drained" 3 (List.length sessions);
+  check "ops ran before the drain" true
+    (List.for_all (fun (_, st) -> st.Engine.ops > 0) at_drain);
+  check "drained sessions stay fixed" true (stats () = at_drain);
+  check "every later call refused" true
+    (List.for_all (fun r -> r = Error (Error.Precondition "server draining")) !late);
+  check "drain is idempotent" true (Shard.drain shard == sessions)
+
+let test_connect_checks_version () =
+  (* A one-shot fake daemon that speaks the next protocol version: connect
+     must send one untraced hello, then refuse and close its socket. *)
+  let path = Filename.temp_file "wld_fake" ".sock" in
+  Sys.remove path;
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let hello = ref (Ok None) and closed = ref false in
+  let join =
+    in_thread (fun () ->
+        let fd, _ = Unix.accept listener in
+        hello := Wire.read fd;
+        ignore (Wire.write fd (Proto.encode_reply (Ok (Proto.R_hello (Proto.version + 1)))));
+        (closed :=
+           match Unix.select [ fd ] [] [] 2.0 with
+           | [], _, _ -> false
+           | _ -> Wire.read fd = Ok None);
+        Unix.close fd)
+  in
+  (match Client.connect ("unix:" ^ path) with
+  | Error (Error.Unsupported_version v) -> check_int "daemon's version" (Proto.version + 1) v
+  | Error e -> Alcotest.failf "want Unsupported_version, got %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "connected to a daemon of another version");
+  (match join () with Ok () -> () | Error m -> Alcotest.fail m);
+  Unix.close listener;
+  Sys.remove path;
+  check "one untraced hello" true
+    (!hello = Ok (Some (Proto.encode_request (Proto.Hello Proto.version))));
+  check "client closed its socket" true !closed
 
 (* --- trace context on the wire ----------------------------------------------- *)
 
@@ -355,7 +597,7 @@ let test_introspection () =
      is a read-side projection, not a second bookkeeping path.  Requests
      go straight to the shard, each with a fresh trace context. *)
   with_memory_trace (fun _sink ->
-      let shard = Shard.create ~threaded:false ~shards:2 ~max_queue:64 () in
+      let shard = Shard.create ~shards:2 () in
       let gen = Ctx.generator 77 in
       let call what req =
         match Shard.call ~ctx:(Ctx.root gen) shard req with
@@ -484,7 +726,7 @@ let test_traced_call_span_tree () =
 let test_daemon_roundtrip () =
   let path = Filename.temp_file "wld_test" ".sock" in
   Sys.remove path;
-  let shard = Shard.create ~threaded:true ~shards:2 ~max_queue:64 () in
+  let shard = Shard.create ~shards:2 () in
   let srv =
     ok_exn "serve" (Server.serve ~shard (Server.Unix_sock path))
   in
@@ -522,8 +764,14 @@ let suite =
         Alcotest.test_case "addresses" `Quick test_addresses;
         Alcotest.test_case "loopback client" `Quick test_loopback;
         Alcotest.test_case "json loopback batch" `Quick test_loopback_json_and_batch;
-        Alcotest.test_case "threaded dispatch = engine" `Quick
-          test_threaded_dispatch_matches_engine;
+        Alcotest.test_case "loopback dispatch = engine" `Quick test_dispatch_matches_engine;
+        Alcotest.test_case "concurrent dispatch = engine" `Quick
+          test_concurrent_dispatch_matches_engine;
+        Alcotest.test_case "a stalled client blocks no one" `Quick
+          test_stalled_client_blocks_no_one;
+        Alcotest.test_case "drain under load" `Quick test_drain_under_load;
+        Alcotest.test_case "connect checks the protocol version" `Quick
+          test_connect_checks_version;
         Alcotest.test_case "ctx on the wire" `Quick test_ctx_on_the_wire;
         Alcotest.test_case "daemon introspection" `Quick test_introspection;
         Alcotest.test_case "traced call span tree" `Quick
