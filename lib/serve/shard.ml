@@ -33,9 +33,9 @@ type t = {
   m : Mutex.t;
       (** One lock for every shard, held across the engine work
           ([handle_traced]) and nothing else: no socket read or write and
-          no codec runs under it.  Per-shard locks would not be safe: every systhread of
-          the domain shares its domain-local state — the scratches that
-          [Theorem1.color] (reached by [Solver] and
+          no codec runs under it.  Per-shard locks would not be safe:
+          every systhread of the domain shares its domain-local state —
+          the scratches that [Theorem1.color] (reached by [Solver] and
           [Theorem6.split_and_glue]) and DSATUR draw from, the ambient
           [Ctx] cell, and the [Trace] and [Prof] span stacks — and the
           tick thread may switch systhreads at any poll point in the
