@@ -52,23 +52,28 @@ let normalize coloring =
       coloring
   end
 
-let smallest_free g coloring v =
-  let used = Array.make (Ugraph.degree g v + 1) false in (* alloc-ok *)
-  Bitset.iter
-    (fun w ->
-      let c = coloring.(w) in
-      if c >= 0 && c < Array.length used then used.(c) <- true)
-    (Ugraph.neighbor_set g v);
-  let rec first i = if not used.(i) then i else first (i + 1) in
-  first 0
-
-(* First-fit in non-increasing degree order (Welsh–Powell). *)
+(* First-fit in non-increasing degree order (Welsh–Powell).  A vertex's
+   neighbours hold fewer colors than there are vertices, so one array
+   marks them for every vertex: [mark.(c) = v + 1] while coloring [v]
+   says a neighbour of [v] holds [c]. *)
 let greedy_desc_degree g =
   let n = Ugraph.n_vertices g in
   let order = Array.init n Fun.id in (* alloc-ok *)
   Array.sort (fun u v -> compare (Ugraph.degree g v) (Ugraph.degree g u)) order;
   let coloring = Array.make n (-1) in (* alloc-ok *)
-  Array.iter (fun v -> coloring.(v) <- smallest_free g coloring v) order;
+  let mark = Array.make n 0 in (* alloc-ok *)
+  let stamp = ref 0 in
+  let see w = if coloring.(w) >= 0 then mark.(coloring.(w)) <- !stamp in
+  Array.iter
+    (fun v ->
+      stamp := v + 1;
+      Bitset.iter see (Ugraph.neighbor_set g v);
+      let c = ref 0 in
+      while mark.(!c) = !stamp do
+        incr c
+      done;
+      coloring.(v) <- !c)
+    order;
   coloring
 
 (* Reusable DSATUR working set, one per domain: the saturation bitsets

@@ -1,10 +1,13 @@
 module Bitset = Wl_util.Bitset
 
-type t = { n : int; adj : Bitset.t array; mutable m : int }
+(* [deg.(v)] is the cardinal of [adj.(v)], kept by [add_edge] so that
+   [degree] is O(1): the degree-ordered heuristics call it twice per sort
+   comparison. *)
+type t = { n : int; adj : Bitset.t array; deg : int array; mutable m : int }
 
 let create n =
   if n < 0 then invalid_arg "Ugraph.create";
-  { n; adj = Array.init n (fun _ -> Bitset.create n); m = 0 }
+  { n; adj = Array.init n (fun _ -> Bitset.create n); deg = Array.make n 0; m = 0 }
 
 let n_vertices t = t.n
 let n_edges t = t.m
@@ -23,6 +26,8 @@ let add_edge t u v =
   if not (Bitset.mem t.adj.(u) v) then begin
     Bitset.add t.adj.(u) v;
     Bitset.add t.adj.(v) u;
+    t.deg.(u) <- t.deg.(u) + 1;
+    t.deg.(v) <- t.deg.(v) + 1;
     t.m <- t.m + 1
   end
 
@@ -36,7 +41,7 @@ let neighbor_set t v =
 
 let degree t v =
   check t v;
-  Bitset.cardinal t.adj.(v)
+  t.deg.(v)
 
 let iter_edges f t =
   (* Each edge once as (u, v) with u < v, in lexicographic order — walking

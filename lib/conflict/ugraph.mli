@@ -1,9 +1,10 @@
 (** Simple undirected graphs, used as conflict graphs.
 
-    Vertices are dense integers; the adjacency is kept both as lists (for
-    iteration) and as bitsets (for the clique and exact-coloring solvers).
-    The number of wavelengths [w(G,P)] of the paper is precisely the
-    chromatic number of such a graph. *)
+    Vertices are dense integers; the adjacency is one bitset per vertex
+    (for the clique and exact-coloring solvers), and each vertex's
+    degree is a counter kept alongside it.  The number of wavelengths
+    [w(G,P)] of the paper is precisely the chromatic number of such a
+    graph. *)
 
 type t
 
@@ -23,6 +24,8 @@ val neighbor_set : t -> int -> Wl_util.Bitset.t
 (** The adjacency bitset itself — callers must not mutate it. *)
 
 val degree : t -> int -> int
+(** O(1): a counter that {!add_edge} bumps only for a new edge. *)
+
 val iter_edges : (int -> int -> unit) -> t -> unit
 (** [iter_edges f g] calls [f u v] once per edge, [u < v], in
     lexicographic order, without materializing a list. *)

@@ -1,6 +1,7 @@
 (* Properties pinning the flat-core rewrites to their reference semantics:
    the CSR instance index vs a naive per-arc list index, bucketed DSATUR vs
-   the original selection-scan DSATUR, dynamic-chunking Parallel vs its
+   the original selection-scan DSATUR, the counted-degree greedy heuristics
+   vs their popcount originals, dynamic-chunking Parallel vs its
    sequential meaning, and the bitset/ugraph iteration helpers. *)
 
 open Helpers
@@ -61,6 +62,46 @@ let reference_dsatur g =
 let n_colors coloring =
   Array.fold_left (fun acc c -> max acc (c + 1)) 0 coloring
 
+(* The greedy heuristics before [Ugraph] counted degrees: a popcount per
+   degree query, so two per sort comparison, and a fresh [used] array per
+   vertex in first-fit.  Kept as the oracles for the counted versions. *)
+let popcount_degree g v = Bitset.cardinal (Ugraph.neighbor_set g v)
+
+let by_popcount_degree g =
+  let order = Array.init (Ugraph.n_vertices g) Fun.id in
+  Array.sort (fun u v -> compare (popcount_degree g v) (popcount_degree g u)) order;
+  order
+
+let reference_smallest_free g coloring v =
+  let used = Array.make (popcount_degree g v + 1) false in
+  Bitset.iter
+    (fun w ->
+      let c = coloring.(w) in
+      if c >= 0 && c < Array.length used then used.(c) <- true)
+    (Ugraph.neighbor_set g v);
+  let rec first i = if not used.(i) then i else first (i + 1) in
+  first 0
+
+let reference_greedy g =
+  let coloring = Array.make (Ugraph.n_vertices g) (-1) in
+  Array.iter
+    (fun v -> coloring.(v) <- reference_smallest_free g coloring v)
+    (by_popcount_degree g);
+  coloring
+
+let reference_best_heuristic g =
+  let a = reference_greedy g and b = reference_dsatur g in
+  if n_colors a <= n_colors b then a else b
+
+let reference_greedy_clique g =
+  let clique = ref [] in
+  Array.iter
+    (fun v ->
+      if List.for_all (fun u -> Ugraph.mem_edge g u v) !clique then
+        clique := v :: !clique)
+    (by_popcount_degree g);
+  List.sort compare !clique
+
 (* --- CSR index ----------------------------------------------------------- *)
 
 let csr_matches_naive =
@@ -109,6 +150,74 @@ let dsatur_matches_reference =
       Coloring.is_valid g fast
       && fast = slow
       && n_colors fast = n_colors slow)
+
+(* --- Counted degrees ------------------------------------------------------ *)
+
+let heuristics_match g =
+  Coloring.best_heuristic g = reference_best_heuristic g
+  && Wl_conflict.Clique.greedy_clique g = reference_greedy_clique g
+
+let greedy_matches_reference =
+  qtest ~count:200 "best_heuristic and greedy_clique = popcount references"
+    seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let n = Prng.int rng 81 in
+      let p = 0.1 +. (0.1 *. float_of_int (Prng.int rng 9)) in
+      heuristics_match (random_ugraph seed n p))
+
+(* The conflict graphs the route-backbone plans color: dense, with many
+   equal degrees, so the sort's tie order shows. *)
+let greedy_matches_reference_on_backbones =
+  qtest ~count:40 "backbone conflict graphs: greedy heuristics = references"
+    seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let dag =
+        Wl_netgen.Generators.backbone rng ~pops:(3 + Prng.int rng 3)
+          ~levels:(4 + Prng.int rng 4)
+      in
+      let requests = Wl_netgen.Traffic.uniform rng dag (20 + Prng.int rng 60) in
+      requests = []
+      ||
+      match Wl_core.Routing.select ~k:4 dag requests with
+      | Error _ -> false
+      | Ok sel ->
+        heuristics_match
+          (Wl_core.Conflict_of.build (Wl_core.Routing.instance_of_selection dag sel)))
+
+let degrees_consistent g =
+  let n = Ugraph.n_vertices g in
+  let sum = ref 0 and ok = ref true in
+  for v = 0 to n - 1 do
+    let d = Ugraph.degree g v in
+    if d <> popcount_degree g v then ok := false;
+    sum := !sum + d
+  done;
+  !ok && 2 * Ugraph.n_edges g = !sum
+
+(* Random insertions, a third of them repeats of an edge already in (in
+   either orientation), which must leave every count unchanged. *)
+let degree_counts_edges =
+  qtest ~count:150 "Ugraph.degree = popcount, n_edges = half the degrees"
+    seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let n = 2 + Prng.int rng 60 in
+      let g = Ugraph.create n in
+      let added = ref [] in
+      for _ = 1 to Prng.int rng (3 * n) do
+        match !added with
+        | _ :: _ when Prng.int rng 3 = 0 ->
+          let u, v = List.nth !added (Prng.int rng (List.length !added)) in
+          if Prng.bool rng then Ugraph.add_edge g u v else Ugraph.add_edge g v u
+        | _ ->
+          let u = Prng.int rng n and v = Prng.int rng n in
+          if u <> v then begin
+            Ugraph.add_edge g u v;
+            added := (u, v) :: !added
+          end
+      done;
+      let c = Ugraph.complement g in
+      degrees_consistent g && degrees_consistent c
+      && Ugraph.n_edges g + Ugraph.n_edges c = n * (n - 1) / 2)
 
 (* --- Parallel ------------------------------------------------------------ *)
 
@@ -177,6 +286,9 @@ let suite =
         csr_matches_naive;
         add_paths_matches_bulk;
         dsatur_matches_reference;
+        greedy_matches_reference;
+        greedy_matches_reference_on_backbones;
+        degree_counts_edges;
         parallel_matches_sequential;
         Alcotest.test_case "parallel derived ops" `Quick parallel_derived_ops;
         Alcotest.test_case "parallel exception" `Quick parallel_exception;
