@@ -93,9 +93,10 @@ let bfs_into walk enter g buf len =
    reverse topological order builds every list, each entry sharing its
    tail.  Marks are stamped per call, so one scratch serves many calls. *)
 
-type entry = { v : Digraph.vertex; hops : int; tail : entry }
+(* [arc] leads from [v] to [tail.v]; dst's own entry has none. *)
+type entry = { v : Digraph.vertex; arc : Digraph.arc; hops : int; tail : entry }
 
-let rec nil = { v = -1; hops = -1; tail = nil }
+let rec nil = { v = -1; arc = -1; hops = -1; tail = nil }
 
 type sweep = {
   dag : Dag.t;
@@ -104,6 +105,9 @@ type sweep = {
   reg : int array;  (* = stamp: also reached from src *)
   buf : int array;  (* the ancestors, then the region *)
   best : entry list array;  (* k best dipaths to dst; [] between calls *)
+  into : int array;  (* the arc in from the vertex swept, or from the seed's parent *)
+  bott : int array;  (* the seed's label (bottleneck, hops) *)
+  hop : int array;
   mutable stamp : int;
 }
 
@@ -111,11 +115,22 @@ let sweep_scratch d =
   let n = Dag.n_vertices d in
   let ints () = Array.make n 0 in
   { dag = d; pos = Array.init n (Dag.topo_position d); anc = ints (); reg = ints ();
-    buf = ints (); best = Array.make n []; stamp = 0 }
+    buf = ints (); best = Array.make n []; into = ints (); bott = ints (); hop = ints ();
+    stamp = 0 }
 
 (* Callers ask for one request at a time, so a spare scratch, taken
    atomically and kept for the last DAG, spares them O(n) arrays per call. *)
 let spare = Atomic.make None
+
+let with_sweep d f =
+  let s =
+    match Atomic.exchange spare None with
+    | Some s when s.dag == d -> s
+    | _ -> sweep_scratch d
+  in
+  let r = f s in
+  Atomic.set spare (Some s);
+  r
 
 (* The vertices on some src-dst dipath, i.e. the ancestors of dst that src
    reaches, into [s.buf] in topological order; returns their count. *)
@@ -161,34 +176,49 @@ let rec merge k a b =
     if t.hops < t'.hops || (t.hops = t'.hops && t.v < t'.v) then t :: merge (k - 1) a' b
     else t' :: merge (k - 1) a b'
 
+(* The dipath of an entry, from the vertices and arcs the sweep linked. *)
+let dipath_of_entry e =
+  let verts = Array.make (e.hops + 1) 0 and arcs = Array.make e.hops 0 in
+  let rec fill i e =
+    verts.(i) <- e.v;
+    if e.tail != nil then begin
+      arcs.(i) <- e.arc;
+      fill (i + 1) e.tail
+    end
+  in
+  fill 0 e;
+  Dipath.unsafe_of_arrays verts arcs
+
 let k_shortest ?(k = 8) d src dst =
   if k <= 0 || src = dst then []
-  else begin
-    let s =
-      match Atomic.exchange spare None with
-      | Some s when s.dag == d -> s
-      | _ -> sweep_scratch d
-    in
+  else
+    with_sweep d @@ fun s ->
     let g = Dag.graph d in
-    let merge_succ w acc = if s.reg.(w) = s.stamp then merge k acc s.best.(w) else acc in
+    let acc = ref [] in
+    let merge_out a =
+      let w = Digraph.arc_dst g a in
+      if s.reg.(w) = s.stamp then begin
+        s.into.(w) <- a;
+        acc := merge k !acc s.best.(w)
+      end
+    in
     let best v =
-      if v = dst then [ { v; hops = 0; tail = nil } ]
-      else
-        Digraph.fold_succ merge_succ g v []
-        |> List.map (fun t -> { v; hops = t.hops + 1; tail = t })
+      if v = dst then [ { v; arc = -1; hops = 0; tail = nil } ]
+      else begin
+        acc := [];
+        Digraph.iter_out_arcs merge_out g v;
+        List.map (fun t -> { v; arc = s.into.(t.v); hops = t.hops + 1; tail = t }) !acc
+      end
     in
     let r = region s src dst in
     for i = r - 1 downto 0 do
       s.best.(s.buf.(i)) <- best s.buf.(i)
     done;
-    let rec walk e acc = if e == nil then List.rev acc else walk e.tail (e.v :: acc) in
-    let paths = List.map (fun e -> Dipath.make g (walk e [])) s.best.(src) in
+    let paths = List.map dipath_of_entry s.best.(src) in
     for i = 0 to r - 1 do
       s.best.(s.buf.(i)) <- []
     done;
-    Atomic.set spare (Some s);
     paths
-  end
 
 let shortest_dipath d src dst =
   match k_shortest ~k:1 d src dst with p :: _ -> Some p | [] -> None
@@ -196,138 +226,79 @@ let shortest_dipath d src dst =
 let route_shortest d requests =
   collect_routes (fun (x, y) -> shortest_dipath d x y) requests
 
-(* --- the seed: lexicographic (bottleneck load, hop count) Dijkstra ----------
+(* --- the seed: a topological DP over the request's region -----------------
 
-   Both components are monotone under arc relaxation, so the label-setting
-   argument applies.  A binary heap of (bottleneck, hops, vertex) triples
-   with lazy deletion pops the least triple, so among equal labels it
-   settles the lowest-numbered vertex, and relaxation keeps the first of
-   equal labels: the route is a deterministic function of the graph and
-   the load vector.  Labels are stamped per search, so one scratch serves
-   every request of a [select]. *)
-
-type seed = {
-  g : Digraph.t;
-  mutable load : int array;  (* the search's per-arc loads *)
-  mutable from : Digraph.vertex;  (* the vertex being settled *)
-  mutable relax_arc : Digraph.arc -> unit;  (* [relax] of this scratch *)
-  bott : int array;  (* a vertex's label (bottleneck, hops) and parent *)
-  hop : int array;
-  parent : int array;
-  reached : int array;  (* = at: the label is set in this search *)
-  mutable at : int;
-  hb : int array;  (* heap entry i is the triple (hb.(i), hh.(i), hv.(i)); *)
-  hh : int array;  (* a search pushes at most once per arc, plus its source *)
-  hv : int array;
-  mutable size : int;
-}
-
-let less s i j =
-  s.hb.(i) < s.hb.(j)
-  || s.hb.(i) = s.hb.(j)
-     && (s.hh.(i) < s.hh.(j) || (s.hh.(i) = s.hh.(j) && s.hv.(i) < s.hv.(j)))
-
-let swap a i j =
-  let t = a.(i) in
-  a.(i) <- a.(j);
-  a.(j) <- t
-
-let swap3 s i j =
-  swap s.hb i j;
-  swap s.hh i j;
-  swap s.hv i j
-
-let rec sift_up s i =
-  let p = (i - 1) / 2 in
-  if i > 0 && less s i p then begin
-    swap3 s i p;
-    sift_up s p
-  end
-
-let rec sift_down s i =
-  let l = (2 * i) + 1 in
-  let c = if l + 1 < s.size && less s (l + 1) l then l + 1 else l in
-  if c < s.size && less s c i then begin
-    swap3 s i c;
-    sift_down s c
-  end
-
-let push s b h v =
-  s.hb.(s.size) <- b;
-  s.hh.(s.size) <- h;
-  s.hv.(s.size) <- v;
-  s.size <- s.size + 1;
-  sift_up s (s.size - 1)
-
-let relax s a =
-  let v = s.from and load = s.load in
-  let w = Digraph.arc_dst s.g a in
-  let b = if load.(a) > s.bott.(v) then load.(a) else s.bott.(v) in
-  let h = s.hop.(v) + 1 in
-  if s.reached.(w) <> s.at || b < s.bott.(w) || (b = s.bott.(w) && h < s.hop.(w))
-  then begin
-    s.reached.(w) <- s.at;
-    s.bott.(w) <- b;
-    s.hop.(w) <- h;
-    s.parent.(w) <- v;
-    push s b h w
-  end
-
-let seed_scratch d =
-  let g = Dag.graph d in
-  let n = Digraph.n_vertices g and cap = Digraph.n_arcs g + 1 in
-  let ints k = Array.make k 0 in
-  let s =
-    { g; load = [||]; from = 0; relax_arc = ignore; bott = ints n; hop = ints n;
-      parent = ints n; reached = ints n; at = 0; hb = ints cap; hh = ints cap;
-      hv = ints cap; size = 0 }
-  in
-  s.relax_arc <- relax s;
-  s
-
-(* Pop until dst settles.  Labels only fall, so an entry that no longer
-   matches its vertex's label is stale, and the matching one pops once. *)
-let rec settle s dst =
-  if s.size > 0 then begin
-    let b = s.hb.(0) and h = s.hh.(0) and v = s.hv.(0) in
-    s.size <- s.size - 1;
-    swap3 s 0 s.size;
-    sift_down s 0;
-    if b <> s.bott.(v) || h <> s.hop.(v) then settle s dst
-    else if v <> dst then begin
-      s.from <- v;
-      Digraph.iter_out_arcs s.relax_arc s.g v;
-      settle s dst
-    end
-  end
+   A label is a pair (bottleneck load, hop count), ordered
+   lexicographically; arc a extends (b, h) to (max b load(a), h + 1).
+   src's label is (0, 0) and every other vertex's is the least extension
+   of its predecessors' labels, so one sweep of the region (the vertices
+   on src-dst dipaths, the only ones that lead to dst) in topological
+   order sets each label after its predecessors'.  Predecessors giving
+   equal labels have equal hop counts; the parent is the least of them
+   by (bottleneck, vertex).  A label-setting search that pops the least
+   (bottleneck, hops, vertex) and keeps the first of equal relaxations
+   settles them in that order, so the route is the one it finds, a
+   deterministic function of the graph and the load vector.  The
+   bottleneck is the least over all src-dst dipaths; the hop count only
+   breaks ties. *)
 
 let seed_path s load src dst =
-  if src = dst then None
+  let r = if src = dst then 0 else region s src dst in
+  if r = 0 then None
   else begin
-    s.load <- load;
-    s.at <- s.at + 1;
-    s.size <- 0;
-    s.reached.(src) <- s.at;
-    s.bott.(src) <- 0;
-    s.hop.(src) <- 0;
-    push s 0 0 src;
-    settle s dst;
-    if s.reached.(dst) <> s.at then None
-    else begin
-      let rec build v acc = if v = src then v :: acc else build s.parent.(v) (v :: acc) in
-      Some (Dipath.make s.g (build dst []))
-    end
+    let g = Dag.graph s.dag and buf = s.buf and e = s.stamp in
+    let bott = s.bott and hop = s.hop and into = s.into in
+    for i = 1 to r - 1 do
+      bott.(buf.(i)) <- max_int
+    done;
+    bott.(src) <- 0;
+    hop.(src) <- 0;
+    let v = ref src in
+    let relax a =
+      let w = Digraph.arc_dst g a in
+      if s.reg.(w) = e then begin
+        let u = !v in
+        let b = if load.(a) > bott.(u) then load.(a) else bott.(u) and h = hop.(u) + 1 in
+        if
+          b < bott.(w)
+          || b = bott.(w)
+             && (h < hop.(w)
+                || h = hop.(w)
+                   &&
+                   let p = Digraph.arc_src g into.(w) in
+                   bott.(u) < bott.(p) || (bott.(u) = bott.(p) && u < p))
+        then begin
+          bott.(w) <- b;
+          hop.(w) <- h;
+          into.(w) <- a
+        end
+      end
+    in
+    (* dst comes last, and no arc out of it stays in the region *)
+    for i = 0 to r - 2 do
+      v := buf.(i);
+      Digraph.iter_out_arcs relax g !v
+    done;
+    let len = hop.(dst) in
+    let verts = Array.make (len + 1) src and arcs = Array.make len 0 in
+    let w = ref dst in
+    for i = len - 1 downto 0 do
+      let a = into.(!w) in
+      verts.(i + 1) <- !w;
+      arcs.(i) <- a;
+      w := Digraph.arc_src g a
+    done;
+    Some (Dipath.unsafe_of_arrays verts arcs)
   end
 
 let min_load_router d =
   let n = Dag.n_vertices d in
-  let s = seed_scratch d in
   let load = Array.make (max 1 (Dag.n_arcs d)) 0 in
   fun (x, y) ->
     match check_request n 0 (x, y) with
     | Error e -> Error e
     | Ok () -> (
-      match seed_path s load x y with
+      match with_sweep d (fun s -> seed_path s load x y) with
       | None ->
         Metrics.incr c_unroutable;
         Error (unroutable (x, y))
@@ -526,16 +497,16 @@ let select ?(k = 8) d requests =
     match !failure with
     | Some e -> Error e
     | None ->
-      (* Phase 2: greedy seed by the bottleneck Dijkstra.  The seed route
-         joins the request's alternative set when the k cutoff missed it,
-         so the search space always contains the seed. *)
+      (* Phase 2: greedy seed by the bottleneck DP.  The seed route joins
+         the request's alternative set when the k cutoff missed it, so
+         the search space always contains the seed. *)
       let load = Array.make (max 1 m) 0 in
       let chosen = Array.make nr 0 in
-      let seed = seed_scratch d in
       Trace.with_span "routing.seed" (fun () ->
+          with_sweep d @@ fun s ->
           Array.iteri
             (fun i (x, y) ->
-              let p = Option.value (seed_path seed load x y) ~default:alts.(i).(0) in
+              let p = Option.value (seed_path s load x y) ~default:alts.(i).(0) in
               let rec find j =
                 if j = Array.length alts.(i) then alts.(i) <- Array.append alts.(i) [| p |];
                 if Dipath.equal p alts.(i).(j) then j else find (j + 1)

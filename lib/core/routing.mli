@@ -4,8 +4,8 @@
     module supplies the routing stage that chooses one.  The full pipeline
     ({!select}) is k-shortest dipath enumeration per request (one
     reverse-topological sweep over the vertices of the request's dipaths,
-    deterministic tie-breaking), a greedy seed by the lexicographic
-    bottleneck Dijkstra, then local search swapping
+    deterministic tie-breaking), a greedy seed by a lexicographic
+    bottleneck DP over the same vertices, then local search swapping
     single requests across their [k] alternatives until the maximum arc
     load stops improving.  The chosen family feeds
     {!Solver.solve} / the engine directly, and {!lower_bound} gives the
@@ -33,17 +33,26 @@ val route_shortest :
 
 val route_min_load :
   Wl_dag.Dag.t -> request list -> (Dipath.t list, Error.t) result
-(** Greedy load-aware routing: requests are routed one by one along a path
-    minimizing (in lexicographic order) the maximum arc load after routing,
-    then hop count — the online heuristic; {!select} is the offline
-    pipeline that additionally searches over alternatives. *)
+(** Greedy load-aware routing: requests are routed one by one along a
+    dipath of least maximum arc load given the requests before it, ties
+    broken as in {!min_load_router} — the online heuristic; {!select} is
+    the offline pipeline that additionally searches over alternatives. *)
 
 val min_load_router :
   Wl_dag.Dag.t -> request -> (Dipath.t, Error.t) result
-(** A stateful online router: each call routes one request on a path
-    minimizing (bottleneck load after routing, hop count) given {e all
-    previously routed requests}, and charges the chosen path's arcs.
-    [route_min_load] is this router folded over a request list. *)
+(** A stateful online router: each call routes one request on a dipath
+    of least bottleneck load given {e all previously routed requests},
+    and charges the chosen dipath's arcs.  The search is one DP over the
+    request's region, the vertices on its dipaths (the ancestors of the
+    destination that the source reaches), in topological order, with the
+    scratch {!k_shortest} uses.  A vertex's label is the least
+    (bottleneck, hops) that an arc into it extends from its
+    predecessor's label; among predecessors giving equal labels the
+    parent is the least by (bottleneck, vertex), the order in which a
+    label-setting search would settle them.  So the hop count is a
+    tie-break, not a minimum, and the route is a deterministic function
+    of the graph and the loads.  [route_min_load] is this router folded
+    over a request list. *)
 
 (** {1 The routing stage: enumerate, seed, search} *)
 
@@ -56,7 +65,9 @@ val k_shortest :
     [v.Q] out of one vertex is the order on their tails [Q], so one
     reverse-topological sweep over the vertices of [src]-[dst] dipaths
     merges each vertex's list from its successors' lists, in O(k) per arc
-    with shared tails.  Duplicate-free, and complete (every dipath appears)
+    with shared tails; each entry keeps the arc to its tail, so a dipath
+    is built from the arcs the sweep walked, with no lookup per hop.
+    Duplicate-free, and complete (every dipath appears)
     when [k] is at least the number of [src]-[dst] dipaths.  [[]] when
     unreachable, [src = dst] or [k <= 0]. *)
 
@@ -100,9 +111,9 @@ val select :
   request list ->
   (selection, Error.t) result
 (** The full routing stage: enumerate [k] alternatives per request
-    ({!k_shortest}), seed greedily with the bottleneck Dijkstra (a dipath
-    whose maximum arc load under the requests routed so far is minimum,
-    ties by hop count then lowest vertex, as in {!min_load_router}; the
+    ({!k_shortest}), seed greedily with the bottleneck DP of
+    {!min_load_router} (a dipath whose maximum arc load under the
+    requests routed so far is minimum, with that router's tie rule; the
     seed route joins the request's alternative set when the [k] cutoff
     missed it), then
     local search: sweep the requests, re-routing single requests onto an

@@ -67,6 +67,11 @@ let of_arcs g arc_list =
       invalid_arg "Dipath.of_arcs: arcs do not chain";
     p
 
+let unsafe_of_arrays verts arc_ids =
+  let arcs_sorted = Array.copy arc_ids in
+  Array.sort Int.compare arcs_sorted;
+  { verts; arc_ids; arcs_sorted }
+
 let vertices p = Array.to_list p.verts
 let arcs p = Array.to_list p.arc_ids
 let arc_array p = Array.copy p.arc_ids

@@ -20,6 +20,14 @@ val of_arcs : Digraph.t -> Digraph.arc list -> t
 (** Builds a dipath from a non-empty chain of arc ids (each arc's head must
     be the next arc's tail). *)
 
+val unsafe_of_arrays : Digraph.vertex array -> Digraph.arc array -> t
+(** [unsafe_of_arrays verts arcs] is the dipath [verts] whose arcs a
+    caller's walk already found: [arcs.(i)] is the arc
+    [verts.(i) -> verts.(i + 1)].  Nothing is checked, and the dipath
+    keeps both arrays, so the caller must not mutate them.  The result
+    equals {!make}'s, built with one sort of the arcs and no lookup per
+    hop. *)
+
 val vertices : t -> Digraph.vertex list
 (** The vertex sequence, in order. *)
 
