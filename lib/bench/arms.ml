@@ -154,6 +154,13 @@ let route_input n =
   let dag = Generators.gnp_no_internal_cycle rng n (8.0 /. float_of_int n) in
   (dag, Wl_netgen.Traffic.uniform rng dag (n / 8))
 
+let bracket sel =
+  [
+    ("seed_load", float_of_int sel.Routing.seed_load);
+    ("max_load", float_of_int sel.Routing.max_load);
+    ("lower_bound", float_of_int sel.Routing.lower_bound);
+  ]
+
 let route_arm n (dag, requests) =
   let last = ref None in
   {
@@ -164,16 +171,33 @@ let route_arm n (dag, requests) =
         match Routing.select ~k:4 dag requests with
         | Ok sel -> last := Some sel
         | Error _ -> ());
+    extras = (fun () -> match !last with None -> [] | Some sel -> bracket sel);
+  }
+
+(* One plan of the optical backbone, whose internal cycles send
+   [Solver.solve] to its heuristic arm ([Coloring.best_heuristic],
+   [Clique.greedy_clique]); the Theorem 1 route arm never gets there.
+   The timed unit is [Routing.select] plus the solve of the family it
+   chose.  The plan is the same in both suites, and so is the name. *)
+let backbone_arm () =
+  let rng = Prng.create 20260808 in
+  let dag = Generators.backbone rng ~pops:8 ~levels:10 in
+  let requests = Wl_netgen.Traffic.uniform rng dag 400 in
+  let last = ref None in
+  {
+    name = "route/backbone";
+    params = [ ("pops", 8); ("levels", 10); ("requests", List.length requests); ("k", 4) ];
+    run =
+      (fun () ->
+        match Routing.select ~k:4 dag requests with
+        | Ok sel -> last := Some (sel, Solver.solve (Routing.instance_of_selection dag sel))
+        | Error _ -> ());
     extras =
       (fun () ->
         match !last with
         | None -> []
-        | Some sel ->
-          [
-            ("seed_load", float_of_int sel.Routing.seed_load);
-            ("max_load", float_of_int sel.Routing.max_load);
-            ("lower_bound", float_of_int sel.Routing.lower_bound);
-          ]);
+        | Some (sel, r) ->
+          bracket sel @ [ ("wavelengths", float_of_int r.Solver.n_wavelengths) ]);
   }
 
 (* Parsing as `wl route` does it: the route arm's instance text (its DAG
@@ -205,6 +229,7 @@ let suite ?(quick = false) () =
       engine_arm 120;
       full_solve_arm 60;
       route_arm route_n route;
+      backbone_arm ();
       parse_arm route_n route;
     ]
   else
@@ -216,6 +241,7 @@ let suite ?(quick = false) () =
       engine_arm 400;
       full_solve_arm 60;
       route_arm route_n route;
+      backbone_arm ();
       parse_arm route_n route;
     ]
 

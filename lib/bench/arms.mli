@@ -2,8 +2,9 @@
 
     Workloads mirror [bench/main.exe]'s perf engine at sizes tuned so a
     full gated run takes seconds.  The size is embedded in each arm's
-    name, so the [--quick] suite produces disjoint bench ids from the
-    full one and the regression gate never compares across sizes. *)
+    name, so the regression gate never compares across sizes; an arm
+    that the [--quick] and full suites run at one size
+    ([engine/full_solve/n=60], [route/backbone]) has one name in both. *)
 
 type arm = {
   name : string;  (** bench id, e.g. ["thm1/color/n=400"] *)
@@ -21,8 +22,12 @@ val suite : ?quick:bool -> unit -> arm list
     engine step that always ends in a full solve ([engine/full_solve/n=60]),
     the full routing stage ([route/n=...]: {!Wl_core.Routing.select} over
     a fixed uniform request set, with the seed/final/lower-bound loads as
-    extras), and parsing that arm's instance and request texts
-    ([serial/parse/n=...]).  [quick] (default false) switches to smaller instances under
+    extras), one route-backbone plan ([route/backbone]: [select ~k:4] and
+    {!Wl_core.Solver.solve} on an 8x10 backbone with 400 uniform
+    requests, whose internal cycles send the solve to its heuristic arm;
+    the same three loads and the wavelengths as extras), and parsing
+    that route arm's instance and request texts ([serial/parse/n=...]).
+    [quick] (default false) switches to smaller instances under
     different bench names — for smoke tests and CI. *)
 
 val with_handicap : ns:int -> string -> arm list -> arm list
