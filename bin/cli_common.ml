@@ -29,22 +29,17 @@ let write_metrics ~progname ?(gauges = []) ?(labeled = []) ?(latencies = [])
   in
   write_text ~progname ~what:"OpenMetrics exposition" path doc
 
-(* Install a process-wide flight-dump handler writing PREFIX.jsonl (the
-   replayable op tail) and PREFIX.trace.json (chrome trace-event, accepted
-   by [wl trace-check]).  Shared by `wl session --flight-dump`, the wld
-   drain path and the CI audit-failure smoke.
+(* Install a process-wide flight-dump handler writing PREFIX.trace.json,
+   the op tail as a Chrome trace (accepted by [wl trace-check]).  Shared
+   by `wl session --flight-dump`, the wld drain path and the CI
+   audit-failure smoke.
 
    A labeled recorder (the daemon stamps the owning tenant via
-   [Flight.set_label]) dumps to PREFIX.TENANT.{jsonl,trace.json} — with
-   many sessions draining through one handler, a shared prefix would
+   [Flight.set_label]) dumps to PREFIX.TENANT.trace.json — with many
+   sessions draining through one handler, a shared prefix would
    otherwise make every tenant overwrite the last one's dump.  Tenant
    ids are filename-safe by construction ([Proto.tenant_ok]). *)
 let install_flight_dump prefix =
-  let write path text =
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc
-  in
   Flight.set_dump_handler
     (Some
        (fun ~reason fl ->
@@ -53,11 +48,11 @@ let install_flight_dump prefix =
            | "" -> prefix
            | tenant -> prefix ^ "." ^ tenant
          in
-         write (prefix ^ ".jsonl") (Flight.to_jsonl fl);
-         write (prefix ^ ".trace.json") (Flight.to_chrome fl);
-         Printf.eprintf
-           "wl: flight dump (%s): wrote %s.jsonl and %s.trace.json (%d ops)\n%!"
-           reason prefix prefix (Flight.total fl)))
+         let oc = open_out (prefix ^ ".trace.json") in
+         output_string oc (Flight.to_chrome fl);
+         close_out oc;
+         Printf.eprintf "wl: flight dump (%s): wrote %s.trace.json (%d ops)\n%!"
+           reason prefix (Flight.total fl)))
 
 (* --- cmdliner argument definitions ---------------------------------------- *)
 
@@ -69,5 +64,5 @@ let seed_arg ?(default = 1) ?(doc = "PRNG seed.") () =
 let metrics_out_arg ?(doc = "Write an OpenMetrics text exposition to $(docv) on exit ($(b,-) for stdout); validated by $(b,wl metrics-check).") () =
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"PATH" ~doc)
 
-let flight_dump_arg ?(doc = "On an audit failure or drain, dump the flight recorder to $(docv).jsonl and $(docv).trace.json; the trace is accepted by $(b,wl trace-check).") () =
+let flight_dump_arg ?(doc = "On an audit failure or drain, dump each session's flight recorder as a Chrome trace to $(docv).TENANT.trace.json; accepted by $(b,wl trace-check).") () =
   Arg.(value & opt (some string) None & info [ "flight-dump" ] ~docv:"PREFIX" ~doc)

@@ -1,53 +1,32 @@
-(* stress — large-scale randomized validation sweeps, in parallel.
+(* wl-stress — the daemon load generator.
 
-   Each sweep (one of Wl_check.Oracle.sweeps) re-validates one of the
-   paper's theorems over thousands of generated instances; failures print
-   the offending seed so they can be replayed.  Sweeps run through
-   Wl_check.Fuzz.run, chunk-parallel over OCaml 5 domains.
+   Replays an add/remove churn against a running `wl wld` daemon and
+   publishes p50/p99 op latency and the warm-hit rate.  The theorem
+   sweeps are `wl fuzz` checks (`wl fuzz --checks thm1,thm6 --seeds N`).
 
-   Run with: dune exec bin/stress.exe -- [--seeds N] [--domains D]
-               [--metrics] [--metrics-out PATH] [--replay SEED] [--shrink]
-               [SWEEP..]
-   Sweeps: thm1 thm2 thm6 thm6multi casec grooming all (default: all)
+   Run with: dune exec bin/stress.exe -- --daemon ADDR
+               [--sessions N] [--client-threads T] [--ops K] [--seed S]
+               [--json] [--trace] [--metrics-out PATH]
 
-   Daemon load generator (wavelength-assignment-as-a-service):
-     --daemon ADDR  replay an add/remove churn against a running `wl wld`
-                    daemon instead of running sweeps; with
-                    [--sessions N] [--client-threads T] [--ops K] [--seed S]
-                    [--json] [--trace] [--metrics-out PATH]
-                    publishes p50/p99 op latency and the warm-hit rate;
-                    --trace attaches a deterministic trace context to every
-                    request, so the daemon's flight rings and HDR exemplars
-                    latch trace ids (pull them with `wl trace pull ADDR`)
-
-   --metrics      collect and print solver-internals counters at the end
+   --json         send requests in the JSON encoding (default: text)
+   --trace        attach a deterministic trace context to every request,
+                  so the daemon's flight rings and HDR exemplars latch
+                  trace ids (pull them with `wl trace pull ADDR`)
    --metrics-out PATH
-                  also collect counters and write them as an OpenMetrics
-                  text exposition to PATH ("-" for stdout) — the file that
-                  `wl metrics-check` validates in CI
-   --replay SEED  rerun one sweep on a single seed with tracing enabled
-                  and print the span tree — for diagnosing a reported
-                  failure, not just reproducing it (requires exactly one
-                  SWEEP argument)
-   --shrink       when a sweep fails, minimize its failures with the
-                  Wl_check shrinker (Fuzz.run's default budget; without
-                  the flag the budget is 0) and print the first one's
-                  reduced .wl instance *)
+                  collect client-side counters and write them as an
+                  OpenMetrics text exposition to PATH ("-" for stdout),
+                  the file `wl metrics-check` validates
 
-module Oracle = Wl_check.Oracle
-module Fuzz = Wl_check.Fuzz
-module Shrink = Wl_check.Shrink
-module Subject = Wl_check.Subject
-module Parallel = Wl_util.Parallel
+   Without --daemon, or with a malformed flag, it prints a usage line and
+   exits 2. *)
+
 module Metrics = Wl_obs.Metrics
 module Trace = Wl_obs.Trace
 module Client = Wl_serve.Client
 module Hdr = Wl_obs.Hdr
 module Prng = Wl_util.Prng
 
-(* --- daemon load generator (--daemon ADDR) ---------------------------------
-
-   Replays a Traffic-style add/remove churn against a running wld daemon:
+(* Replays a Traffic-style add/remove churn against a running wld daemon:
    [sessions] tenants multiplexed over [threads] client connections, each
    tenant an independent engine session server-side.  Publishes p50/p99 op
    latency and the warm-hit rate. *)
@@ -189,66 +168,14 @@ let daemon_mode ~addr ~sessions ~threads ~ops ~seed ~json ~trace ~metrics_out =
       path);
   exit 0
 
-let failures_of (summary : Fuzz.summary) =
-  List.concat_map (fun r -> r.Fuzz.failures) summary.Fuzz.runs
+let usage () =
+  prerr_endline
+    "usage: wl-stress --daemon ADDR [--sessions N] [--client-threads T] \
+     [--ops K] [--seed S] [--json] [--trace] [--metrics-out PATH]";
+  exit 2
 
-let run_sweep ~seeds ~domains ~shrink (oracle : Oracle.t) =
-  let t0 = Unix.gettimeofday () in
-  let summary =
-    Fuzz.run ~domains
-      ?shrink_attempts:(if shrink then None else Some 0)
-      ~seeds [ oracle ]
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  let failures = failures_of summary in
-  Printf.printf "%-10s %6d instances %8.2fs %8.0f/s   %s\n%!" oracle.Oracle.name
-    summary.Fuzz.total_seeds dt
-    (float_of_int summary.Fuzz.total_seeds /. dt)
-    (match failures with
-    | [] -> "all ok"
-    | f :: _ ->
-      Printf.sprintf "%d FAILURES (first: seed %d, %s)" (List.length failures)
-        f.Fuzz.seed f.Fuzz.reason);
-  (match failures with
-  | f :: _ when shrink -> (
-    match f.Fuzz.shrunk with
-    | None ->
-      Printf.printf "  seed %d not shrunk: no subject, or it passed alone\n"
-        f.Fuzz.seed
-    | Some shrunk ->
-      let s = shrunk.Shrink.subject in
-      Printf.printf
-        "  seed %d shrunk to %d vertices / %d paths in %d attempts (%s)\n"
-        f.Fuzz.seed (Subject.n_vertices s) (Subject.n_paths s)
-        shrunk.Shrink.attempts shrunk.Shrink.reason;
-      print_string (Subject.wl_string s))
-  | _ -> ());
-  failures = []
-
-(* Rerun a single seed of a single sweep with full observability: the
-   span tree shows where the time went and which phases ran; the counter
-   table shows the solver internals.  Exit status mirrors the seed. *)
-let replay ~seed (oracle : Oracle.t) =
-  Printf.printf "replaying sweep %s, seed %d\n%!" oracle.Oracle.name seed;
-  let sink = Trace.memory () in
-  Trace.set_sink sink;
-  Metrics.set_enabled true;
-  let summary = Fuzz.run ~seed0:seed ~seeds:1 ~shrink_attempts:0 [ oracle ] in
-  Trace.clear ();
-  Metrics.set_enabled false;
-  let events = Trace.events sink in
-  Format.printf "@[<v>span tree:@,%a@,@,span summary:@,%a@,@,counters:@,%a@]@."
-    Trace.pp_tree events Trace.pp_summary events Metrics.pp_summary ();
-  match failures_of summary with
-  | [] ->
-    Printf.printf "seed %d: ok\n" seed;
-    true
-  | f :: _ ->
-    Printf.printf "seed %d: FAILURE (%s)\n" seed f.Fuzz.reason;
-    false
-
-(* A malformed flag value is a usage error, reported like an unknown
-   sweep: one line on stderr and exit 2. *)
+(* A malformed flag value is a usage error: one line on stderr and
+   exit 2. *)
 let int_arg flag v =
   match int_of_string_opt v with
   | Some n -> n
@@ -257,34 +184,15 @@ let int_arg flag v =
     exit 2
 
 let () =
-  let seeds = ref 2000 and domains = ref (Parallel.default_domains ()) in
-  let metrics = ref false and replay_seed = ref None in
   let metrics_out = ref None in
-  let shrink = ref false in
-  let chosen = ref [] in
   let daemon = ref None in
   let sessions = ref 1000 and client_threads = ref 8 and ops = ref 32 in
   let seed = ref 1 and json = ref false in
   let trace = ref false in
   let rec parse = function
     | [] -> ()
-    | "--seeds" :: v :: rest ->
-      seeds := int_arg "--seeds" v;
-      parse rest
-    | "--domains" :: v :: rest ->
-      domains := int_arg "--domains" v;
-      parse rest
-    | "--metrics" :: rest ->
-      metrics := true;
-      parse rest
     | "--metrics-out" :: v :: rest ->
       metrics_out := Some v;
-      parse rest
-    | "--replay" :: v :: rest ->
-      replay_seed := Some (int_arg "--replay" v);
-      parse rest
-    | "--shrink" :: rest ->
-      shrink := true;
       parse rest
     | "--daemon" :: v :: rest ->
       daemon := Some v;
@@ -307,53 +215,11 @@ let () =
     | "--trace" :: rest ->
       trace := true;
       parse rest
-    | "all" :: rest -> parse rest
-    | name :: rest ->
-      (match List.find_opt (fun o -> o.Oracle.name = name) Oracle.sweeps with
-      | Some oracle -> chosen := oracle :: !chosen
-      | None ->
-        prerr_endline ("stress: unknown sweep " ^ name);
-        exit 2);
-      parse rest
+    | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (match !daemon with
+  match !daemon with
   | Some addr ->
     daemon_mode ~addr ~sessions:!sessions ~threads:!client_threads ~ops:!ops
       ~seed:!seed ~json:!json ~trace:!trace ~metrics_out:!metrics_out
-  | None -> ());
-  let to_run = if !chosen = [] then Oracle.sweeps else List.rev !chosen in
-  match !replay_seed with
-  | Some seed ->
-    let oracle =
-      match to_run with
-      | [ one ] -> one
-      | _ ->
-        prerr_endline "stress: --replay needs exactly one sweep name (e.g. --replay 42 thm1)";
-        exit 2
-    in
-    exit (if replay ~seed oracle then 0 else 1)
-  | None ->
-    Printf.printf "stress: %d seeds per sweep, %d domains\n%!" !seeds !domains;
-    if !metrics || !metrics_out <> None then Metrics.set_enabled true;
-    let ok =
-      List.for_all
-        (fun oracle ->
-          run_sweep ~seeds:!seeds ~domains:!domains ~shrink:!shrink oracle)
-        to_run
-    in
-    if !metrics || !metrics_out <> None then begin
-      Metrics.set_enabled false;
-      if !metrics then Format.printf "@.metrics:@.%a@." Metrics.pp_summary ();
-      match !metrics_out with
-      | None -> ()
-      | Some path ->
-        Cli_common.write_metrics ~progname:"stress"
-          ~gauges:
-            [
-              ("stress.seeds_per_sweep", float_of_int !seeds);
-              ("stress.domains", float_of_int !domains);
-            ]
-          path
-    end;
-    exit (if ok then 0 else 1)
+  | None -> usage ()

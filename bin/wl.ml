@@ -71,9 +71,6 @@ let analyze file trace_file stats =
   Trace.clear ();
   Metrics.set_enabled false;
   Format.printf "%a@." (Solver.pp_report ~stats) report;
-  if stats && Prof.snapshot () <> [] then
-    Format.printf "%a@." Prof.pp_summary ();
-  Prof.reset ();
   match (trace_file, sink) with
   | Some out, Some sink ->
     let json = Trace.to_chrome (Trace.events sink) in
@@ -502,7 +499,7 @@ let session_cmd =
       ~doc:
         "Install a flight-recorder dump handler: when the session's \
          auto-dump latch fires (failed audit, rejected op) write the op \
-         tail as $(docv).jsonl and $(docv).trace.json (the latter passes \
+         tail as a Chrome trace to $(docv).trace.json (it passes \
          $(b,wl trace-check))."
       ()
   in
@@ -943,8 +940,8 @@ let metrics_check_cmd =
   Cmd.v
     (Cmd.info "metrics-check"
        ~doc:
-         "Validate an OpenMetrics text exposition (from wl-stress \
-          --metrics-out or wl top --metrics-out) against the format rules.")
+         "Validate an OpenMetrics text exposition (from wl top, wl wld or \
+          wl-stress --daemon with --metrics-out) against the format rules.")
     Term.(const metrics_check $ file_arg)
 
 (* --- top --- *)
@@ -1264,7 +1261,6 @@ let wld addr shards flight_capacity metrics_out health_dump
   let stop _ = Server.request_stop srv in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let sessions = Server.wait srv in
   Printf.eprintf "wld: drained %d sessions\n%!" (List.length sessions);
   (* per-session health listing: the artifact the drain promises *)

@@ -7,7 +7,7 @@
    loaded CI machine produces one-sided outliers that poison a mean).
    The observation pass then runs the arm once more with Metrics + Prof
    enabled under the discard trace sink, capturing the counter embedding
-   (including the prof.<span>.* GC mirrors) without accumulating
+   (including the prof.<span>.* GC counters) without accumulating
    events. *)
 
 module Clock = Wl_obs.Clock
@@ -65,10 +65,9 @@ let measure_alloc f =
   !best
 
 (* One instrumented run: the Metrics snapshot as a counter embedding,
-   plus the arm's extras.  Resets Metrics/Prof around itself. *)
+   plus the arm's extras.  Resets Metrics around itself. *)
 let observe (arm : Arms.arm) =
   Metrics.reset ();
-  Prof.reset ();
   Metrics.set_enabled true;
   Prof.enable ();
   Trace.set_sink Trace.discard;
@@ -85,7 +84,6 @@ let observe (arm : Arms.arm) =
   in
   let extras = arm.Arms.extras () in
   Metrics.reset ();
-  Prof.reset ();
   (counters, extras)
 
 let measure_arm ?runs (arm : Arms.arm) =

@@ -10,10 +10,11 @@ type failure = {
   shrunk : Shrink.result option;
       (* None when the seed could not be shrunk: its generator raised, or
          the subject passed when re-checked alone. *)
-  flight : (string * string) option;
-      (* engine oracle only: (jsonl, chrome) flight dump of the shrunk
-         reproducer's failing session.  Excluded from to_json — dump
-         timings are nondeterministic and the goldens are byte-stable. *)
+  flight : string option;
+      (* engine oracle only: the flight dump (a Chrome trace) of the
+         shrunk reproducer's failing session.  Excluded from to_json —
+         dump timings are nondeterministic and the goldens are
+         byte-stable. *)
 }
 
 type check_run = {
@@ -212,15 +213,14 @@ let pp ppf summary =
             (match Subject.ops_string s with
             | None -> ()
             | Some ops -> Format.fprintf ppf "  --- ops ---@.%s" ops);
-            match f.flight with
+            match Option.map Trace.validate_chrome f.flight with
             | None -> ()
-            | Some (jsonl, _) ->
+            | Some (Ok ops) ->
               Format.fprintf ppf
                 "  --- flight: %d op(s) recorded (written by --corpus) ---@."
-                (List.length
-                   (List.filter
-                      (fun l -> String.trim l <> "")
-                      (String.split_on_char '\n' jsonl)))))
+                ops
+            | Some (Error e) ->
+              Format.fprintf ppf "  --- flight: invalid dump (%s) ---@." e))
         r.failures)
     summary.runs;
   Format.fprintf ppf "total: %d seeds, %d failures@." summary.total_seeds
@@ -247,18 +247,14 @@ let write_corpus ~dir summary =
             in
             match f.flight with
             | None -> paths
-            | Some (jsonl, chrome) ->
+            | Some chrome ->
               (* The black-box tail of the failing session rides along with
-                 the reproducer: replayable JSONL plus a Chrome trace that
-                 [wl trace-check] accepts. *)
-              let base =
+                 the reproducer, as a Chrome trace that [wl trace-check]
+                 accepts. *)
+              let path =
                 Filename.concat dir
-                  (Printf.sprintf "%s.s%d.flight" f.check f.seed)
+                  (Printf.sprintf "%s.s%d.flight.trace.json" f.check f.seed)
               in
-              paths
-              @ [
-                  write_file (base ^ ".jsonl") jsonl;
-                  write_file (base ^ ".trace.json") chrome;
-                ])
+              paths @ [ write_file path chrome ])
         r.failures)
     summary.runs

@@ -1,4 +1,6 @@
 (** The fuzzing driver: run oracles over seed ranges, shrink what fails.
+    It is the one driver for the differential oracles and the theorem
+    sweeps alike ([wl fuzz]).
 
     Seeds run domain-parallel ({!Wl_util.Parallel}): in one pass, or in
     waves of 128 under a time budget; failures are collected, sorted by seed, and minimized sequentially (shrinking is
@@ -11,7 +13,9 @@
     [fuzz.shrink] span.
 
     The JSON summary contains no timing and no machine state, so a run at
-    a fixed seed range is byte-stable — the golden tests diff it. *)
+    a fixed seed range is byte-stable — the golden tests diff it.  An
+    engine-oracle failure also carries its reproducer's flight dump, a
+    Chrome trace, outside the JSON. *)
 
 type failure = {
   check : string;
@@ -23,10 +27,10 @@ type failure = {
           when re-checked alone.  Such a failure has no reproducer:
           {!to_json} writes ["shrunk": null] and {!write_corpus} skips
           it. *)
-  flight : (string * string) option;
+  flight : string option;
       (** engine-oracle failures carry the shrunk reproducer's flight
-          dump as [(jsonl, chrome_trace)] — see {!Oracle.take_flight}.
-          Not part of {!to_json} (timings are nondeterministic). *)
+          dump as a Chrome trace — see {!Oracle.take_flight}.  Not part
+          of {!to_json} (timings are nondeterministic). *)
 }
 
 type check_run = {
@@ -61,10 +65,10 @@ val to_json : ?pretty:bool -> summary -> string
 
 val pp : Format.formatter -> summary -> unit
 (** Human summary: one line per check, plus the shrunk reproducer for
-    every failure. *)
+    every failure and the op count of its flight dump, if any. *)
 
 val write_corpus : dir:string -> summary -> string list
 (** Write every failure's shrunk reproducer into a corpus directory as
     [<check>.s<seed>.wl] (see {!Corpus.add}), plus — for failures that
-    carry one — the flight dump as [<check>.s<seed>.flight.jsonl] and
-    [<check>.s<seed>.flight.trace.json]; returns the paths written. *)
+    carry one — the flight dump as [<check>.s<seed>.flight.trace.json];
+    returns the paths written. *)

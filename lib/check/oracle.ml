@@ -172,12 +172,11 @@ let solver_exact =
 (* --- engine ----------------------------------------------------------------- *)
 
 (* Side channel for the engine oracle's flight dump: the last failing
-   check leaves its session's (jsonl, chrome) renderings here, and the
-   fuzz driver collects them right after a sequential (re-)check, so the
-   dump always matches the reproducer it is attached to.  Racy under
-   parallel waves by design — only the sequential post-shrink re-check
-   reads it. *)
-let flight_box : (string * string) option ref = ref None
+   check leaves its session's Chrome trace here, and the fuzz driver
+   collects it right after a sequential (re-)check, so the dump always
+   matches the reproducer it is attached to.  Racy under parallel waves
+   by design — only the sequential post-shrink re-check reads it. *)
+let flight_box : string option ref = ref None
 
 let take_flight () =
   let v = !flight_box in
@@ -185,9 +184,7 @@ let take_flight () =
   v
 
 let stash_flight sess =
-  let fl = Engine.flight sess in
-  flight_box :=
-    Some (Wl_obs.Flight.to_jsonl fl, Wl_obs.Flight.to_chrome fl)
+  flight_box := Some (Wl_obs.Flight.to_chrome (Engine.flight sess))
 
 let engine =
   let generate seed =

@@ -43,10 +43,23 @@
        zero-length or garbage prefixes, flipped payload bytes — decode to
        protocol errors, never exceptions or hangs.}}
 
-    Each is reachable by name through {!find}.
+    The per-theorem re-validations are oracles of the same shape, so one
+    fuzz/shrink pipeline ([wl fuzz]) serves both; they follow the
+    differential oracles in {!all}, in this order:
 
-    The per-theorem re-validations ({!sweeps}) are oracles of the same
-    shape, so one fuzz/shrink pipeline serves both.
+    {ul
+    {- [thm1]: Theorem 1 — valid, exactly [pi] colors;}
+    {- [thm2]: Theorem 2's family — [pi = 2], odd-cycle conflict graph;}
+    {- [thm6]: within [ceil(4 pi/3)];}
+    {- [thm6multi]: the iterated bound;}
+    {- [casec]: case C and a verified internal-cycle witness;}
+    {- [grooming]: [Grooming.satisfy] within [w].}}
+
+    Their subjects are instance-only.  The [thm2]/[casec] claims are
+    about the DAG alone: their instances carry an empty family and the
+    check rebuilds the Theorem 2 gap family.
+
+    Each oracle is reachable by name through {!find}.
 
     Checks guard their own applicability: a subject outside an oracle's
     structural class (which the shrinker produces on purpose) reads as a
@@ -59,24 +72,13 @@ type t = {
   check : Subject.t -> string option;  (** [None] = every claim held *)
 }
 
-val sweeps : t list
-(** One randomized re-validation per theorem, in this order: [thm1]
-    (Theorem 1: valid, exactly [pi] colors), [thm2] (Theorem 2's family:
-    [pi = 2], odd-cycle conflict graph), [thm6] (within
-    [ceil(4 pi/3)]), [thm6multi] (the iterated bound), [casec] (case C
-    and a verified internal-cycle witness) and [grooming]
-    ([Grooming.satisfy] within [w]).  Subjects are instance-only.  The
-    [thm2]/[casec] claims are about the DAG alone: their instances carry
-    an empty family and the check rebuilds the Theorem 2 gap family.
-    [bin/stress] runs them through {!Fuzz.run} at scale. *)
-
 val selftest : t
 (** A deliberately false claim ("no instance has load [>= 2]") used to
     exercise the whole catch/shrink/reproduce pipeline deterministically.
     Not part of {!all}; reachable by name. *)
 
 val all : t list
-(** The differential oracles above followed by {!sweeps}.  Excludes
+(** The differential oracles followed by the theorem sweeps.  Excludes
     {!selftest}. *)
 
 val find : string -> t option
@@ -86,8 +88,9 @@ val run : t -> int -> (int * string) option
 (** Generate and check one seed; exceptions from either phase are captured
     as failures.  Returns [(seed, reason)] on failure. *)
 
-val take_flight : unit -> (string * string) option
-(** Pop the [(jsonl, chrome)] flight-recorder dump left by the last
-    failing {!engine} check, if any.  A side channel with last-writer
-    semantics: only meaningful right after a sequential check, which is
-    how {!Fuzz} attaches dumps to shrunk reproducers. *)
+val take_flight : unit -> string option
+(** Pop the flight-recorder dump (a Chrome trace,
+    {!Wl_obs.Flight.to_chrome}) left by the last failing [engine] check,
+    if any.  A side channel with last-writer semantics: only meaningful
+    right after a sequential check, which is how {!Fuzz} attaches dumps
+    to shrunk reproducers. *)

@@ -81,15 +81,16 @@ let random_rooted_tree rng n =
   done;
   Dag.of_digraph_exn g
 
-(* One internal-cycle gadget added into [g]: k peaks/valleys, subdivided
-   segments, pendant predecessors/successors making it internal.  Returns
-   one pendant predecessor and one pendant successor (the hooks used to
-   bridge gadgets together). *)
-let add_cycle_gadget g rng ~k ~segment_max =
+(* One internal-cycle gadget added into [g]: 2-4 peaks/valleys, segments
+   subdivided by 0-2 inner vertices, pendant predecessors/successors
+   making it internal.  Returns one pendant predecessor and one pendant
+   successor (the hooks used to bridge gadgets together). *)
+let add_cycle_gadget g rng =
+  let k = Prng.int_in rng 2 4 in
   let b = Array.init k (fun _ -> Digraph.add_vertex g) in
   let c = Array.init k (fun _ -> Digraph.add_vertex g) in
   let segment u v =
-    let inner = Prng.int rng segment_max in
+    let inner = Prng.int rng 3 in
     let rec go prev j =
       if j = inner then ignore (Digraph.add_arc g prev v)
       else begin
@@ -122,10 +123,10 @@ let add_cycle_gadget g rng ~k ~segment_max =
   in
   (preds.(0), succs.(0))
 
-(* Random pendant growth: each new vertex hangs off one arc, preserving the
-   UPP property and adding no cycle. *)
-let grow_pendants g rng extra_vertices =
-  for _ = 1 to extra_vertices do
+(* Random pendant growth by 8 vertices: each new vertex hangs off one
+   arc, preserving the UPP property and adding no cycle. *)
+let grow_pendants g rng =
+  for _ = 1 to 8 do
     let n = Digraph.n_vertices g in
     let anchor = Prng.int rng n in
     let w = Digraph.add_vertex g in
@@ -133,23 +134,16 @@ let grow_pendants g rng extra_vertices =
     else ignore (Digraph.add_arc g w anchor)
   done
 
-let upp_one_internal_cycle rng ?k ?(segment_max = 3) ?(extra_vertices = 8) () =
-  let k = match k with Some k -> k | None -> Prng.int_in rng 2 4 in
-  if k < 2 then invalid_arg "Generators.upp_one_internal_cycle: k >= 2";
+let upp_one_internal_cycle rng () =
   let g = Digraph.create () in
-  ignore (add_cycle_gadget g rng ~k ~segment_max);
-  grow_pendants g rng extra_vertices;
+  ignore (add_cycle_gadget g rng);
+  grow_pendants g rng;
   Dag.of_digraph_exn g
 
-let upp_internal_cycles rng ?(cycles = 2) ?k ?(segment_max = 3)
-    ?(extra_vertices = 8) () =
+let upp_internal_cycles rng ?(cycles = 2) () =
   if cycles < 1 then invalid_arg "Generators.upp_internal_cycles: cycles >= 1";
   let g = Digraph.create () in
-  let hooks =
-    List.init cycles (fun _ ->
-        let k = match k with Some k -> k | None -> Prng.int_in rng 2 4 in
-        add_cycle_gadget g rng ~k ~segment_max)
-  in
+  let hooks = List.init cycles (fun _ -> add_cycle_gadget g rng) in
   (* Bridge consecutive gadgets: the previous gadget's pendant successor
      feeds the next gadget's pendant predecessor.  A bridge is a cut arc, so
      it adds no cycle; uniqueness of dipaths across it follows from the
@@ -161,7 +155,7 @@ let upp_internal_cycles rng ?(cycles = 2) ?k ?(segment_max = 3)
     | _ -> ()
   in
   bridge hooks;
-  grow_pendants g rng extra_vertices;
+  grow_pendants g rng;
   Dag.of_digraph_exn g
 
 let backbone rng ~pops ~levels =

@@ -29,28 +29,15 @@ val random_rooted_tree : Wl_util.Prng.t -> int -> Dag.t
     points from a uniform parent [< i].  Rooted trees are the paper's
     easiest [w = pi] class. *)
 
-val upp_one_internal_cycle :
-  Wl_util.Prng.t ->
-  ?k:int ->
-  ?segment_max:int ->
-  ?extra_vertices:int ->
-  unit ->
-  Dag.t
-(** Theorem 6 territory: an internal cycle with [k] peaks/valleys (default
-    random in [2, 4]), segments subdivided to random lengths ([<=
-    segment_max], default 3), pendant predecessors/successors making it
-    internal, then [extra_vertices] (default 8) random pendant tree vertices
-    (each new vertex attached by a single arc, which preserves both the UPP
-    property and the internal-cycle count). *)
+val upp_one_internal_cycle : Wl_util.Prng.t -> unit -> Dag.t
+(** Theorem 6 territory: an internal cycle with 2-4 peaks/valleys (drawn
+    at random), segments subdivided to random lengths of 1-3 arcs,
+    pendant predecessors/successors making it internal, then 8 random
+    pendant tree vertices (each new vertex attached by a single arc,
+    which preserves both the UPP property and the internal-cycle
+    count). *)
 
-val upp_internal_cycles :
-  Wl_util.Prng.t ->
-  ?cycles:int ->
-  ?k:int ->
-  ?segment_max:int ->
-  ?extra_vertices:int ->
-  unit ->
-  Dag.t
+val upp_internal_cycles : Wl_util.Prng.t -> ?cycles:int -> unit -> Dag.t
 (** Like {!upp_one_internal_cycle} but with [cycles] (default 2) gadgets
     bridged in series — a UPP-DAG with exactly [cycles] independent internal
     cycles, the regime of the paper's closing remark

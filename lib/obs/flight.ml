@@ -4,9 +4,9 @@
      [rel_t_ns; dur_ns; kind; outcome; arcs; palette; pi; trace]
    Recording is plain unsafe stores plus one counter bump — no boxing,
    no branches beyond the clamp — so it rides inside the engine's
-   zero-minor-alloc warm add/remove paths.  Rendering (JSONL, Chrome
-   trace) walks the retained tail and is cold by construction: it only
-   runs on explicit dumps or when a trigger fires.
+   zero-minor-alloc warm add/remove paths.  Rendering (a Chrome trace)
+   walks the retained tail and is cold by construction: it only runs on
+   explicit dumps or when a trigger fires.
 
    Timestamps are stored relative to the first recorded op, which keeps
    Chrome-trace [ts] values small and makes golden fixtures
@@ -170,23 +170,6 @@ let entries ?last t =
   let first, held = tail_bounds ?last t in
   List.init held (fun i -> entry_at t (first + i))
 
-let to_jsonl ?last t =
-  let buf = Buffer.create 4096 (* alloc-ok: cold dump rendering *) in
-  List.iter
-    (fun e ->
-      Printf.bprintf buf
-        "{\"seq\": %d, \"t_ns\": %d, \"dur_ns\": %d, \"op\": \"%s\", \
-         \"outcome\": \"%s\", \"arcs\": %d, \"palette\": %d, \"pi\": %d"
-        e.seq e.t_ns e.dur_ns (string_of_kind e.kind)
-        (string_of_outcome e.outcome)
-        e.arcs e.palette e.pi;
-      (* Untraced ops render exactly as before the trace field existed,
-         so pre-existing goldens and replay files stay valid. *)
-      if e.trace <> 0 then Printf.bprintf buf ", \"trace\": \"%x\"" e.trace;
-      Buffer.add_string buf "}\n")
-    (entries ?last t);
-  Buffer.contents buf
-
 (* One Chrome document over several rings — the TraceDump RPC's payload.
    Each ring keeps its own track ([tid] = session id) and its label as a
    ["tenant"] arg; per-ring relative stamps are rebased onto the
@@ -222,7 +205,7 @@ let merged_chrome ?last rings =
   Trace.to_chrome
     (List.concat_map (fun t -> List.map (event t) (entries ?last t)) rings)
 
-let to_chrome ?last t = merged_chrome ?last [ t ]
+let to_chrome t = merged_chrome [ t ]
 
 (* --- automatic dumps -------------------------------------------------------- *)
 

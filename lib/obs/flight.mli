@@ -8,15 +8,17 @@
     zero-minor-alloc warm paths; the ring keeps the last [capacity] ops
     and overwrites silently.
 
-    Dumps render the recorded tail as JSONL (one op per line, replayable
-    via {!of_jsonl}) and as a Chrome/Perfetto trace: each op becomes a
-    {!Trace.event} rendered by {!Trace.to_chrome}, so
+    Dumps render the recorded tail in one format, a Chrome/Perfetto
+    trace: each op becomes a {!Trace.event} rendered by
+    {!Trace.to_chrome}, named by its op kind and carrying its seq,
+    outcome, arcs, palette and pi (plus trace id and tenant when set) as
+    args, with its start and duration to the nanosecond.  So
     [Trace.validate_chrome] and [wl trace-check] accept flight dumps
-    unchanged.  The engine calls {!trigger} when an
-    audit fails or an op errors; an installed {!set_dump_handler} (e.g.
-    [wl session --flight-dump]) then persists both renderings.  The
-    per-recorder latch means a cascade of failures dumps once, not once
-    per op — {!rearm} resets it. *)
+    unchanged.  The engine calls {!trigger} when an audit fails or an op
+    errors; an installed {!set_dump_handler} (e.g. [wl session
+    --flight-dump]) then persists the dump.  The per-recorder latch
+    means a cascade of failures dumps once, not once per op — {!rearm}
+    resets it. *)
 
 type t
 
@@ -67,24 +69,18 @@ val record :
 val total : t -> int
 (** Ops recorded over the recorder's lifetime (may exceed capacity). *)
 
-val to_jsonl : ?last:int -> t -> string
-(** The retained tail (at most [last] ops), oldest first, one JSON object
-    per line:
-    [{"seq":..,"t_ns":..,"dur_ns":..,"op":"add_path","outcome":"warm_hit",
-      "arcs":..,"palette":..,"pi":..}], plus a hex ["trace"] field on
-    traced ops (untraced lines are byte-identical to the pre-trace
-    format). *)
-
-val to_chrome : ?last:int -> t -> string
-(** [merged_chrome ?last [t]]: a complete Chrome trace document ("X"
-    events, cat ["wl"], [tid] = session id, seq/outcome/arcs/palette/pi
-    — plus trace/tenant when set — in [args]). *)
+val to_chrome : t -> string
+(** [merged_chrome [t]]: a complete Chrome trace document of the
+    retained tail, oldest first ("X" events, cat ["wl"], [tid] = session
+    id, seq/outcome/arcs/palette/pi — plus trace/tenant when set — in
+    [args]). *)
 
 val merged_chrome : ?last:int -> t list -> string
 (** One Chrome document over several rings (the TraceDump RPC payload):
     each ring keeps its own [tid] track and carries its {!label} as a
     ["tenant"] arg, with per-ring timestamps rebased onto the earliest
-    ring origin so tracks share one time axis. *)
+    ring origin so tracks share one time axis.  With [last], each ring
+    contributes at most its [last] newest ops. *)
 
 (** {2 Automatic dumps} *)
 

@@ -19,8 +19,8 @@
     families included, since it also checks documents from other
     exporters.  It is strict enough to catch shape mistakes (samples
     without a [# TYPE], suffixes illegal for the declared type, garbage
-    after [# EOF]) — it backs [wl metrics-check] and the CI smoke over
-    [wl stress --metrics-out]. *)
+    after [# EOF]) — it backs [wl metrics-check] and the CI smokes over
+    [wl top --metrics-out] and [wl-stress --daemon --metrics-out]. *)
 
 val render :
   ?gauges:(string * float) list ->

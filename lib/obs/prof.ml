@@ -4,10 +4,9 @@
    stack; on exit we pop it, delta against a fresh reading, and
 
    - attach the deltas (plus the span's self-time) to the Trace event,
-   - fold them into a per-span-name aggregation table, and
-   - mirror them into [prof.<span>.*] Metrics counters so they ride
-     along in every Metrics snapshot (and hence in bench counter
-     embeddings).
+   - add them to [prof.<span>.*] Metrics counters, the one per-span
+     aggregate: every Metrics snapshot (and hence [wl analyze --stats],
+     the bench counter embeddings and [wl report]) carries them.
 
    Deltas are inclusive of children: a parent span's minor_words counts
    what its callees allocated too, exactly like its duration.  Self-time
@@ -18,48 +17,24 @@
 
 module Metrics = Metrics
 
-type gc_delta = {
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
-  minor_collections : int;
-  major_collections : int;
-}
-
-type row = {
-  span : string;
-  calls : int;
-  total_us : float;
-  self_us : float;
-  gc : gc_delta;
-}
-
-(* Aggregation cell per span name.  Mutated under [lock]; spans wrap
-   whole algorithm phases, so the rate is far too low for the mutex to
-   matter.  The Metrics counters are resolved once per name and cached
-   here so the hot path never touches the registry lock. *)
-type cell = {
-  mutable c_calls : int;
-  mutable c_total_us : float;
-  mutable c_self_us : float;
-  mutable c_minor_w : float;
-  mutable c_major_w : float;
-  mutable c_promoted_w : float;
-  mutable c_minor_gcs : int;
-  mutable c_major_gcs : int;
-  m_minor_w : Metrics.counter;
-  m_major_w : Metrics.counter;
-  m_promoted_w : Metrics.counter;
-  m_minor_gcs : Metrics.counter;
-  m_major_gcs : Metrics.counter;
-  m_self_ns : Metrics.counter;
-  m_calls : Metrics.counter;
+(* The counters of one span name, resolved once per name and cached so
+   the hot path never touches the Metrics registry lock.  Spans wrap
+   whole algorithm phases, so the rate is far too low for this lookup's
+   mutex to matter. *)
+type counters = {
+  minor_w : Metrics.counter;
+  major_w : Metrics.counter;
+  promoted_w : Metrics.counter;
+  minor_gcs : Metrics.counter;
+  major_gcs : Metrics.counter;
+  self_ns : Metrics.counter;
+  calls : Metrics.counter;
 }
 
 let lock = Mutex.create ()
-let table : (string, cell) Hashtbl.t = Hashtbl.create 32
+let table : (string, counters) Hashtbl.t = Hashtbl.create 32
 
-let cell_of name =
+let counters_of name =
   Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table name with
       | Some c -> c
@@ -67,21 +42,13 @@ let cell_of name =
         let counter field = Metrics.counter ("prof." ^ name ^ "." ^ field) in
         let c =
           {
-            c_calls = 0;
-            c_total_us = 0.;
-            c_self_us = 0.;
-            c_minor_w = 0.;
-            c_major_w = 0.;
-            c_promoted_w = 0.;
-            c_minor_gcs = 0;
-            c_major_gcs = 0;
-            m_minor_w = counter "minor_words";
-            m_major_w = counter "major_words";
-            m_promoted_w = counter "promoted_words";
-            m_minor_gcs = counter "minor_gcs";
-            m_major_gcs = counter "major_gcs";
-            m_self_ns = counter "self_ns";
-            m_calls = counter "calls";
+            minor_w = counter "minor_words";
+            major_w = counter "major_words";
+            promoted_w = counter "promoted_words";
+            minor_gcs = counter "minor_gcs";
+            major_gcs = counter "major_gcs";
+            self_ns = counter "self_ns";
+            calls = counter "calls";
           }
         in
         Hashtbl.add table name c;
@@ -179,45 +146,32 @@ let on_stop () =
     s.jgc1.(i) <- st.Gc.major_collections
   end
 
-let on_emit ~name ~dur_us ~self_us =
+let on_emit ~name ~self_us =
   let s = Domain.DLS.get stack_key in
   if s.len = 0 then [] (* probe installed mid-span; nothing to delta *)
   else begin
     let i = s.len - 1 in
     s.len <- i;
-    let d =
-      {
-        minor_words = s.minor1.(i) -. s.minor0.(i);
-        major_words = s.major1.(i) -. s.major0.(i);
-        promoted_words = s.prom1.(i) -. s.prom0.(i);
-        minor_collections = s.mgc1.(i) - s.mgc0.(i);
-        major_collections = s.jgc1.(i) - s.jgc0.(i);
-      }
-    in
-    let c = cell_of name in
-    Mutex.protect lock (fun () ->
-        c.c_calls <- c.c_calls + 1;
-        c.c_total_us <- c.c_total_us +. dur_us;
-        c.c_self_us <- c.c_self_us +. self_us;
-        c.c_minor_w <- c.c_minor_w +. d.minor_words;
-        c.c_major_w <- c.c_major_w +. d.major_words;
-        c.c_promoted_w <- c.c_promoted_w +. d.promoted_words;
-        c.c_minor_gcs <- c.c_minor_gcs + d.minor_collections;
-        c.c_major_gcs <- c.c_major_gcs + d.major_collections);
-    Metrics.add c.m_minor_w (int_of_float d.minor_words);
-    Metrics.add c.m_major_w (int_of_float d.major_words);
-    Metrics.add c.m_promoted_w (int_of_float d.promoted_words);
-    Metrics.add c.m_minor_gcs d.minor_collections;
-    Metrics.add c.m_major_gcs d.major_collections;
-    Metrics.add c.m_self_ns (int_of_float (self_us *. 1e3));
-    Metrics.incr c.m_calls;
+    let minor_w = s.minor1.(i) -. s.minor0.(i) in
+    let major_w = s.major1.(i) -. s.major0.(i) in
+    let promoted_w = s.prom1.(i) -. s.prom0.(i) in
+    let minor_gcs = s.mgc1.(i) - s.mgc0.(i) in
+    let major_gcs = s.jgc1.(i) - s.jgc0.(i) in
+    let c = counters_of name in
+    Metrics.add c.minor_w (int_of_float minor_w);
+    Metrics.add c.major_w (int_of_float major_w);
+    Metrics.add c.promoted_w (int_of_float promoted_w);
+    Metrics.add c.minor_gcs minor_gcs;
+    Metrics.add c.major_gcs major_gcs;
+    Metrics.add c.self_ns (int_of_float (self_us *. 1e3));
+    Metrics.incr c.calls;
     [
       ("self_us", Trace.Float self_us);
-      ("gc.minor_w", Trace.Float d.minor_words);
-      ("gc.major_w", Trace.Float d.major_words);
-      ("gc.promoted_w", Trace.Float d.promoted_words);
-      ("gc.minor_gcs", Trace.Int d.minor_collections);
-      ("gc.major_gcs", Trace.Int d.major_collections);
+      ("gc.minor_w", Trace.Float minor_w);
+      ("gc.major_w", Trace.Float major_w);
+      ("gc.promoted_w", Trace.Float promoted_w);
+      ("gc.minor_gcs", Trace.Int minor_gcs);
+      ("gc.major_gcs", Trace.Int major_gcs);
     ]
   end
 
@@ -230,45 +184,3 @@ let enable () =
 let disable () =
   Atomic.set on false;
   Trace.set_probe None
-
-let reset () =
-  Mutex.protect lock (fun () -> Hashtbl.reset table)
-
-let snapshot () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.fold
-        (fun span c acc ->
-          if c.c_calls = 0 then acc
-          else
-            {
-              span;
-              calls = c.c_calls;
-              total_us = c.c_total_us;
-              self_us = c.c_self_us;
-              gc =
-                {
-                  minor_words = c.c_minor_w;
-                  major_words = c.c_major_w;
-                  promoted_words = c.c_promoted_w;
-                  minor_collections = c.c_minor_gcs;
-                  major_collections = c.c_major_gcs;
-                };
-            }
-            :: acc)
-        table [])
-  |> List.sort (fun a b -> String.compare a.span b.span)
-
-let pp_summary ppf () =
-  let rows = snapshot () in
-  if rows = [] then Format.fprintf ppf "(no profiled spans)"
-  else begin
-    Format.fprintf ppf "@[<v>%-28s %8s %12s %12s %14s %8s %8s" "span" "calls"
-      "total ms" "self ms" "minor words" "min.gcs" "maj.gcs";
-    List.iter
-      (fun r ->
-        Format.fprintf ppf "@,%-28s %8d %12.2f %12.2f %14.0f %8d %8d" r.span
-          r.calls (r.total_us /. 1e3) (r.self_us /. 1e3) r.gc.minor_words
-          r.gc.minor_collections r.gc.major_collections)
-      rows;
-    Format.fprintf ppf "@]"
-  end

@@ -82,15 +82,15 @@ let timestamp_now () =
     (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
     t.Unix.tm_sec
 
-let make ?rev ?timestamp ?(note = "") ?(extra = []) ~domains points =
+let make ?(note = "") ~domains points =
   {
-    rev = (match rev with Some r -> r | None -> git_rev ());
-    timestamp = (match timestamp with Some t -> t | None -> timestamp_now ());
+    rev = git_rev ();
+    timestamp = timestamp_now ();
     domains;
     ocaml_version = Sys.ocaml_version;
     note;
     points;
-    extra;
+    extra = [];
   }
 
 (* --- JSON --------------------------------------------------------------- *)

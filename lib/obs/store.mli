@@ -49,19 +49,12 @@ val summarize : float list -> sample
 (** Median, MAD, and CV of the given measurements.
     @raise Invalid_argument on an empty list. *)
 
-val make :
-  ?rev:string ->
-  ?timestamp:string ->
-  ?note:string ->
-  ?extra:(string * Wl_json.Jsonx.t) list ->
-  domains:int ->
-  point list ->
-  entry
+val make : ?note:string -> domains:int -> point list -> entry
 (** Entry for the current environment, under the
-    ["wavelength-bench-core/3"] schema.  [rev] defaults to the [WL_GIT_REV]
-    environment variable if set, else [git rev-parse --short HEAD], else
-    ["unknown"]; [timestamp] to the current time, ISO-8601 UTC (e.g.
-    ["2026-08-06T12:00:00Z"]). *)
+    ["wavelength-bench-core/3"] schema, with no [extra] fields.  [rev] is
+    the [WL_GIT_REV] environment variable if set, else [git rev-parse
+    --short HEAD], else ["unknown"]; [timestamp] is the current time,
+    ISO-8601 UTC (e.g. ["2026-08-06T12:00:00Z"]). *)
 
 val json_of_instrument : Metrics.instrument -> Wl_json.Jsonx.t
 (** Counter as a bare int; histogram as

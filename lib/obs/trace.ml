@@ -55,7 +55,7 @@ let children_key = Domain.DLS.new_key (fun () -> ref ([] : float ref list))
 type probe = {
   on_start : unit -> unit;
   on_stop : unit -> unit;
-  on_emit : name:string -> dur_us:float -> self_us:float -> (string * value) list;
+  on_emit : name:string -> self_us:float -> (string * value) list;
 }
 
 let probe : probe option ref = ref None
@@ -106,7 +106,7 @@ let with_span ?(args = []) name f =
       let self_us = Float.max 0. (dur_us -. child_us) in
       let extra =
         match p with
-        | Some pr -> pr.on_emit ~name ~dur_us ~self_us
+        | Some pr -> pr.on_emit ~name ~self_us
         | None -> []
       in
       emit
@@ -163,7 +163,7 @@ let events = function
     let evs = Mutex.protect c.lock (fun () -> c.events) in
     List.sort (fun a b -> compare a.ts_us b.ts_us) evs
 
-(* --- Renderers ----------------------------------------------------------- *)
+(* --- Chrome trace-event rendering ----------------------------------------- *)
 
 let escape_json s =
   let buf = Buffer.create (String.length s + 2) in
@@ -217,66 +217,6 @@ let to_chrome evs =
     evs;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
-
-let pp_args ppf args =
-  if args <> [] then begin
-    Format.fprintf ppf " (";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Format.fprintf ppf ", ";
-        match v with
-        | Int n -> Format.fprintf ppf "%s=%d" k n
-        | Float f -> Format.fprintf ppf "%s=%.3f" k f
-        | Str s -> Format.fprintf ppf "%s=%s" k s)
-      args;
-    Format.fprintf ppf ")"
-  end
-
-let pp_tree ppf evs =
-  (* Events arrive in start-time order with recorded depths; group per
-     domain so interleaved worker tracks stay readable. *)
-  let tids = List.sort_uniq compare (List.map (fun e -> e.tid) evs) in
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i tid ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "domain %d:" tid;
-      List.iter
-        (fun ev ->
-          if ev.tid = tid then begin
-            Format.fprintf ppf "@,  %s%s" (String.make (2 * ev.depth) ' ') ev.name;
-            if ev.instant then Format.fprintf ppf " !"
-            else Format.fprintf ppf " %.1fus" ev.dur_us;
-            pp_args ppf ev.args
-          end)
-        evs)
-    tids;
-  Format.fprintf ppf "@]"
-
-let pp_summary ppf evs =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      if not ev.instant then begin
-        let n, total, mn, mx =
-          Option.value ~default:(0, 0., infinity, 0.) (Hashtbl.find_opt tbl ev.name)
-        in
-        Hashtbl.replace tbl ev.name
-          (n + 1, total +. ev.dur_us, Float.min mn ev.dur_us, Float.max mx ev.dur_us)
-      end)
-    evs;
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
-    |> List.sort (fun (_, (_, a, _, _)) (_, (_, b, _, _)) -> compare b a)
-  in
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i (name, (n, total, mn, mx)) ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "%-28s %6d calls  total %10.1fus  min %8.1fus  max %8.1fus"
-        name n total mn mx)
-    rows;
-  Format.fprintf ppf "@]"
 
 (* --- Chrome-trace validation --------------------------------------------- *)
 

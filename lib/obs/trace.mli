@@ -8,13 +8,9 @@
 
     Tracing is off by default and costs one atomic load and a branch per
     {!with_span} call while off (the {e null sink}).  Installing a
-    {!memory} sink turns it on; collected events can then be rendered as
-
-    {ul
-    {- Chrome trace-event JSON ({!to_chrome}) — load in Perfetto or
-       chrome://tracing;}
-    {- a human summary table ({!pp_summary}) or an indented span tree
-       ({!pp_tree}) for terminal diagnosis.}} *)
+    {!memory} sink turns it on; collected events render in one format,
+    Chrome trace-event JSON ({!to_chrome}), which Perfetto and
+    chrome://tracing load and {!validate_chrome} checks. *)
 
 type value = Int of int | Float of float | Str of string
 
@@ -81,7 +77,7 @@ type probe = {
   on_stop : unit -> unit;
       (** runs first as the span closes, before any closing bookkeeping
           allocates: capture end readings here and nothing else *)
-  on_emit : name:string -> dur_us:float -> self_us:float -> (string * value) list;
+  on_emit : name:string -> self_us:float -> (string * value) list;
       (** runs after {!on_stop} with the span's figures; [self_us] is
           the duration minus direct children on the same domain.  May
           allocate freely (attributed to the enclosing span); returned
@@ -100,13 +96,6 @@ val events : sink -> event list
 val to_chrome : event list -> string
 (** Chrome trace-event JSON: an object with a ["traceEvents"] array of
     complete (["ph":"X"]) and instant (["ph":"i"]) events. *)
-
-val pp_tree : Format.formatter -> event list -> unit
-(** Indented per-domain span tree with durations — what
-    [stress --replay] prints. *)
-
-val pp_summary : Format.formatter -> event list -> unit
-(** Per-name aggregation: calls, total/min/max µs. *)
 
 val validate_chrome : string -> (int, string) result
 (** Parse a string as chrome trace-event JSON and check the schema that

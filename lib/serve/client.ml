@@ -140,6 +140,9 @@ let check_version fd ~json =
   | Error e -> Error e
 
 let connect ?(json = false) ?(seed = 0) addr =
+  (* A write to a daemon that has gone away must return [Error (Io _)]
+     from [Wire.write], not kill the process with SIGPIPE. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match Server.address_of_string addr with
   | Error _ as e -> e
   | Ok parsed -> (

@@ -48,7 +48,9 @@ val connect : ?json:bool -> ?seed:int -> string -> (t, Error.t) result
     or the error received.  [json] selects the JSON mirror encoding for
     requests (replies come back in kind); default is the text form.
     [seed] (default [0]) seeds the client's {!Wl_obs.Ctx} id generator,
-    so traced runs are reproducible. *)
+    so traced runs are reproducible.  Sets [SIGPIPE] to ignored for the
+    whole process, so a call on a connection whose daemon has gone away
+    returns [Error (Io _)] instead of killing the process. *)
 
 val local : ?json:bool -> ?seed:int -> ?shards:int -> unit -> t
 (** Self-contained loopback client over a private {!Shard.t} with the

@@ -134,6 +134,9 @@ let listen_on addr =
     Error (Error.Io (Printf.sprintf "cannot resolve %s" (address_to_string addr)))
 
 let serve ~shard addr =
+  (* A peer that hangs up before its reply is written must cost only its
+     connection: with SIGPIPE ignored, the write fails with EPIPE. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match listen_on addr with
   | Error _ as e -> e
   | Ok listen_fd ->

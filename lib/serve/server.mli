@@ -31,8 +31,8 @@ val serve : shard:Shard.t -> address -> (t, Error.t) result
 (** Bind, listen and start accepting on a background thread.  A unix
     socket path is unlinked first if present; TCP listeners set
     [SO_REUSEADDR].  [Error (Io _)] when the endpoint cannot be bound.
-    The host process should ignore [SIGPIPE], as [wld] does: a peer that
-    hangs up before its reply is written would otherwise kill it. *)
+    Sets [SIGPIPE] to ignored for the whole process, so a peer that hangs
+    up before its reply is written ends only its own connection. *)
 
 val request_stop : t -> unit
 (** Ask the server to shut down; returns immediately.  Idempotent. *)

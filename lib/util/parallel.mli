@@ -1,7 +1,7 @@
 (** Minimal fork-join parallelism over OCaml 5 domains.
 
     The algorithms in this repository are single-threaded, but the sweeps
-    that drive them (bench tables, stress validation, parameter scans) are
+    that drive them (bench tables, fuzz sweeps, parameter scans) are
     embarrassingly parallel; this module spreads such workloads over the
     machine's cores without external dependencies.
 

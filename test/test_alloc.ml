@@ -169,7 +169,7 @@ let point ?alloc_w name median =
   }
 
 let entry pts =
-  Store.make ~rev:"cafe00" ~timestamp:"2026-08-08T00:00:00Z" ~domains:1 pts
+  { (Store.make ~domains:1 pts) with Store.rev = "cafe00"; timestamp = "2026-08-08T00:00:00Z" }
 
 let alloc_of cmp name =
   match

@@ -1,16 +1,17 @@
-(* Flight recorder: ring semantics, dump formats, the auto-dump latch,
+(* Flight recorder: ring semantics, the dump format, the auto-dump latch,
    and the engine wiring (every session carries one; a failing audit or a
    rejected op trips the dump handler with the op tail that led there).
 
-   The JSONL dump is the replayable record: read back as JSON it must
-   reproduce every recorded field, and the Chrome dump must pass the same
-   validator as solver traces so one `wl trace-check` serves both. *)
+   The dump is a Chrome trace: read back through Jsonx it must reproduce
+   every recorded field, and it must pass the same validator as solver
+   traces so one `wl trace-check` serves both. *)
 
 open Helpers
 module Flight = Wl_obs.Flight
 module Trace = Wl_obs.Trace
 module Engine = Wl_engine.Engine
 module Instance = Wl_core.Instance
+module Jsonx = Wl_json.Jsonx
 
 let check_float = Alcotest.(check (float 0.))
 
@@ -28,7 +29,9 @@ let outcome_names =
   [| "warm_hit"; "fresh_color"; "repair"; "fallback"; "dirty"; "warm_remove"; "shrink";
      "ok"; "rejected"; "failed" |]
 
-(* One JSONL dump line, read back through Jsonx. *)
+(* One dumped op, read back from the Chrome trace: the event name is the
+   op kind, [ts]/[dur] carry its start and duration in microseconds to
+   the nanosecond, and the args carry the rest. *)
 type line = {
   seq : int;
   t_ns : int;
@@ -40,27 +43,40 @@ type line = {
   pi : int;
 }
 
-let read_jsonl text =
-  String.split_on_char '\n' text
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map (fun l ->
-         match Wl_json.Jsonx.parse l with
-         | Error e -> Alcotest.failf "bad JSONL line %S: %s" l e
-         | Ok j ->
-           let int k = Option.get (Option.bind (Wl_json.Jsonx.member k j) Wl_json.Jsonx.to_int) in
-           let str k = Option.get (Option.bind (Wl_json.Jsonx.member k j) Wl_json.Jsonx.to_str) in
-           {
-             seq = int "seq";
-             t_ns = int "t_ns";
-             dur_ns = int "dur_ns";
-             op = str "op";
-             outcome = str "outcome";
-             arcs = int "arcs";
-             palette = int "palette";
-             pi = int "pi";
-           })
+let read_dump text =
+  let events =
+    match Jsonx.parse text with
+    | Error e -> Alcotest.failf "bad dump: %s" e
+    | Ok j -> (
+      match Option.bind (Jsonx.member "traceEvents" j) Jsonx.to_list with
+      | Some evs -> evs
+      | None -> Alcotest.fail "dump without traceEvents")
+  in
+  List.map
+    (fun ev ->
+      let field k j = Option.get (Jsonx.member k j) in
+      let args = field "args" ev in
+      let int k = Option.get (Jsonx.to_int (field k args)) in
+      let str k j = Option.get (Jsonx.to_str (field k j)) in
+      let ns k =
+        match field k ev with
+        | Jsonx.Int us -> us * 1000
+        | Jsonx.Float us -> Float.to_int (Float.round (us *. 1e3))
+        | _ -> Alcotest.failf "%s is not a number" k
+      in
+      {
+        seq = int "seq";
+        t_ns = ns "ts";
+        dur_ns = ns "dur";
+        op = str "name" ev;
+        outcome = str "outcome" args;
+        arcs = int "arcs";
+        palette = int "palette";
+        pi = int "pi";
+      })
+    events
 
-(* The dump line [record_n] writes for op [i]. *)
+(* The dumped op [record_n] writes for op [i]. *)
 let expected_line i =
   {
     seq = i;
@@ -82,25 +98,29 @@ let record_n f n =
       ~dur_ns:(i * 10) ~arcs:(i mod 7) ~palette:(i mod 5) ~pi:(i mod 5) ~trace:0
   done
 
-(* A capacity of 12 rounds up to 16: the ring keeps the last 16 ops. *)
+(* A capacity of 12 rounds up to 16: the ring keeps the last 16 ops,
+   oldest first. *)
 let test_ring_retention () =
   let f = Flight.create ~capacity:12 () in
   record_n f 40;
   check_int "lifetime count" 40 (Flight.total f);
-  let es = read_jsonl (Flight.to_jsonl f) in
+  let es = read_dump (Flight.to_chrome f) in
   check_int "holds the last capacity ops" 16 (List.length es);
   check "oldest retained is total - capacity" true
     (List.map (fun e -> e.seq) es = List.init 16 (fun i -> 24 + i));
   (* Field round-trip through the packed ring, including the relative
      timestamp (origin = first recorded t_ns). *)
   List.iter (fun e -> check "fields" true (e = expected_line e.seq)) es;
-  check_int "last=4 trims" 4 (List.length (read_jsonl (Flight.to_jsonl ~last:4 f)))
+  check "last=4 keeps the newest four" true
+    (List.map (fun e -> e.seq) (read_dump (Flight.merged_chrome ~last:4 [ f ]))
+    = [ 36; 37; 38; 39 ])
 
-let test_jsonl_roundtrip () =
+(* Past capacity the ring wraps: the dump still holds exactly the tail. *)
+let test_dump_roundtrip () =
   let f = Flight.create ~capacity:32 () in
   record_n f 50;
-  check "JSONL replays the recorded op tail exactly" true
-    (read_jsonl (Flight.to_jsonl f) = List.init 32 (fun i -> expected_line (18 + i)))
+  check "the dump replays the recorded op tail exactly" true
+    (read_dump (Flight.to_chrome f) = List.init 32 (fun i -> expected_line (18 + i)))
 
 let test_chrome_dump_validates () =
   let f = Flight.create ~capacity:64 ~tid:3 () in
@@ -140,7 +160,7 @@ let test_engine_audit_failure_dumps () =
     (Some
        (fun ~reason f ->
          incr fires;
-         captured := Some (reason, Flight.to_jsonl f, Flight.to_chrome f)));
+         captured := Some (reason, Flight.to_chrome f)));
   Fun.protect
     ~finally:(fun () -> Flight.set_dump_handler None)
     (fun () ->
@@ -155,15 +175,15 @@ let test_engine_audit_failure_dumps () =
       | Error _ -> ());
       match !captured with
       | None -> Alcotest.fail "failing audit did not trigger a flight dump"
-      | Some (reason, jsonl, chrome) ->
+      | Some (reason, chrome) ->
         check "reason names the audit" true
           (String.length reason >= 5 && String.sub reason 0 5 = "audit");
-        (* The chrome dump passes the shared validator... *)
+        (* The dump passes the shared validator... *)
         (match Trace.validate_chrome chrome with
         | Ok n -> check "dump has the op tail" true (n > 0)
         | Error e -> Alcotest.fail ("dump trace invalid: " ^ e));
-        (* ...and the JSONL replays the tail, ending in the audit event. *)
-        let entries = read_jsonl jsonl in
+        (* ...and replays the tail, ending in the audit event. *)
+        let entries = read_dump chrome in
         check "tail replays" true (entries <> []);
         let last = List.nth entries (List.length entries - 1) in
         check "last op is the failed audit" true
@@ -238,7 +258,7 @@ let suite =
     ( "flight",
       [
         Alcotest.test_case "ring retention" `Quick test_ring_retention;
-        Alcotest.test_case "jsonl roundtrip" `Quick test_jsonl_roundtrip;
+        Alcotest.test_case "dump roundtrip" `Quick test_dump_roundtrip;
         Alcotest.test_case "chrome dump validates" `Quick
           test_chrome_dump_validates;
         Alcotest.test_case "trigger latch" `Quick test_trigger_latch;

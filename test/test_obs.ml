@@ -182,7 +182,6 @@ let test_clock_monotonic () =
 
 let with_prof f =
   Metrics.reset ();
-  Prof.reset ();
   Metrics.set_enabled true;
   Prof.enable ();
   let sink = Trace.memory () in
@@ -192,8 +191,7 @@ let with_prof f =
       Trace.clear ();
       Prof.disable ();
       Metrics.set_enabled false;
-      Metrics.reset ();
-      Prof.reset ())
+      Metrics.reset ())
     (fun () -> f sink)
 
 let float_arg name e =
@@ -230,25 +228,23 @@ let test_prof_gc_args_on_algorithm_spans () =
         | Some s ->
           check (span ^ " self time within duration") true
             (s >= 0. && s <= e.Trace.dur_us +. 1e-3)))
-    [ "thm1.color"; "dsatur" ];
-  (* The aggregation table and the Metrics mirror saw the same spans. *)
-  ()
+    [ "thm1.color"; "dsatur" ]
 
-let test_prof_aggregates_and_mirror () =
+(* The per-span aggregate is the prof.<span>.* counters: two profiled
+   solves count two calls, and their allocation and self time add up. *)
+let test_prof_aggregate_counters () =
   let inst = random_nic_instance ~n:40 ~k:50 11 in
-  let rows, mirror =
+  let calls, minor_words, self_ns =
     with_prof (fun _sink ->
         ignore (Theorem1.color inst);
         ignore (Theorem1.color inst);
-        (Prof.snapshot (), counter_value "prof.thm1.color.calls"))
+        ( counter_value "prof.thm1.color.calls",
+          counter_value "prof.thm1.color.minor_words",
+          counter_value "prof.thm1.color.self_ns" ))
   in
-  (match List.find_opt (fun r -> r.Prof.span = "thm1.color") rows with
-  | None -> Alcotest.fail "thm1.color not aggregated"
-  | Some r ->
-    check_int "two calls aggregated" 2 r.Prof.calls;
-    check "aggregate minor words positive" true (r.Prof.gc.Prof.minor_words > 0.);
-    check "self <= total" true (r.Prof.self_us <= r.Prof.total_us +. 1e-3));
-  check_int "metrics mirror counted the calls" 2 mirror
+  check_int "two calls counted" 2 calls;
+  check "minor words positive" true (minor_words > 0);
+  check "self time positive" true (self_ns > 0)
 
 let test_prof_self_time_excludes_children () =
   let alloc_some () = ignore (Sys.opaque_identity (Array.make 2048 0.)) in
@@ -324,7 +320,7 @@ let test_disabled_obs_theorem1_deterministic_alloc () =
 
 let test_sweep_latency_histogram () =
   with_metrics (fun () ->
-      let thm1 = List.find (fun o -> o.Oracle.name = "thm1") Oracle.sweeps in
+      let thm1 = Option.get (Oracle.find "thm1") in
       let summary = Fuzz.run ~seeds:10 [ thm1 ] in
       check "sweep clean" true (summary.Fuzz.total_failures = 0);
       let s = histogram_snapshot "fuzz.thm1.ns" in
@@ -566,8 +562,8 @@ let suite =
         Alcotest.test_case "clock is monotonic" `Quick test_clock_monotonic;
         Alcotest.test_case "prof: GC args on algorithm spans" `Quick
           test_prof_gc_args_on_algorithm_spans;
-        Alcotest.test_case "prof: aggregates and metrics mirror" `Quick
-          test_prof_aggregates_and_mirror;
+        Alcotest.test_case "prof: aggregates and metrics counters" `Quick
+          test_prof_aggregate_counters;
         Alcotest.test_case "prof: self time excludes children" `Quick
           test_prof_self_time_excludes_children;
         Alcotest.test_case "openmetrics render validates" `Quick

@@ -336,9 +336,6 @@ let run_script ~add ~remove ~report ops =
   List.rev !ids
 
 let with_daemon f =
-  (* As in wld: a peer that hangs up before its reply is written must not
-     kill the process. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let path = Filename.temp_file "wld_test" ".sock" in
   Sys.remove path;
   let shard = Shard.create ~shards:2 () in
@@ -550,6 +547,36 @@ let test_connect_checks_version () =
   check "one untraced hello" true
     (!hello = Ok (Some (Proto.encode_request (Proto.Hello Proto.version))));
   check "client closed its socket" true !closed
+
+(* SIGPIPE's disposition, read without changing it. *)
+let sigpipe_disposition () =
+  let d = Sys.signal Sys.sigpipe Sys.Signal_default in
+  Sys.set_signal Sys.sigpipe d;
+  d
+
+let test_broken_pipe () =
+  (* Each call starts from the default disposition, under which a write
+     to a closed peer kills the process: [Server.serve] and
+     [Client.connect] must each ignore SIGPIPE themselves. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let path = Filename.temp_file "wld_pipe" ".sock" in
+  Sys.remove path;
+  let srv =
+    ok_exn "serve" (Server.serve ~shard:(Shard.create ~shards:1 ()) (Server.Unix_sock path))
+  in
+  check "serve ignores SIGPIPE" true (sigpipe_disposition () = Sys.Signal_ignore);
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let c = ok_exn "connect" (Client.connect ("unix:" ^ path)) in
+  check "connect ignores SIGPIPE" true (sigpipe_disposition () = Sys.Signal_ignore);
+  (* A shutdown request makes the daemon answer, close this connection
+     and stop; the next call then meets a closed peer. *)
+  ok_exn "shutdown" (Client.shutdown_server c);
+  ignore (Server.wait srv);
+  (match Client.ping c with
+  | Error (Error.Io _) -> ()
+  | Error e -> Alcotest.failf "want an Io error, got %s" (Error.to_string e)
+  | Ok () -> Alcotest.fail "a stopped daemon answered");
+  Client.close c
 
 (* --- trace context on the wire ----------------------------------------------- *)
 
@@ -770,6 +797,7 @@ let suite =
         Alcotest.test_case "a stalled client blocks no one" `Quick
           test_stalled_client_blocks_no_one;
         Alcotest.test_case "drain under load" `Quick test_drain_under_load;
+        Alcotest.test_case "a closed peer is an Io error" `Quick test_broken_pipe;
         Alcotest.test_case "connect checks the protocol version" `Quick
           test_connect_checks_version;
         Alcotest.test_case "ctx on the wire" `Quick test_ctx_on_the_wire;

@@ -41,7 +41,7 @@ let point ?(mad = 0.) name median =
   }
 
 let entry ?(rev = "cafe00") pts =
-  Store.make ~rev ~timestamp:"2026-08-06T00:00:00Z" ~domains:1 pts
+  { (Store.make ~domains:1 pts) with Store.rev; timestamp = "2026-08-06T00:00:00Z" }
 
 let verdict_of cmp name =
   match
@@ -106,31 +106,37 @@ let test_gate_window () =
 (* --- JSONL round-trip ------------------------------------------------------ *)
 
 let rich_entry () =
-  Store.make ~rev:"abc1234" ~timestamp:"2026-08-06T12:00:00Z" ~domains:4
-    ~note:"unit test"
-    ~extra:[ ("sweep_trajectory", Jsonx.Arr [ Jsonx.Int 1; Jsonx.Int 2 ]) ]
-    [
-      {
-        Store.name = "thm1/color/n=120";
-        params = [ ("n", 120); ("k", 90) ];
-        extras = [ ("warm_hit_rate", 0.5) ];
-        sample =
-          { Store.median_ns = 1234.5; mad_ns = 10.25; cv = 0.031; runs = 7 };
-        baseline_ns = Some 2000.;
-        counters =
-          [
-            ("solver.kempe_cascades", Jsonx.Int 17);
-            ( "parallel.map_wall_ns",
-              Jsonx.Obj
-                [
-                  ("count", Jsonx.Int 3);
-                  ("sum", Jsonx.Int 900);
-                  ("min", Jsonx.Int 100);
-                  ("max", Jsonx.Int 500);
-                ] );
-          ];
-      };
-    ]
+  let e =
+    Store.make ~domains:4 ~note:"unit test"
+      [
+        {
+          Store.name = "thm1/color/n=120";
+          params = [ ("n", 120); ("k", 90) ];
+          extras = [ ("warm_hit_rate", 0.5) ];
+          sample =
+            { Store.median_ns = 1234.5; mad_ns = 10.25; cv = 0.031; runs = 7 };
+          baseline_ns = Some 2000.;
+          counters =
+            [
+              ("solver.kempe_cascades", Jsonx.Int 17);
+              ( "parallel.map_wall_ns",
+                Jsonx.Obj
+                  [
+                    ("count", Jsonx.Int 3);
+                    ("sum", Jsonx.Int 900);
+                    ("min", Jsonx.Int 100);
+                    ("max", Jsonx.Int 500);
+                  ] );
+            ];
+        };
+      ]
+  in
+  {
+    e with
+    Store.rev = "abc1234";
+    timestamp = "2026-08-06T12:00:00Z";
+    extra = [ ("sweep_trajectory", Jsonx.Arr [ Jsonx.Int 1; Jsonx.Int 2 ]) ];
+  }
 
 let check_entry_eq msg (a : Store.entry) (b : Store.entry) =
   check (msg ^ ": rev") true (a.Store.rev = b.Store.rev);
